@@ -20,6 +20,7 @@ from .errors import (
     PiecewiseBoundaryUnresolved,
     RootFindingFailed,
     SamePoint,
+    SampleCapExceeded,
     TargetsOverlap,
     TotallyInvariantPoint,
 )

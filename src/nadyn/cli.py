@@ -8,7 +8,9 @@ Exit codes: 0 success, 1 usage or syntax errors, 2 domain errors.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -26,15 +28,17 @@ from .crucial import (
     slope_measured,
     slope_rhs,
 )
-from .equidist import depth_sequence
+from .equidist import DirectionMeasure, depth_sequence
 from .degeneration import INF_C, degeneration_report
 from .parsing import (
+    class_from_json,
     class_json,
     frac_str,
     map_str,
     parse_direction_class,
     parse_map,
     parse_point,
+    parse_rational,
     point_str,
 )
 
@@ -218,22 +222,63 @@ def _cmd_equidist(args) -> dict:
     }
 
 
+def _parse_t_values(text: str) -> list[complex]:
+    values = []
+    for part in text.split(","):
+        if not part.strip():
+            continue
+        try:
+            value = complex(part)
+        except ValueError as exc:
+            raise ParseError(f"--t value {part.strip()!r} is not a complex number") from exc
+        if cmath.isnan(value):
+            raise ParseError(f"--t value {part.strip()!r} is not a number")
+        values.append(value)
+    if not values:
+        raise ParseError("--t needs at least one parameter value")
+    return values
+
+
+def _parse_hypothesis(text: str) -> DirectionMeasure:
+    try:
+        atoms = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"hypothesis is not valid JSON: {exc}") from exc
+    if not isinstance(atoms, list) or not all(
+        isinstance(atom, dict) and isinstance(atom.get("mass"), str) for atom in atoms
+    ):
+        raise ParseError('hypothesis must be a JSON list of {"class": ..., "mass": "p/q"} objects')
+    parsed = []
+    for atom in atoms:
+        try:
+            cls = class_from_json(atom)
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ParseError(f"hypothesis atom {atom!r} is incomplete or mistyped") from exc
+        mass = parse_rational(atom["mass"])
+        if not 0 <= mass <= 1:
+            raise ParseError(f"hypothesis mass {atom['mass']!r} is not in [0, 1]")
+        parsed.append((cls, mass))
+    return DirectionMeasure(tuple(parsed))
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"needs an integer >= 1, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"needs a finite number > 0, got {text!r}")
+    return value
+
+
 def _cmd_degcheck(args) -> dict:
     phi = parse_map(args.map)
-    t_values = [complex(part) for part in args.t.split(",") if part.strip()]
-    if args.hypothesis == "auto":
-        hypothesis = None
-    else:
-        try:
-            atoms = json.loads(args.hypothesis)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"hypothesis is not valid JSON: {exc}") from exc
-        from .equidist import DirectionMeasure
-        from .parsing import class_from_json, parse_rational
-
-        hypothesis = DirectionMeasure(
-            tuple((class_from_json(atom), parse_rational(atom["mass"])) for atom in atoms)
-        )
+    t_values = _parse_t_values(args.t)
+    hypothesis = None if args.hypothesis == "auto" else _parse_hypothesis(args.hypothesis)
     report = degeneration_report(
         phi, t_values, args.n, hypothesis=hypothesis, eps=args.eps
     )
@@ -287,8 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=int, default=4)
     p = add("degcheck", _cmd_degcheck, point=False)
     p.add_argument("--t", required=True)
-    p.add_argument("--n", type=int, default=12)
-    p.add_argument("--eps", type=float, default=0.1)
+    p.add_argument("--n", type=_positive_int, default=12)
+    p.add_argument("--eps", type=_positive_float, default=0.1)
     p.add_argument("--hypothesis", default="auto")
     return parser
 

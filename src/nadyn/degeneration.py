@@ -5,6 +5,13 @@ the specialisation is sampled by iterated pullback of a generic point, and
 the sampled atom masses are compared with the non-archimedean prediction.
 Distances on the complex projective line are chordal with diameter 1, so the
 ball of radius 0.1 around infinity is {|z| > sqrt(99)}.
+
+Sampling is level-batched: the d^(k-1) targets of level k are solved as one
+numpy batch, linear rows directly, quadratic rows by the stable closed form
+and higher degrees by Aberth iteration run across all rows at once.  Ball
+hits are counted with array masks.  A report needs n >= 1 levels and a ball
+radius eps > 0; a sample larger than SAMPLE_CAP points raises
+SampleCapExceeded.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from .errors import (
     CoefficientPole,
     IllConditioned,
     RootFindingFailed,
+    SampleCapExceeded,
     TargetsOverlap,
     TotallyInvariantPoint,
 )
@@ -33,6 +41,7 @@ INF_C = complex(math.inf, 0.0)
 
 DEFAULT_START = 1 + 1j / 3
 DEFAULT_TOL = 1e-12
+DEFAULT_MAX_ITER = 500
 SAMPLE_CAP = 2**16
 _LEADING_CUTOFF = 1e-13
 
@@ -84,10 +93,15 @@ def specialize(phi: RationalMapK, t0: complex) -> ComplexMap:
     den = []
     for coeff, out in ((phi.num, num), (phi.den, den)):
         for c in coeff:
-            n_val, d_val = c.eval_parts(t0)
-            if _vanishes(c.den, t0, d_val):
-                raise CoefficientPole(f"coefficient {c.to_str()} has a pole at t = {t0}")
-            out.append(n_val / d_val)
+            try:
+                n_val, d_val = c.eval_parts(t0)
+                if _vanishes(c.den, t0, d_val):
+                    raise CoefficientPole(f"coefficient {c.to_str()} has a pole at t = {t0}")
+                out.append(n_val / d_val)
+            except (OverflowError, ZeroDivisionError) as exc:
+                raise IllConditioned(
+                    f"coefficient {c.to_str()} leaves the float range at t = {t0}"
+                ) from exc
     gmap = ComplexMap(tuple(num), tuple(den))
     _check_conditioning(phi, gmap, t0)
     return gmap
@@ -110,103 +124,269 @@ def _check_conditioning(phi: RationalMapK, gmap: ComplexMap, t0: complex) -> Non
         for j in range(d + 1):
             m[k, k + j] = gmap.den[d - j]
             m[d + k, k + j] = gmap.num[d - j]
-    det = complex(np.linalg.det(m))
+    with np.errstate(all="ignore"):
+        det = complex(np.linalg.det(m))
     scale = max(max(abs(c) for c in gmap.num), max(abs(c) for c in gmap.den), 1.0)
-    if abs(det) <= 1e-250 * scale ** (2 * d):
+    try:
+        vanishes = not cmath.isfinite(det) or abs(det) <= 1e-250 * scale ** (2 * d)
+    except OverflowError:  # coefficients too large for a float resultant
+        vanishes = True
+    if vanishes:
         raise IllConditioned(f"specialised resultant vanishes at t = {t0}")
 
 
-def aberth_roots(coeffs: list[complex], tol: float = DEFAULT_TOL, max_iter: int = 500) -> list[complex]:
+# CPython's scalar complex arithmetic, replayed on (real, imag) float arrays.
+# numpy's complex multiply, divide and abs round differently in the last bit
+# (fused and vectorised loops), which would make a batched root differ from
+# the same root found one row at a time.
+
+
+def _mul(ar, ai, br, bi):
+    """Complex product as CPython computes it."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _div(ar, ai, br, bi):
+    """Complex quotient as CPython computes it (Smith's method)."""
+    by_real = np.abs(br) >= np.abs(bi)
+    ratio = np.where(by_real, bi / br, br / bi)
+    denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
+    re = np.where(by_real, ar + ai * ratio, ar * ratio + ai) / denom
+    im = np.where(by_real, ai - ar * ratio, ai * ratio - ar) / denom
+    return re, im
+
+
+def _horner(cr, ci, zr, zi):
+    """Rows of coefficients (constant term first) evaluated at one z per row."""
+    accr = np.zeros_like(zr)
+    acci = np.zeros_like(zr)
+    for k in range(cr.shape[1] - 1, -1, -1):
+        pr, pi = _mul(accr, acci, zr, zi)
+        accr = pr + cr[:, k]
+        acci = pi + ci[:, k]
+    return accr, acci
+
+
+def _join(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def _above_bound(am: np.ndarray, mz: np.ndarray, tol: float, apz: np.ndarray) -> np.ndarray:
+    """Per row, whether |p(z)| > tol * sum_i |c_i| max(1, |z|)^i.
+
+    CPython takes the powers with libm pow, numpy with its own loops, and the
+    two can differ in the last bit; rows within a relative 1e-12 of the bound
+    are decided by the scalar formula.
+    """
+    acc = np.zeros_like(mz)
+    for i in range(am.shape[1]):
+        acc = acc + am[:, i] * np.power(mz, i)
+    bound = tol * acc
+    above = apz > bound
+    for r in np.flatnonzero(np.abs(apz - bound) <= 1e-12 * bound):
+        m = float(mz[r])
+        exact = tol * sum(float(a) * m**i for i, a in enumerate(am[r]))
+        above[r] = apz[r] > exact
+    return above
+
+
+def _aberth(coeffs: np.ndarray, tol: float, max_iter: int) -> tuple[np.ndarray, np.ndarray]:
+    """Aberth iteration on every row of an (m, e+1) coefficient array, e >= 2.
+
+    Row by row this is the scalar method: start points on the circle of
+    radius 1 + max |c_i / c_e| with phase 0.4, Gauss-Seidel sweeps over the
+    roots in a fixed order, and a row stops after the first sweep in which
+    every root met its residual bound.  Returns the (m, e) roots and the mask
+    of rows that had not stopped after max_iter sweeps.
+    """
+    m, e = coeffs.shape[0], coeffs.shape[1] - 1
+    mr, mi = _div(coeffs.real, coeffs.imag, coeffs.real[:, -1:], coeffs.imag[:, -1:])
+    am = np.hypot(mr, mi)
+    radius = am[:, 0]
+    for k in range(1, e):
+        radius = np.where(am[:, k] > radius, am[:, k], radius)
+    radius = 1.0 + radius
+    zr = np.empty((m, e))
+    zi = np.empty((m, e))
+    for k in range(e):
+        s = cmath.exp(2j * math.pi * (k / e) + 0.4j)
+        zr[:, k] = radius * s.real - 0.0 * s.imag
+        zi[:, k] = radius * s.imag + 0.0 * s.real
+    steps = np.arange(1.0, e + 1.0)
+    dr, di = _mul(mr[:, 1:], mi[:, 1:], steps, 0.0)
+
+    roots_r = np.empty((m, e))
+    roots_i = np.empty((m, e))
+    live = np.arange(m)
+    for _ in range(max_iter):
+        pending = np.zeros(live.size, dtype=bool)
+        for j in range(e):
+            z_r, z_i = zr[:, j].copy(), zi[:, j].copy()
+            pr, pi = _horner(mr, mi, z_r, z_i)
+            az = np.hypot(z_r, z_i)
+            pending |= _above_bound(am, np.where(az > 1.0, az, 1.0), tol, np.hypot(pr, pi))
+            qr, qi = _horner(dr, di, z_r, z_i)
+            flat = (qr == 0) & (qi == 0)
+            nr, ni = _div(pr, pi, qr, qi)
+            rr = np.zeros_like(z_r)
+            ri = np.zeros_like(z_r)
+            for k in range(e):
+                if k == j:
+                    continue
+                xr = z_r - zr[:, k]
+                xi = z_i - zi[:, k]
+                same = (xr == 0) & (xi == 0)
+                xr = np.where(same, 1e-14 * (1 + az), xr)
+                xi = np.where(same, 0.0, xi)
+                ur, ui = _div(1.0, 0.0, xr, xi)
+                rr = rr + ur
+                ri = ri + ui
+            pr, pi = _mul(nr, ni, rr, ri)
+            den_r, den_i = 1.0 - pr, 0.0 - pi
+            stuck = (den_r == 0) & (den_i == 0)
+            ur, ui = _div(nr, ni, np.where(stuck, 1e-14, den_r), np.where(stuck, 0.0, den_i))
+            nudge_r, nudge_i = _mul(z_r, z_i, 1 + 1e-8, 0.0)
+            zr[:, j] = np.where(flat, nudge_r + 1e-8, z_r - ur)
+            zi[:, j] = np.where(flat, nudge_i + 0.0, z_i - ui)
+            pending |= flat
+        done = ~pending
+        roots_r[live[done]] = zr[done]
+        roots_i[live[done]] = zi[done]
+        if done.all():
+            return _join(roots_r, roots_i), np.zeros(m, dtype=bool)
+        live, zr, zi = live[pending], zr[pending], zi[pending]
+        mr, mi, am, dr, di = mr[pending], mi[pending], am[pending], dr[pending], di[pending]
+    failed = np.zeros(m, dtype=bool)
+    failed[live] = True
+    return _join(roots_r, roots_i), failed
+
+
+def _quadratic(c: np.ndarray) -> np.ndarray:
+    """Both roots of each row c0 + c1 z + c2 z^2, by the stable closed form."""
+    p = c[:, 1] / c[:, 2]
+    q = c[:, 0] / c[:, 2]
+    s = np.sqrt(p * p / 4 - q)
+    s = np.where(p.real * s.real + p.imag * s.imag < 0, -s, s)
+    r1 = -(p / 2 + s)
+    zero = r1 == 0  # then p = q = 0 and both roots are 0
+    r2 = np.where(zero, 0j, q / np.where(zero, 1, r1))
+    return np.stack([r1, r2], axis=1)
+
+
+def aberth_roots(
+    coeffs: list[complex], tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
+) -> list[complex]:
     """All roots of a complex polynomial by simultaneous Aberth iteration.
 
     Deterministic: initial points on a scaled circle with a fixed phase, and
-    a fixed sequential update order.
+    a fixed sequential update order.  This is the one-row case of the
+    batched iteration the pullback sampler runs.
     """
     e = len(coeffs) - 1
     if e < 1:
         return []
     if e == 1:
         return [-coeffs[0] / coeffs[1]]
-    lead = coeffs[-1]
-    monic = [c / lead for c in coeffs]
-    radius = 1.0 + max(abs(c) for c in monic[:-1])
-    roots = [
-        radius * cmath.exp(2j * math.pi * (k / e) + 0.4j) for k in range(e)
-    ]
-    deriv = [monic[i] * i for i in range(1, e + 1)]
-
-    def horner(cs, z):
-        acc = 0j
-        for c in reversed(cs):
-            acc = acc * z + c
-        return acc
-
-    scale = sum(abs(c) for c in monic)
-    for _ in range(max_iter):
-        converged = True
-        for j in range(e):
-            z = roots[j]
-            pz = horner(monic, z)
-            bound = tol * sum(abs(c) * max(1.0, abs(z)) ** i for i, c in enumerate(monic))
-            if abs(pz) > bound:
-                converged = False
-            dz = horner(deriv, z)
-            if dz == 0:
-                roots[j] = z * (1 + 1e-8) + 1e-8
-                converged = False
-                continue
-            newton = pz / dz
-            rep = 0j
-            for k in range(e):
-                if k != j:
-                    diff = z - roots[k]
-                    if diff == 0:
-                        diff = 1e-14 * (1 + abs(z))
-                    rep += 1.0 / diff
-            denom = 1.0 - newton * rep
-            if denom == 0:
-                denom = 1e-14
-            roots[j] = z - newton / denom
-        if converged:
-            return roots
-    raise RootFindingFailed(0, scale)
+    with np.errstate(all="ignore"):
+        roots, failed = _aberth(np.array([coeffs], dtype=complex), tol, max_iter)
+    if failed[0]:
+        raise RootFindingFailed(0, sum(abs(c / coeffs[-1]) for c in coeffs))
+    return roots[0].tolist()
 
 
-def _preimages(gmap: ComplexMap, w: complex, tol: float, level: int) -> list[complex]:
-    """All d preimages of w, counted with multiplicity; infinity padded in."""
+def _preimages(
+    num: np.ndarray, den: np.ndarray, ws: np.ndarray, tol: float, level: int
+) -> np.ndarray:
+    """The d preimages of every w in ws, with multiplicity and in the order of
+    ws; preimages at infinity are padded in where leading coefficients vanish."""
+    d = num.size - 1
+    wr, wi = ws.real[:, None], ws.imag[:, None]
+    at_inf = np.isinf(wr) | np.isinf(wi)
+    pr, pi = _mul(wr, wi, den.real, den.imag)
+    rr = np.where(at_inf, den.real, num.real - pr)
+    ri = np.where(at_inf, den.imag, num.imag - pi)
+    size = np.hypot(rr, ri)
+    top = size[:, 0]
+    for k in range(1, d + 1):
+        top = np.where(size[:, k] > top, size[:, k], top)
+    # effective degree: the highest coefficient above the cutoff
+    eff = np.zeros(ws.size, dtype=int)
+    for k in range(1, d + 1):
+        eff = np.where(size[:, k] <= _LEADING_CUTOFF * top, eff, k)
+    failed = top == 0.0
+    out_r = np.full((ws.size, d), math.inf)
+    out_i = np.zeros((ws.size, d))
+    for e in range(1, d + 1):
+        rows = np.flatnonzero(eff == e)
+        if rows.size == 0:
+            continue
+        cr, ci = rr[rows, : e + 1], ri[rows, : e + 1]
+        if e == 1:
+            roots = _join(*_div(-cr[:, 0], -ci[:, 0], cr[:, 1], ci[:, 1]))[:, None]
+        elif e == 2:
+            roots = _quadratic(_join(cr, ci))
+        else:
+            roots, bad = _aberth(_join(cr, ci), tol, DEFAULT_MAX_ITER)
+            failed[rows[bad]] = True
+        out_r[rows, :e] = roots.real
+        out_i[rows, :e] = roots.imag
+    if failed.any():
+        raise RootFindingFailed(level, complex(ws[np.argmax(failed)]))
+    return _join(out_r, out_i).ravel()
+
+
+def pullback_sample(gmap: ComplexMap, z0: complex, n: int, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """The multiset of d^n n-th preimages of z0 under the map, as a 1-D
+    complex array; each level is solved as one batch."""
     d = gmap.degree
-    if cmath.isinf(w):
-        coeffs = list(gmap.den)
-    else:
-        coeffs = [b - w * a for b, a in zip(gmap.num, gmap.den)]
-    top = max(abs(c) for c in coeffs)
-    if top == 0.0:
-        raise RootFindingFailed(level, w)
-    e = d
-    while e > 0 and abs(coeffs[e]) <= _LEADING_CUTOFF * top:
-        e -= 1
-    try:
-        finite = aberth_roots(coeffs[: e + 1], tol=tol)
-    except RootFindingFailed as exc:
-        raise RootFindingFailed(level, w) from exc
-    return finite + [INF_C] * (d - e)
-
-
-def pullback_sample(gmap: ComplexMap, z0: complex, n: int, tol: float = DEFAULT_TOL) -> list[complex]:
-    """The multiset of d^n n-th preimages of z0 under the map."""
-    d = gmap.degree
-    if d**n > SAMPLE_CAP:
-        raise ValueError(f"sample size {d}^{n} exceeds cap {SAMPLE_CAP}")
-    points = [complex(z0)]
-    for level in range(1, n + 1):
-        nxt = []
-        for w in points:
-            nxt.extend(_preimages(gmap, w, tol, level))
-        points = nxt
+    size = 1
+    for _ in range(n):
+        size *= d
+        if size > SAMPLE_CAP:
+            raise SampleCapExceeded(f"sample size {d}^{n} exceeds cap {SAMPLE_CAP}")
+    num = np.array(gmap.num, dtype=complex)
+    den = np.array(gmap.den, dtype=complex)
+    points = np.array([complex(z0)])
+    with np.errstate(all="ignore"):
+        for level in range(1, n + 1):
+            points = _preimages(num, den, points, tol, level)
     return points
 
 
-def atom_estimate(points: list[complex], targets: list[complex], eps: float = 0.1) -> list[AtomEstimate]:
+def _ball_masks(points: np.ndarray, targets: list[complex], eps: float) -> np.ndarray:
+    """masks[k, i] is chordal(points[i], targets[k]) <= eps, exactly.
+
+    The chordal value is replayed on arrays: |z| as the hypot of the parts,
+    then sqrt(1 + |z|^2), with the cases at infinity.  CPython squares with
+    libm pow, which can differ from a product in the last bit, so values
+    within a relative 1e-12 of eps, and finite points too large to square,
+    are decided by chordal itself.
+    """
+    pr, pi = points.real, points.imag
+    p_inf = np.isinf(pr) | np.isinf(pi)
+    masks = np.empty((len(targets), points.size), dtype=bool)
+    with np.errstate(all="ignore"):
+        ap = np.hypot(pr, pi)
+        sp = np.sqrt(1.0 + ap * ap)
+        huge = np.isinf(sp) & ~p_inf
+        for k, tg in enumerate(targets):
+            if cmath.isinf(tg):
+                dist = np.where(p_inf, 0.0, 1.0 / sp)
+            else:
+                st = math.sqrt(1.0 + abs(tg) ** 2)
+                dist = np.where(p_inf, 1.0 / st, np.hypot(pr - tg.real, pi - tg.imag) / (sp * st))
+            masks[k] = dist <= eps
+            for i in np.flatnonzero((np.abs(dist - eps) <= 1e-12 * eps) | huge):
+                masks[k, i] = chordal(complex(points[i]), tg) <= eps
+    return masks
+
+
+def atom_estimate(
+    points: list[complex] | np.ndarray, targets: list[complex], eps: float = 0.1
+) -> list[AtomEstimate]:
     """Fraction of the sample within chordal eps of each target."""
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -216,12 +396,12 @@ def atom_estimate(points: list[complex], targets: list[complex], eps: float = 0.
                 raise TargetsOverlap(
                     f"targets {targets[i]} and {targets[j]} overlap at scale {eps}"
                 )
-    out = []
-    total = len(points)
-    for target in targets:
-        hits = sum(1 for p in points if chordal(p, target) <= eps)
-        out.append(AtomEstimate(center=target, radius=eps, mass=hits / total))
-    return out
+    points = np.asarray(points, dtype=complex)
+    hits = _ball_masks(points, targets, eps).sum(axis=1)
+    return [
+        AtomEstimate(center=target, radius=eps, mass=int(h) / points.size)
+        for target, h in zip(targets, hits)
+    ]
 
 
 def _class_targets(cls, tol: float) -> list[complex]:
@@ -257,6 +437,10 @@ def degeneration_report(
     tol: float = DEFAULT_TOL,
 ) -> DegenerationReport:
     """Sample the maximal entropy measures and compare with the prediction."""
+    if n < 1:
+        raise ValueError("at least one pullback level is needed")
+    if eps <= 0:
+        raise ValueError("eps must be positive")
     if totally_invariant(phi, GAUSS):
         raise TotallyInvariantPoint(
             "the family has good reduction at the Gauss point; the comparison "
@@ -268,25 +452,21 @@ def degeneration_report(
     if not t_values:
         raise ValueError("at least one parameter value is needed")
     atoms = [(cls, mass) for cls, mass in hypothesis.atoms]
+    atom_targets = [_class_targets(cls, tol) for cls, _ in atoms]
     per_t = []
     for t0 in t_values:
         gmap = specialize(phi, t0)
         points = _sample_with_reanchor(gmap, z0, n, tol)
         rows = []
-        for cls, mass in atoms:
-            targets = _class_targets(cls, tol)
-            union_hits = sum(
-                1 for p in points if any(chordal(p, tg) <= eps for tg in targets)
-            )
-            per_target = [
-                sum(1 for p in points if chordal(p, tg) <= eps) / len(points)
-                for tg in targets
-            ]
+        for (cls, mass), targets in zip(atoms, atom_targets):
+            masks = _ball_masks(points, targets, eps)
+            union_hits = int(masks.any(axis=0).sum())
+            per_target = [int(h) / points.size for h in masks.sum(axis=1)]
             rows.append(
                 {
                     "cls": cls,
                     "predicted": mass,
-                    "sampled": union_hits / len(points),
+                    "sampled": union_hits / points.size,
                     "per_target": per_target,
                     "targets": targets,
                 }
@@ -305,7 +485,7 @@ def degeneration_report(
     )
 
 
-def _sample_with_reanchor(gmap: ComplexMap, z0: complex, n: int, tol: float) -> list[complex]:
+def _sample_with_reanchor(gmap: ComplexMap, z0: complex, n: int, tol: float) -> np.ndarray:
     # exceptional-orbit collisions show up as root-finding failures; retry
     # from a deterministic sequence of perturbed anchors
     last = None

@@ -88,5 +88,9 @@ class RootFindingFailed(NadynError):
         super().__init__(f"root finding failed at pullback level {level} for target {target!r}")
 
 
+class SampleCapExceeded(NadynError):
+    """d^n pullback points would exceed the sample cap."""
+
+
 class TargetsOverlap(NadynError):
     """Atom targets are not separated at the requested scale."""

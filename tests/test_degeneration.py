@@ -1,6 +1,8 @@
 import cmath
+import math
 import random
 
+import numpy as np
 import pytest
 
 from nadyn import (
@@ -9,6 +11,8 @@ from nadyn import (
     GAUSS,
     IllConditioned,
     INF_C,
+    RootFindingFailed,
+    SampleCapExceeded,
     TargetsOverlap,
     TotallyInvariantPoint,
     atom_estimate,
@@ -19,11 +23,20 @@ from nadyn import (
     pullback_sample,
     specialize,
 )
-from nadyn.degeneration import aberth_roots
+from nadyn.degeneration import _ball_masks, aberth_roots
 
 Z2 = parse_map("z^2")
 TZ2 = parse_map("t*z^2")
 TZ21T = parse_map("(t*z^2+1)/t")
+
+
+def _poly_from_roots(roots):
+    coeffs = [1 + 0j]
+    for r in roots:
+        coeffs = [0j] + coeffs
+        for i in range(len(coeffs) - 1):
+            coeffs[i] -= r * coeffs[i + 1]
+    return coeffs
 
 
 def test_specialize_examples():
@@ -48,12 +61,7 @@ def test_aberth_finds_roots_with_residual_bound():
     rng = random.Random(81)
     for _ in range(50):
         roots = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(rng.randint(1, 5))]
-        coeffs = [1 + 0j]
-        for r in roots:
-            coeffs = [0j] + coeffs
-            for i in range(len(coeffs) - 1):
-                coeffs[i] -= r * coeffs[i + 1]
-        found = aberth_roots(coeffs)
+        found = aberth_roots(_poly_from_roots(roots))
         assert len(found) == len(roots)
         for r in roots:
             assert min(abs(r - f) for f in found) < 1e-6
@@ -156,3 +164,184 @@ def test_cross_validation_with_prediction():
     predicted = predicted_limit(TZ2, GAUSS)
     report = degeneration_report(TZ2, [1e-2, 1e-3], 10, hypothesis=predicted)
     assert report.max_discrepancy < 0.05
+
+
+def _scalar_aberth(coeffs, tol=1e-12, max_iter=500):
+    # the Aberth iteration in CPython scalar arithmetic, one root at a time
+    e = len(coeffs) - 1
+    monic = [c / coeffs[-1] for c in coeffs]
+    radius = 1.0 + max(abs(c) for c in monic[:-1])
+    roots = [radius * cmath.exp(2j * math.pi * (k / e) + 0.4j) for k in range(e)]
+    deriv = [monic[i] * i for i in range(1, e + 1)]
+
+    def horner(cs, z):
+        acc = 0j
+        for c in reversed(cs):
+            acc = acc * z + c
+        return acc
+
+    for _ in range(max_iter):
+        converged = True
+        for j in range(e):
+            z = roots[j]
+            pz = horner(monic, z)
+            if abs(pz) > tol * sum(abs(c) * max(1.0, abs(z)) ** i for i, c in enumerate(monic)):
+                converged = False
+            dz = horner(deriv, z)
+            if dz == 0:
+                roots[j] = z * (1 + 1e-8) + 1e-8
+                converged = False
+                continue
+            newton = pz / dz
+            rep = 0j
+            for k in range(e):
+                if k != j:
+                    diff = z - roots[k]
+                    rep += 1.0 / (diff if diff != 0 else 1e-14 * (1 + abs(z)))
+            denom = 1.0 - newton * rep
+            roots[j] = z - newton / (denom if denom != 0 else 1e-14)
+        if converged:
+            return roots
+    raise AssertionError("scalar Aberth did not converge")
+
+
+def test_batched_aberth_is_bitwise_the_scalar_iteration():
+    # the batch replays CPython's complex arithmetic, so factor-class targets
+    # and degree >= 3 preimages do not move in the last bit
+    rng = random.Random(83)
+    for _ in range(60):
+        e = rng.randint(2, 5)
+        coeffs = [
+            complex(rng.gauss(0, 1), rng.gauss(0, 1)) * 10 ** rng.uniform(-4, 4) for _ in range(e + 1)
+        ]
+        assert aberth_roots(coeffs) == _scalar_aberth(coeffs)
+    for roots in ([1j, 1j, 2], [0.5, 0.5, -1, 3j], [0, 0, 0]):
+        coeffs = _poly_from_roots(roots)
+        assert aberth_roots(coeffs) == _scalar_aberth(coeffs)
+
+
+def _oracle_pullback(gmap, z0, n):
+    # one aberth_roots call per preimage, with the sampler's truncation rule
+    d = gmap.degree
+    points = [complex(z0)]
+    for _ in range(n):
+        nxt = []
+        for w in points:
+            if cmath.isinf(w):
+                coeffs = [complex(a) for a in gmap.den]
+            else:
+                coeffs = [b - w * a for b, a in zip(gmap.num, gmap.den)]
+            top = max(abs(c) for c in coeffs)
+            e = d
+            while e > 0 and abs(coeffs[e]) <= 1e-13 * top:
+                e -= 1
+            nxt.extend(aberth_roots(coeffs[: e + 1]) + [INF_C] * (d - e))
+        points = nxt
+    return points
+
+
+def _assert_same_multiset(batch, oracle, tol=1e-9):
+    batch = [complex(p) for p in batch]
+    assert len(batch) == len(oracle)
+    assert sum(map(cmath.isinf, batch)) == sum(map(cmath.isinf, oracle))
+    left = np.array([p for p in batch if not cmath.isinf(p)])
+    for p in oracle:
+        if cmath.isinf(p):
+            continue
+        gaps = np.abs(left - p)
+        k = int(np.argmin(gaps))
+        assert gaps[k] <= tol * max(1.0, abs(p)), (p, left[k])
+        left = np.delete(left, k)
+
+
+def _random_coeffs(rng, count):
+    return tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(count))
+
+
+def test_batched_pullback_matches_per_point_oracle():
+    rng = random.Random(84)
+    cases = []
+    for d in (2, 3, 4):
+        for _ in range(3):
+            cases.append(ComplexMap(_random_coeffs(rng, d + 1), _random_coeffs(rng, d + 1)))
+            # a denominator of lower degree: a pole at infinity
+            cases.append(ComplexMap(_random_coeffs(rng, d + 1), _random_coeffs(rng, d) + (0j,)))
+    for g in cases:
+        n = {2: 5, 3: 3, 4: 2}[g.degree]
+        _assert_same_multiset(pullback_sample(g, 1 + 1j / 3, n), _oracle_pullback(g, 1 + 1j / 3, n))
+
+
+def test_batched_pullback_truncation_and_double_root():
+    # the start value 2 is the image of infinity, so the first row loses its
+    # leading coefficient exactly and one preimage is padded in at infinity
+    for d in (2, 3, 4):
+        g = ComplexMap((0.5 + 0j,) * d + (2 + 0j,), (1j,) + (0j,) * (d - 1) + (1 + 0j,))
+        assert sum(1 for p in pullback_sample(g, 2 + 0j, 1) if cmath.isinf(p)) == 1
+        for n in (1, 3):
+            _assert_same_multiset(pullback_sample(g, 2 + 0j, n), _oracle_pullback(g, 2 + 0j, n))
+        # a polynomial map: every preimage row of infinity is truncated to degree 0
+        poly = ComplexMap(g.num, (1 + 0j,) + (0j,) * d)
+        assert all(cmath.isinf(p) for p in pullback_sample(poly, INF_C, 2))
+        _assert_same_multiset(pullback_sample(poly, INF_C, 2), _oracle_pullback(poly, INF_C, 2))
+    # z^3 - 2 z^2 + z = z (z - 1)^2: the preimages of 0 include a double root
+    g = ComplexMap((0j, 1 + 0j, -2 + 0j, 1 + 0j), (1 + 0j, 0j, 0j, 0j))
+    pts = pullback_sample(g, 0j, 2)
+    assert sum(1 for p in pts if abs(p - 1) < 1e-6) == 2
+    _assert_same_multiset(pts, _oracle_pullback(g, 0j, 2))
+
+
+def test_pullback_all_zero_row_fails_with_level_and_target():
+    # num = 2 den, so the preimage row of w = 2 vanishes identically
+    g = ComplexMap((2 + 0j, 0j, 2 + 0j), (1 + 0j, 0j, 1 + 0j))
+    with pytest.raises(RootFindingFailed) as err:
+        pullback_sample(g, 2 + 0j, 1)
+    assert (err.value.level, err.value.target) == (1, 2 + 0j)
+
+
+def test_pullback_sample_cap_is_typed():
+    g = ComplexMap((0j, 0j, 1 + 0j), (1 + 0j, 0j, 0j))
+    assert len(pullback_sample(g, 1 + 0j, 16)) == 2**16
+    with pytest.raises(SampleCapExceeded):
+        pullback_sample(g, 1 + 0j, 17)
+    with pytest.raises(SampleCapExceeded):
+        pullback_sample(g, 1 + 0j, 10**9)
+
+
+def test_ball_masks_equal_chordal():
+    rng = random.Random(85)
+    edge = math.sqrt(99)  # chordal(z, inf) = 0.1 exactly on |z| = sqrt(99)
+    near0 = 0.1 / math.sqrt(1 - 0.01)  # chordal(z, 0) = 0.1 on |z| = near0
+    points = [INF_C, complex(math.inf, 1.0), complex(math.nan, 0.0), 0j]
+    for _ in range(300):
+        points.append(complex(rng.gauss(0, 1), rng.gauss(0, 1)) * 10 ** rng.uniform(-3, 3))
+    for radius in (edge, near0):
+        for k in range(60):
+            r = radius
+            for _ in range(k % 7 - 3):
+                r = math.nextafter(r, math.inf)
+            for _ in range(3 - k % 7):
+                r = math.nextafter(r, 0.0)
+            points.append(cmath.rect(r, 2 * math.pi * rng.random()))
+            points.append(complex(r, 0.0) * (1j ** k))
+    targets = [INF_C, 0j, 1 + 1j, complex(-3.5, 0.25)]
+    for eps in (0.1, 0.05, 0.3):
+        masks = _ball_masks(np.array(points), targets, eps)
+        for k, tg in enumerate(targets):
+            assert masks[k].tolist() == [chordal(p, tg) <= eps for p in points]
+
+
+def test_ball_masks_exact_on_the_edge():
+    # radii where squaring by a product lands one ulp past libm's pow; with
+    # eps set to each point's own chordal distance, only an exact replay of
+    # chordal counts the point as inside
+    edge_points = []
+    x = math.sqrt(99)
+    while len(edge_points) < 5:
+        x = math.nextafter(x, math.inf)
+        if 1.0 / math.sqrt(1.0 + x * x) > chordal(complex(x, 0.0), INF_C):
+            edge_points.append(complex(x, 0.0))
+    for p in edge_points:
+        eps = chordal(p, INF_C)
+        for tg in (INF_C, 0.25 + 0j):
+            mask = _ball_masks(np.array(edge_points), [tg], eps)[0]
+            assert mask.tolist() == [chordal(q, tg) <= eps for q in edge_points]

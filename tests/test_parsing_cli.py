@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nadyn import (
     DegenerateMap,
@@ -217,3 +221,140 @@ def test_cli_degcheck_small(capsys):
     assert data["per_t"][0]["masses"][0]["class"] == "inf"
     assert float(data["per_t"][0]["masses"][0]["sampled"]) >= 0.99
     assert float(data["max_discrepancy"]) <= 0.01
+
+
+@pytest.mark.parametrize("t_arg", ["abc", ",", "nan", "1e-3,1+nanj"])
+def test_cli_degcheck_bad_t_is_a_parse_error(capsys, t_arg):
+    code, out, err = run_cli(capsys, "degcheck", "--map", "t*z^2", "--t", t_arg, "--n", "4")
+    assert code == 1
+    assert out == ""
+    assert "error: --t" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flag,value", [("--n", "0"), ("--n", "-3"), ("--eps", "0"), ("--eps", "-0.1"), ("--eps", "nan")]
+)
+def test_cli_degcheck_rejects_bad_n_and_eps(capsys, flag, value):
+    code, out, err = run_cli(capsys, "degcheck", "--map", "t*z^2", "--t", "1e-2", f"{flag}={value}")
+    assert code == 1
+    assert out == ""
+    assert f"argument {flag}" in err
+
+
+@pytest.mark.parametrize("n", ["17", "40", "1000000000"])
+def test_cli_degcheck_sample_cap_exits_2(capsys, n):
+    code, out, _ = run_cli(capsys, "degcheck", "--map", "t*z^2", "--t", "1e-2", "--n", n)
+    assert code == 2
+    assert json.loads(out)["type"] == "SampleCapExceeded"
+
+
+@pytest.mark.parametrize(
+    "hypothesis",
+    [
+        "1",
+        "[1]",
+        '[{"class": "inf"}]',
+        '[{"class": "finite", "mass": "1"}]',
+        '[{"class": "finite", "value": 3, "mass": "1"}]',
+        '[{"class": "inf", "mass": "2"}]',
+    ],
+)
+def test_cli_degcheck_bad_hypothesis_is_a_parse_error(capsys, hypothesis):
+    code, out, err = run_cli(
+        capsys, "degcheck", "--map", "t*z^2", "--t", "1e-2", "--n", "4", "--hypothesis", hypothesis
+    )
+    assert code == 1
+    assert out == "" and "hypothesis" in err
+
+
+@pytest.mark.parametrize("t_arg", ["1e-200", "1e-320"])
+def test_cli_degcheck_float_range_is_ill_conditioned(capsys, t_arg):
+    code, out, _ = run_cli(capsys, "degcheck", "--map", "(t*z^2+1)/t", "--t", t_arg, "--n", "4")
+    assert code == 2
+    assert json.loads(out)["type"] == "IllConditioned"
+
+
+_DEGCHECK_GOLDEN = json.loads((Path(__file__).parent / "data" / "degcheck_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", _DEGCHECK_GOLDEN, ids=lambda case: " ".join(case["argv"][2:])[:60])
+def test_cli_degcheck_golden(capsys, case):
+    # stdout recorded from the per-point scalar sampler that the batched one replaced
+    code, out, _ = run_cli(capsys, *case["argv"])
+    assert code == case["exit"]
+    assert out == case["stdout"]
+
+
+def _run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+_T_GOOD = ["1e-3", "1e-4", "-0.01", "2e-3j", "0.3+0.1j"]
+_T_BAD = ["0", "1", "-1e-300", "1e-320", "inf", "nan", "abc", "", " "]
+_GOOD_ATOM = st.builds(
+    lambda atom, mass: {**atom, "mass": mass},
+    st.one_of(
+        st.just({"class": "inf"}),
+        st.sampled_from(["0", "1", "-1/2"]).map(lambda v: {"class": "finite", "value": v}),
+        st.sampled_from(["z^2 + 1", "z^2 - 2", "z^3 - 2"]).map(lambda f: {"class": "factor", "poly": f}),
+    ),
+    st.sampled_from(["1", "1/2", "0", "1/3"]),
+)
+_ANY_ATOM = st.fixed_dictionaries(
+    {
+        "class": st.sampled_from(["inf", "finite", "factor", "bogus"]),
+        "mass": st.one_of(
+            st.sampled_from(["1", "1/2", "0", "2", "-1/3", "x", "1/0"]), st.integers(-1, 2)
+        ),
+    },
+    optional={
+        "value": st.sampled_from(["0", "1", "-1/2", "y", 5]),
+        "poly": st.sampled_from(["z^2 + 1", "z^2 - 2", "z - 3", "z^2+2*z+1", "q"]),
+    },
+)
+
+
+_FLAGS = {
+    # flag: (well-formed values, values from the whole grammar and beyond)
+    "t": (
+        st.lists(st.sampled_from(_T_GOOD), min_size=1, max_size=2).map(",".join),
+        st.lists(st.sampled_from(_T_GOOD + _T_BAD), max_size=3).map(",".join),
+    ),
+    "n": (
+        st.integers(1, 8).map(str),
+        st.one_of(st.integers(-2, 18).map(str), st.sampled_from(["", "x", "2.5", "99"])),
+    ),
+    "eps": (
+        st.floats(min_value=1e-3, max_value=0.5).map(str),
+        st.one_of(st.floats().map(str), st.sampled_from(["-0.1", "0", "x"])),
+    ),
+    "hypothesis": (
+        st.one_of(st.just("auto"), st.lists(_GOOD_ATOM, min_size=1, max_size=2).map(json.dumps)),
+        st.one_of(st.lists(_ANY_ATOM, max_size=3).map(json.dumps), st.text(max_size=8)),
+    ),
+}
+
+
+@st.composite
+def _degcheck_argv(draw):
+    # at most one flag is drawn from the wide grammar, so that a third of the
+    # runs are well-formed and reach the sampler
+    wide = draw(st.sampled_from([None, None, *_FLAGS]))
+    phi = draw(st.sampled_from(["t*z^2", "(t*z^2+1)/t", "(z^2-t)/z", "z^2", "(z^3-t)/z"]))
+    argv = ["degcheck", "--map", phi]
+    for flag, (good, anything) in _FLAGS.items():
+        argv.append(f"--{flag}={draw(anything if flag == wide else good)}")
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=_degcheck_argv())
+def test_cli_degcheck_fuzz_never_tracebacks(argv):
+    code, out, err = _run_in_process(argv)
+    assert code in (0, 1, 2)
+    if code in (0, 2):
+        json.loads(out)
+    assert "Traceback" not in err
