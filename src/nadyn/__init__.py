@@ -8,6 +8,7 @@ from .errors import (
     BreakpointUnresolved,
     CoefficientPole,
     DegenerateMap,
+    DegreeTooLow,
     IllConditioned,
     IrrationalDirection,
     IterationCapExceeded,
@@ -67,14 +68,13 @@ from .redux import (
     minimal_lift,
     precompose,
     postcompose,
+    reduction_at,
     sylvester_resultant,
 )
 from .crucial import (
-    CrucialReport,
     MinLocusResult,
     SlopeReport,
     Verdict,
-    crucial_report,
     hyp_res,
     hyp_res_direct,
     min_locus,

@@ -79,9 +79,6 @@ class Mobius:
             self.c * other.b + self.d * other.d,
         )
 
-    def apply(self, z: KScalar) -> KScalar:
-        return (self.a * z + self.b) / (self.c * z + self.d)
-
 
 @dataclass(frozen=True)
 class TowardClass:

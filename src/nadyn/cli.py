@@ -14,10 +14,10 @@ import math
 import sys
 from fractions import Fraction
 
-from .berkspace import Direction, chart
+from .berkspace import Direction, TowardClass, direction_toward
 from .errors import IrrationalDirection, NadynError, ParseError
 from .respoly import FiniteClass, INFINITY, divisor_classes
-from .redux import coeff_reduction, conjugate, intrinsic_data
+from .redux import intrinsic_data, reduction_at
 from .crucial import (
     class_slope_data,
     hyp_res,
@@ -101,7 +101,7 @@ def _slope_json(phi, point, cls) -> dict:
 def _cmd_reduce(args) -> dict:
     phi = parse_map(args.map)
     point = parse_point(args.point)
-    red = coeff_reduction(conjugate(chart(point), phi))
+    red = reduction_at(phi, point)
     out = {
         "map": map_str(phi),
         "point": point_str(point),
@@ -173,6 +173,8 @@ def _cmd_slope(args) -> dict:
     point = parse_point(args.point)
     if args.direction is not None:
         cls = parse_direction_class(args.direction)
+        if isinstance(cls, TowardClass):
+            cls = direction_toward(point, cls.target).cls
         return _slope_json(phi, point, cls)
     info = intrinsic_data(phi, point)
     classes = [cls for cls, _, _ in class_slope_data(info)]

@@ -31,30 +31,32 @@ from .berkspace import (
 )
 from .errors import (
     BreakpointUnresolved,
+    DegreeTooLow,
     IrrationalDirection,
     NeedsExtension,
     PiecewiseBoundaryUnresolved,
     SamePoint,
 )
-from .polys import QPoly, rational_roots, simplest_in
+from .polys import QPoly, simplest_in
 from .respoly import (
     FactorClass,
     FiniteClass,
     InfinityClass,
     INFINITY,
     depth_at,
+    split_classes,
     squarefree_decomposition,
 )
 from .redux import (
     IntrinsicReduction,
     RationalMapK,
-    coeff_reduction,
-    conjugate,
+    chart_conjugate_lift,
+    compose_lifts,
+    conjugate_lift,
     intrinsic_data,
-    minimal_lift,
-    precompose,
-    postcompose,
-    sylvester_resultant,
+    mobius_lift,
+    ord_res_of_lift,
+    reduce_lift,
 )
 
 _MAX_DESCENT_STEPS = 1000
@@ -65,13 +67,6 @@ class Verdict(enum.Enum):
     UNSTABLE = "unstable"
     SEMISTABLE_NOT_STABLE = "semistable"
     STABLE = "stable"
-
-
-@dataclass(frozen=True)
-class CrucialReport:
-    at: TypeIIPoint
-    ord_res: Fraction
-    hyp_res: Fraction
 
 
 @dataclass(frozen=True)
@@ -95,35 +90,25 @@ class MinLocusResult:
 
 def ord_res_for_chart(phi: RationalMapK, m: Mobius) -> Fraction:
     """ordRes of the conjugate m^(-1) . phi . m, in t-units."""
-    num_l, den_l = minimal_lift(conjugate(m, phi))
-    res = sylvester_resultant(den_l, num_l)
-    if res.is_zero:
-        raise AssertionError("resultant vanished on a valid map")
-    return Fraction(res.ord())
+    return ord_res_of_lift(conjugate_lift(mobius_lift(m), phi.lift))
 
 
 def ord_res(phi: RationalMapK, point: TypeIIPoint) -> Fraction:
     """The resultant function at a type II point, in t-units."""
-    return ord_res_for_chart(phi, chart(point))
+    return ord_res_of_lift(chart_conjugate_lift(phi.lift, point))
 
 
 @lru_cache(maxsize=512)
 def _ord_res_gauss(phi: RationalMapK) -> Fraction:
-    num_l, den_l = minimal_lift(phi)
-    res = sylvester_resultant(den_l, num_l)
-    return Fraction(res.ord())
+    return ord_res_of_lift(phi.lift)
 
 
 def hyp_res(phi: RationalMapK, point: TypeIIPoint) -> Fraction:
     """Normalised resultant function, vanishing at the Gauss point."""
     d = phi.degree
+    if d < 2:
+        raise DegreeTooLow("hypRes needs a map of degree >= 2")
     return (ord_res(phi, point) - _ord_res_gauss(phi)) / (2 * d * (d - 1))
-
-
-def crucial_report(phi: RationalMapK, point: TypeIIPoint) -> CrucialReport:
-    d = phi.degree
-    o = ord_res(phi, point)
-    return CrucialReport(point, o, (o - _ord_res_gauss(phi)) / (2 * d * (d - 1)))
 
 
 # -- slopes --------------------------------------------------------------------
@@ -178,18 +163,6 @@ def slope_measured(phi: RationalMapK, point: TypeIIPoint, direction: Direction) 
 # -- direction class inventory --------------------------------------------------
 
 
-def _split_part(poly: QPoly):
-    """Rational-root classes of a squarefree part plus the leftover factor."""
-    out = []
-    rem = poly
-    for r in rational_roots(poly):
-        out.append(FiniteClass(r))
-        rem = rem.exact_div(QPoly.from_coeffs([-r, 1]))
-    if rem.degree >= 2:
-        out.append(FactorClass(rem.monic()))
-    return out
-
-
 def class_slope_data(info: IntrinsicReduction) -> list[tuple[object, int, bool]]:
     """(class, per-root depth, fixed) for every class of positive depth.
 
@@ -215,14 +188,14 @@ def class_slope_data(info: IntrinsicReduction) -> list[tuple[object, int, bool]]
                 else:
                     pieces = [(g, True), (s.exact_div(g).monic(), False)]
             for piece, fixed in pieces:
-                for cls in _split_part(piece):
+                for cls in split_classes(piece):
                     out.append((cls, i, fixed))
     else:
         image = info.image_direction
         if divisor.inf_mult:
             out.append((INFINITY, divisor.inf_mult, isinstance(image, InfinityClass)))
         for s, i in divisor.parts:
-            for cls in _split_part(s):
+            for cls in split_classes(s):
                 fixed = isinstance(cls, FiniteClass) and cls == image
                 out.append((cls, i, fixed))
     return out
@@ -242,21 +215,8 @@ def semistability(phi: RationalMapK, point: TypeIIPoint) -> Verdict:
     return Verdict.STABLE if stable else Verdict.SEMISTABLE_NOT_STABLE
 
 
-def _negative_classes(info: IntrinsicReduction, d: int):
-    out = []
-    for cls, dep, fixed in class_slope_data(info):
-        rhs = _rhs_value(d, dep, fixed)
-        if rhs < 0:
-            out.append((cls, rhs))
-    return out
-
-
-def _zero_slope_classes(info: IntrinsicReduction, d: int):
-    return tuple(
-        cls
-        for cls, dep, fixed in class_slope_data(info)
-        if _rhs_value(d, dep, fixed) == 0
-    )
+def _class_slopes(info: IntrinsicReduction, d: int) -> list[tuple[object, Fraction]]:
+    return [(cls, _rhs_value(d, dep, fixed)) for cls, dep, fixed in class_slope_data(info)]
 
 
 # -- breakpoint machinery --------------------------------------------------------
@@ -339,7 +299,7 @@ def _gauss_mass(phi: RationalMapK, probe: TypeIIPoint, cls) -> int:
     to components, so this mass equals the depth of phi . N at the Gauss
     point in the same class.
     """
-    red = coeff_reduction(precompose(phi, chart(probe)))
+    red = reduce_lift(compose_lifts(phi.lift, mobius_lift(chart(probe))))
     return depth_at(squarefree_decomposition(red.h), cls)
 
 
@@ -380,17 +340,17 @@ def _wedge_parameter(phi: RationalMapK, point: TypeIIPoint, total: Fraction, dma
     is the constant value of the reduction of phi precomposed with the chart
     of the endpoint, postcomposed with the inverse chart of the probe.
     """
-    phi_m = precompose(phi, chart(point))
+    phi_m = compose_lifts(phi.lift, mobius_lift(chart(point)))
 
     def image_class(tau: Fraction):
         probe = path_point(GAUSS, point, tau)
-        red = coeff_reduction(postcompose(chart(probe).inverse(), phi_m))
+        red = reduce_lift(compose_lifts(mobius_lift(chart(probe).inverse()), phi_m))
         if red.fixes_gauss:
             return None  # the image is exactly the probe point
         return red.image_class
 
     toward_gauss = direction_toward(point, GAUSS).cls
-    red_at_point = coeff_reduction(postcompose(chart(point).inverse(), phi_m))
+    red_at_point = reduce_lift(compose_lifts(mobius_lift(chart(point).inverse()), phi_m))
     if not red_at_point.fixes_gauss and red_at_point.image_class != toward_gauss:
         return total  # wedge at the point itself
 
@@ -459,7 +419,7 @@ def min_locus(phi: RationalMapK, start: TypeIIPoint = GAUSS) -> MinLocusResult:
     trail = []
     for _ in range(_MAX_DESCENT_STEPS):
         info = intrinsic_data(phi, point)
-        negatives = _negative_classes(info, d)
+        negatives = [(cls, rhs) for cls, rhs in _class_slopes(info, d) if rhs < 0]
         if not negatives:
             break
         if len(negatives) > 1:
@@ -485,5 +445,5 @@ def min_locus(phi: RationalMapK, start: TypeIIPoint = GAUSS) -> MinLocusResult:
         unique=verdict is Verdict.STABLE,
         verdict=verdict,
         trail=tuple(trail),
-        zero_slope_classes=_zero_slope_classes(info, d),
+        zero_slope_classes=tuple(cls for cls, rhs in _class_slopes(info, d) if rhs == 0),
     )

@@ -14,9 +14,17 @@ from fractions import Fraction
 
 from .berkspace import TypeIIPoint, direction_toward
 from .errors import TotallyInvariantPoint
-from .polys import QPoly, coprime_basis, rational_roots
-from .respoly import FactorClass, FiniteClass, InfinityClass, INFINITY, class_sort_key
-from .redux import RationalMapK, intrinsic_data, iterate
+from .polys import QPoly, coprime_basis
+from .respoly import FiniteClass, InfinityClass, class_degree, divisor_classes
+from .redux import (
+    RationalMapK,
+    chart_conjugate_lift,
+    check_iteration_cap,
+    compose_lifts,
+    intrinsic_data,
+    intrinsic_from_reduction,
+    reduce_lift,
+)
 from .crucial import min_locus
 
 
@@ -48,24 +56,18 @@ def totally_invariant(phi: RationalMapK, point: TypeIIPoint) -> bool:
 
 def _measure_from_intrinsic(info, d: int, n: int) -> DirectionMeasure:
     scale = Fraction(1, d**n)
-    atoms = []
-    divisor = info.depths
-    if divisor.inf_mult:
-        atoms.append((INFINITY, divisor.inf_mult * scale))
-    for s, i in divisor.parts:
-        rem = s
-        for r in rational_roots(s):
-            atoms.append((FiniteClass(r), i * scale))
-            rem = rem.exact_div(QPoly.from_coeffs([-r, 1]))
-        if rem.degree >= 2:
-            atoms.append((FactorClass(rem.monic()), i * rem.degree * scale))
-    atoms.sort(key=lambda a: class_sort_key(a[0]))
+    atoms = [(cls, i * class_degree(cls) * scale) for cls, i in divisor_classes(info.depths)]
     point_mass = info.local_degree * scale if info.fixes_point else Fraction(0)
     return DirectionMeasure(tuple(atoms), point_mass)
 
 
 def depth_sequence(phi: RationalMapK, point: TypeIIPoint, n_max: int = 4) -> ConvergenceReport:
-    """Depth measures of the first n_max iterates at the point, with TV steps."""
+    """Depth measures of the first n_max iterates at the point, with TV steps.
+
+    The chart conjugate psi of phi is lifted once; the n-th iterate of phi at
+    the point is the n-th iterate of psi at the Gauss point, and each level
+    composes psi with the previous level's lift.
+    """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     if totally_invariant(phi, point):
@@ -73,12 +75,16 @@ def depth_sequence(phi: RationalMapK, point: TypeIIPoint, n_max: int = 4) -> Con
             "the point is totally invariant; the sequence hypothesis fails"
         )
     d = phi.degree
+    for n in range(2, n_max + 1):
+        check_iteration_cap(d, n)  # the first level past the cap, before any work
     measures = []
-    current = phi
+    base = chart_conjugate_lift(phi.lift, point)
+    current = base
     for n in range(1, n_max + 1):
         if n > 1:
-            current = iterate(phi, n)
-        measures.append(_measure_from_intrinsic(intrinsic_data(current, point), d, n))
+            current = compose_lifts(base, current)
+        info = intrinsic_from_reduction(reduce_lift(current), point)
+        measures.append(_measure_from_intrinsic(info, d, n))
     tv_steps = tuple(
         tv_distance(measures[k], measures[k + 1]) for k in range(len(measures) - 1)
     )
@@ -112,40 +118,28 @@ def predicted_limit(phi: RationalMapK, point: TypeIIPoint) -> DirectionMeasure |
     return DirectionMeasure(((cls, Fraction(1)),))
 
 
-def _atom_masses_on_basis(measure: DirectionMeasure, basis: list[QPoly]):
-    """Distribute atom masses over a coprime basis, equally per root."""
-    inf_mass = Fraction(0)
-    masses = {q: Fraction(0) for q in basis}
+def _class_poly(cls) -> QPoly:
+    return QPoly.from_coeffs([-cls.value, 1]) if isinstance(cls, FiniteClass) else cls.poly
+
+
+def _mass_on(measure: DirectionMeasure, q: QPoly) -> Fraction:
+    """Mass on the roots of a basis polynomial; an atom's mass is equal per root."""
+    total = Fraction(0)
     for cls, mass in measure.atoms:
-        if isinstance(cls, InfinityClass):
-            inf_mass += mass
-            continue
-        if isinstance(cls, FiniteClass):
-            target = QPoly.from_coeffs([-cls.value, 1])
-            masses[target] += mass
-            continue
-        p = cls.poly
-        per_root = mass / p.degree
-        for q in basis:
-            g = q.gcd(p)
-            if g.degree > 0:
-                masses[q] += per_root * g.degree
-    return inf_mass, masses
+        if not isinstance(cls, InfinityClass):
+            p = _class_poly(cls)
+            total += mass * q.gcd(p).degree / p.degree
+    return total
+
+
+def _mass_on_infinity(measure: DirectionMeasure) -> Fraction:
+    return sum((mass for cls, mass in measure.atoms if isinstance(cls, InfinityClass)), Fraction(0))
 
 
 def tv_distance(m1: DirectionMeasure, m2: DirectionMeasure) -> Fraction:
     """Exact total variation distance over the common class refinement."""
-    polys = []
-    for measure in (m1, m2):
-        for cls, _ in measure.atoms:
-            if isinstance(cls, FiniteClass):
-                polys.append(QPoly.from_coeffs([-cls.value, 1]))
-            elif isinstance(cls, FactorClass):
-                polys.append(cls.poly)
-    basis = coprime_basis(polys)
-    inf1, masses1 = _atom_masses_on_basis(m1, basis)
-    inf2, masses2 = _atom_masses_on_basis(m2, basis)
-    spread = abs(inf1 - inf2) + abs(m1.point_mass - m2.point_mass)
-    for q in basis:
-        spread += abs(masses1[q] - masses2[q])
+    finite = [cls for m in (m1, m2) for cls, _ in m.atoms if not isinstance(cls, InfinityClass)]
+    spread = abs(m1.point_mass - m2.point_mass) + abs(_mass_on_infinity(m1) - _mass_on_infinity(m2))
+    for q in coprime_basis([_class_poly(cls) for cls in finite]):
+        spread += abs(_mass_on(m1, q) - _mass_on(m2, q))
     return spread / 2

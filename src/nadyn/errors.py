@@ -47,6 +47,10 @@ class DegenerateMap(NadynError):
     """Coefficient pair has zero resultant (common factor or degree drop)."""
 
 
+class DegreeTooLow(NadynError):
+    """The operation is only defined for maps of degree at least 2."""
+
+
 class IterationCapExceeded(NadynError):
     """d^n would exceed the configured iteration cap."""
 

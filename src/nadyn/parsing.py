@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import zip_longest
+from math import gcd
 
 from .berkspace import GAUSS, TowardClass, TypeIIPoint
 from .errors import DegenerateMap, LevelCapExceeded, ParseError
@@ -89,13 +91,7 @@ def _trim(coeffs):
 
 
 def _padd(p, q):
-    n = max(len(p), len(q))
-    out = []
-    for i in range(n):
-        a = p[i] if i < len(p) else K_ZERO
-        b = q[i] if i < len(q) else K_ZERO
-        out.append(a + b)
-    return out
+    return [a + b for a, b in zip_longest(p, q, fillvalue=K_ZERO)]
 
 
 def _pmul(p, q):
@@ -297,16 +293,10 @@ def parse_point(text: str) -> TypeIIPoint:
     if center is None or exponent is None:
         raise ParseError("point literal needs a=<scalar>;s=<rational>")
     cap = level_cap()
-    needed = exponent.denominator * center.level // _gcd(exponent.denominator, center.level)
+    needed = exponent.denominator * center.level // gcd(exponent.denominator, center.level)
     if needed > cap:
         raise LevelCapExceeded(f"point needs level {needed}, cap is {cap}")
     return TypeIIPoint(center, exponent)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def parse_direction_class(text: str):
@@ -350,10 +340,6 @@ def _parse_residue_poly(text: str) -> QPoly:
 def frac_str(q: Fraction) -> str:
     q = Fraction(q)
     return f"{q.numerator}/{q.denominator}"
-
-
-def scalar_str(x: KScalar) -> str:
-    return x.to_str()
 
 
 def _coeff_wrap(s: str) -> str:

@@ -9,6 +9,7 @@ points with fine radii, hence the sparse representation.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd as _int_gcd
 
 
@@ -180,16 +181,25 @@ class QPoly:
     def __divmod__(self, other: "QPoly"):
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
+        # long division on a dict of remainder terms, leading exponents taken
+        # from a max-heap; every exponent is pushed once and popped once
+        *lower, (ddeg, dlead) = other.terms
+        r = dict(self.terms)
+        heap = [-e for e in r]
+        heapify(heap)
         q: dict[int, Fraction] = {}
-        r = self
-        dlead = other.leading
-        ddeg = other.degree
-        while not r.is_zero and r.degree >= ddeg:
-            e = r.degree - ddeg
-            c = r.leading / dlead
-            q[e] = c
-            r = r - other * QPoly._build({e: c})
-        return QPoly._build(q), r
+        while heap and -heap[0] >= ddeg:
+            e = -heappop(heap)
+            c = r.pop(e)
+            if not c:
+                continue
+            k = e - ddeg
+            q[k] = f = c / dlead
+            for ej, cj in lower:
+                if k + ej not in r:
+                    heappush(heap, -(k + ej))
+                r[k + ej] = r.get(k + ej, _ZERO_FRAC) - f * cj
+        return QPoly._build(q), QPoly._build(r)
 
     def __floordiv__(self, other: "QPoly") -> "QPoly":
         return divmod(self, other)[0]

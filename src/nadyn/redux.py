@@ -1,21 +1,28 @@
 """Rational maps over K: composition, conjugation, reductions, depths.
 
 A map is stored as numerator/denominator coefficient vectors of equal length
-d+1; validity means the degree-d homogeneous pair has nonzero resultant.  The
-intrinsic reduction at a type II point is computed by conjugating with the
-canonical chart and reducing the minimal lift: the GCD form H carries the
-directionwise depths, and the quotient pair is the induced tangent map (or a
-constant, which names the direction of the image point).
+d+1, normalised so the first nonzero coefficient is 1; validity means the
+degree-d homogeneous pair has nonzero resultant.  Each map also has a lift:
+its coefficients over Q[u], u = t^(1/N), times one common denominator, with
+minimal valuation 0.  Composition, conjugation, reduction and ordRes are
+projective invariants, so they run on lifts with polynomial products only;
+public functions normalise (one GCD per coefficient) only on return.  The
+intrinsic reduction at a type II point reduces the lift of the chart
+conjugate: the GCD form H carries the directionwise depths, and the quotient
+pair is the tangent map (or a constant naming the image direction).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, inf
+from functools import cached_property
+from math import lcm
+from typing import NamedTuple
 
 from .berkspace import Direction, Mobius, TowardClass, TypeIIPoint, chart, direction_toward
-from .errors import AmbiguousClass, DegenerateMap, IterationCapExceeded
+from .errors import AmbiguousClass, DegenerateMap, DegreeTooLow, IterationCapExceeded
+from .errors import LevelCapExceeded
 from .polys import QPoly
 from .respoly import (
     DepthDivisor,
@@ -28,9 +35,17 @@ from .respoly import (
     homogeneous_gcd,
     squarefree_decomposition,
 )
-from .scalars import KScalar, K_ZERO, K_ONE
+from .scalars import HARD_LEVEL_CAP, KScalar, K_ONE
 
 ITERATION_CAP = 4096
+
+
+class Lift(NamedTuple):
+    """Coefficients num[i], den[i] in Q[u], t = u^level, of minimal valuation 0."""
+
+    level: int
+    num: tuple[QPoly, ...]
+    den: tuple[QPoly, ...]
 
 
 @dataclass(frozen=True)
@@ -44,6 +59,10 @@ class RationalMapK:
     def degree(self) -> int:
         return len(self.num) - 1
 
+    @cached_property
+    def lift(self) -> Lift:
+        return _lift(self.num, self.den)
+
     def __repr__(self):
         from .parsing import map_str
 
@@ -52,14 +71,11 @@ class RationalMapK:
 
 def _normalized(num, den) -> RationalMapK:
     """Scale the pair by the first nonzero coefficient, so equal projective
-    maps get equal representations."""
+    maps get equal representations.  Parsed maps keep this route: each
+    coefficient keeps its own level, which specialize evaluates at."""
     num = tuple(num)
     den = tuple(den)
-    pivot = None
-    for c in den + num:
-        if not c.is_zero:
-            pivot = c
-            break
+    pivot = next((c for c in den + num if not c.is_zero), None)
     if pivot is None:
         raise DegenerateMap("all coefficients vanish")
     if pivot != K_ONE:
@@ -96,43 +112,38 @@ def _bareiss_det(mat: list[list[QPoly]]) -> QPoly:
     return -det if sign < 0 else det
 
 
+def _sylvester_det(den: tuple[QPoly, ...], num: tuple[QPoly, ...]) -> QPoly:
+    """Determinant of the 2d x 2d Sylvester matrix of a polynomial pair."""
+    d = len(den) - 1
+    zero = QPoly.zero()
+    rows = []
+    for source in (den, num):
+        for k in range(d):
+            row = [zero] * (2 * d)
+            for j in range(d + 1):
+                row[k + j] = source[d - j]
+            rows.append(row)
+    return _bareiss_det(rows)
+
+
 def _cleared_vector(coeffs: tuple[KScalar, ...], level: int):
-    """Common-denominator form: polynomial entries and the scalar multiplier."""
+    """Common-denominator form: polynomial entries and the common denominator."""
+    coeffs = [c.with_level(level) for c in coeffs]
     common = QPoly.one()
-    dens = []
     for c in coeffs:
-        den = c.with_level(level).den
-        dens.append(den)
-        g = common.gcd(den)
-        common = common * den.exact_div(g)
-    polys = []
-    for c, den in zip(coeffs, dens):
-        c = c.with_level(level)
-        polys.append(c.num * common.exact_div(den))
-    return polys, common
+        if c.den != common:
+            common = common * c.den.exact_div(common.gcd(c.den))
+    return [c.num * common.exact_div(c.den) for c in coeffs], common
 
 
 def sylvester_resultant(den: tuple[KScalar, ...], num: tuple[KScalar, ...]) -> KScalar:
     """Resultant of the degree-d homogeneous pair (2d x 2d Sylvester matrix)."""
     d = len(den) - 1
-    n = 2 * d
-    level = 1
-    for c in den + num:
-        level = level * c.level // gcd(level, c.level)
-    den_polys, den_common = _cleared_vector(den, level)
-    num_polys, num_common = _cleared_vector(num, level)
-    zero = QPoly.zero()
-    rows = []
-    for source in (den_polys, num_polys):
-        for k in range(d):
-            row = [zero] * n
-            for j in range(d + 1):
-                row[k + j] = source[d - j]
-            rows.append(row)
-    det = _bareiss_det(rows)
+    level = lcm(*(c.level for c in den + num))
+    polys, common = _cleared_vector(den + num, level)
+    det = _sylvester_det(polys[: d + 1], polys[d + 1 :])
     # the resultant is d-homogeneous in each coefficient row
-    scale = (den_common * num_common) ** d
-    return KScalar(det, scale, level)
+    return KScalar(det, common ** (2 * d), level)
 
 
 def make_map(num, den) -> RationalMapK:
@@ -148,114 +159,154 @@ def make_map(num, den) -> RationalMapK:
     return _normalized(num, den)
 
 
-# -- polynomial helpers over K (dense lists in z) ------------------------------
+# -- lifts: one representative over Q[u] ------------------------------------------
 
 
-def _zmul(p: list[KScalar], q: list[KScalar]) -> list[KScalar]:
-    out = [K_ZERO] * (len(p) + len(q) - 1)
+def _shift_out(level: int, num, den) -> Lift:
+    """The lift with the common power of u divided out."""
+    k = min(p.val for p in num + den if p)
+    if k:
+        num = [p.shifted(-k) for p in num]
+        den = [p.shifted(-k) for p in den]
+    return Lift(level, tuple(num), tuple(den))
+
+
+def _lift(num: tuple[KScalar, ...], den: tuple[KScalar, ...]) -> Lift:
+    level = lcm(*(c.level for c in den + num))
+    polys, _ = _cleared_vector(den + num, level)
+    return _shift_out(level, polys[len(den) :], polys[: len(den)])
+
+
+def _at_level(lift: Lift, level: int) -> Lift:
+    if level == lift.level:
+        return lift
+    if level > HARD_LEVEL_CAP:
+        raise LevelCapExceeded(f"internal level {level} exceeds hard cap")
+    m = level // lift.level
+
+    def stretch(polys):
+        return tuple(QPoly((e * m, c) for e, c in p.terms) for p in polys)
+
+    return Lift(level, stretch(lift.num), stretch(lift.den))
+
+
+def _zpoly_mul(p: list[QPoly], q: list[QPoly]) -> list[QPoly]:
+    """Product of two polynomials in z with coefficients in Q[u]."""
+    out = [QPoly.zero()] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
-        if a.is_zero:
+        if a:
+            for j, b in enumerate(q):
+                if b:
+                    out[i + j] = out[i + j] + a * b
+    return out
+
+
+def compose_lifts(outer: Lift, inner: Lift) -> Lift:
+    """Lift of outer after inner: sum of outer_i * p^i * q^(d-i) over Q[u]."""
+    level = lcm(outer.level, inner.level)
+    outer, inner = _at_level(outer, level), _at_level(inner, level)
+    d = len(outer.num) - 1
+    p, q = inner.num, inner.den
+    p_pows, q_pows = [[QPoly.one()]], [[QPoly.one()]]
+    for _ in range(d):
+        p_pows.append(_zpoly_mul(p_pows[-1], p))
+        q_pows.append(_zpoly_mul(q_pows[-1], q))
+    size = d * (len(p) - 1) + 1
+    num, den = [QPoly.zero()] * size, [QPoly.zero()] * size
+    for i in range(d + 1):
+        a, b = outer.num[i], outer.den[i]
+        if not (a or b):
             continue
-        for j, b in enumerate(q):
-            if b.is_zero:
-                continue
-            out[i + j] = out[i + j] + a * b
-    return out
+        for k, c in enumerate(_zpoly_mul(p_pows[i], q_pows[d - i])):
+            if c:
+                if a:
+                    num[k] = num[k] + a * c
+                if b:
+                    den[k] = den[k] + b * c
+    return _shift_out(level, num, den)
 
 
-def _zadd(p: list[KScalar], q: list[KScalar]) -> list[KScalar]:
-    n = max(len(p), len(q))
-    out = []
-    for i in range(n):
-        a = p[i] if i < len(p) else K_ZERO
-        b = q[i] if i < len(q) else K_ZERO
-        out.append(a + b)
-    return out
+def mobius_lift(m: Mobius) -> Lift:
+    """The Mobius map w -> (a*w + b)/(c*w + d) as a degree-1 lift."""
+    return _lift((m.b, m.a), (m.d, m.c))
 
 
-def _zscale(p: list[KScalar], c: KScalar) -> list[KScalar]:
-    return [c * a for a in p]
+def _inverse_lift(m: Lift) -> Lift:
+    # projective inverse (d*w - b)/(-c*w + a)
+    (b, a), (d, c) = m.num, m.den
+    return Lift(m.level, (-b, d), (a, -c))
+
+
+def conjugate_lift(m: Lift, lift: Lift) -> Lift:
+    """Lift of m^(-1) . phi . m from the lifts of m and phi."""
+    return compose_lifts(_inverse_lift(m), compose_lifts(lift, m))
+
+
+def chart_conjugate_lift(lift: Lift, point: TypeIIPoint) -> Lift:
+    """Lift of the conjugate of the map by the canonical chart of the point."""
+    if point.exponent == 0 and point.center.is_zero:
+        return lift  # the chart of the Gauss point is the identity
+    return conjugate_lift(mobius_lift(chart(point)), lift)
+
+
+def _from_lift(lift: Lift, minimal: bool = False) -> RationalMapK:
+    """The normalised map of a lift: every coefficient over the pivot, the
+    first nonzero entry of den + num; times a unit-making power of u if minimal."""
+    pivot = next(p for p in lift.den + lift.num if p)
+    scale = QPoly.monomial(pivot.val if minimal else 0)
+    num = tuple(KScalar(p * scale, pivot, lift.level) for p in lift.num)
+    den = tuple(KScalar(p * scale, pivot, lift.level) for p in lift.den)
+    return RationalMapK(num, den)
+
+
+def ord_res_of_lift(lift: Lift) -> Fraction:
+    """Valuation of the resultant of a minimal lift, in t-units."""
+    det = _sylvester_det(lift.den, lift.num)
+    if det.is_zero:
+        raise AssertionError("resultant vanished on a valid map")
+    return Fraction(det.val, lift.level)
+
+
+def check_iteration_cap(d: int, n: int, cap: int = ITERATION_CAP) -> None:
+    if d**n > cap:
+        raise IterationCapExceeded(f"degree {d}^{n} exceeds cap {cap}")
 
 
 def compose(outer: RationalMapK, inner: RationalMapK) -> RationalMapK:
     """outer after inner; the degree multiplies and no revalidation is needed."""
-    d1 = outer.degree
-    p, q = list(inner.num), list(inner.den)
-    p_pows = [[K_ONE]]
-    q_pows = [[K_ONE]]
-    for _ in range(d1):
-        p_pows.append(_zmul(p_pows[-1], p))
-        q_pows.append(_zmul(q_pows[-1], q))
-    size = d1 * inner.degree + 1
-    new_num = [K_ZERO] * size
-    new_den = [K_ZERO] * size
-    for i in range(d1 + 1):
-        blend = _zmul(p_pows[i], q_pows[d1 - i])
-        if not outer.num[i].is_zero:
-            new_num = _zadd(new_num, _zscale(blend, outer.num[i]))
-        if not outer.den[i].is_zero:
-            new_den = _zadd(new_den, _zscale(blend, outer.den[i]))
-    return _normalized(new_num[:size], new_den[:size])
+    return _from_lift(compose_lifts(outer.lift, inner.lift))
 
 
 def iterate(phi: RationalMapK, n: int, cap: int = ITERATION_CAP) -> RationalMapK:
     """n-fold composition of the map with itself."""
     if n < 1:
         raise ValueError("iteration count must be positive")
-    if phi.degree**n > cap:
-        raise IterationCapExceeded(f"degree {phi.degree}^{n} exceeds cap {cap}")
-    result = phi
+    check_iteration_cap(phi.degree, n, cap)
+    lift = phi.lift
     for _ in range(n - 1):
-        result = compose(phi, result)
-    return result
+        lift = compose_lifts(phi.lift, lift)
+    return phi if n == 1 else _from_lift(lift)
 
 
 def precompose(phi: RationalMapK, m: Mobius) -> RationalMapK:
     """phi after the Mobius map (substitution on the source side)."""
-    d = phi.degree
-    lin_num = [m.b, m.a]  # a*w + b
-    lin_den = [m.d, m.c]  # c*w + d
-    num_pows = [[K_ONE]]
-    den_pows = [[K_ONE]]
-    for _ in range(d):
-        num_pows.append(_zmul(num_pows[-1], lin_num))
-        den_pows.append(_zmul(den_pows[-1], lin_den))
-    new_num = [K_ZERO] * (d + 1)
-    new_den = [K_ZERO] * (d + 1)
-    for i in range(d + 1):
-        blend = _zmul(num_pows[i], den_pows[d - i])
-        if not phi.num[i].is_zero:
-            new_num = _zadd(new_num, _zscale(blend, phi.num[i]))
-        if not phi.den[i].is_zero:
-            new_den = _zadd(new_den, _zscale(blend, phi.den[i]))
-    return _normalized(new_num[: d + 1], new_den[: d + 1])
+    return _from_lift(compose_lifts(phi.lift, mobius_lift(m)))
 
 
 def postcompose(m: Mobius, phi: RationalMapK) -> RationalMapK:
     """The Mobius map after phi (linear combination on the value side)."""
-    new_num = _zadd(_zscale(list(phi.num), m.a), _zscale(list(phi.den), m.b))
-    new_den = _zadd(_zscale(list(phi.num), m.c), _zscale(list(phi.den), m.d))
-    return _normalized(new_num, new_den)
+    return _from_lift(compose_lifts(mobius_lift(m), phi.lift))
 
 
 def conjugate(m: Mobius, phi: RationalMapK) -> RationalMapK:
     """Exact coefficients of m^(-1) . phi . m; the degree is preserved."""
-    return postcompose(m.inverse(), precompose(phi, m))
+    return _from_lift(conjugate_lift(mobius_lift(m), phi.lift))
 
 
 def minimal_lift(phi: RationalMapK) -> tuple[tuple[KScalar, ...], tuple[KScalar, ...]]:
     """Scale the coefficient pair so all entries are integral, one a unit."""
-    m = inf
-    for c in phi.num + phi.den:
-        o = c.ord()
-        if o < m:
-            m = o
-    if m is inf:
-        raise DegenerateMap("zero map has no minimal lift")
-    if m == 0:
-        return phi.num, phi.den
-    scale = KScalar.t_power(-Fraction(m))
-    return tuple(c * scale for c in phi.num), tuple(c * scale for c in phi.den)
+    lifted = _from_lift(phi.lift, minimal=True)
+    return lifted.num, lifted.den
 
 
 @dataclass(frozen=True)
@@ -275,12 +326,18 @@ class CoeffReduction:
         return self.tilde_degree >= 1
 
 
-def coeff_reduction(phi: RationalMapK) -> CoeffReduction:
-    """Reduced pair, GCD form H, and the reduced map num/H over den/H."""
-    num_l, den_l = minimal_lift(phi)
-    d = phi.degree
-    hat_num = HomogeneousForm.from_coeffs(d, [c.residue() for c in num_l])
-    hat_den = HomogeneousForm.from_coeffs(d, [c.residue() for c in den_l])
+def reduce_lift(lift: Lift) -> CoeffReduction:
+    """Reduced pair, GCD form H, and the reduced map num/H over den/H.
+
+    The residues are those of the pivot-normalised minimal lift: coefficient
+    i reduces to P_i(0) over the lowest coefficient of the pivot P, the first
+    nonzero entry of den + num.
+    """
+    d = len(lift.num) - 1
+    pivot = next(p for p in lift.den + lift.num if p)
+    low = pivot.terms[0][1]
+    hat_num = HomogeneousForm.from_coeffs(d, [p.coeff(0) / low for p in lift.num])
+    hat_den = HomogeneousForm.from_coeffs(d, [p.coeff(0) / low for p in lift.den])
     h = homogeneous_gcd(hat_num, hat_den)
     qn = hat_num.exact_div(h)
     qd = hat_den.exact_div(h)
@@ -301,6 +358,16 @@ def coeff_reduction(phi: RationalMapK) -> CoeffReduction:
     )
 
 
+def coeff_reduction(phi: RationalMapK) -> CoeffReduction:
+    """Reduction of the map's own coefficient point."""
+    return reduce_lift(phi.lift)
+
+
+def reduction_at(phi: RationalMapK, point: TypeIIPoint) -> CoeffReduction:
+    """Reduction of the conjugate of the map by the chart of the point."""
+    return reduce_lift(chart_conjugate_lift(phi.lift, point))
+
+
 @dataclass(frozen=True)
 class IntrinsicReduction:
     """Intrinsic reduction of the map at a type II point."""
@@ -318,12 +385,11 @@ class IntrinsicReduction:
 def intrinsic_data(phi: RationalMapK, point: TypeIIPoint) -> IntrinsicReduction:
     """Conjugate to the canonical chart and reduce."""
     if phi.degree < 2:
-        raise ValueError("intrinsic data needs a map of degree >= 2")
-    red = coeff_reduction(conjugate(chart(point), phi))
-    return _intrinsic_from_reduction(red, point)
+        raise DegreeTooLow("intrinsic data needs a map of degree >= 2")
+    return intrinsic_from_reduction(reduction_at(phi, point), point)
 
 
-def _intrinsic_from_reduction(red: CoeffReduction, point: TypeIIPoint) -> IntrinsicReduction:
+def intrinsic_from_reduction(red: CoeffReduction, point: TypeIIPoint) -> IntrinsicReduction:
     depths = squarefree_decomposition(red.h)
     fixes = red.fixes_gauss
     return IntrinsicReduction(

@@ -122,10 +122,6 @@ class FactorClass:
         return f"FactorClass({self.poly.to_str('z')})"
 
 
-def finite(value) -> FiniteClass:
-    return FiniteClass(Fraction(value))
-
-
 def class_sort_key(cls):
     """Deterministic ordering: infinity, then finite values, then factors."""
     if isinstance(cls, InfinityClass):
@@ -148,12 +144,6 @@ class DepthDivisor:
     @property
     def total_degree(self) -> int:
         return sum(i * s.degree for s, i in self.parts) + self.inf_mult
-
-    def max_multiplicity(self) -> int:
-        best = self.inf_mult
-        for _, i in self.parts:
-            best = max(best, i)
-        return best
 
 
 def homogeneous_gcd(f: HomogeneousForm, g: HomogeneousForm) -> HomogeneousForm:
@@ -207,25 +197,32 @@ def depth_at(divisor: DepthDivisor, cls) -> int:
     raise TypeError(f"unsupported direction class {cls!r}")
 
 
+def split_classes(poly: QPoly) -> list:
+    """Classes of a squarefree polynomial: one finite class per rational root,
+    then one factor class for what is left (all linear factors are rational)."""
+    out = []
+    rem = poly
+    for r in rational_roots(poly):
+        out.append(FiniteClass(r))
+        rem = rem.exact_div(QPoly.from_coeffs([-r, 1]))
+    if rem.degree >= 2:
+        out.append(FactorClass(rem.monic()))
+    return out
+
+
+def class_degree(cls) -> int:
+    """Number of directions in the class."""
+    return cls.poly.degree if isinstance(cls, FactorClass) else 1
+
+
 def divisor_classes(divisor: DepthDivisor) -> list[tuple[object, int]]:
     """Split the divisor into atomic classes with their per-root depths.
 
-    Rational roots become finite classes; what is left of each part stays one
-    factor class per part.  Includes the infinity class when it carries depth.
+    Includes the infinity class when it carries depth.
     """
-    out = []
-    if divisor.inf_mult:
-        out.append((INFINITY, divisor.inf_mult))
+    out = [(INFINITY, divisor.inf_mult)] if divisor.inf_mult else []
     for s, i in divisor.parts:
-        rem = s
-        for r in rational_roots(s):
-            out.append((FiniteClass(r), i))
-            rem = rem.exact_div(QPoly.from_coeffs([-r, 1]))
-        if rem.degree == 1:
-            # all linear factors are rational, so this cannot remain
-            raise AssertionError("linear factor escaped rational root extraction")
-        if rem.degree >= 2:
-            out.append((FactorClass(rem.monic()), i))
+        out += [(cls, i) for cls in split_classes(s)]
     out.sort(key=lambda item: class_sort_key(item[0]))
     return out
 
@@ -238,21 +235,12 @@ def refine_classes(d1: DepthDivisor, d2: DepthDivisor):
     column sum to the respective divisor's total degree.
     """
     polys = [s for s, _ in d1.parts] + [s for s, _ in d2.parts]
-    basis = coprime_basis(polys)
-    refined = []
-    for q in basis:
-        roots = rational_roots(q)
-        rem = q
-        for r in roots:
-            refined.append(FiniteClass(r))
-            rem = rem.exact_div(QPoly.from_coeffs([-r, 1]))
-        if rem.degree >= 2:
-            refined.append(FactorClass(rem.monic()))
     rows = []
     if d1.inf_mult or d2.inf_mult:
         rows.append((INFINITY, d1.inf_mult, d2.inf_mult))
-    for cls in refined:
-        deg = 1 if isinstance(cls, FiniteClass) else cls.poly.degree
-        rows.append((cls, deg * depth_at(d1, cls), deg * depth_at(d2, cls)))
+    for q in coprime_basis(polys):
+        for cls in split_classes(q):
+            deg = class_degree(cls)
+            rows.append((cls, deg * depth_at(d1, cls), deg * depth_at(d2, cls)))
     rows.sort(key=lambda row: class_sort_key(row[0]))
     return rows

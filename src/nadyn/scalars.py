@@ -185,11 +185,6 @@ class KScalar:
         a, b = self._unify(other)
         return KScalar(a.num * b.den, a.den * b.num, a.level)
 
-    def __pow__(self, n: int) -> "KScalar":
-        if n < 0:
-            return KScalar.one() / self**(-n)
-        return KScalar(self.num**n, self.den**n, self.level)
-
     # -- valuation and residue ---------------------------------------------
 
     def ord(self):
@@ -323,7 +318,3 @@ def base_change(x: KScalar, m: int) -> KScalar:
     if target > cap:
         raise LevelCapExceeded(f"level {target} exceeds cap {cap}")
     return x.with_level(target)
-
-
-def scalar_from_rational(value) -> KScalar:
-    return KScalar.from_rational(value)

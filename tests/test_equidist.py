@@ -9,6 +9,7 @@ from nadyn import (
     FiniteClass,
     GAUSS,
     INFINITY,
+    IterationCapExceeded,
     QPoly,
     TotallyInvariantPoint,
     depth_sequence,
@@ -139,3 +140,8 @@ def test_tv_steps_are_probability_gaps():
         for step in report.tv_steps:
             assert 0 <= step <= 1
         checked += 1
+
+
+def test_depth_sequence_cap_fires_before_any_level_is_computed():
+    with pytest.raises(IterationCapExceeded, match=r"degree 2\^13 exceeds cap 4096"):
+        depth_sequence(TZ2, GAUSS, 10**6)

@@ -183,6 +183,69 @@ def test_cli_semistable(capsys):
     assert json.loads(out) == {"verdict": "unstable"}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["intrinsic"],
+        ["depths"],
+        ["minlocus"],
+        ["slope"],
+        ["slope", "--direction", "inf"],
+        ["semistable"],
+        ["equidist"],
+        ["hypres"],
+        ["degcheck", "--t", "1e-3", "--n", "3"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_cli_degree_one_map_is_a_typed_error(capsys, argv):
+    code, out, err = run_cli(capsys, argv[0], "--map", "z/t", *argv[1:])
+    assert code == 2
+    assert json.loads(out)["type"] == "DegreeTooLow"
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("verb", ["ordres", "reduce"])
+def test_cli_degree_one_map_ordres_and_reduce_answer(capsys, verb):
+    code, out, _ = run_cli(capsys, verb, "--map", "z/t", "--point", "a=0;s=1")
+    assert code == 0
+    data = json.loads(out)
+    # the chart conjugate at a=0;s=1 is z/t, whose resultant has valuation 1
+    if verb == "ordres":
+        assert data == {"ord_res": "1/1"}
+    else:
+        assert data["reduced_num"] == ["0/1", "1/1"] and data["reduced_den"] == ["0/1", "0/1"]
+        assert data["image"] == {"class": "inf"}
+
+
+@pytest.mark.parametrize(
+    "point, target, resolved",
+    [
+        ("gauss", "a=0;s=1", "res=0"),
+        ("gauss", "a=1;s=2", "res=1"),
+        ("gauss", "a=0;s=-1", "inf"),
+        ("a=0;s=1", "gauss", "inf"),
+        ("a=1;s=1/2", "a=1+t;s=3", "res=0"),
+    ],
+)
+def test_cli_slope_toward_matches_the_resolved_class(capsys, point, target, resolved):
+    phi = "(t*z^2+1)/t"
+    code, out, err = run_cli(
+        capsys, "slope", "--map", phi, "--point", point, "--direction", f"toward:{target}"
+    )
+    assert code == 0, err
+    expected = run_cli(capsys, "slope", "--map", phi, "--point", point, "--direction", resolved)
+    assert (code, out) == expected[:2]
+
+
+def test_cli_slope_toward_the_point_itself_is_a_typed_error(capsys):
+    code, out, _ = run_cli(
+        capsys, "slope", "--map", "t*z^2", "--point", "a=0;s=1", "--direction", "toward:a=0;s=1"
+    )
+    assert code == 2
+    assert json.loads(out)["type"] == "SamePoint"
+
+
 def test_cli_usage_error_exit_1(capsys):
     code, _, err = run_cli(capsys, "nosuchverb")
     assert code == 1
@@ -280,6 +343,19 @@ _DEGCHECK_GOLDEN = json.loads((Path(__file__).parent / "data" / "degcheck_golden
 @pytest.mark.parametrize("case", _DEGCHECK_GOLDEN, ids=lambda case: " ".join(case["argv"][2:])[:60])
 def test_cli_degcheck_golden(capsys, case):
     # stdout recorded from the per-point scalar sampler that the batched one replaced
+    code, out, _ = run_cli(capsys, *case["argv"])
+    assert code == case["exit"]
+    assert out == case["stdout"]
+
+
+_EXACT_GOLDEN = json.loads((Path(__file__).parent / "data" / "exact_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", _EXACT_GOLDEN, ids=lambda case: " ".join(case["argv"])[:70])
+def test_cli_exact_golden(capsys, case):
+    # stdout recorded from the solver that normalised every intermediate map:
+    # tree and iterates workload queries (seed 1), the nmax=4 equidist case,
+    # and reductions whose chart conjugate has a non-monomial pivot
     code, out, _ = run_cli(capsys, *case["argv"])
     assert code == case["exit"]
     assert out == case["stdout"]

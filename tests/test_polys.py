@@ -77,3 +77,21 @@ def test_simplest_in_is_minimal_denominator():
         for q in range(1, best.denominator):
             lo_n = -(-a.numerator * q // a.denominator)  # ceil(a*q)
             assert lo_n > b * q, (a, b, best, q)
+
+
+def test_divmod_identity_on_random_sparse_polys():
+    rng = random.Random(31)
+
+    def rand_poly(max_exp, max_terms):
+        return QPoly(
+            (rng.randint(0, max_exp), Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+            for _ in range(rng.randint(0, max_terms))
+        )
+
+    for _ in range(300):
+        a, b = rand_poly(12, 6), rand_poly(6, 4)
+        if b.is_zero:
+            continue
+        q, r = divmod(a, b)
+        assert q * b + r == a
+        assert r.degree < b.degree

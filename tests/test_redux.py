@@ -12,6 +12,7 @@ from nadyn import (
     IterationCapExceeded,
     KScalar,
     Mobius,
+    TypeIIPoint,
     chart,
     coeff_reduction,
     compose,
@@ -23,10 +24,14 @@ from nadyn import (
     make_map,
     minimal_lift,
     ord_of,
+    ord_res,
+    ord_res_for_chart,
     parse_map,
     parse_point,
+    reduction_at,
     sylvester_resultant,
 )
+from nadyn.redux import RationalMapK, intrinsic_from_reduction
 from conftest import rand_map, rand_point, rand_unit_mobius
 
 Z2 = parse_map("z^2")
@@ -188,7 +193,7 @@ def test_chart_invariance_of_reduction_shape():
 
     corpus = [Z2, TZ2, TZ21T, Z2TZ]
     for phi in corpus:
-        for _ in range(20):
+        for k in range(20):
             point = rand_point(rng)
             m = chart(point)
             u = rand_unit_mobius(rng)
@@ -204,8 +209,81 @@ def test_iteration_consistency_of_total_invariance():
         for n in (2, 3):
             assert totally_invariant(iterate(phi, n), GAUSS)
     # also under random unit conjugations
-    for _ in range(20):
+    for k in range(20):
         u = rand_unit_mobius(rng)
         psi = conjugate(u, Z2)
         assert totally_invariant(psi, GAUSS)
         assert totally_invariant(iterate(psi, 2), GAUSS)
+
+
+# -- lifts against the normalised-scalar route --------------------------------------
+
+
+def _kz_mul(p, q):
+    out = [KScalar.zero()] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] = out[i + j] + a * b
+    return out
+
+
+def _reference_reduction(phi, m):
+    """Residues of m^(-1) . phi . m by scalar arithmetic: conjugate, divide by
+    the pivot, scale by the minimal t-power, reduce each coefficient."""
+    d = phi.degree
+    num, den = [KScalar.zero()] * (d + 1), [KScalar.zero()] * (d + 1)
+    for i in range(d + 1):
+        blend = [KScalar.one()]
+        for k in range(d):
+            blend = _kz_mul(blend, [m.b, m.a] if k < i else [m.d, m.c])
+        num = [x + phi.num[i] * y for x, y in zip(num, blend)]
+        den = [x + phi.den[i] * y for x, y in zip(den, blend)]
+    inv = m.inverse()
+    num, den = (
+        [inv.a * x + inv.b * y for x, y in zip(num, den)],
+        [inv.c * x + inv.d * y for x, y in zip(num, den)],
+    )
+    pivot = next(c for c in den + num if not c.is_zero)
+    coeffs = [c / pivot for c in num + den]
+    shift = KScalar.t_power(-min(c.ord() for c in coeffs if not c.is_zero))
+    residues = [(c * shift).residue() for c in coeffs]
+    return residues[: d + 1], residues[d + 1 :]
+
+
+def _rescaled(phi, factor):
+    # a non-normalised representative of the same projective map
+    return RationalMapK(tuple(c * factor for c in phi.num), tuple(c * factor for c in phi.den))
+
+
+def test_lift_route_matches_scalar_route_and_ignores_the_representative():
+    rng = random.Random(56)
+    one_plus_t = KScalar.one() + KScalar.t_power(1)
+    for k in range(20):
+        phi = rand_map(rng, degree=rng.choice([2, 2, 3]))
+        # k = 0: a point of exponent 0 that is not the Gauss point
+        point = rand_point(rng) if k else TypeIIPoint(KScalar.t_power(-1), 0)
+        m = chart(point)
+        u = rand_unit_mobius(rng)
+        c = KScalar.from_rational(Fraction(rng.choice([-3, -1, 2, 5]), rng.choice([1, 2, 7])))
+        factors = [c * KScalar.t_power(rng.randint(-3, 3)), one_plus_t, c * one_plus_t]
+        red = reduction_at(phi, point)
+        info = intrinsic_data(phi, point)
+        old = coeff_reduction(conjugate(m, phi))
+        assert red == old
+        assert (red.reduced_num.coeffs(), red.reduced_den.coeffs()) == _reference_reduction(phi, m)
+        assert info == intrinsic_from_reduction(old, point)
+        ordres = ord_res(phi, point)
+        num_l, den_l = minimal_lift(conjugate(m, phi))
+        assert ordres == ord_of(sylvester_resultant(den_l, num_l))
+        if k < 6:
+            # ordRes does not see a unit matrix after the chart (on a few maps
+            # only: with a unit matrix the Sylvester determinants get large)
+            assert ord_res_for_chart(_rescaled(phi, rng.choice(factors)), m @ u) == ordres
+        for factor in factors:
+            psi = _rescaled(phi, factor)
+            assert psi == psi and psi != phi
+            assert coeff_reduction(psi) == coeff_reduction(phi)
+            assert reduction_at(psi, point) == red
+            assert intrinsic_data(psi, point) == info
+            assert ord_res(psi, point) == ordres
+            assert conjugate(m, psi) == conjugate(m, phi)
