@@ -14,7 +14,6 @@ from .errors import (
     IterationCapExceeded,
     LevelCapExceeded,
     NadynError,
-    NeedsBaseChange,
     NeedsExtension,
     OutOfRange,
     ParseError,

@@ -314,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--map", required=True)
         if flags.get("point", True):
             p.add_argument("--point", default="gauss")
-        p.add_argument("--json", action="store_true", default=True)
         p.add_argument("--pretty", action="store_true")
         p.set_defaults(fn=fn)
         return p

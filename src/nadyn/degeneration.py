@@ -32,7 +32,7 @@ from .errors import (
     TargetsOverlap,
     TotallyInvariantPoint,
 )
-from .polys import QPoly
+from .scalars import KScalar
 from .respoly import FactorClass, FiniteClass, InfinityClass
 from .redux import RationalMapK
 from .equidist import DirectionMeasure, depth_sequence, predicted_limit, totally_invariant
@@ -95,7 +95,7 @@ def specialize(phi: RationalMapK, t0: complex) -> ComplexMap:
         for c in coeff:
             try:
                 n_val, d_val = c.eval_parts(t0)
-                if _vanishes(c.den, t0, d_val):
+                if _vanishes(c, t0, d_val):
                     raise CoefficientPole(f"coefficient {c.to_str()} has a pole at t = {t0}")
                 out.append(n_val / d_val)
             except (OverflowError, ZeroDivisionError) as exc:
@@ -107,12 +107,14 @@ def specialize(phi: RationalMapK, t0: complex) -> ComplexMap:
     return gmap
 
 
-def _vanishes(poly: QPoly, t0: complex, value: complex) -> bool:
-    # exact check for real rational parameters; numeric fallback otherwise
-    if t0.imag == 0:
-        t_frac = Fraction(t0.real)
-        return poly.eval(t_frac) == 0
-    scale = sum(abs(complex(c)) * abs(t0) ** e for e, c in poly.terms)
+def _vanishes(c: KScalar, t0: complex, value: complex) -> bool:
+    """Whether the denominator of c vanishes at u0 = t0^(1/level); value is
+    its float value there.  Exact for real t0 at minimal level 1."""
+    _, den, level = c._canonical()
+    if level == 1 and t0.imag == 0:
+        return den.eval(Fraction(t0.real)) == 0
+    u0 = abs(t0) if level == 1 else abs(t0) ** (1.0 / level)
+    scale = sum(abs(complex(a)) * u0**e for e, a in den.terms)
     return abs(value) <= 1e-14 * scale
 
 

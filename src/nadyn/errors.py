@@ -19,14 +19,6 @@ class LevelCapExceeded(NadynError):
     """A base change would push the uniformizer level past the cap."""
 
 
-class NeedsBaseChange(NadynError):
-    """An operation needs a finer uniformizer than the current level allows."""
-
-    def __init__(self, minimum_level):
-        self.minimum_level = minimum_level
-        super().__init__(f"base change to level {minimum_level} required")
-
-
 class BothFormsZero(NadynError):
     """GCD of two identically zero homogeneous forms is undefined."""
 

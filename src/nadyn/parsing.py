@@ -3,6 +3,14 @@
 Scalars are rational expressions in t (integer powers, or rational powers of
 the bare t for fractional radii); maps are rational expressions in z with
 scalar coefficients.  Printing and parsing round-trip: parse(print(x)) == x.
+
+An expression is parsed straight into a lift: a numerator and a denominator
+polynomial in z with coefficients in Q[u], t = u^N, at one level N.  Sums
+and products are polynomial products (no GCD, no scalar field operation);
+parse_map shifts out the common power of u, checks N against
+NADYN_LEVEL_CAP and leaves validation and the one normalisation to
+redux.map_from_lift.  Division by zero, including a negative power of zero,
+and a zero denominator in an exponent are ParseErrors with a position.
 """
 
 from __future__ import annotations
@@ -16,8 +24,8 @@ from .berkspace import GAUSS, TowardClass, TypeIIPoint
 from .errors import DegenerateMap, LevelCapExceeded, ParseError
 from .polys import QPoly
 from .respoly import FactorClass, FiniteClass, InfinityClass, INFINITY
-from .redux import RationalMapK, make_map
-from .scalars import KScalar, K_ONE, K_ZERO, level_cap
+from .redux import Lift, RationalMapK, _common_level, _shift_out, _zpoly_mul, map_from_lift
+from .scalars import KScalar, K_ONE, level_cap
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_]+)|(\^|\+|\-|\*|/|\(|\)))")
 
@@ -42,68 +50,50 @@ def _tokenize(text: str):
     return tokens
 
 
-class _RatZ:
-    """Rational function in z over K, as numerator/denominator lists."""
+# Parsed values are Lifts whose num and den may differ in length.
 
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den):
-        self.num = _trim(num)
-        self.den = _trim(den)
-        if len(self.den) == 1 and self.den[0].is_zero:
-            raise ZeroDivisionError("division by zero in a map expression")
-
-    @classmethod
-    def scalar(cls, value: KScalar):
-        return cls([value], [K_ONE])
-
-    @property
-    def is_scalar(self) -> bool:
-        return len(self.num) == 1 and len(self.den) == 1
-
-    def scalar_value(self) -> KScalar:
-        return self.num[0] / self.den[0]
-
-    def __add__(self, other):
-        return _RatZ(
-            _padd(_pmul(self.num, other.den), _pmul(other.num, self.den)),
-            _pmul(self.den, other.den),
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return _RatZ([-c for c in self.num], self.den)
-
-    def __mul__(self, other):
-        return _RatZ(_pmul(self.num, other.num), _pmul(self.den, other.den))
-
-    def __truediv__(self, other):
-        return _RatZ(_pmul(self.num, other.den), _pmul(self.den, other.num))
+_ZERO = QPoly.zero()
 
 
-def _trim(coeffs):
+def _scalar(num: QPoly, den: QPoly = QPoly.one(), level: int = 1) -> Lift:
+    return Lift(level, (num,), (den,))
+
+
+def _trim(coeffs) -> tuple[QPoly, ...]:
     coeffs = list(coeffs)
-    while len(coeffs) > 1 and coeffs[-1].is_zero:
+    while len(coeffs) > 1 and not coeffs[-1]:
         coeffs.pop()
-    return coeffs
+    return tuple(coeffs)
 
 
-def _padd(p, q):
-    return [a + b for a, b in zip_longest(p, q, fillvalue=K_ZERO)]
+def _add(a: Lift, b: Lift) -> Lift:
+    a, b = _common_level(a, b)
+    if a.den == b.den:
+        num, den = zip_longest(a.num, b.num, fillvalue=_ZERO), a.den
+    else:
+        num = zip_longest(_zpoly_mul(a.num, b.den), _zpoly_mul(b.num, a.den), fillvalue=_ZERO)
+        den = _zpoly_mul(a.den, b.den)
+    return Lift(a.level, _trim(p + q for p, q in num), tuple(den))
 
 
-def _pmul(p, q):
-    out = [K_ZERO] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a.is_zero:
-            continue
-        for j, b in enumerate(q):
-            if b.is_zero:
-                continue
-            out[i + j] = out[i + j] + a * b
-    return out
+def _neg(a: Lift) -> Lift:
+    return Lift(a.level, tuple(-p for p in a.num), a.den)
+
+
+def _mul(a: Lift, b: Lift) -> Lift:
+    a, b = _common_level(a, b)
+    return Lift(a.level, _trim(_zpoly_mul(a.num, b.num)), tuple(_zpoly_mul(a.den, b.den)))
+
+
+def _inverse(a: Lift, pos: int) -> Lift:
+    if len(a.num) == 1 and not a.num[0]:
+        raise ParseError("division by zero", pos)
+    return Lift(a.level, a.den, a.num)
+
+
+def _t_power(q: Fraction) -> Lift:
+    e = q.numerator
+    return _scalar(QPoly.monomial(max(e, 0)), QPoly.monomial(max(-e, 0)), q.denominator)
 
 
 class _Parser:
@@ -127,47 +117,44 @@ class _Parser:
             raise ParseError(f"expected {symbol!r}", pos)
         self.advance()
 
-    def parse(self) -> _RatZ:
+    def parse(self) -> Lift:
         value = self.expr()
         kind, _, pos = self.peek()
         if kind != "end":
             raise ParseError("trailing input", pos)
         return value
 
-    def expr(self) -> _RatZ:
+    def expr(self) -> Lift:
         value = self.term()
         while True:
             kind, op, _ = self.peek()
             if kind == "op" and op in "+-":
                 self.advance()
                 rhs = self.term()
-                value = value + rhs if op == "+" else value - rhs
+                value = _add(value, rhs if op == "+" else _neg(rhs))
             else:
                 return value
 
-    def term(self) -> _RatZ:
+    def term(self) -> Lift:
         value = self.factor()
         while True:
             kind, op, pos = self.peek()
             if kind == "op" and op in "*/":
                 self.advance()
                 rhs = self.factor()
-                try:
-                    value = value * rhs if op == "*" else value / rhs
-                except ZeroDivisionError:
-                    raise ParseError("division by zero", pos) from None
+                value = _mul(value, rhs if op == "*" else _inverse(rhs, pos))
             else:
                 return value
 
-    def factor(self) -> _RatZ:
+    def factor(self) -> Lift:
         kind, op, _ = self.peek()
         if kind == "op" and op in "+-":
             self.advance()
             value = self.factor()
-            return -value if op == "-" else value
+            return _neg(value) if op == "-" else value
         return self.power()
 
-    def power(self) -> _RatZ:
+    def power(self) -> Lift:
         base = self.atom()
         kind, op, pos = self.peek()
         if kind != "op" or op != "^":
@@ -176,24 +163,19 @@ class _Parser:
         exponent = self._exponent()
         if exponent.denominator == 1:
             n = exponent.numerator
-            if n >= 0:
-                result = _RatZ.scalar(K_ONE)
-                for _ in range(n):
-                    result = result * base
-                return result
-            inv = _RatZ(base.den, base.num)
-            result = _RatZ.scalar(K_ONE)
-            for _ in range(-n):
-                result = result * inv
+            if n < 0:
+                base, n = _inverse(base, pos), -n
+            result = _scalar(QPoly.one())
+            for _ in range(n):
+                result = _mul(result, base)
             return result
-        # fractional exponents only on exact powers of t
-        if not base.is_scalar:
+        # fractional exponents only on exact powers of t: c*u^a / (c*u^b)
+        if len(base.num) != 1 or len(base.den) != 1:
             raise ParseError("fractional exponent on a non-scalar base", pos)
-        value = base.scalar_value()
-        o = value.ord()
-        if value.is_zero or value != KScalar.t_power(o):
+        (num,), (den,) = base.num, base.den
+        if len(num.terms) != 1 or len(den.terms) != 1 or num.leading != den.leading:
             raise ParseError("fractional exponent needs a bare power of t", pos)
-        return _RatZ.scalar(KScalar.t_power(o * exponent))
+        return _t_power(Fraction(num.val - den.val, base.level) * exponent)
 
     def _exponent(self) -> Fraction:
         sign = 1
@@ -230,20 +212,22 @@ class _Parser:
             if kind != "int":
                 raise ParseError("expected a denominator", pos)
             self.advance()
+            if value == 0:
+                raise ParseError("zero denominator in an exponent", pos)
             return Fraction(sign * numerator, value)
         return Fraction(sign * numerator)
 
-    def atom(self) -> _RatZ:
+    def atom(self) -> Lift:
         kind, value, pos = self.advance()
         if kind == "int":
-            return _RatZ.scalar(KScalar.from_rational(value))
+            return _scalar(QPoly.monomial(0, value))
         if kind == "name":
             if value == "t":
-                return _RatZ.scalar(KScalar.t_power(1))
+                return _scalar(QPoly.x())
             if value == "z":
                 if not self.allow_z:
                     raise ParseError("the variable z is not allowed here", pos)
-                return _RatZ([K_ZERO, K_ONE], [K_ONE])
+                return Lift(1, (_ZERO, QPoly.one()), (QPoly.one(),))
             raise ParseError(f"unknown name {value!r}", pos)
         if kind == "op" and value == "(":
             inner = self.expr()
@@ -254,19 +238,21 @@ class _Parser:
 
 def parse_scalar(text: str) -> KScalar:
     value = _Parser(text, allow_z=False).parse()
-    return value.scalar_value()
+    return KScalar(value.num[0], value.den[0], value.level)
 
 
 def parse_map(text: str) -> RationalMapK:
     """Parse a rational expression in z into a validated map."""
     value = _Parser(text, allow_z=True).parse()
-    num, den = value.num, value.den
-    size = max(len(num), len(den))
+    size = max(len(value.num), len(value.den))
     if size < 2:
         raise DegenerateMap("expression does not depend on z")
-    num = num + [K_ZERO] * (size - len(num))
-    den = den + [K_ZERO] * (size - len(den))
-    return make_map(num, den)
+    cap = level_cap()
+    if value.level > cap:
+        raise LevelCapExceeded(f"map needs level {value.level}, cap is {cap}")
+    num = value.num + (_ZERO,) * (size - len(value.num))
+    den = value.den + (_ZERO,) * (size - len(value.den))
+    return map_from_lift(_shift_out(value.level, num, den))
 
 
 def parse_rational(text: str) -> Fraction:
@@ -327,10 +313,11 @@ def _parse_residue_poly(text: str) -> QPoly:
     den = value.den[0]
     coeffs = []
     for c in value.num:
-        scalar = c / den
-        if scalar.level != 1 or scalar.den.degree > 0 or scalar.num.degree > 0:
+        # c/den is rational exactly when c is a rational multiple of den
+        q = c.leading / den.leading if c else Fraction(0)
+        if c != den.scale(q):
             raise ParseError("factor polynomials need rational coefficients")
-        coeffs.append(scalar.num.coeff(0))
+        coeffs.append(q)
     return QPoly.from_coeffs(coeffs)
 
 

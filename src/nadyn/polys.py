@@ -201,9 +201,6 @@ class QPoly:
                 r[k + ej] = r.get(k + ej, _ZERO_FRAC) - f * cj
         return QPoly._build(q), QPoly._build(r)
 
-    def __floordiv__(self, other: "QPoly") -> "QPoly":
-        return divmod(self, other)[0]
-
     def __mod__(self, other: "QPoly") -> "QPoly":
         return divmod(self, other)[1]
 

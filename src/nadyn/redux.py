@@ -4,7 +4,10 @@ A map is stored as numerator/denominator coefficient vectors of equal length
 d+1, normalised so the first nonzero coefficient is 1; validity means the
 degree-d homogeneous pair has nonzero resultant.  Each map also has a lift:
 its coefficients over Q[u], u = t^(1/N), times one common denominator, with
-minimal valuation 0.  Composition, conjugation, reduction and ordRes are
+minimal valuation 0.  Maps enter as lifts: the parser builds one directly,
+make_map clears the denominators of its scalar vectors, and map_from_lift
+checks the Sylvester determinant and normalises once, through the one
+constructor _from_lift.  Composition, conjugation, reduction and ordRes are
 projective invariants, so they run on lifts with polynomial products only;
 public functions normalise (one GCD per coefficient) only on return.  The
 intrinsic reduction at a type II point reduces the lift of the chart
@@ -35,7 +38,7 @@ from .respoly import (
     homogeneous_gcd,
     squarefree_decomposition,
 )
-from .scalars import HARD_LEVEL_CAP, KScalar, K_ONE
+from .scalars import HARD_LEVEL_CAP, KScalar
 
 ITERATION_CAP = 4096
 
@@ -67,21 +70,6 @@ class RationalMapK:
         from .parsing import map_str
 
         return f"RationalMapK({map_str(self)})"
-
-
-def _normalized(num, den) -> RationalMapK:
-    """Scale the pair by the first nonzero coefficient, so equal projective
-    maps get equal representations.  Parsed maps keep this route: each
-    coefficient keeps its own level, which specialize evaluates at."""
-    num = tuple(num)
-    den = tuple(den)
-    pivot = next((c for c in den + num if not c.is_zero), None)
-    if pivot is None:
-        raise DegenerateMap("all coefficients vanish")
-    if pivot != K_ONE:
-        num = tuple(c / pivot for c in num)
-        den = tuple(c / pivot for c in den)
-    return RationalMapK(num, den)
 
 
 def _bareiss_det(mat: list[list[QPoly]]) -> QPoly:
@@ -154,9 +142,14 @@ def make_map(num, den) -> RationalMapK:
         raise ValueError("numerator and denominator vectors must have equal length")
     if len(num) < 2:
         raise ValueError("a rational map needs degree at least 1")
-    if sylvester_resultant(den, num).is_zero:
+    return map_from_lift(_lift(num, den))
+
+
+def map_from_lift(lift: Lift) -> RationalMapK:
+    """Validate a lift (nonzero resultant) and build its normalised map."""
+    if _sylvester_det(lift.den, lift.num).is_zero:
         raise DegenerateMap("coefficient pair has zero resultant")
-    return _normalized(num, den)
+    return _from_lift(lift)
 
 
 # -- lifts: one representative over Q[u] ------------------------------------------
@@ -164,7 +157,7 @@ def make_map(num, den) -> RationalMapK:
 
 def _shift_out(level: int, num, den) -> Lift:
     """The lift with the common power of u divided out."""
-    k = min(p.val for p in num + den if p)
+    k = min((p.val for p in num + den if p), default=0)
     if k:
         num = [p.shifted(-k) for p in num]
         den = [p.shifted(-k) for p in den]
@@ -190,6 +183,11 @@ def _at_level(lift: Lift, level: int) -> Lift:
     return Lift(level, stretch(lift.num), stretch(lift.den))
 
 
+def _common_level(a: Lift, b: Lift) -> tuple[Lift, Lift]:
+    level = lcm(a.level, b.level)
+    return _at_level(a, level), _at_level(b, level)
+
+
 def _zpoly_mul(p: list[QPoly], q: list[QPoly]) -> list[QPoly]:
     """Product of two polynomials in z with coefficients in Q[u]."""
     out = [QPoly.zero()] * (len(p) + len(q) - 1)
@@ -203,8 +201,7 @@ def _zpoly_mul(p: list[QPoly], q: list[QPoly]) -> list[QPoly]:
 
 def compose_lifts(outer: Lift, inner: Lift) -> Lift:
     """Lift of outer after inner: sum of outer_i * p^i * q^(d-i) over Q[u]."""
-    level = lcm(outer.level, inner.level)
-    outer, inner = _at_level(outer, level), _at_level(inner, level)
+    outer, inner = _common_level(outer, inner)
     d = len(outer.num) - 1
     p, q = inner.num, inner.den
     p_pows, q_pows = [[QPoly.one()]], [[QPoly.one()]]
@@ -223,7 +220,7 @@ def compose_lifts(outer: Lift, inner: Lift) -> Lift:
                     num[k] = num[k] + a * c
                 if b:
                     den[k] = den[k] + b * c
-    return _shift_out(level, num, den)
+    return _shift_out(outer.level, num, den)
 
 
 def mobius_lift(m: Mobius) -> Lift:

@@ -244,12 +244,11 @@ class KScalar:
     # -- numerics ------------------------------------------------------------
 
     def eval_parts(self, t0: complex) -> tuple[complex, complex]:
-        """Numerator and denominator evaluated at t = t0 (principal branch)."""
-        if self.level == 1:
-            u0 = complex(t0)
-        else:
-            u0 = complex(t0) ** (1.0 / self.level)
-        return self.num.eval_complex(u0), self.den.eval_complex(u0)
+        """Numerator and denominator of the minimal-level form evaluated at
+        t = t0 (principal branch), so the stored level does not matter."""
+        num, den, level = self._canonical()
+        u0 = complex(t0) if level == 1 else complex(t0) ** (1.0 / level)
+        return num.eval_complex(u0), den.eval_complex(u0)
 
     # -- printing ------------------------------------------------------------
 

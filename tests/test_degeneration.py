@@ -50,6 +50,31 @@ def test_specialize_examples():
         specialize(parse_map("(1/(1-2*t))*z^2"), 0.5)
 
 
+_HALF_LEVEL = "(t^(1/2)*z^2 + (1+t)*z + t^(3/2))/(t^(1/2)*z + t)"
+
+
+@pytest.mark.parametrize(
+    "other",
+    [
+        "(z^2 + (1+t)/t^(1/2)*z + t)/(z + t^(1/2))",
+        f"({_HALF_LEVEL})*t^(1/3)/t^(1/3)",
+        f"({_HALF_LEVEL})*(1+t^(1/2))/(1+t^(1/2))",
+    ],
+)
+@pytest.mark.parametrize("t0", [1e-3, 0.3 + 0.1j])
+def test_specialize_is_independent_of_the_representative(other, t0):
+    # the same projective map written so that t is stored as u^2, or at level 6
+    assert specialize(parse_map(other), t0) == specialize(parse_map(_HALF_LEVEL), t0)
+
+
+def test_specialize_checks_poles_at_the_uniformizer():
+    # at t = 1/16 the uniformizer t^(1/2) is 1/4: 1/16 is no pole, 1/4 is one
+    g = specialize(parse_map("z^2 + 1/(t^(1/2) - 1/16)"), 0.0625)
+    assert g.num == (16 / 3, 0, 1) and g.den == (1, 0, 0)
+    with pytest.raises(CoefficientPole):
+        specialize(parse_map("z^2 + 1/(t^(1/2) - 1/4)"), 0.0625)
+
+
 def test_specialize_ill_conditioned():
     # the leading numerator coefficient vanishes exactly at t = 1/1000
     phi = parse_map("((1 - 1000*t)*z^2 + z)/1")

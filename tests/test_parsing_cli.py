@@ -61,6 +61,35 @@ def test_parse_point_level_cap():
         parse_point("a=0;s=1/128")
 
 
+def test_parse_map_level_cap():
+    assert parse_map("z^2 + t^(1/64)*z").lift.level == 64
+    with pytest.raises(LevelCapExceeded):
+        parse_map("z^2 + t^(1/65)*z")
+
+
+@pytest.mark.parametrize(
+    "argv, position",
+    [
+        (["ordres", "--map", "z + 0^-1"], 5),
+        (["ordres", "--map", "z^2 + (1/t - 1/t)^-2"], 17),
+        (["ordres", "--map", "z^2 + 1/(0*z)"], 7),
+        (["ordres", "--map", "z^2+t^(1/0)"], 9),
+        (["ordres", "--map", "z^2", "--point", "a=t^(1/0);s=1"], 5),
+        (["slope", "--map", "z^2", "--direction", "factor=z^2+0^-1"], 5),
+    ],
+)
+def test_cli_zero_in_a_power_is_a_parse_error(capsys, argv, position):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert f"(at position {position})" in err and "Traceback" not in err
+
+
+def test_cli_map_level_cap_exits_2(capsys):
+    code, out, _ = run_cli(capsys, "ordres", "--map", "z^2 + t^(1/65)*z")
+    assert code == 2
+    assert json.loads(out) == {"error": "map needs level 65, cap is 64", "type": "LevelCapExceeded"}
+
+
 def test_parse_direction_examples():
     assert parse_direction_class("inf") == INFINITY
     assert parse_direction_class("res=-3/2") == FiniteClass(Fraction(-3, 2))
@@ -433,4 +462,46 @@ def test_cli_degcheck_fuzz_never_tracebacks(argv):
     assert code in (0, 1, 2)
     if code in (0, 2):
         json.loads(out)
+    assert "Traceback" not in err
+
+
+_EXPONENTS = st.one_of(
+    st.integers(0, 3).map(str),
+    st.integers(1, 2).map(lambda k: f"-{k}"),
+    st.tuples(st.integers(-3, 3), st.integers(0, 3)).map(lambda pq: f"({pq[0]}/{pq[1]})"),
+)
+
+
+@st.composite
+def _map_expression(draw, depth=0):
+    kind = draw(st.sampled_from(["atom", "atom", "power", "binary", "paren"] if depth < 3 else ["atom"]))
+    if kind == "atom":
+        return draw(st.sampled_from(["z", "t", "0", "1", "2", "1/2"]))
+    if kind == "power":
+        return f"{draw(st.sampled_from(['z', 't', '0', '(1+t)', '(t-t)']))}^{draw(_EXPONENTS)}"
+    if kind == "paren":
+        return f"({draw(_map_expression(depth + 1))})"
+    op = draw(st.sampled_from(["+", "-", "*", "/"]))
+    return f"{draw(_map_expression(depth + 1))}{op}{draw(_map_expression(depth + 1))}"
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    verb=st.sampled_from(["ordres", "reduce"]),
+    expression=st.one_of(
+        _map_expression(),
+        # a valid map with one drawn term, and the raw token soup of the grammar
+        _map_expression().map(lambda e: f"(z^2+t)/(1+t*z) + {e}"),
+        st.lists(st.sampled_from(["z", "t", "1", "0", "^", "-", "+", "*", "/", "(", ")", "(1/2)"]),
+                 max_size=8).map("".join),
+    ),
+    point=st.sampled_from(["gauss", "a=0;s=1", "a=1;s=1/2", "a=t^(1/2);s=1"]),
+)
+def test_cli_map_fuzz_never_tracebacks(verb, expression, point):
+    code, out, err = _run_in_process([verb, "--map", expression, "--point", point])
+    assert code in (0, 1, 2)
+    if code in (0, 2):
+        data = json.loads(out)
+        if code == 0 and verb == "reduce":
+            assert map_str(parse_map(data["map"])) == data["map"]
     assert "Traceback" not in err

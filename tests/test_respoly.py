@@ -135,7 +135,7 @@ def test_depth_matches_division_oracle():
         probe = p
         lin = QPoly.from_coeffs([-c, 1])
         while not probe.is_zero and (probe % lin).is_zero:
-            probe = probe // lin
+            probe = probe.exact_div(lin)
             count += 1
         assert depth_at(d, FiniteClass(c)) == count
 
