@@ -8,6 +8,7 @@ from .errors import (
     BreakpointUnresolved,
     CoefficientPole,
     DegenerateMap,
+    DegreeTooHigh,
     DegreeTooLow,
     IllConditioned,
     IrrationalDirection,

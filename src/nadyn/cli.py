@@ -305,42 +305,62 @@ def _cmd_degcheck(args) -> dict:
     }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="nadyn", description="exact non-archimedean dynamics solver")
-    sub = parser.add_subparsers(dest="verb", required=True)
+# verb -> (handler, takes --point, extra flags); every verb takes --map and
+# --pretty
+_VERBS = {
+    "reduce": (_cmd_reduce, True, ()),
+    "depths": (_cmd_depths, True, ()),
+    "intrinsic": (_cmd_intrinsic, True, ()),
+    "ordres": (_cmd_ordres, True, ()),
+    "hypres": (_cmd_hypres, True, (("--direct", {"action": "store_true"}),)),
+    "slope": (_cmd_slope, True, (("--direction", {}),)),
+    "minlocus": (_cmd_minlocus, False, (("--start", {"default": "gauss"}),)),
+    "semistable": (_cmd_semistable, True, ()),
+    "equidist": (_cmd_equidist, True, (("--nmax", {"type": int, "default": 4}),)),
+    "degcheck": (
+        _cmd_degcheck,
+        False,
+        (
+            ("--t", {"required": True}),
+            ("--n", {"type": _positive_int, "default": 12}),
+            ("--eps", {"type": _positive_float, "default": 0.1}),
+            ("--hypothesis", {"default": "auto"}),
+        ),
+    ),
+}
 
-    def add(name, fn, **flags):
+
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser.  Given a verb, only that sub-parser is built and the
+    other verbs appear by name in the usage line; else every verb is built.
+
+    The usage line is the one place a named verb's run can show the others
+    (an unrecognised argument error); the verb's own errors and help print
+    its sub-parser's usage.
+    """
+    parser = _Parser(prog="nadyn", description="exact non-archimedean dynamics solver")
+    if verb is None:
+        sub = parser.add_subparsers(dest="verb", required=True)
+    else:
+        names = "{" + ",".join(_VERBS) + "}"
+        sub = parser.add_subparsers(dest="verb", required=True, metavar=names)
+    for name, (fn, point, extra) in _VERBS.items():
+        if verb is not None and name != verb:
+            continue
         p = sub.add_parser(name)
         p.add_argument("--map", required=True)
-        if flags.get("point", True):
+        if point:
             p.add_argument("--point", default="gauss")
         p.add_argument("--pretty", action="store_true")
+        for flag, kwargs in extra:
+            p.add_argument(flag, **kwargs)
         p.set_defaults(fn=fn)
-        return p
-
-    add("reduce", _cmd_reduce)
-    add("depths", _cmd_depths)
-    add("intrinsic", _cmd_intrinsic)
-    add("ordres", _cmd_ordres)
-    p = add("hypres", _cmd_hypres)
-    p.add_argument("--direct", action="store_true")
-    p = add("slope", _cmd_slope)
-    p.add_argument("--direction")
-    p = add("minlocus", _cmd_minlocus, point=False)
-    p.add_argument("--start", default="gauss")
-    add("semistable", _cmd_semistable)
-    p = add("equidist", _cmd_equidist)
-    p.add_argument("--nmax", type=int, default=4)
-    p = add("degcheck", _cmd_degcheck, point=False)
-    p.add_argument("--t", required=True)
-    p.add_argument("--n", type=_positive_int, default=12)
-    p.add_argument("--eps", type=_positive_float, default=0.1)
-    p.add_argument("--hypothesis", default="auto")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in _VERBS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -39,6 +39,10 @@ class DegenerateMap(NadynError):
     """Coefficient pair has zero resultant (common factor or degree drop)."""
 
 
+class DegreeTooHigh(NadynError):
+    """A parsed map's degree is above the parser's cap."""
+
+
 class DegreeTooLow(NadynError):
     """The operation is only defined for maps of degree at least 2."""
 

@@ -10,7 +10,10 @@ and products are polynomial products (no GCD, no scalar field operation);
 parse_map shifts out the common power of u, checks N against
 NADYN_LEVEL_CAP and leaves validation and the one normalisation to
 redux.map_from_lift.  Division by zero, including a negative power of zero,
-and a zero denominator in an exponent are ParseErrors with a position.
+and a zero denominator in an exponent are ParseErrors with a position.  An
+expression of degree in z above MAX_MAP_DEGREE is a DegreeTooHigh as soon as
+a product or sum reaches it, before the Sylvester check, whose cost grows as
+the cube of the degree.
 """
 
 from __future__ import annotations
@@ -21,11 +24,15 @@ from itertools import zip_longest
 from math import gcd
 
 from .berkspace import GAUSS, TowardClass, TypeIIPoint
-from .errors import DegenerateMap, LevelCapExceeded, ParseError
-from .polys import QPoly
+from .errors import DegenerateMap, DegreeTooHigh, LevelCapExceeded, ParseError
+from .polys import QPoly, qdiv
 from .respoly import FactorClass, FiniteClass, InfinityClass, INFINITY
 from .redux import Lift, RationalMapK, _common_level, _shift_out, _zpoly_mul, map_from_lift
 from .scalars import KScalar, K_ONE, level_cap
+
+# parse_map validates a degree-d map by a 2d x 2d Bareiss determinant over
+# Z[u]: degree 32 takes about 0.3 s (2-core VM, Python 3.11.7)
+MAX_MAP_DEGREE = 32
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_]+)|(\^|\+|\-|\*|/|\(|\)))")
 
@@ -66,6 +73,13 @@ def _trim(coeffs) -> tuple[QPoly, ...]:
     return tuple(coeffs)
 
 
+def _capped(value: Lift) -> Lift:
+    degree = max(len(value.num), len(value.den)) - 1
+    if degree > MAX_MAP_DEGREE:
+        raise DegreeTooHigh(f"expression reaches degree {degree} in z, cap is {MAX_MAP_DEGREE}")
+    return value
+
+
 def _add(a: Lift, b: Lift) -> Lift:
     a, b = _common_level(a, b)
     if a.den == b.den:
@@ -73,7 +87,7 @@ def _add(a: Lift, b: Lift) -> Lift:
     else:
         num = zip_longest(_zpoly_mul(a.num, b.den), _zpoly_mul(b.num, a.den), fillvalue=_ZERO)
         den = _zpoly_mul(a.den, b.den)
-    return Lift(a.level, _trim(p + q for p, q in num), tuple(den))
+    return _capped(Lift(a.level, _trim(p + q for p, q in num), tuple(den)))
 
 
 def _neg(a: Lift) -> Lift:
@@ -82,7 +96,7 @@ def _neg(a: Lift) -> Lift:
 
 def _mul(a: Lift, b: Lift) -> Lift:
     a, b = _common_level(a, b)
-    return Lift(a.level, _trim(_zpoly_mul(a.num, b.num)), tuple(_zpoly_mul(a.den, b.den)))
+    return _capped(Lift(a.level, _trim(_zpoly_mul(a.num, b.num)), tuple(_zpoly_mul(a.den, b.den))))
 
 
 def _inverse(a: Lift, pos: int) -> Lift:
@@ -314,7 +328,7 @@ def _parse_residue_poly(text: str) -> QPoly:
     coeffs = []
     for c in value.num:
         # c/den is rational exactly when c is a rational multiple of den
-        q = c.leading / den.leading if c else Fraction(0)
+        q = qdiv(c.leading, den.leading) if c else 0
         if c != den.scale(q):
             raise ParseError("factor polynomials need rational coefficients")
         coeffs.append(q)

@@ -4,6 +4,14 @@ This is the shared low-level layer: numerators and denominators of scalars
 (polynomials in the uniformizer u) live here, and so do the residue-side
 polynomials in the tangent variable.  Exponents can get large when probing
 points with fine radii, hence the sparse representation.
+
+Coefficients have one normal form: an integral coefficient is a plain int,
+any other is a Fraction with denominator greater than 1, and none is ever a
+float.  Fraction(3) == 3 with equal hashes and str, so the normal form
+changes no comparison and no printed output; it lets integer polynomials
+(the lifts of redux, which are primitive over Z[u]) multiply, divide and
+take Bareiss determinants on ints alone.  Every division of coefficients
+goes through qdiv: int // int when the division is exact, else a Fraction.
 """
 
 from __future__ import annotations
@@ -11,14 +19,38 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd as _int_gcd
+from math import lcm as _int_lcm
 
 
-def _as_frac(c) -> Fraction:
-    if isinstance(c, Fraction):
+def _as_coeff(c):
+    """A rational coefficient in normal form: int if integral, else Fraction."""
+    if c.__class__ is int:
         return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     raise TypeError(f"rational coefficient expected, got {type(c).__name__}")
+
+
+def qdiv(a, b):
+    """Exact quotient a/b of two coefficients, in normal form."""
+    if a.__class__ is int and b.__class__ is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    q = a / b
+    return q.numerator if q.denominator == 1 else q
+
+
+def _terms(acc: dict) -> tuple:
+    """Sorted nonzero terms of an exponent -> coefficient dict, in normal form."""
+    return tuple(
+        sorted(
+            (e, c.numerator if c.__class__ is Fraction and c.denominator == 1 else c)
+            for e, c in acc.items()
+            if c
+        )
+    )
 
 
 class QPoly:
@@ -27,17 +59,13 @@ class QPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
-        acc: dict[int, Fraction] = {}
+        acc: dict = {}
         for e, c in terms:
-            c = _as_frac(c)
+            c = _as_coeff(c)
             if c:
                 e = int(e)
-                s = acc.get(e, _ZERO_FRAC) + c
-                if s:
-                    acc[e] = s
-                elif e in acc:
-                    del acc[e]
-        object.__setattr__(self, "terms", tuple(sorted(acc.items())))
+                acc[e] = acc.get(e, 0) + c
+        object.__setattr__(self, "terms", _terms(acc))
 
     # -- constructors ------------------------------------------------------
 
@@ -81,22 +109,22 @@ class QPoly:
         return self.terms[0][0]
 
     @property
-    def leading(self) -> Fraction:
+    def leading(self):
         if not self.terms:
             raise ValueError("leading coefficient of the zero polynomial")
         return self.terms[-1][1]
 
-    def coeff(self, exponent: int) -> Fraction:
+    def coeff(self, exponent: int):
         for e, c in self.terms:
             if e == exponent:
                 return c
             if e > exponent:
                 break
-        return _ZERO_FRAC
+        return 0
 
-    def coeff_list(self) -> list[Fraction]:
+    def coeff_list(self) -> list:
         """Dense ascending coefficients, length degree+1 (empty for zero)."""
-        out = [_ZERO_FRAC] * (self.degree + 1)
+        out = [0] * (self.degree + 1)
         for e, c in self.terms:
             out[e] = c
         return out
@@ -116,44 +144,44 @@ class QPoly:
     # -- arithmetic ----------------------------------------------------------
 
     @staticmethod
-    def _build(acc: dict) -> "QPoly":
+    def _of_terms(terms: tuple) -> "QPoly":
+        """Wrap terms that are already sorted, nonzero and in normal form."""
         p = object.__new__(QPoly)
-        object.__setattr__(p, "terms", tuple(sorted((e, c) for e, c in acc.items() if c)))
+        object.__setattr__(p, "terms", terms)
         return p
+
+    @staticmethod
+    def _build(acc: dict) -> "QPoly":
+        return QPoly._of_terms(_terms(acc))
 
     def __add__(self, other: "QPoly") -> "QPoly":
         acc = dict(self.terms)
         for e, c in other.terms:
-            acc[e] = acc.get(e, _ZERO_FRAC) + c
+            acc[e] = acc.get(e, 0) + c
         return QPoly._build(acc)
 
     def __sub__(self, other: "QPoly") -> "QPoly":
         acc = dict(self.terms)
         for e, c in other.terms:
-            acc[e] = acc.get(e, _ZERO_FRAC) - c
+            acc[e] = acc.get(e, 0) - c
         return QPoly._build(acc)
 
     def __neg__(self) -> "QPoly":
-        return QPoly._build({e: -c for e, c in self.terms})
+        return QPoly._of_terms(tuple((e, -c) for e, c in self.terms))
 
     def __mul__(self, other: "QPoly") -> "QPoly":
         if not self.terms or not other.terms:
             return _QP_ZERO
-        acc: dict[int, Fraction] = {}
+        acc: dict = {}
+        get = acc.get
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
                 e = e1 + e2
-                s = acc.get(e, _ZERO_FRAC) + c1 * c2
-                if s:
-                    acc[e] = s
-                elif e in acc:
-                    del acc[e]
-        p = object.__new__(QPoly)
-        object.__setattr__(p, "terms", tuple(sorted(acc.items())))
-        return p
+                acc[e] = get(e, 0) + c1 * c2
+        return QPoly._build(acc)
 
     def scale(self, c) -> "QPoly":
-        c = _as_frac(c)
+        c = _as_coeff(c)
         if not c:
             return _QP_ZERO
         return QPoly._build({e: c0 * c for e, c0 in self.terms})
@@ -164,7 +192,7 @@ class QPoly:
             return self
         if k < 0 and self.val < -k:
             raise ValueError("negative shift below valuation")
-        return QPoly._build({e + k: c for e, c in self.terms})
+        return QPoly._of_terms(tuple((e + k, c) for e, c in self.terms))
 
     def __pow__(self, n: int) -> "QPoly":
         if n < 0:
@@ -187,24 +215,30 @@ class QPoly:
         r = dict(self.terms)
         heap = [-e for e in r]
         heapify(heap)
-        q: dict[int, Fraction] = {}
+        q: dict = {}
         while heap and -heap[0] >= ddeg:
             e = -heappop(heap)
             c = r.pop(e)
             if not c:
                 continue
             k = e - ddeg
-            q[k] = f = c / dlead
+            q[k] = f = qdiv(c, dlead)
             for ej, cj in lower:
                 if k + ej not in r:
                     heappush(heap, -(k + ej))
-                r[k + ej] = r.get(k + ej, _ZERO_FRAC) - f * cj
+                r[k + ej] = r.get(k + ej, 0) - f * cj
         return QPoly._build(q), QPoly._build(r)
 
     def __mod__(self, other: "QPoly") -> "QPoly":
         return divmod(self, other)[1]
 
     def exact_div(self, other: "QPoly") -> "QPoly":
+        if len(other.terms) == 1:
+            # a one-term divisor c*x^k divides term by term
+            ((k, c),) = other.terms
+            if self.terms and self.terms[0][0] < k:
+                raise ValueError("division is not exact")
+            return QPoly._of_terms(tuple((e - k, qdiv(a, c)) for e, a in self.terms))
         q, r = divmod(self, other)
         if not r.is_zero:
             raise ValueError("division is not exact")
@@ -216,7 +250,7 @@ class QPoly:
         lead = self.leading
         if lead == 1:
             return self
-        return QPoly._build({e: c / lead for e, c in self.terms})
+        return QPoly._of_terms(tuple((e, qdiv(c, lead)) for e, c in self.terms))
 
     def gcd(self, other: "QPoly") -> "QPoly":
         """Monic greatest common divisor; gcd(0, q) = monic q."""
@@ -228,9 +262,10 @@ class QPoly:
     def derivative(self) -> "QPoly":
         return QPoly._build({e - 1: c * e for e, c in self.terms if e})
 
-    def eval(self, x: Fraction) -> Fraction:
-        x = _as_frac(x)
-        return sum((c * x**e for e, c in self.terms), _ZERO_FRAC)
+    def eval(self, x):
+        """Exact value at a rational x, in normal form."""
+        x = _as_coeff(x)
+        return _as_coeff(sum(c * x**e for e, c in self.terms))
 
     def eval_complex(self, z: complex) -> complex:
         return sum(complex(c) * z**e for e, c in self.terms) if self.terms else 0j
@@ -259,7 +294,6 @@ class QPoly:
         return out
 
 
-_ZERO_FRAC = Fraction(0)
 _QP_ZERO = QPoly()
 _QP_ONE = QPoly([(0, 1)])
 _QP_X = QPoly([(1, 1)])
@@ -320,53 +354,125 @@ def coprime_basis(polys) -> list[QPoly]:
     return sorted(basis, key=lambda b: (b.degree, b.terms))
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    if n == 0:
-        raise ValueError("divisors of zero")
-    if n > 10**12:
-        raise ValueError("constant term too large for rational root extraction")
-    small, large = [], []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            small.append(i)
-            if i * i != n:
-                large.append(n // i)
-        i += 1
-    return small + large[::-1]
+def primitive_parts(polys, shift: int = 0) -> list[QPoly]:
+    """The polynomials divided by x^shift and by one positive rational, so
+    that every coefficient is an int and all of them together have gcd 1.
+
+    A positive divisor keeps every sign; all-zero input comes back unscaled.
+    """
+    polys = list(polys)
+    den = 1
+    for p in polys:
+        for _, c in p.terms:
+            if c.__class__ is Fraction:
+                den = _int_lcm(den, c.denominator)
+    g = 0
+    for p in polys:
+        for _, c in p.terms:
+            g = _int_gcd(g, c if den == 1 else c.numerator * (den // c.denominator))
+            if g == 1:
+                break
+        if g == 1:
+            break
+    if den == 1 and g <= 1:
+        return [p.shifted(-shift) for p in polys] if shift else polys
+    return [
+        QPoly._of_terms(tuple((e - shift, c * den // g) for e, c in p.terms)) for p in polys
+    ]
 
 
-def rational_roots(p: QPoly) -> list[Fraction]:
-    """All rational zeros of p (without multiplicity), ascending."""
+def _scaled_value(coeffs: list[int], h: int, powers: list[int]) -> int:
+    """b^m * f(h/b) for the dense integer f of degree m, powers[j] = b^j."""
+    m = len(coeffs) - 1
+    acc = 0
+    for i in range(m, -1, -1):
+        acc = acc * h + coeffs[i] * powers[m - i]
+    return acc
+
+
+def _sturm_roots(q: QPoly) -> list:
+    """Rational zeros of a squarefree integer polynomial of degree >= 2.
+
+    Every rational zero is k/L, L = |lc q| (rational root theorem), and the
+    points h/(2L) with h odd lie between these candidates and are never
+    zeros.  On that grid, starting beyond the Cauchy bound, a Sturm sequence
+    counts the real zeros of each interval; an interval with one zero is
+    halved by the sign of q alone (the zero is simple), one with more by the
+    Sturm counts, until it holds a single candidate, which is tested exactly.
+    """
+    seq = [q, q.derivative()]
+    while seq[-1].degree > 0:
+        seq.append(primitive_parts([-(seq[-2] % seq[-1])])[0])
+    dense = [p.coeff_list() for p in seq]
+    lead = abs(q.leading)
+    powers = [1]
+    for _ in range(q.degree):
+        powers.append(powers[-1] * 2 * lead)
+
+    def changes(h: int) -> int:
+        count, last = 0, 0
+        for coeffs in dense:
+            v = _scaled_value(coeffs, h, powers)
+            if v:
+                if last and (v > 0) != (last > 0):
+                    count += 1
+                last = v
+        return count
+
+    bound = 2 + max(abs(c) for c in dense[0][:-1]) // lead  # beyond every zero
+    lo, hi = -2 * lead * bound - 1, 2 * lead * bound + 1
+    roots = []
+    stack = [(lo, hi, changes(lo), changes(hi))]
+    while stack:
+        lo, hi, v_lo, v_hi = stack.pop()
+        if v_lo == v_hi:
+            continue
+        if v_lo - v_hi == 1:
+            positive = _scaled_value(dense[0], lo, powers) > 0
+            while hi - lo > 2:
+                mid = lo + 2 * ((hi - lo) // 4)
+                if (_scaled_value(dense[0], mid, powers) > 0) == positive:
+                    lo = mid
+                else:
+                    hi = mid
+        if hi - lo == 2:
+            candidate = Fraction((lo + 1) // 2, lead)
+            if q.eval(candidate) == 0:
+                roots.append(_as_coeff(candidate))
+            continue
+        mid = lo + 2 * ((hi - lo) // 4)
+        v_mid = changes(mid)
+        stack.append((lo, mid, v_lo, v_mid))
+        stack.append((mid, hi, v_mid, v_hi))
+    return roots
+
+
+def rational_roots(p: QPoly) -> list:
+    """All rational zeros of p (without multiplicity), ascending.
+
+    Exact for coefficients of any size: zero, the zero of a linear part, or
+    the Sturm search of _sturm_roots on the squarefree integer part.
+    """
     if p.is_zero:
         raise ValueError("rational roots of the zero polynomial")
-    roots = set()
+    roots = []
     if p.val > 0:
-        roots.add(_ZERO_FRAC)
+        roots.append(0)
         p = p.shifted(-p.val)
     if p.degree > 0:
-        den_lcm = 1
-        for _, c in p.terms:
-            den_lcm = den_lcm * c.denominator // _int_gcd(den_lcm, c.denominator)
-        q = p.scale(den_lcm)
-        c0 = int(q.coeff(0))
-        lead = int(q.leading)
-        for a in _divisors(c0):
-            for b in _divisors(lead):
-                if _int_gcd(a, b) != 1:
-                    continue
-                cand = Fraction(a, b)
-                if q.eval(cand) == 0:
-                    roots.add(cand)
-                if q.eval(-cand) == 0:
-                    roots.add(-cand)
+        g = p.gcd(p.derivative())
+        if g.degree > 0:
+            p = p.exact_div(g)
+    if p.degree == 1:
+        roots.append(qdiv(-p.coeff(0), p.leading))
+    elif p.degree > 1:
+        roots += _sturm_roots(primitive_parts([p])[0])
     return sorted(roots)
 
 
 def simplest_in(lo: Fraction, hi: Fraction, incl_lo: bool = True, incl_hi: bool = True) -> Fraction:
     """Rational with the smallest denominator in the interval from lo to hi."""
-    lo, hi = _as_frac(lo), _as_frac(hi)
+    lo, hi = Fraction(_as_coeff(lo)), Fraction(_as_coeff(hi))
     if lo > hi or (lo == hi and not (incl_lo and incl_hi)):
         raise ValueError("empty interval")
     if lo == hi:
@@ -374,7 +480,7 @@ def simplest_in(lo: Fraction, hi: Fraction, incl_lo: bool = True, incl_hi: bool 
     if hi < 0 or (hi == 0 and not incl_hi):
         return -simplest_in(-hi, -lo, incl_hi, incl_lo)
     if lo < 0 or (lo == 0 and incl_lo):
-        return _ZERO_FRAC
+        return Fraction(0)
     # now 0 <= lo < hi with lo excluded only if lo == 0
     n_lo = lo.numerator // lo.denominator + 1 if (lo.denominator > 1 or not incl_lo) else lo.numerator
     n_hi = hi.numerator // hi.denominator if (hi.denominator > 1 or incl_hi) else hi.numerator - 1

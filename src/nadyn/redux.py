@@ -3,8 +3,12 @@
 A map is stored as numerator/denominator coefficient vectors of equal length
 d+1, normalised so the first nonzero coefficient is 1; validity means the
 degree-d homogeneous pair has nonzero resultant.  Each map also has a lift:
-its coefficients over Q[u], u = t^(1/N), times one common denominator, with
-minimal valuation 0.  Maps enter as lifts: the parser builds one directly,
+its coefficients times one scalar, so that they lie in Z[u], u = t^(1/N),
+with minimal valuation 0 and integer content 1 (_shift_out divides out the
+common power of u, clears rational denominators and divides out the integer
+content; a common factor in u of positive degree stays).  Products and the
+fraction-free Bareiss determinant of lifts therefore run on ints alone.
+Maps enter as lifts: the parser builds one directly,
 make_map clears the denominators of its scalar vectors, and map_from_lift
 checks the Sylvester determinant and normalises once, through the one
 constructor _from_lift.  Composition, conjugation, reduction and ordRes are
@@ -26,7 +30,7 @@ from typing import NamedTuple
 from .berkspace import Direction, Mobius, TowardClass, TypeIIPoint, chart, direction_toward
 from .errors import AmbiguousClass, DegenerateMap, DegreeTooLow, IterationCapExceeded
 from .errors import LevelCapExceeded
-from .polys import QPoly
+from .polys import QPoly, primitive_parts, qdiv
 from .respoly import (
     DepthDivisor,
     FactorClass,
@@ -44,7 +48,8 @@ ITERATION_CAP = 4096
 
 
 class Lift(NamedTuple):
-    """Coefficients num[i], den[i] in Q[u], t = u^level, of minimal valuation 0."""
+    """Coefficients num[i], den[i] in Z[u], t = u^level, of minimal valuation 0
+    and integer content 1 (built by _shift_out)."""
 
     level: int
     num: tuple[QPoly, ...]
@@ -156,12 +161,12 @@ def map_from_lift(lift: Lift) -> RationalMapK:
 
 
 def _shift_out(level: int, num, den) -> Lift:
-    """The lift with the common power of u divided out."""
-    k = min((p.val for p in num + den if p), default=0)
-    if k:
-        num = [p.shifted(-k) for p in num]
-        den = [p.shifted(-k) for p in den]
-    return Lift(level, tuple(num), tuple(den))
+    """The lift over Z[u] with content 1: the common power of u divided out,
+    rational denominators cleared and the integer content divided out."""
+    polys = [*num, *den]
+    k = min((p.val for p in polys if p), default=0)
+    polys = primitive_parts(polys, k)
+    return Lift(level, tuple(polys[: len(num)]), tuple(polys[len(num) :]))
 
 
 def _lift(num: tuple[KScalar, ...], den: tuple[KScalar, ...]) -> Lift:
@@ -333,8 +338,8 @@ def reduce_lift(lift: Lift) -> CoeffReduction:
     d = len(lift.num) - 1
     pivot = next(p for p in lift.den + lift.num if p)
     low = pivot.terms[0][1]
-    hat_num = HomogeneousForm.from_coeffs(d, [p.coeff(0) / low for p in lift.num])
-    hat_den = HomogeneousForm.from_coeffs(d, [p.coeff(0) / low for p in lift.den])
+    hat_num = HomogeneousForm.from_coeffs(d, [qdiv(p.coeff(0), low) for p in lift.num])
+    hat_den = HomogeneousForm.from_coeffs(d, [qdiv(p.coeff(0), low) for p in lift.den])
     h = homogeneous_gcd(hat_num, hat_den)
     qn = hat_num.exact_div(h)
     qd = hat_den.exact_div(h)
@@ -343,7 +348,7 @@ def reduce_lift(lift: Lift) -> CoeffReduction:
     if tilde_degree == 0:
         cn = qn.dehom.coeff(0)
         cd = qd.dehom.coeff(0)
-        image_class = FiniteClass(cn / cd) if cd else INFINITY
+        image_class = FiniteClass(qdiv(cn, cd)) if cd else INFINITY
     return CoeffReduction(
         reduced_num=hat_num,
         reduced_den=hat_den,

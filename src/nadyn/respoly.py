@@ -53,7 +53,7 @@ class HomogeneousForm:
 
     def coeffs(self) -> list[Fraction]:
         out = self.dehom.coeff_list()
-        out += [Fraction(0)] * (self.degree + 1 - len(out))
+        out += [0] * (self.degree + 1 - len(out))
         return out
 
     def monic(self) -> "HomogeneousForm":

@@ -15,7 +15,7 @@ from math import gcd as _int_gcd
 from math import inf
 
 from .errors import LevelCapExceeded
-from .polys import QPoly
+from .polys import QPoly, qdiv
 
 DEFAULT_LEVEL_CAP = 64
 
@@ -77,8 +77,9 @@ class KScalar:
                     den = den.exact_div(g)
             lead = den.leading
             if lead != 1:
-                num = num.scale(1 / lead)
-                den = den.scale(1 / lead)
+                inv = qdiv(1, lead)
+                num = num.scale(inv)
+                den = den.scale(inv)
         else:
             den = QPoly.one()
         self.num = num
@@ -200,7 +201,7 @@ class KScalar:
             return Fraction(0)
         if o < 0:
             return RES_INF
-        return self.num.coeff(0) / self.den.coeff(0)
+        return qdiv(self.num.coeff(0), self.den.coeff(0))
 
     def truncated_below(self, bound: Fraction) -> "KScalar":
         """Laurent expansion truncated to t-exponents strictly below bound.
@@ -231,7 +232,7 @@ class KScalar:
                 if e > j:
                     break
                 s -= c * coeffs[j - e]
-            coeffs.append(s / d0)
+            coeffs.append(qdiv(s, d0))
         terms = [(shift + j, c) for j, c in enumerate(coeffs) if c]
         if not terms:
             return KScalar.zero()

@@ -1,0 +1,234 @@
+"""The exact kernel: coefficient normal form, integer lifts, and a sympy oracle.
+
+sympy is used only here, as an independent reference; nadyn never imports it.
+"""
+
+import random
+from fractions import Fraction
+from math import gcd
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from nadyn import parse_map
+from nadyn.polys import QPoly, primitive_parts, qdiv, rational_roots, squarefree_parts
+from nadyn.redux import _sylvester_det, compose_lifts, conjugate_lift, mobius_lift
+from conftest import rand_unit_mobius
+
+
+def _normal(c) -> bool:
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+def _all_normal(p: QPoly) -> bool:
+    return all(_normal(c) for _, c in p.terms)
+
+
+def _rand_coeff(rng: random.Random, big: bool = False):
+    """An int or a Fraction; some Fractions are integral on purpose."""
+    top = 10**15 if big else 6
+    kind = rng.random()
+    if kind < 0.5:
+        return rng.randint(-top, top)
+    if kind < 0.6:
+        return Fraction(rng.randint(-top, top))
+    return Fraction(rng.randint(-top, top), rng.randint(1, 5))
+
+
+def _rand_poly(rng: random.Random, max_deg: int = 5, big: bool = False) -> QPoly:
+    return QPoly.from_coeffs([_rand_coeff(rng, big) for _ in range(rng.randint(0, max_deg + 1))])
+
+
+# -- coefficient normal form ---------------------------------------------------
+
+_coeffs = st.one_of(
+    st.integers(-(10**20), 10**20),
+    st.integers(-(10**20), 10**20).map(Fraction),
+    st.fractions(max_denominator=50),
+)
+_polys = st.lists(st.tuples(st.integers(0, 8), _coeffs), max_size=6).map(QPoly)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_polys, _polys, _coeffs)
+def test_no_coefficient_is_ever_a_float(a, b, c):
+    results = [a, b, a + b, a - b, -a, a * b, a.derivative(), a.monic(), a.gcd(b), a.scale(c)]
+    if b:
+        results += list(divmod(a, b))
+        results.append((a * b).exact_div(b))
+    for p in results:
+        assert _all_normal(p), p.terms
+    for value in (a.eval(c), a.coeff(0), qdiv(c, 3), qdiv(3, 4), qdiv(4, 2)):
+        assert _normal(value), value
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 8), st.integers(-(10**20), 10**20)), max_size=6))
+def test_fraction_n_builds_the_same_poly_as_n(terms):
+    from_int = QPoly(terms)
+    from_frac = QPoly((e, Fraction(c)) for e, c in terms)
+    assert from_frac == from_int
+    assert hash(from_frac) == hash(from_int)
+    assert from_frac.terms == from_int.terms
+    assert all(type(c) is int for _, c in from_frac.terms)
+    assert from_frac.to_str("z") == from_int.to_str("z")
+
+
+def test_qdiv_is_exact():
+    assert qdiv(6, 3) == 2 and type(qdiv(6, 3)) is int
+    assert qdiv(-6, 4) == Fraction(-3, 2)
+    three = qdiv(Fraction(3, 2), Fraction(1, 2))
+    assert three == 3 and type(three) is int
+    assert qdiv(10**40 + 1, 10**40 + 1) == 1
+    with pytest.raises(ZeroDivisionError):
+        qdiv(1, 0)
+
+
+def test_one_term_exact_div_matches_long_division():
+    rng = random.Random(41)
+    for _ in range(300):
+        a = _rand_poly(rng, 6)
+        k = rng.randint(0, 3)
+        m = QPoly.monomial(k, _rand_coeff(rng) or 1)
+        quotient = (a * m).exact_div(m)
+        assert quotient == a
+        assert quotient == divmod(a * m, m)[0]
+    with pytest.raises(ValueError):
+        QPoly.from_coeffs([1, 1]).exact_div(QPoly.monomial(1, 2))
+
+
+def test_primitive_parts():
+    x = QPoly.x()
+    a = QPoly.from_coeffs([Fraction(1, 2), Fraction(-3, 4)]).shifted(2)
+    b = QPoly.from_coeffs([Fraction(5, 6)]).shifted(3)
+    pa, pb = primitive_parts([a, b], 2)
+    assert pa == QPoly.from_coeffs([6, -9]) and pb == QPoly.from_coeffs([0, 10])
+    # one positive factor: ratios and signs kept
+    assert qdiv(pa.coeff(0), pb.coeff(1)) == qdiv(a.coeff(2), b.coeff(3))
+    four_x, minus_six = x.scale(4), QPoly.monomial(0, -6)
+    assert primitive_parts([four_x, minus_six]) == [x.scale(2), QPoly.monomial(0, -3)]
+    assert primitive_parts([QPoly.zero()]) == [QPoly.zero()]
+
+
+def test_rational_roots_with_large_constant_terms():
+    x = QPoly.x()
+
+    def lin(a, b):  # b*x - a, zero a/b
+        return x.scale(b) - QPoly.monomial(0, a)
+
+    quad = x * x + QPoly.monomial(0, 10**13 + 7)  # no real roots
+    cubic = x * x * x - QPoly.monomial(0, 2)  # one irrational real root
+    p = lin(10**13 + 1, 1) * lin(-(10**15 + 37), 3) * lin(7, 10**12) * quad * cubic
+    expected = [10**13 + 1, Fraction(-(10**15 + 37), 3), Fraction(7, 10**12)]
+    assert rational_roots(p) == sorted(expected)
+    # close roots and repeated roots
+    q = lin(10**13, 1) * lin(10**13 + 1, 1) ** 2 * lin(1, 10**13)
+    assert rational_roots(q.shifted(2)) == [0, Fraction(1, 10**13), 10**13, 10**13 + 1]
+
+
+# -- integer lifts --------------------------------------------------------------
+
+_LIFT_MAPS = [
+    "z^2",
+    "(t*z^2+1)/t",
+    "(z^2/2 + t/3)/(z/5 + 1)",
+    "(3*z^2+z+1)/((2+t)*z^2+z+2+t)",
+    "(z^2+t)/(1+t*z)+1/t",
+    "((z-10000000000001)*(z-1))/(t*z^2+z-10000000000001)",
+    "(2*z^3 + t^(1/2)*z)/(6*z^2 + 4)",
+]
+
+
+def _assert_integer_primitive(lift):
+    entries = [c for p in lift.num + lift.den for _, c in p.terms]
+    assert entries and all(type(c) is int for c in entries)
+    assert gcd(*entries) == 1
+    assert min(p.val for p in lift.num + lift.den if p) == 0
+
+
+def test_lifts_are_primitive_over_z():
+    rng = random.Random(43)
+    for text in _LIFT_MAPS:
+        lift = parse_map(text).lift
+        _assert_integer_primitive(lift)
+        _assert_integer_primitive(compose_lifts(lift, lift))
+        m = mobius_lift(rand_unit_mobius(rng))
+        _assert_integer_primitive(m)
+        _assert_integer_primitive(conjugate_lift(m, lift))
+
+
+# -- sympy oracle -----------------------------------------------------------------
+
+
+def _sym(sympy, p: QPoly, var):
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * var**e for e, c in p.terms)
+    return sympy.Poly(expr, var, domain="QQ")
+
+
+def _from_sym(sympy, poly) -> QPoly:
+    return QPoly((e, Fraction(int(c.p), int(c.q))) for (e,), c in poly.terms())
+
+
+def test_kernel_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(47)
+    for _ in range(150):
+        a, b = _rand_poly(rng), _rand_poly(rng, 4)
+        sa, sb = _sym(sympy, a, x), _sym(sympy, b, x)
+        assert a * b == _from_sym(sympy, sa * sb)
+        assert a.gcd(b) == _from_sym(sympy, sympy.gcd(sa, sb))
+        if b:
+            q, r = divmod(a, b)
+            sq, sr = sympy.div(sa, sb)
+            assert (q, r) == (_from_sym(sympy, sq), _from_sym(sympy, sr))
+
+
+def test_squarefree_parts_and_rational_roots_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(53)
+    for _ in range(80):
+        # products of linear factors with big or small roots and of random
+        # factors of degree 1 to 3, some repeated
+        p = QPoly.one()
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.5:
+                root = _rand_coeff(rng, big=rng.random() < 0.5)
+                factor = QPoly.from_coeffs([-root, 1]).scale(_rand_coeff(rng) or 1)
+            else:
+                factor = QPoly.zero()
+                while factor.degree < 1:
+                    factor = _rand_poly(rng, 3, big=rng.random() < 0.3)
+            p = p * factor ** rng.randint(1, 2)
+        sp = _sym(sympy, p, x)
+        _, factors = sympy.sqf_list(sp)
+        expected = {(_from_sym(sympy, f).monic(), i) for f, i in factors if f.degree() > 0}
+        assert set(squarefree_parts(p)) == expected
+        _, irreducible = sympy.factor_list(sp)
+        roots = sorted(
+            _from_sym(sympy, f).monic().coeff(0) * -1 for f, _ in irreducible if f.degree() == 1
+        )
+        assert rational_roots(p) == roots
+
+
+def _rand_u_poly(rng: random.Random) -> QPoly:
+    return QPoly((rng.randint(0, 3), _rand_coeff(rng)) for _ in range(rng.randint(1, 3)))
+
+
+def test_sylvester_det_matches_sympy_resultant():
+    sympy = pytest.importorskip("sympy")
+    z, u = sympy.symbols("z u")
+    rng = random.Random(59)
+    for _ in range(40):
+        d = rng.randint(1, 3)
+        den = [_rand_u_poly(rng) for _ in range(d + 1)]
+        num = [_rand_u_poly(rng) for _ in range(d + 1)]
+        if not den[-1] or not num[-1]:
+            continue  # the formal degree must be the true degree for sympy
+
+        def zpoly(coeffs):
+            return sum(_sym(sympy, c, u).as_expr() * z**i for i, c in enumerate(coeffs))
+
+        res = sympy.Poly(sympy.resultant(zpoly(den), zpoly(num), z), u, domain="QQ")
+        assert _sylvester_det(tuple(den), tuple(num)) == _from_sym(sympy, res)

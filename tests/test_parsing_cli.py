@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from nadyn import (
     DegenerateMap,
+    DegreeTooHigh,
     FactorClass,
     FiniteClass,
     GAUSS,
@@ -26,7 +27,8 @@ from nadyn import (
     parse_scalar,
     point_str,
 )
-from nadyn.cli import main
+from nadyn.cli import build_parser, main
+from nadyn.parsing import MAX_MAP_DEGREE
 from conftest import CORPUS_SOURCES
 
 
@@ -278,6 +280,123 @@ def test_cli_slope_toward_the_point_itself_is_a_typed_error(capsys):
 def test_cli_usage_error_exit_1(capsys):
     code, _, err = run_cli(capsys, "nosuchverb")
     assert code == 1
+
+
+_VERBS = [
+    "reduce", "depths", "intrinsic", "ordres", "hypres",
+    "slope", "minlocus", "semistable", "equidist", "degcheck",
+]
+_TOP_USAGE = (
+    "usage: nadyn [-h]\n"
+    "             {reduce,depths,intrinsic,ordres,hypres,slope,minlocus,semistable,equidist,degcheck}\n"
+    "             ...\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        ([], _TOP_USAGE + "error: the following arguments are required: verb\n"),
+        (
+            ["bogus"],
+            _TOP_USAGE + "error: argument verb: invalid choice: 'bogus' (choose from "
+            + ", ".join(repr(v) for v in _VERBS) + ")\n",
+        ),
+        (
+            ["reduce"],
+            "usage: nadyn reduce [-h] --map MAP [--point POINT] [--pretty]\n"
+            "error: the following arguments are required: --map\n",
+        ),
+        (
+            ["degcheck", "--n", "0"],
+            "usage: nadyn degcheck [-h] --map MAP [--pretty] --t T [--n N] [--eps EPS]\n"
+            "                      [--hypothesis HYPOTHESIS]\n"
+            "error: argument --n: needs an integer >= 1, got '0'\n",
+        ),
+        (["reduce", "--map", "z^2", "extra"], _TOP_USAGE + "error: unrecognized arguments: extra\n"),
+    ],
+)
+def test_cli_usage_errors_are_pinned(capsys, monkeypatch, argv, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_cli(capsys, *argv) == (1, "", err)
+
+
+@pytest.mark.parametrize("verb", [None, *_VERBS])
+def test_cli_help_matches_the_fully_built_parser(capsys, monkeypatch, verb):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ["-h"] if verb is None else [verb, "-h"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 0
+    assert out == capsys.readouterr().out
+    if verb is None:
+        assert out.startswith(_TOP_USAGE + "\nexact non-archimedean dynamics solver\n")
+    if verb == "reduce":
+        assert out == (
+            "usage: nadyn reduce [-h] --map MAP [--point POINT] [--pretty]\n\n"
+            "options:\n"
+            "  -h, --help     show this help message and exit\n"
+            "  --map MAP\n"
+            "  --point POINT\n"
+            "  --pretty\n"
+        )
+
+
+_BIG_CONSTANT_MAP = "((z-10000000000001)*(z-1))/(t*z^2+z-10000000000001)"
+
+
+@pytest.mark.parametrize(
+    "verb, expected",
+    [
+        (
+            "depths",
+            {
+                "parts": [{"poly": "z - 10000000000001", "multiplicity": 1}],
+                "inf_mult": 0,
+                "deg_h": 1,
+                "classes": [{"class": "finite", "value": "10000000000001/1", "depth": 1}],
+            },
+        ),
+        ("minlocus", None),
+        ("slope", None),
+        ("semistable", {"verdict": "stable"}),
+    ],
+)
+def test_cli_large_constant_terms_answer(capsys, verb, expected):
+    code, out, err = run_cli(capsys, verb, "--map", _BIG_CONSTANT_MAP)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    if expected is not None:
+        assert report == expected
+    if verb == "minlocus":
+        assert report["verdict"] != "unstable"
+    if verb == "slope":
+        row = report["slopes"][0]
+        assert (row["class"], row["value"], row["dep"]) == ("finite", "10000000000001/1", 1)
+        assert all(r["rhs"] == r["measured"] for r in report["slopes"])
+
+
+def test_parse_map_degree_cap():
+    assert parse_map(f"z^{MAX_MAP_DEGREE} + t").degree == MAX_MAP_DEGREE
+    for text in (
+        f"z^{MAX_MAP_DEGREE + 1} + t",
+        "z^1000000000",
+        f"1/z^{MAX_MAP_DEGREE} + 1/(z+1)",
+        f"(z+1)^{MAX_MAP_DEGREE} * z",
+    ):
+        with pytest.raises(DegreeTooHigh):
+            parse_map(text)
+
+
+def test_cli_degree_cap_exits_2(capsys):
+    code, out, _ = run_cli(capsys, "ordres", "--map", "z^50+t")
+    assert code == 2
+    assert json.loads(out) == {
+        "error": f"expression reaches degree {MAX_MAP_DEGREE + 1} in z, cap is {MAX_MAP_DEGREE}",
+        "type": "DegreeTooHigh",
+    }
 
 
 def test_cli_syntax_error_exit_1(capsys):
