@@ -19,6 +19,7 @@ from .errors import (
     OutOfRange,
     ParseError,
     PiecewiseBoundaryUnresolved,
+    PowerTooLarge,
     RootFindingFailed,
     SamePoint,
     SampleCapExceeded,
@@ -26,7 +27,7 @@ from .errors import (
     TotallyInvariantPoint,
 )
 from .polys import QPoly, rational_roots
-from .scalars import KScalar, RES_INF, T, base_change, ord_of, residue
+from .scalars import KScalar, RES_INF, T, ord_of, residue
 from .respoly import (
     DepthDivisor,
     FactorClass,
@@ -57,19 +58,13 @@ from .redux import (
     CoeffReduction,
     IntrinsicReduction,
     RationalMapK,
-    coeff_reduction,
     compose,
     conjugate,
     depth,
     intrinsic_data,
     is_fixed_direction,
     iterate,
-    make_map,
-    minimal_lift,
-    precompose,
-    postcompose,
     reduction_at,
-    sylvester_resultant,
 )
 from .crucial import (
     MinLocusResult,

@@ -23,7 +23,6 @@ from .berkspace import (
     Mobius,
     TowardClass,
     TypeIIPoint,
-    chart,
     direction_toward,
     path_point,
     rho,
@@ -49,8 +48,11 @@ from .respoly import (
 )
 from .redux import (
     IntrinsicReduction,
+    Lift,
     RationalMapK,
+    _inverse_lift,
     chart_conjugate_lift,
+    chart_lift,
     compose_lifts,
     conjugate_lift,
     intrinsic_data,
@@ -99,8 +101,8 @@ def ord_res(phi: RationalMapK, point: TypeIIPoint) -> Fraction:
 
 
 @lru_cache(maxsize=512)
-def _ord_res_gauss(phi: RationalMapK) -> Fraction:
-    return ord_res_of_lift(phi.lift)
+def _ord_res_gauss(lift: Lift) -> Fraction:
+    return ord_res_of_lift(lift)
 
 
 def hyp_res(phi: RationalMapK, point: TypeIIPoint) -> Fraction:
@@ -108,7 +110,7 @@ def hyp_res(phi: RationalMapK, point: TypeIIPoint) -> Fraction:
     d = phi.degree
     if d < 2:
         raise DegreeTooLow("hypRes needs a map of degree >= 2")
-    return (ord_res(phi, point) - _ord_res_gauss(phi)) / (2 * d * (d - 1))
+    return (ord_res(phi, point) - _ord_res_gauss(phi.lift)) / (2 * d * (d - 1))
 
 
 # -- slopes --------------------------------------------------------------------
@@ -226,9 +228,7 @@ def _denominator_bound(phi: RationalMapK, point: TypeIIPoint) -> int:
     """Bound on breakpoint denominators: ord-equalities of finitely many
     coefficient monomials with integer slope spread at most 4d."""
     d = phi.degree
-    level = lcm(point.center.level, point.exponent.denominator)
-    for c in phi.num + phi.den:
-        level = lcm(level, c.level)
+    level = lcm(point.center.level, point.exponent.denominator, phi.lift.level)
     return lcm(*range(1, 4 * d + 1)) * level
 
 
@@ -299,7 +299,7 @@ def _gauss_mass(phi: RationalMapK, probe: TypeIIPoint, cls) -> int:
     to components, so this mass equals the depth of phi . N at the Gauss
     point in the same class.
     """
-    red = reduce_lift(compose_lifts(phi.lift, mobius_lift(chart(probe))))
+    red = reduce_lift(compose_lifts(phi.lift, chart_lift(probe)))
     return depth_at(squarefree_decomposition(red.h), cls)
 
 
@@ -340,17 +340,17 @@ def _wedge_parameter(phi: RationalMapK, point: TypeIIPoint, total: Fraction, dma
     is the constant value of the reduction of phi precomposed with the chart
     of the endpoint, postcomposed with the inverse chart of the probe.
     """
-    phi_m = compose_lifts(phi.lift, mobius_lift(chart(point)))
+    phi_m = compose_lifts(phi.lift, chart_lift(point))
 
     def image_class(tau: Fraction):
         probe = path_point(GAUSS, point, tau)
-        red = reduce_lift(compose_lifts(mobius_lift(chart(probe).inverse()), phi_m))
+        red = reduce_lift(compose_lifts(_inverse_lift(chart_lift(probe)), phi_m))
         if red.fixes_gauss:
             return None  # the image is exactly the probe point
         return red.image_class
 
     toward_gauss = direction_toward(point, GAUSS).cls
-    red_at_point = reduce_lift(compose_lifts(mobius_lift(chart(point).inverse()), phi_m))
+    red_at_point = reduce_lift(compose_lifts(_inverse_lift(chart_lift(point)), phi_m))
     if not red_at_point.fixes_gauss and red_at_point.image_class != toward_gauss:
         return total  # wedge at the point itself
 

@@ -43,6 +43,10 @@ class DegreeTooHigh(NadynError):
     """A parsed map's degree is above the parser's cap."""
 
 
+class PowerTooLarge(NadynError):
+    """An integer power in a parsed expression is above the parser's size caps."""
+
+
 class DegreeTooLow(NadynError):
     """The operation is only defined for maps of degree at least 2."""
 

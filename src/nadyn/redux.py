@@ -1,22 +1,23 @@
 """Rational maps over K: composition, conjugation, reductions, depths.
 
-A map is stored as numerator/denominator coefficient vectors of equal length
-d+1, normalised so the first nonzero coefficient is 1; validity means the
-degree-d homogeneous pair has nonzero resultant.  Each map also has a lift:
-its coefficients times one scalar, so that they lie in Z[u], u = t^(1/N),
-with minimal valuation 0 and integer content 1 (_shift_out divides out the
-common power of u, clears rational denominators and divides out the integer
-content; a common factor in u of positive degree stays).  Products and the
-fraction-free Bareiss determinant of lifts therefore run on ints alone.
-Maps enter as lifts: the parser builds one directly,
-make_map clears the denominators of its scalar vectors, and map_from_lift
-checks the Sylvester determinant and normalises once, through the one
-constructor _from_lift.  Composition, conjugation, reduction and ordRes are
-projective invariants, so they run on lifts with polynomial products only;
-public functions normalise (one GCD per coefficient) only on return.  The
-intrinsic reduction at a type II point reduces the lift of the chart
-conjugate: the GCD form H carries the directionwise depths, and the quotient
-pair is the tangent map (or a constant naming the image direction).
+A map is stored as one lift: numerator and denominator coefficient vectors
+of equal length d+1 in Z[u], u = t^(1/N), of minimal valuation 0 and integer
+content 1 (_shift_out divides out the common power of u, clears rational
+denominators and divides out the integer content; a common factor in u of
+positive degree stays).  Validity means the degree-d homogeneous pair has
+nonzero resultant; map_from_lift checks it once, as the Sylvester
+determinant of the lift.  Products and the fraction-free Bareiss determinant
+of lifts run on ints alone.  Maps enter as lifts: the parser builds one
+directly, and make_map clears the denominators of scalar vectors that come
+from outside.  Composition, conjugation, reduction and ordRes are projective
+invariants, so they run on lifts with polynomial products only, and charts
+are lifted straight from (t^s, a).  The pivot-normalised KScalar vectors
+num/den (every coefficient over the first nonzero entry of den + num) are a
+view derived from the lift on demand, for printing, specialisation and
+projective equality.  The intrinsic reduction at a type II point reduces the
+lift of the chart conjugate: the GCD form H carries the directionwise
+depths, and the quotient pair is the tangent map (or a constant naming the
+image direction).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from functools import cached_property
 from math import lcm
 from typing import NamedTuple
 
-from .berkspace import Direction, Mobius, TowardClass, TypeIIPoint, chart, direction_toward
+from .berkspace import Direction, Mobius, TowardClass, TypeIIPoint, direction_toward
 from .errors import AmbiguousClass, DegenerateMap, DegreeTooLow, IterationCapExceeded
 from .errors import LevelCapExceeded
 from .polys import QPoly, primitive_parts, qdiv
@@ -48,28 +49,49 @@ ITERATION_CAP = 4096
 
 
 class Lift(NamedTuple):
-    """Coefficients num[i], den[i] in Z[u], t = u^level, of minimal valuation 0
-    and integer content 1 (built by _shift_out)."""
+    """Coefficients num[i], den[i] in Q[u], t = u^level, of one map or Mobius
+    matrix up to a common scalar.  A map's stored lift is _shift_out output:
+    coefficients in Z[u], minimal valuation 0, integer content 1."""
 
     level: int
     num: tuple[QPoly, ...]
     den: tuple[QPoly, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RationalMapK:
-    """phi(z) = sum(num[i] z^i) / sum(den[i] z^i), genuinely of this degree."""
+    """phi(z) = sum(num[i] z^i) / sum(den[i] z^i), genuinely of this degree.
 
-    num: tuple[KScalar, ...]
-    den: tuple[KScalar, ...]
+    The one stored form is the lift (_shift_out output).  num and den are the
+    pivot-normalised KScalar view of it, built on first use; equality and
+    hashing compare views, so they are projective.
+    """
+
+    lift: Lift
 
     @property
     def degree(self) -> int:
-        return len(self.num) - 1
+        return len(self.lift.num) - 1
 
     @cached_property
-    def lift(self) -> Lift:
-        return _lift(self.num, self.den)
+    def _view(self) -> tuple[tuple[KScalar, ...], tuple[KScalar, ...]]:
+        return _normalised(self.lift)
+
+    @property
+    def num(self) -> tuple[KScalar, ...]:
+        return self._view[0]
+
+    @property
+    def den(self) -> tuple[KScalar, ...]:
+        return self._view[1]
+
+    def __eq__(self, other):
+        if not isinstance(other, RationalMapK):
+            return NotImplemented
+        return self._view == other._view
+
+    def __hash__(self):
+        return hash(self._view)
 
     def __repr__(self):
         from .parsing import map_str
@@ -151,10 +173,10 @@ def make_map(num, den) -> RationalMapK:
 
 
 def map_from_lift(lift: Lift) -> RationalMapK:
-    """Validate a lift (nonzero resultant) and build its normalised map."""
+    """Validate a lift of _shift_out form (nonzero resultant) and wrap it."""
     if _sylvester_det(lift.den, lift.num).is_zero:
         raise DegenerateMap("coefficient pair has zero resultant")
-    return _from_lift(lift)
+    return RationalMapK(lift)
 
 
 # -- lifts: one representative over Q[u] ------------------------------------------
@@ -233,6 +255,22 @@ def mobius_lift(m: Mobius) -> Lift:
     return _lift((m.b, m.a), (m.d, m.c))
 
 
+def chart_lift(point: TypeIIPoint) -> Lift:
+    """Lift of the canonical chart w -> t^s*w + a, built from (t^s, a).
+
+    The centre a is a Laurent polynomial u^(-k) * A(u), so clearing needs
+    only a power of u; the result equals mobius_lift(chart(point)).
+    """
+    a = point.center
+    level = lcm(a.level, point.exponent.denominator)
+    e = int(point.exponent * level)
+    a = a.with_level(level)
+    k = a.den.degree  # a.den is the monic monomial u^k
+    m = max(k, -e)
+    num = (a.num.shifted(m - k), QPoly.monomial(e + m))
+    return _shift_out(level, num, (QPoly.monomial(m), QPoly.zero()))
+
+
 def _inverse_lift(m: Lift) -> Lift:
     # projective inverse (d*w - b)/(-c*w + a)
     (b, a), (d, c) = m.num, m.den
@@ -248,17 +286,17 @@ def chart_conjugate_lift(lift: Lift, point: TypeIIPoint) -> Lift:
     """Lift of the conjugate of the map by the canonical chart of the point."""
     if point.exponent == 0 and point.center.is_zero:
         return lift  # the chart of the Gauss point is the identity
-    return conjugate_lift(mobius_lift(chart(point)), lift)
+    return conjugate_lift(chart_lift(point), lift)
 
 
-def _from_lift(lift: Lift, minimal: bool = False) -> RationalMapK:
-    """The normalised map of a lift: every coefficient over the pivot, the
+def _normalised(lift: Lift, minimal: bool = False):
+    """The KScalar view of a lift: every coefficient over the pivot, the
     first nonzero entry of den + num; times a unit-making power of u if minimal."""
     pivot = next(p for p in lift.den + lift.num if p)
     scale = QPoly.monomial(pivot.val if minimal else 0)
     num = tuple(KScalar(p * scale, pivot, lift.level) for p in lift.num)
     den = tuple(KScalar(p * scale, pivot, lift.level) for p in lift.den)
-    return RationalMapK(num, den)
+    return num, den
 
 
 def ord_res_of_lift(lift: Lift) -> Fraction:
@@ -276,7 +314,7 @@ def check_iteration_cap(d: int, n: int, cap: int = ITERATION_CAP) -> None:
 
 def compose(outer: RationalMapK, inner: RationalMapK) -> RationalMapK:
     """outer after inner; the degree multiplies and no revalidation is needed."""
-    return _from_lift(compose_lifts(outer.lift, inner.lift))
+    return RationalMapK(compose_lifts(outer.lift, inner.lift))
 
 
 def iterate(phi: RationalMapK, n: int, cap: int = ITERATION_CAP) -> RationalMapK:
@@ -287,28 +325,27 @@ def iterate(phi: RationalMapK, n: int, cap: int = ITERATION_CAP) -> RationalMapK
     lift = phi.lift
     for _ in range(n - 1):
         lift = compose_lifts(phi.lift, lift)
-    return phi if n == 1 else _from_lift(lift)
+    return phi if n == 1 else RationalMapK(lift)
 
 
 def precompose(phi: RationalMapK, m: Mobius) -> RationalMapK:
     """phi after the Mobius map (substitution on the source side)."""
-    return _from_lift(compose_lifts(phi.lift, mobius_lift(m)))
+    return RationalMapK(compose_lifts(phi.lift, mobius_lift(m)))
 
 
 def postcompose(m: Mobius, phi: RationalMapK) -> RationalMapK:
     """The Mobius map after phi (linear combination on the value side)."""
-    return _from_lift(compose_lifts(mobius_lift(m), phi.lift))
+    return RationalMapK(compose_lifts(mobius_lift(m), phi.lift))
 
 
 def conjugate(m: Mobius, phi: RationalMapK) -> RationalMapK:
     """Exact coefficients of m^(-1) . phi . m; the degree is preserved."""
-    return _from_lift(conjugate_lift(mobius_lift(m), phi.lift))
+    return RationalMapK(conjugate_lift(mobius_lift(m), phi.lift))
 
 
 def minimal_lift(phi: RationalMapK) -> tuple[tuple[KScalar, ...], tuple[KScalar, ...]]:
     """Scale the coefficient pair so all entries are integral, one a unit."""
-    lifted = _from_lift(phi.lift, minimal=True)
-    return lifted.num, lifted.den
+    return _normalised(phi.lift, minimal=True)
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,10 @@ from nadyn import (
     Mobius,
     QPoly,
     TypeIIPoint,
-    make_map,
     parse_map,
     parse_point,
 )
+from nadyn.redux import make_map
 
 CORPUS_SOURCES = ["z^2", "t*z^2", "(t*z^2+1)/t", "(z^2-t)/z", "z^2+t"]
 POINT_SOURCES = ["gauss", "a=0;s=1/2", "a=0;s=-1/2", "a=0;s=1", "a=0;s=-1", "a=1;s=1"]

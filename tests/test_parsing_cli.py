@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from nadyn import (
     KScalar,
     LevelCapExceeded,
     ParseError,
+    PowerTooLarge,
     TowardClass,
     class_str,
     map_str,
@@ -28,7 +30,8 @@ from nadyn import (
     point_str,
 )
 from nadyn.cli import build_parser, main
-from nadyn.parsing import MAX_MAP_DEGREE
+from nadyn.parsing import MAX_MAP_DEGREE, _Parser, _mul, _power, _scalar
+from nadyn.polys import QPoly
 from conftest import CORPUS_SOURCES
 
 
@@ -397,6 +400,36 @@ def test_cli_degree_cap_exits_2(capsys):
         "error": f"expression reaches degree {MAX_MAP_DEGREE + 1} in z, cap is {MAX_MAP_DEGREE}",
         "type": "DegreeTooHigh",
     }
+
+
+def test_power_by_squaring_equals_repeated_products():
+    cases = [("1+t", 13), ("z+1/(2-t)", 7), ("(z^2-t)/(3*z+1)", 5), ("t^(1/2)+z", 6), ("2/t", 9), ("z", 0)]
+    for text, n in cases:
+        base = _Parser(text, allow_z=True).parse()
+        product = _scalar(QPoly.one())
+        for _ in range(n):
+            product = _mul(product, base)
+        assert _power(base, n) == product, text
+
+
+def test_power_caps():
+    # the degree cap names the degree that successive products reach first
+    for text, degree in [("(z^2+1)^17", 34), ("(z^3+t)^-11", 33), ("(z^5/(z+1))^7", 35)]:
+        with pytest.raises(DegreeTooHigh, match=f"reaches degree {degree} in z"):
+            parse_map(text)
+    for ok, too_large in [("(1+t)^80", "(1+t)^81"), ("t^400", "t^401"), ("2^-200", "2^-201")]:
+        parse_map(f"z^2 + {ok}")
+        with pytest.raises(PowerTooLarge):
+            parse_map(f"z^2 + {too_large}")
+
+
+@pytest.mark.parametrize("text", ["z^2+t^1000000000", "z^2+(1+t)^1000000000", "z^2+2^1000000000"])
+def test_cli_huge_power_exits_2_at_once(capsys, text):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "ordres", "--map", text)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert json.loads(out)["type"] == "PowerTooLarge"
 
 
 def test_cli_syntax_error_exit_1(capsys):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import nadyn.redux
 from nadyn import (
     DegenerateMap,
     Direction,
@@ -14,24 +15,35 @@ from nadyn import (
     Mobius,
     TypeIIPoint,
     chart,
-    coeff_reduction,
     compose,
     conjugate,
     depth,
+    depth_sequence,
+    hyp_res,
+    hyp_res_direct,
     intrinsic_data,
     is_fixed_direction,
     iterate,
-    make_map,
-    minimal_lift,
+    min_locus,
     ord_of,
     ord_res,
     ord_res_for_chart,
     parse_map,
     parse_point,
     reduction_at,
+)
+from nadyn.polys import QPoly
+from nadyn.redux import (
+    RationalMapK,
+    _shift_out,
+    chart_lift,
+    coeff_reduction,
+    intrinsic_from_reduction,
+    make_map,
+    minimal_lift,
+    mobius_lift,
     sylvester_resultant,
 )
-from nadyn.redux import RationalMapK, intrinsic_from_reduction
 from conftest import rand_map, rand_point, rand_unit_mobius
 
 Z2 = parse_map("z^2")
@@ -251,8 +263,14 @@ def _reference_reduction(phi, m):
 
 
 def _rescaled(phi, factor):
-    # a non-normalised representative of the same projective map
-    return RationalMapK(tuple(c * factor for c in phi.num), tuple(c * factor for c in phi.den))
+    """The same projective map stored as another lift: phi's lift times a
+    polynomial factor in t, brought to _shift_out form."""
+    lift = phi.lift
+    f = factor.with_level(lift.level)
+    assert f.den == QPoly.one()
+    num = [p * f.num for p in lift.num]
+    den = [p * f.num for p in lift.den]
+    return RationalMapK(_shift_out(lift.level, num, den))
 
 
 def test_lift_route_matches_scalar_route_and_ignores_the_representative():
@@ -264,8 +282,11 @@ def test_lift_route_matches_scalar_route_and_ignores_the_representative():
         point = rand_point(rng) if k else TypeIIPoint(KScalar.t_power(-1), 0)
         m = chart(point)
         u = rand_unit_mobius(rng)
-        c = KScalar.from_rational(Fraction(rng.choice([-3, -1, 2, 5]), rng.choice([1, 2, 7])))
-        factors = [c * KScalar.t_power(rng.randint(-3, 3)), one_plus_t, c * one_plus_t]
+        q = Fraction(rng.choice([-3, -1, 2, 5]), rng.choice([1, 2, 7]))
+        c = KScalar.from_rational(q)
+        monomial = c * KScalar.t_power(rng.randint(-3, 3))
+        # _shift_out removes a monomial factor up to sign, so these leave a different lift
+        factors = [one_plus_t, c * one_plus_t, KScalar.from_rational(-abs(q))]
         red = reduction_at(phi, point)
         info = intrinsic_data(phi, point)
         old = coeff_reduction(conjugate(m, phi))
@@ -279,11 +300,46 @@ def test_lift_route_matches_scalar_route_and_ignores_the_representative():
             # ordRes does not see a unit matrix after the chart (on a few maps
             # only: with a unit matrix the Sylvester determinants get large)
             assert ord_res_for_chart(_rescaled(phi, rng.choice(factors)), m @ u) == ordres
-        for factor in factors:
-            psi = _rescaled(phi, factor)
-            assert psi == psi and psi != phi
+        rescaled = [_rescaled(phi, factor) for factor in factors]
+        for psi in rescaled:
+            assert psi.lift != phi.lift
+            assert psi == phi and hash(psi) == hash(phi)
+        # scalar vectors from outside, times a monomial, come back as phi
+        by_scalars = make_map([x * monomial for x in phi.num], [x * monomial for x in phi.den])
+        assert by_scalars == phi
+        for psi in rescaled + [by_scalars]:
             assert coeff_reduction(psi) == coeff_reduction(phi)
             assert reduction_at(psi, point) == red
             assert intrinsic_data(psi, point) == info
             assert ord_res(psi, point) == ordres
             assert conjugate(m, psi) == conjugate(m, phi)
+
+
+def test_chart_lift_is_the_lift_of_the_chart():
+    rng = random.Random(57)
+    points = [GAUSS, TypeIIPoint(KScalar.t_power(-1), 0), TypeIIPoint(KScalar.t_power(-3), Fraction(-5, 2))]
+    for point in points + [rand_point(rng) for _ in range(40)]:
+        assert chart_lift(point) == mobius_lift(chart(point))
+
+
+@pytest.mark.parametrize(
+    "text, point",
+    [
+        ("(t*z^2+1)/t", "a=1;s=1"),
+        # a coefficient with a denominator that is not a power of t
+        ("((1/2/t^2)*z^2 + (-1/t/(t^2 + 1)))/((-1/2)*z^2 + (-3/t^2))", "a=0;s=1"),
+    ],
+)
+def test_parsed_maps_never_rebuild_a_lift_from_scalars(monkeypatch, text, point):
+    def refuse(*args):
+        raise AssertionError("a lift was rebuilt from KScalar coefficients")
+
+    monkeypatch.setattr(nadyn.redux, "_cleared_vector", refuse)
+    phi = parse_map(text)
+    xi = parse_point(point)
+    hyp_res(phi, xi)
+    hyp_res_direct(phi, xi)
+    min_locus(phi)
+    reduction_at(phi, xi)
+    intrinsic_data(phi, xi)
+    depth_sequence(phi, xi, 3)

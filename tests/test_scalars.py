@@ -8,11 +8,11 @@ from nadyn import (
     KScalar,
     LevelCapExceeded,
     RES_INF,
-    base_change,
     ord_of,
     parse_scalar,
     residue,
 )
+from nadyn.scalars import base_change
 from conftest import rand_integral_scalar, rand_scalar
 
 
