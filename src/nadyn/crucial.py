@@ -2,11 +2,22 @@
 
 ordRes is the t-adic valuation of the Sylvester resultant of a minimal lift
 of the chart conjugate; hypRes is its affine renormalisation vanishing at the
-Gauss point.  Slopes along directions come from two independent routes: the
-reduction-theoretic formula (depth and fixedness of the direction) and exact
-one-sided difference quotients, which agree by convexity as soon as two
-dyadic quotients coincide.  A third, fully geometric evaluation integrates
-pullback masses along the segment from the Gauss point.
+Gauss point.  On each ray s -> xi_{a,s} from a centre a, ordRes has a closed
+form read off the Taylor shift of the map's lift at a (redux.ray): with
+v_j = ord T_j(P - aQ)(a) and w_j = ord T_j(Q)(a),
+
+    ordRes(xi_{a,s}) = ordRes(Gauss) + (d^2 + d) s
+                       - 2d min_j min(v_j + j s, w_j + (j + 1) s),
+
+an affine term minus 2d times a min of affine pieces (Rumely, "The minimal
+resultant locus", 2015).  The Sylvester determinant is taken once per map, at
+the Gauss point.  Descent along the minimum locus steps exactly to the first
+breakpoint of that min.  Slopes along directions come from two independent
+routes: the reduction-theoretic formula (depth and fixedness of the
+direction) and exact one-sided difference quotients, which agree by
+convexity as soon as two dyadic quotients coincide.  A third, fully
+geometric evaluation integrates pullback masses along the segment from the
+Gauss point.
 """
 
 from __future__ import annotations
@@ -50,16 +61,19 @@ from .redux import (
     IntrinsicReduction,
     Lift,
     RationalMapK,
+    _fixes_class,
     _inverse_lift,
-    chart_conjugate_lift,
+    _resolve_class,
     chart_lift,
     compose_lifts,
     conjugate_lift,
     intrinsic_data,
     mobius_lift,
     ord_res_of_lift,
+    ray,
     reduce_lift,
 )
+from .scalars import KScalar
 
 _MAX_DESCENT_STEPS = 1000
 _MAX_BISECT_DEPTH = 200
@@ -96,8 +110,11 @@ def ord_res_for_chart(phi: RationalMapK, m: Mobius) -> Fraction:
 
 
 def ord_res(phi: RationalMapK, point: TypeIIPoint) -> Fraction:
-    """The resultant function at a type II point, in t-units."""
-    return ord_res_of_lift(chart_conjugate_lift(phi.lift, point))
+    """The resultant function at a type II point, in t-units, in closed form
+    on the ray at the point's centre."""
+    d, s = phi.degree, point.exponent
+    low = min(alpha + m * s for alpha, m in ray(phi.lift, point.center).pieces)
+    return _ord_res_gauss(phi.lift) + (d * d + d) * s - 2 * d * low
 
 
 @lru_cache(maxsize=512)
@@ -123,10 +140,10 @@ def _rhs_value(d: int, dep: int, fixed: bool) -> Fraction:
 
 def slope_rhs(phi: RationalMapK, point: TypeIIPoint, direction: Direction) -> SlopeReport:
     """Reduction-theoretic slope of hypRes along a direction."""
-    from .redux import depth, is_fixed_direction
-
-    dep = depth(phi, point, direction)
-    fixed = is_fixed_direction(phi, point, direction)
+    cls = _resolve_class(phi, point, direction)
+    info = intrinsic_data(phi, point)
+    dep = depth_at(info.depths, cls)
+    fixed = _fixes_class(info, cls)
     return SlopeReport(direction, dep, fixed, _rhs_value(phi.degree, dep, fixed))
 
 
@@ -252,46 +269,6 @@ def _snap_unique(lo, hi, incl_lo, incl_hi, dmax):
     return cut
 
 
-def _affine_reach(phi, point, cls, sigma, dmax):
-    """Largest step along cls on which hypRes stays affine with slope sigma."""
-    base = hyp_res(phi, point)
-
-    def affine(h):
-        return hyp_res(phi, step_into(point, cls, h)) == base + sigma * h
-
-    lo = Fraction(1)
-    if affine(lo):
-        hi = 2 * lo
-        for _ in range(64):
-            if not affine(hi):
-                break
-            lo, hi = hi, 2 * hi
-        else:
-            raise BreakpointUnresolved("descent ray stayed affine past the cap")
-    else:
-        hi = lo
-        for _ in range(64):
-            lo = hi / 2
-            if affine(lo):
-                break
-            hi = lo
-        else:
-            raise PiecewiseBoundaryUnresolved("no affine initial segment found")
-    # the kink is in [lo, hi)
-    for _ in range(_MAX_BISECT_DEPTH):
-        reach = _snap_unique(lo, hi, True, False, dmax)
-        if reach is not None:
-            if reach != lo and not affine(reach):
-                raise BreakpointUnresolved("snapped kink failed certification")
-            return reach
-        mid = (lo + hi) / 2
-        if affine(mid):
-            lo = mid
-        else:
-            hi = mid
-    raise BreakpointUnresolved(f"kink not isolated at denominator bound {dmax}")
-
-
 def _gauss_mass(phi: RationalMapK, probe: TypeIIPoint, cls) -> int:
     """Mass of (phi^* delta_gauss) on the component of the class at the probe.
 
@@ -407,12 +384,37 @@ def hyp_res_direct(phi: RationalMapK, point: TypeIIPoint) -> Fraction:
 # -- the minimum locus -----------------------------------------------------------
 
 
+def _descent_step(phi: RationalMapK, point: TypeIIPoint, cls, sigma: Fraction) -> Fraction:
+    """Distance along a rational class to the next kink of hypRes.
+
+    The class is a ray from a centre: a + c*t^s with s rising for the class
+    c, a with s falling for infinity.  In x = +-s along it every piece
+    alpha + m*s of the closed form is affine in x, and the kink is the first
+    crossing of the active piece by one of smaller slope.
+    """
+    d, s = phi.degree, point.exponent
+    if isinstance(cls, InfinityClass):
+        center, sign = point.center, -1
+    else:
+        center, sign = point.center + KScalar.from_rational(cls.value) * KScalar.t_power(s), 1
+    pieces = [(alpha, sign * m) for alpha, m in ray(phi.lift, center).pieces]
+    x = sign * s
+    low = min(alpha + m * x for alpha, m in pieces)
+    alpha0, m0 = min(((alpha, m) for alpha, m in pieces if alpha + m * x == low), key=lambda p: p[1])
+    if Fraction(sign * (d + 1) - 2 * m0, 2 * (d - 1)) != sigma:
+        raise AssertionError("closed-form slope disagrees with the depth formula")
+    crossings = [(alpha - alpha0) / (m0 - m) for alpha, m in pieces if m < m0]
+    if not crossings:
+        raise AssertionError("descent ray has no breakpoint")
+    return min(crossings) - x
+
+
 def min_locus(phi: RationalMapK, start: TypeIIPoint = GAUSS) -> MinLocusResult:
     """Descend hypRes from the start point to its minimum locus.
 
     By convexity there is at most one descending direction per point; the
-    step to the next kink is found by doubling and exact bisection on the
-    piecewise-affine restriction.
+    step to the next kink is the exact first breakpoint of the closed form
+    of ordRes on the ray along that direction.
     """
     d = phi.degree
     point = start
@@ -429,8 +431,7 @@ def min_locus(phi: RationalMapK, start: TypeIIPoint = GAUSS) -> MinLocusResult:
             raise NeedsExtension(
                 f"descending direction is the irrational class {cls.poly.to_str('z')}"
             )
-        dmax = _denominator_bound(phi, point)
-        step = _affine_reach(phi, point, cls, sigma, dmax)
+        step = _descent_step(phi, point, cls, sigma)
         trail.append((point, cls, step))
         point = step_into(point, cls, step)
     else:

@@ -31,8 +31,9 @@ from .respoly import FactorClass, FiniteClass, InfinityClass, INFINITY
 from .redux import Lift, RationalMapK, _common_level, _shift_out, _zpoly_mul, map_from_lift
 from .scalars import KScalar, K_ONE, level_cap
 
-# parse_map validates a degree-d map by a 2d x 2d Bareiss determinant over
-# Z[u]: degree 32 takes about 0.3 s (2-core VM, Python 3.11.7)
+# The Sylvester determinant of a degree-d map is a 2d x 2d Bareiss
+# determinant over Z[u], taken once per map for ordRes at the Gauss point:
+# degree 32 takes about 0.3 s (2-core VM, Python 3.11.7)
 MAX_MAP_DEGREE = 32
 
 # Caps on an integer power ^n of a base of degree D in z, checked before any
@@ -44,6 +45,9 @@ MAX_MAP_DEGREE = 32
 # z^2 + t^400 and z^2 + 2^200 in under 0.1 s (2-core VM, Python 3.11.7).
 MAX_POWER_TERMS = 80
 MAX_POWER_BITS = 400
+
+# CPython converts at most 4300 decimal digits with int() by default
+MAX_LITERAL_DIGITS = 4300
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_]+)|(\^|\+|\-|\*|/|\(|\)))")
 
@@ -58,6 +62,11 @@ def _tokenize(text: str):
                 raise ParseError(f"unexpected character {text[pos]!r}", pos)
             break
         if m.group(1):
+            if len(m.group(1)) > MAX_LITERAL_DIGITS:
+                raise ParseError(
+                    f"integer literal of {len(m.group(1))} digits exceeds {MAX_LITERAL_DIGITS} digits",
+                    m.start(1),
+                )
             tokens.append(("int", int(m.group(1)), pos))
         elif m.group(2):
             tokens.append(("name", m.group(2), pos))

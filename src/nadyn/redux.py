@@ -5,9 +5,10 @@ of equal length d+1 in Z[u], u = t^(1/N), of minimal valuation 0 and integer
 content 1 (_shift_out divides out the common power of u, clears rational
 denominators and divides out the integer content; a common factor in u of
 positive degree stays).  Validity means the degree-d homogeneous pair has
-nonzero resultant; map_from_lift checks it once, as the Sylvester
-determinant of the lift.  Products and the fraction-free Bareiss determinant
-of lifts run on ints alone.  Maps enter as lifts: the parser builds one
+nonzero resultant; map_from_lift checks it once, by the Sylvester
+determinant at one integer u modulo one prime, and only when that vanishes
+by the exact determinant of the lift.  Products and the fraction-free
+Bareiss determinant of lifts run on ints alone.  Maps enter as lifts: the parser builds one
 directly, and make_map clears the denominators of scalar vectors that come
 from outside.  Composition, conjugation, reduction and ordRes are projective
 invariants, so they run on lifts with polynomial products only, and charts
@@ -17,14 +18,16 @@ view derived from the lift on demand, for printing, specialisation and
 projective equality.  The intrinsic reduction at a type II point reduces the
 lift of the chart conjugate: the GCD form H carries the directionwise
 depths, and the quotient pair is the tangent map (or a constant naming the
-image direction).
+image direction).  The chart conjugate at xi_{a,s} is read off the ray at
+a, the Taylor shift of the lift at a (one per lift and centre, cached), by
+scaling its coefficients with powers of t^s; no composition is needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import lcm
 from typing import NamedTuple
 
@@ -46,6 +49,11 @@ from .respoly import (
 from .scalars import HARD_LEVEL_CAP, KScalar
 
 ITERATION_CAP = 4096
+
+# map_from_lift evaluates the Sylvester matrix at u = _CHECK_U modulo the
+# prime _CHECK_P before it takes the exact determinant.
+_CHECK_P = 2**61 - 1
+_CHECK_U = 1009
 
 
 class Lift(NamedTuple):
@@ -127,10 +135,9 @@ def _bareiss_det(mat: list[list[QPoly]]) -> QPoly:
     return -det if sign < 0 else det
 
 
-def _sylvester_det(den: tuple[QPoly, ...], num: tuple[QPoly, ...]) -> QPoly:
-    """Determinant of the 2d x 2d Sylvester matrix of a polynomial pair."""
+def _sylvester_rows(den, num, zero) -> list[list]:
+    """The 2d x 2d Sylvester matrix of a polynomial pair given by coefficients."""
     d = len(den) - 1
-    zero = QPoly.zero()
     rows = []
     for source in (den, num):
         for k in range(d):
@@ -138,7 +145,12 @@ def _sylvester_det(den: tuple[QPoly, ...], num: tuple[QPoly, ...]) -> QPoly:
             for j in range(d + 1):
                 row[k + j] = source[d - j]
             rows.append(row)
-    return _bareiss_det(rows)
+    return rows
+
+
+def _sylvester_det(den: tuple[QPoly, ...], num: tuple[QPoly, ...]) -> QPoly:
+    """Determinant of the 2d x 2d Sylvester matrix of a polynomial pair."""
+    return _bareiss_det(_sylvester_rows(den, num, QPoly.zero()))
 
 
 def _cleared_vector(coeffs: tuple[KScalar, ...], level: int):
@@ -172,9 +184,37 @@ def make_map(num, den) -> RationalMapK:
     return map_from_lift(_lift(num, den))
 
 
+def _resultant_certified(lift: Lift) -> bool:
+    """Whether the Sylvester determinant of an integer lift is nonzero at
+    u = _CHECK_U modulo the prime _CHECK_P, which proves it nonzero over Z[u]."""
+    values = []
+    for p in lift.den + lift.num:
+        if any(c.__class__ is not int for _, c in p.terms):
+            return False
+        values.append(sum(c * pow(_CHECK_U, e, _CHECK_P) for e, c in p.terms) % _CHECK_P)
+    d = len(lift.den) - 1
+    rows = _sylvester_rows(values[: d + 1], values[d + 1 :], 0)
+    n = len(rows)
+    for k in range(n):
+        swap = next((r for r in range(k, n) if rows[r][k]), None)
+        if swap is None:
+            return False
+        rows[k], rows[swap] = rows[swap], rows[k]
+        inv = pow(rows[k][k], -1, _CHECK_P)
+        for i in range(k + 1, n):
+            f = rows[i][k] * inv % _CHECK_P
+            if f:
+                rows[i] = [(x - f * y) % _CHECK_P for x, y in zip(rows[i], rows[k])]
+    return True
+
+
 def map_from_lift(lift: Lift) -> RationalMapK:
-    """Validate a lift of _shift_out form (nonzero resultant) and wrap it."""
-    if _sylvester_det(lift.den, lift.num).is_zero:
+    """Validate a lift of _shift_out form (nonzero resultant) and wrap it.
+
+    The modular check certifies almost every valid map at once; only when it
+    cannot does the exact determinant over Z[u] decide.
+    """
+    if not _resultant_certified(lift) and _sylvester_det(lift.den, lift.num).is_zero:
         raise DegenerateMap("coefficient pair has zero resultant")
     return RationalMapK(lift)
 
@@ -282,11 +322,84 @@ def conjugate_lift(m: Lift, lift: Lift) -> Lift:
     return compose_lifts(_inverse_lift(m), compose_lifts(lift, m))
 
 
+class Ray(NamedTuple):
+    """The Taylor shift of a map's lift P/Q at a centre a = A/B, B = D*u^k.
+
+    lift.num[j] = B^(d+1) T_j(P - aQ)(a) and lift.den[j] = B^(d+1) T_j(Q)(a)
+    in Z[u], T_j the j-th Taylor coefficient.  Up to the common factor
+    B^(d+1), the chart conjugate at xi_{a,s} has numerator coefficients
+    t^(js) lift.num[j] and denominator coefficients t^((j+1)s) lift.den[j].
+    pieces lists (alpha, m), one per slope m, with alpha the least ord in
+    t-units of T_j(P - aQ)(a) for j = m and of T_j(Q)(a) for j = m - 1, so
+    that the least ord of a coefficient of the chart conjugate is
+    min(alpha + m*s) over the pieces.
+    """
+
+    lift: Lift
+    pieces: tuple[tuple[Fraction, int], ...]
+
+
+def _taylor_shift(coeffs: list[QPoly], a: QPoly) -> list[QPoly]:
+    """Coefficients in z of sum(coeffs[i] * (z + a)^i)."""
+    c = list(coeffs)
+    n = len(c) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            if c[j + 1]:
+                c[j] = c[j] + a * c[j + 1]
+    return c
+
+
+@lru_cache(maxsize=512)
+def ray(lift: Lift, center: KScalar) -> Ray:
+    """The ray of the map's lift from a Laurent-polynomial centre.
+
+    Entry i is scaled by B^(d-i) before the Taylor shift at A, which keeps
+    all the work in Z[u].
+    """
+    level = lcm(lift.level, center.level)
+    lift = _at_level(lift, level)
+    d = len(lift.num) - 1
+    num, den = list(lift.num), list(lift.den)
+    k = 0
+    if not center.is_zero:
+        a = center.with_level(level)
+        k = a.den.val  # a.den is the monic monomial u^k
+        scale = lcm(*(c.denominator for _, c in a.num.terms))
+        big_a = a.num.scale(scale)
+
+        def times_b(p: QPoly, m: int) -> QPoly:
+            if scale != 1:
+                p = p.scale(scale**m)
+            return p.shifted(k * m)
+
+        num = [times_b(times_b(p, 1) - big_a * q, d - i) for i, (p, q) in enumerate(zip(num, den))]
+        den = [times_b(q, d + 1 - i) for i, q in enumerate(den)]
+        num = [times_b(p, j) for j, p in enumerate(_taylor_shift(num, big_a))]
+        den = [times_b(q, j) for j, q in enumerate(_taylor_shift(den, big_a))]
+    low: dict[int, int] = {}
+    for j in range(d + 1):
+        for p, m in ((num[j], j), (den[j], j + 1)):
+            if p and (m not in low or p.val < low[m]):
+                low[m] = p.val
+    offset = k * (d + 1)
+    pieces = tuple((Fraction(v - offset, level), m) for m, v in sorted(low.items()))
+    return Ray(Lift(level, tuple(num), tuple(den)), pieces)
+
+
 def chart_conjugate_lift(lift: Lift, point: TypeIIPoint) -> Lift:
-    """Lift of the conjugate of the map by the canonical chart of the point."""
+    """Lift of the conjugate of the map by the canonical chart of the point:
+    the ray at the point's centre with entry j of num scaled by t^(js) and
+    entry j of den by t^((j+1)s)."""
     if point.exponent == 0 and point.center.is_zero:
         return lift  # the chart of the Gauss point is the identity
-    return conjugate_lift(chart_lift(point), lift)
+    r = ray(lift, point.center).lift
+    r = _at_level(r, lcm(r.level, point.exponent.denominator))
+    e = int(point.exponent * r.level)
+    base = min(0, len(r.num) * e)  # keeps every exponent nonnegative
+    num = [p.shifted(j * e - base) for j, p in enumerate(r.num)]
+    den = [q.shifted((j + 1) * e - base) for j, q in enumerate(r.den)]
+    return _shift_out(r.level, num, den)
 
 
 def _normalised(lift: Lift, minimal: bool = False):
@@ -485,7 +598,10 @@ def _tangent_fixes(info: IntrinsicReduction, cls) -> bool:
 def is_fixed_direction(phi: RationalMapK, point: TypeIIPoint, direction: Direction) -> bool:
     """Whether the intrinsic reduction maps the direction to itself."""
     cls = _resolve_class(phi, point, direction)
-    info = intrinsic_data(phi, point)
+    return _fixes_class(intrinsic_data(phi, point), cls)
+
+
+def _fixes_class(info: IntrinsicReduction, cls) -> bool:
     if info.fixes_point:
         return _tangent_fixes(info, cls)
     image = info.image_direction

@@ -77,6 +77,19 @@ def rand_point(rng: random.Random) -> TypeIIPoint:
     return TypeIIPoint(rng.choice(centers), s)
 
 
+def rand_laurent_point(rng: random.Random) -> TypeIIPoint:
+    """Random type II point: a Laurent-polynomial centre at level 1-3, of any
+    valuation, and an exponent with denominator up to 6."""
+    level = rng.randint(1, 3)
+    terms = {}
+    for _ in range(rng.randint(0, 3)):
+        e = rng.randint(-2 * level, 3 * level)
+        terms[e] = terms.get(e, 0) + Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2, 3]))
+    shift = max(0, -min(terms, default=0))
+    center = KScalar(QPoly((e + shift, c) for e, c in terms.items()), QPoly.monomial(shift), level)
+    return TypeIIPoint(center, Fraction(rng.randint(-12, 12), rng.randint(1, 6)))
+
+
 def rand_unit_mobius(rng: random.Random) -> Mobius:
     while True:
         entries = [rand_integral_scalar(rng) if rng.random() < 0.8 else KScalar.zero() for _ in range(4)]

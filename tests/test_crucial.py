@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from nadyn import (
     Direction,
@@ -10,6 +11,7 @@ from nadyn import (
     GAUSS,
     INFINITY,
     IrrationalDirection,
+    NeedsExtension,
     QPoly,
     TowardClass,
     Verdict,
@@ -25,9 +27,10 @@ from nadyn import (
     semistability,
     slope_measured,
     slope_rhs,
+    step_into,
 )
 from nadyn.crucial import class_slope_data
-from conftest import rand_map, rand_point, rand_unit_mobius
+from conftest import rand_laurent_point, rand_map, rand_point, rand_unit_mobius
 
 Z2 = parse_map("z^2")
 TZ2 = parse_map("t*z^2")
@@ -223,3 +226,41 @@ def test_minimum_never_unstable():
         r = min_locus(phi)
         assert semistability(phi, r.minimizer) is not Verdict.UNSTABLE
         assert r.unique == (r.verdict is Verdict.STABLE)
+
+
+# The closed form of ordRes on rays against the per-point Sylvester route,
+# which conjugates by the chart as a general Mobius map.
+
+
+def _sylvester_hyp_res(phi, point):
+    d = phi.degree
+    return (ord_res_for_chart(phi, chart(point)) - ord_res_for_chart(phi, chart(GAUSS))) / (2 * d * (d - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_closed_form_ord_res_matches_the_sylvester_route(seed):
+    rng = random.Random(seed)
+    phi = rand_map(rng, degree=rng.choice([2, 3]))
+    point = rand_laurent_point(rng)
+    assert ord_res(phi, point) == ord_res_for_chart(phi, chart(point))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_descent_steps_end_exactly_at_kinks(seed):
+    rng = random.Random(seed)
+    phi = rand_map(rng, degree=rng.choice([2, 3]))
+    try:
+        result = min_locus(phi, rand_laurent_point(rng))
+    except NeedsExtension:
+        assume(False)
+    for point, cls, step in result.trail:
+        sigma = slope_rhs(phi, point, direction(point, cls)).rhs
+        base = _sylvester_hyp_res(phi, point)
+        for h in (step / 64, step / 2, step, step * 4 / 3):
+            value = _sylvester_hyp_res(phi, step_into(point, cls, h))
+            if h <= step:
+                assert value == base + sigma * h
+            else:
+                assert value > base + sigma * h

@@ -30,7 +30,7 @@ from nadyn import (
     point_str,
 )
 from nadyn.cli import build_parser, main
-from nadyn.parsing import MAX_MAP_DEGREE, _Parser, _mul, _power, _scalar
+from nadyn.parsing import MAX_LITERAL_DIGITS, MAX_MAP_DEGREE, _Parser, _mul, _power, _scalar
 from nadyn.polys import QPoly
 from conftest import CORPUS_SOURCES
 
@@ -438,6 +438,14 @@ def test_cli_syntax_error_exit_1(capsys):
     assert "error" in err
 
 
+def test_cli_huge_literal_is_a_parse_error_with_its_position(capsys):
+    # CPython's int() refuses a literal this long; the tokenizer refuses it first
+    code, out, err = run_cli(capsys, "ordres", "--map", "z^2 + " + "7" * 5000)
+    assert (code, out) == (1, "")
+    assert "5000 digits" in err and "(at position 6)" in err
+    assert parse_map("z^2 + " + "7" * MAX_LITERAL_DIGITS).degree == 2
+
+
 def test_cli_degenerate_map_exit_2(capsys):
     code, out, _ = run_cli(capsys, "ordres", "--map", "(z^2+1)/(z^2+1)")
     assert code == 2
@@ -656,4 +664,48 @@ def test_cli_map_fuzz_never_tracebacks(verb, expression, point):
         data = json.loads(out)
         if code == 0 and verb == "reduce":
             assert map_str(parse_map(data["map"])) == data["map"]
+    assert "Traceback" not in err
+
+
+_RATIONAL_TEXT = st.one_of(
+    st.integers(-4, 4).map(str),
+    st.tuples(st.integers(-8, 8), st.integers(0, 6)).map(lambda pq: f"{pq[0]}/{pq[1]}"),
+    st.sampled_from(["", "1/2/3", "a", "0.5", "-0", "1e2"]),
+)
+_POINT_TEXT = st.one_of(
+    st.just("gauss"),
+    st.builds(
+        lambda a, s: f"a={a};s={s}",
+        st.sampled_from(["0", "1", "-3/2", "t", "t^-1", "1/t + 2", "t^(1/2)", "2*t^(-2/3) - t", "1/(1+t)", "z", "x"]),
+        _RATIONAL_TEXT,
+    ),
+    st.sampled_from(["a=0", "s=1", "a=0;s=1;b=2", "Gauss", ""]),
+)
+_DIRECTION_TEXT = st.one_of(
+    st.just("inf"),
+    _RATIONAL_TEXT.map(lambda q: f"res={q}"),
+    st.sampled_from(["z^2+1", "z^2-2", "z-3", "z^2+2*z+1", "z^2+t", "1", "z/(z+1)"]).map(lambda f: f"factor={f}"),
+    _POINT_TEXT.map(lambda p: f"toward:{p}"),
+    st.sampled_from(["res", "up", "toward:"]),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    verb=st.sampled_from(["slope", "hypres", "depths", "intrinsic", "semistable"]),
+    phi=st.sampled_from(CORPUS_SOURCES + ["(z^2+t)/(1+t*z)+1/t", "(z^3-t)/z", "z/t"]),
+    point=_POINT_TEXT,
+    direction=_DIRECTION_TEXT,
+    flag=st.booleans(),
+)
+def test_cli_point_and_direction_fuzz_never_tracebacks(verb, phi, point, direction, flag):
+    argv = [verb, "--map", phi, f"--point={point}"]
+    if flag and verb == "slope":
+        argv.append(f"--direction={direction}")
+    if flag and verb == "hypres":
+        argv.append("--direct")
+    code, out, err = _run_in_process(argv)
+    assert code in (0, 1, 2)
+    if code in (0, 2):
+        json.loads(out)
     assert "Traceback" not in err

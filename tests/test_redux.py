@@ -1,7 +1,9 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nadyn.redux
 from nadyn import (
@@ -38,13 +40,15 @@ from nadyn.redux import (
     _shift_out,
     chart_lift,
     coeff_reduction,
+    conjugate_lift,
     intrinsic_from_reduction,
     make_map,
     minimal_lift,
     mobius_lift,
+    reduce_lift,
     sylvester_resultant,
 )
-from conftest import rand_map, rand_point, rand_unit_mobius
+from conftest import rand_laurent_point, rand_map, rand_point, rand_unit_mobius
 
 Z2 = parse_map("z^2")
 TZ2 = parse_map("t*z^2")
@@ -343,3 +347,41 @@ def test_parsed_maps_never_rebuild_a_lift_from_scalars(monkeypatch, text, point)
     reduction_at(phi, xi)
     intrinsic_data(phi, xi)
     depth_sequence(phi, xi, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_ray_reduction_matches_the_mobius_route(seed):
+    rng = random.Random(seed)
+    phi = rand_map(rng, degree=rng.choice([2, 3]))
+    point = rand_laurent_point(rng)
+    expected = reduce_lift(conjugate_lift(mobius_lift(chart(point)), phi.lift))
+    assert reduction_at(phi, point) == expected
+
+
+def test_dense_coefficients_parse_fast():
+    start = time.perf_counter()
+    phi = parse_map("(z+1/(2^45+2^45*t))^8")
+    assert phi.degree == 8
+    assert time.perf_counter() - start < 1.0
+
+
+def test_validation_falls_back_to_the_exact_determinant(monkeypatch):
+    calls = []
+    exact = nadyn.redux._sylvester_det
+
+    def counted(den, num):
+        calls.append(len(den) - 1)
+        return exact(den, num)
+
+    monkeypatch.setattr(nadyn.redux, "_sylvester_det", counted)
+    # certified by the modular check alone
+    parse_map("z^2/(z - t + 1)")
+    assert calls == []
+    # the resultant (t - u0)^2 vanishes at the check point, so the exact
+    # determinant decides, and the map is valid
+    phi = parse_map(f"z^2/(z - t + {nadyn.redux._CHECK_U})")
+    assert phi.degree == 2 and calls == [2]
+    for text in ["(z^2+1)/(z^2+1)", "z^2/z", "(z^2-t)/(z-t^(1/2))", "(t*z^3+z)/(t*z^2+1)"]:
+        with pytest.raises(DegenerateMap):
+            parse_map(text)
