@@ -37,7 +37,6 @@ from .respoly import (
     InfinityClass,
     depth_at,
     homogeneous_gcd,
-    refine_classes,
     squarefree_decomposition,
 )
 from .berkspace import (
@@ -55,14 +54,11 @@ from .berkspace import (
     wedge,
 )
 from .redux import (
-    CoeffReduction,
     IntrinsicReduction,
     RationalMapK,
     compose,
     conjugate,
-    depth,
     intrinsic_data,
-    is_fixed_direction,
     iterate,
     reduction_at,
 )

@@ -12,14 +12,14 @@ import cmath
 import json
 import math
 import sys
-from fractions import Fraction
 
 from .berkspace import Direction, TowardClass, direction_toward
 from .errors import IrrationalDirection, NadynError, ParseError
-from .respoly import FiniteClass, INFINITY, divisor_classes
+from .polys import QPoly
+from .respoly import class_sort_key, divisor_classes
 from .redux import intrinsic_data, reduction_at
 from .crucial import (
-    class_slope_data,
+    _slope_table,
     hyp_res,
     hyp_res_direct,
     min_locus,
@@ -83,14 +83,13 @@ def _measure_json(measure) -> dict:
     }
 
 
-def _slope_json(phi, point, cls) -> dict:
-    report = slope_rhs(phi, point, Direction(point, cls))
+def _slope_json(phi, point, report) -> dict:
     try:
-        measured = slope_measured(phi, point, Direction(point, cls))
+        measured = slope_measured(phi, point, report.direction)
     except IrrationalDirection:
         measured = None
     return {
-        **class_json(cls),
+        **class_json(report.direction.cls),
         "dep": report.dep,
         "fixed": report.fixed,
         "rhs": frac_str(report.rhs),
@@ -112,7 +111,7 @@ def _cmd_reduce(args) -> dict:
         "deg_h": red.h.degree,
         "tilde_degree": red.tilde_degree,
     }
-    if red.fixes_gauss:
+    if red.fixes_point:
         out["tilde"] = {"num": red.tilde_num.to_str("z"), "den": red.tilde_den.to_str("z")}
     else:
         out["image"] = class_json(red.image_class)
@@ -124,9 +123,9 @@ def _cmd_depths(args) -> dict:
     point = parse_point(args.point)
     info = intrinsic_data(phi, point)
     out = _divisor_json(info.depths)
-    out["classes"] = [
-        {**class_json(cls), "depth": dep} for cls, dep in divisor_classes(info.depths)
-    ]
+    classes = divisor_classes(info.depths, QPoly.zero())
+    classes.sort(key=lambda row: class_sort_key(row[0]))
+    out["classes"] = [{**class_json(cls), "depth": dep} for cls, dep in classes]
     return out
 
 
@@ -136,17 +135,14 @@ def _cmd_intrinsic(args) -> dict:
     info = intrinsic_data(phi, point)
     out = {
         "fixes_point": info.fixes_point,
-        "local_degree": info.local_degree,
+        "local_degree": info.tilde_degree if info.fixes_point else None,
         "totally_invariant": info.totally_invariant,
         "depths": _divisor_json(info.depths),
     }
     if info.fixes_point:
-        out["tangent"] = {
-            "num": info.tangent[0].to_str("z"),
-            "den": info.tangent[1].to_str("z"),
-        }
+        out["tangent"] = {"num": info.tilde_num.to_str("z"), "den": info.tilde_den.to_str("z")}
     else:
-        out["image"] = class_json(info.image_direction)
+        out["image"] = class_json(info.image_class)
     return out
 
 
@@ -175,13 +171,8 @@ def _cmd_slope(args) -> dict:
         cls = parse_direction_class(args.direction)
         if isinstance(cls, TowardClass):
             cls = direction_toward(point, cls.target).cls
-        return _slope_json(phi, point, cls)
-    info = intrinsic_data(phi, point)
-    classes = [cls for cls, _, _ in class_slope_data(info)]
-    for extra in (FiniteClass(Fraction(0)), FiniteClass(Fraction(1)), INFINITY):
-        if extra not in classes:
-            classes.append(extra)
-    return {"slopes": [_slope_json(phi, point, cls) for cls in classes]}
+        return _slope_json(phi, point, slope_rhs(phi, point, Direction(point, cls)))
+    return {"slopes": [_slope_json(phi, point, report) for report in _slope_table(phi, point)]}
 
 
 def _cmd_minlocus(args) -> dict:
@@ -316,7 +307,7 @@ _VERBS = {
     "slope": (_cmd_slope, True, (("--direction", {}),)),
     "minlocus": (_cmd_minlocus, False, (("--start", {"default": "gauss"}),)),
     "semistable": (_cmd_semistable, True, ()),
-    "equidist": (_cmd_equidist, True, (("--nmax", {"type": int, "default": 4}),)),
+    "equidist": (_cmd_equidist, True, (("--nmax", {"type": _positive_int, "default": 4}),)),
     "degcheck": (
         _cmd_degcheck,
         False,

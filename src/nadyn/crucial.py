@@ -54,8 +54,7 @@ from .respoly import (
     InfinityClass,
     INFINITY,
     depth_at,
-    split_classes,
-    squarefree_decomposition,
+    divisor_classes,
 )
 from .redux import (
     IntrinsicReduction,
@@ -63,7 +62,6 @@ from .redux import (
     RationalMapK,
     _fixes_class,
     _inverse_lift,
-    _resolve_class,
     chart_lift,
     compose_lifts,
     conjugate_lift,
@@ -138,13 +136,40 @@ def _rhs_value(d: int, dep: int, fixed: bool) -> Fraction:
     return (bonus - dep) / (d - 1)
 
 
+def _resolve_class(point: TypeIIPoint, direction: Direction):
+    if direction.at != point:
+        raise ValueError("direction is based at a different point")
+    cls = direction.cls
+    if isinstance(cls, TowardClass):
+        cls = direction_toward(point, cls.target).cls
+    return cls
+
+
 def slope_rhs(phi: RationalMapK, point: TypeIIPoint, direction: Direction) -> SlopeReport:
     """Reduction-theoretic slope of hypRes along a direction."""
-    cls = _resolve_class(phi, point, direction)
+    cls = _resolve_class(point, direction)
     info = intrinsic_data(phi, point)
     dep = depth_at(info.depths, cls)
     fixed = _fixes_class(info, cls)
     return SlopeReport(direction, dep, fixed, _rhs_value(phi.degree, dep, fixed))
+
+
+# classes the slope table lists even when they carry no depth
+_SLOPE_TABLE_EXTRAS = (FiniteClass(Fraction(0)), FiniteClass(Fraction(1)), INFINITY)
+
+
+def _slope_table(phi: RationalMapK, point: TypeIIPoint) -> list[SlopeReport]:
+    """slope_rhs along every class of positive depth, then along 0, 1 and
+    infinity where they are missing, all read off one reduction."""
+    info = intrinsic_data(phi, point)
+    rows = class_slope_data(info)
+    listed = [cls for cls, _, _ in rows]
+    rows += [(cls, 0, _fixes_class(info, cls)) for cls in _SLOPE_TABLE_EXTRAS if cls not in listed]
+    d = phi.degree
+    return [
+        SlopeReport(Direction(point, cls), dep, fixed, _rhs_value(d, dep, fixed))
+        for cls, dep, fixed in rows
+    ]
 
 
 def slope_measured(phi: RationalMapK, point: TypeIIPoint, direction: Direction) -> Fraction:
@@ -186,45 +211,17 @@ def class_slope_data(info: IntrinsicReduction) -> list[tuple[object, int, bool]]
     """(class, per-root depth, fixed) for every class of positive depth.
 
     Parts whose roots mix fixed and moved directions are split by the GCD
-    with the fixed-point form, so the flag is well defined on each entry.
+    with the tangent's fixed-point form n - z*d, so the flag is well defined
+    on each entry; when the point moves the split is plain.
     """
-    out = []
-    divisor = info.depths
+    refine = QPoly.zero()
     if info.fixes_point:
-        n_poly, d_poly = info.tangent
-        fix_form = n_poly - QPoly.x() * d_poly
-        if divisor.inf_mult:
-            out.append((INFINITY, divisor.inf_mult, d_poly.degree < info.local_degree))
-        for s, i in divisor.parts:
-            if fix_form.is_zero:
-                pieces = [(s, True)]
-            else:
-                g = s.gcd(fix_form)
-                if g.degree == 0:
-                    pieces = [(s, False)]
-                elif g.degree == s.degree:
-                    pieces = [(s, True)]
-                else:
-                    pieces = [(g, True), (s.exact_div(g).monic(), False)]
-            for piece, fixed in pieces:
-                for cls in split_classes(piece):
-                    out.append((cls, i, fixed))
-    else:
-        image = info.image_direction
-        if divisor.inf_mult:
-            out.append((INFINITY, divisor.inf_mult, isinstance(image, InfinityClass)))
-        for s, i in divisor.parts:
-            for cls in split_classes(s):
-                fixed = isinstance(cls, FiniteClass) and cls == image
-                out.append((cls, i, fixed))
-    return out
+        refine = info.tilde_num - QPoly.x() * info.tilde_den
+    return [(cls, i, _fixes_class(info, cls)) for cls, i in divisor_classes(info.depths, refine)]
 
 
-def semistability(phi: RationalMapK, point: TypeIIPoint) -> Verdict:
-    """GIT verdict on the reduced coefficient point, by the depth inequalities."""
-    info = intrinsic_data(phi, point)
-    d = phi.degree
-    data = class_slope_data(info)
+def _verdict(data: list[tuple[object, int, bool]], d: int) -> Verdict:
+    """GIT verdict from the class_slope_data rows at a point."""
     max_all = max((dep for _, dep, _ in data), default=0)
     max_fixed = max((dep for _, dep, fixed in data if fixed), default=0)
     semistable = max_all <= Fraction(d + 1, 2) and max_fixed < Fraction(d, 2)
@@ -234,8 +231,9 @@ def semistability(phi: RationalMapK, point: TypeIIPoint) -> Verdict:
     return Verdict.STABLE if stable else Verdict.SEMISTABLE_NOT_STABLE
 
 
-def _class_slopes(info: IntrinsicReduction, d: int) -> list[tuple[object, Fraction]]:
-    return [(cls, _rhs_value(d, dep, fixed)) for cls, dep, fixed in class_slope_data(info)]
+def semistability(phi: RationalMapK, point: TypeIIPoint) -> Verdict:
+    """GIT verdict on the reduced coefficient point, by the depth inequalities."""
+    return _verdict(class_slope_data(intrinsic_data(phi, point)), phi.degree)
 
 
 # -- breakpoint machinery --------------------------------------------------------
@@ -276,8 +274,7 @@ def _gauss_mass(phi: RationalMapK, probe: TypeIIPoint, cls) -> int:
     to components, so this mass equals the depth of phi . N at the Gauss
     point in the same class.
     """
-    red = reduce_lift(compose_lifts(phi.lift, chart_lift(probe)))
-    return depth_at(squarefree_decomposition(red.h), cls)
+    return depth_at(reduce_lift(compose_lifts(phi.lift, chart_lift(probe))).depths, cls)
 
 
 def _mass_integral(phi: RationalMapK, point: TypeIIPoint, total: Fraction, dmax: int) -> Fraction:
@@ -322,13 +319,13 @@ def _wedge_parameter(phi: RationalMapK, point: TypeIIPoint, total: Fraction, dma
     def image_class(tau: Fraction):
         probe = path_point(GAUSS, point, tau)
         red = reduce_lift(compose_lifts(_inverse_lift(chart_lift(probe)), phi_m))
-        if red.fixes_gauss:
+        if red.fixes_point:
             return None  # the image is exactly the probe point
         return red.image_class
 
     toward_gauss = direction_toward(point, GAUSS).cls
     red_at_point = reduce_lift(compose_lifts(_inverse_lift(chart_lift(point)), phi_m))
-    if not red_at_point.fixes_gauss and red_at_point.image_class != toward_gauss:
+    if not red_at_point.fixes_point and red_at_point.image_class != toward_gauss:
         return total  # wedge at the point itself
 
     def toward(tau: Fraction):
@@ -420,8 +417,9 @@ def min_locus(phi: RationalMapK, start: TypeIIPoint = GAUSS) -> MinLocusResult:
     point = start
     trail = []
     for _ in range(_MAX_DESCENT_STEPS):
-        info = intrinsic_data(phi, point)
-        negatives = [(cls, rhs) for cls, rhs in _class_slopes(info, d) if rhs < 0]
+        data = class_slope_data(intrinsic_data(phi, point))
+        slopes = [(cls, _rhs_value(d, dep, fixed)) for cls, dep, fixed in data]
+        negatives = [(cls, rhs) for cls, rhs in slopes if rhs < 0]
         if not negatives:
             break
         if len(negatives) > 1:
@@ -436,15 +434,14 @@ def min_locus(phi: RationalMapK, start: TypeIIPoint = GAUSS) -> MinLocusResult:
         point = step_into(point, cls, step)
     else:
         raise AssertionError("descent did not terminate")
-    verdict = semistability(phi, point)
+    verdict = _verdict(data, d)
     if verdict is Verdict.UNSTABLE:
         raise AssertionError("descent terminated at an unstable point")
-    info = intrinsic_data(phi, point)
     return MinLocusResult(
         minimizer=point,
         min_hyp_res=hyp_res(phi, point),
         unique=verdict is Verdict.STABLE,
         verdict=verdict,
         trail=tuple(trail),
-        zero_slope_classes=tuple(cls for cls, rhs in _class_slopes(info, d) if rhs == 0),
+        zero_slope_classes=tuple(cls for cls, rhs in slopes if rhs == 0),
     )

@@ -15,14 +15,13 @@ from fractions import Fraction
 from .berkspace import TypeIIPoint, direction_toward
 from .errors import TotallyInvariantPoint
 from .polys import QPoly, coprime_basis
-from .respoly import FiniteClass, InfinityClass, class_degree, divisor_classes
+from .respoly import FiniteClass, InfinityClass, class_degree, class_sort_key, divisor_classes
 from .redux import (
     RationalMapK,
     chart_conjugate_lift,
     check_iteration_cap,
     compose_lifts,
     intrinsic_data,
-    intrinsic_from_reduction,
     reduce_lift,
 )
 from .crucial import min_locus
@@ -56,8 +55,10 @@ def totally_invariant(phi: RationalMapK, point: TypeIIPoint) -> bool:
 
 def _measure_from_intrinsic(info, d: int, n: int) -> DirectionMeasure:
     scale = Fraction(1, d**n)
-    atoms = [(cls, i * class_degree(cls) * scale) for cls, i in divisor_classes(info.depths)]
-    point_mass = info.local_degree * scale if info.fixes_point else Fraction(0)
+    classes = divisor_classes(info.depths, QPoly.zero())
+    classes.sort(key=lambda row: class_sort_key(row[0]))
+    atoms = [(cls, i * class_degree(cls) * scale) for cls, i in classes]
+    point_mass = info.tilde_degree * scale if info.fixes_point else Fraction(0)
     return DirectionMeasure(tuple(atoms), point_mass)
 
 
@@ -83,8 +84,7 @@ def depth_sequence(phi: RationalMapK, point: TypeIIPoint, n_max: int = 4) -> Con
     for n in range(1, n_max + 1):
         if n > 1:
             current = compose_lifts(base, current)
-        info = intrinsic_from_reduction(reduce_lift(current), point)
-        measures.append(_measure_from_intrinsic(info, d, n))
+        measures.append(_measure_from_intrinsic(reduce_lift(current), d, n))
     tv_steps = tuple(
         tv_distance(measures[k], measures[k + 1]) for k in range(len(measures) - 1)
     )

@@ -16,11 +16,12 @@ are lifted straight from (t^s, a).  The pivot-normalised KScalar vectors
 num/den (every coefficient over the first nonzero entry of den + num) are a
 view derived from the lift on demand, for printing, specialisation and
 projective equality.  The intrinsic reduction at a type II point reduces the
-lift of the chart conjugate: the GCD form H carries the directionwise
-depths, and the quotient pair is the tangent map (or a constant naming the
-image direction).  The chart conjugate at xi_{a,s} is read off the ray at
-a, the Taylor shift of the lift at a (one per lift and centre, cached), by
-scaling its coefficients with powers of t^s; no composition is needed.
+lift of the chart conjugate into one record, IntrinsicReduction: the GCD
+form H carries the directionwise depths, and the quotient pair is the
+tangent map (or a constant naming the image direction).  The chart
+conjugate at xi_{a,s} is read off the ray at a, the Taylor shift of the
+lift at a (one per lift and centre, cached), by scaling its coefficients
+with powers of t^s; no composition is needed.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from functools import cached_property, lru_cache
 from math import lcm
 from typing import NamedTuple
 
-from .berkspace import Direction, Mobius, TowardClass, TypeIIPoint, direction_toward
+from .berkspace import Mobius, TypeIIPoint
 from .errors import AmbiguousClass, DegenerateMap, DegreeTooLow, IterationCapExceeded
 from .errors import LevelCapExceeded
 from .polys import QPoly, primitive_parts, qdiv
@@ -42,7 +43,6 @@ from .respoly import (
     HomogeneousForm,
     InfinityClass,
     INFINITY,
-    depth_at,
     homogeneous_gcd,
     squarefree_decomposition,
 )
@@ -462,8 +462,15 @@ def minimal_lift(phi: RationalMapK) -> tuple[tuple[KScalar, ...], tuple[KScalar,
 
 
 @dataclass(frozen=True)
-class CoeffReduction:
-    """Reduction of the coefficient point modulo the maximal ideal."""
+class IntrinsicReduction:
+    """Intrinsic reduction of a map at a type II point: the reduction of the
+    lift of its chart conjugate.
+
+    The reduced pair has GCD form h; the quotient pair tilde_num/tilde_den
+    is the tangent map when tilde_degree >= 1, and otherwise a constant
+    naming the image direction image_class.  depths, the squarefree
+    decomposition of h, is built on first use.
+    """
 
     reduced_num: HomogeneousForm
     reduced_den: HomogeneousForm
@@ -474,11 +481,19 @@ class CoeffReduction:
     image_class: object  # FiniteClass/InfinityClass when the reduction is constant
 
     @property
-    def fixes_gauss(self) -> bool:
+    def fixes_point(self) -> bool:
         return self.tilde_degree >= 1
 
+    @property
+    def totally_invariant(self) -> bool:
+        return self.h.degree == 0
 
-def reduce_lift(lift: Lift) -> CoeffReduction:
+    @cached_property
+    def depths(self) -> DepthDivisor:
+        return squarefree_decomposition(self.h)
+
+
+def reduce_lift(lift: Lift) -> IntrinsicReduction:
     """Reduced pair, GCD form H, and the reduced map num/H over den/H.
 
     The residues are those of the pivot-normalised minimal lift: coefficient
@@ -499,7 +514,7 @@ def reduce_lift(lift: Lift) -> CoeffReduction:
         cn = qn.dehom.coeff(0)
         cd = qd.dehom.coeff(0)
         image_class = FiniteClass(qdiv(cn, cd)) if cd else INFINITY
-    return CoeffReduction(
+    return IntrinsicReduction(
         reduced_num=hat_num,
         reduced_den=hat_den,
         h=h,
@@ -510,73 +525,32 @@ def reduce_lift(lift: Lift) -> CoeffReduction:
     )
 
 
-def coeff_reduction(phi: RationalMapK) -> CoeffReduction:
-    """Reduction of the map's own coefficient point."""
-    return reduce_lift(phi.lift)
-
-
-def reduction_at(phi: RationalMapK, point: TypeIIPoint) -> CoeffReduction:
+def reduction_at(phi: RationalMapK, point: TypeIIPoint) -> IntrinsicReduction:
     """Reduction of the conjugate of the map by the chart of the point."""
     return reduce_lift(chart_conjugate_lift(phi.lift, point))
 
 
-@dataclass(frozen=True)
-class IntrinsicReduction:
-    """Intrinsic reduction of the map at a type II point."""
-
-    at: TypeIIPoint
-    fixes_point: bool
-    tangent: tuple[QPoly, QPoly] | None
-    image_direction: object | None
-    depths: DepthDivisor
-    local_degree: int | None
-    totally_invariant: bool
-    reduction: CoeffReduction
-
-
 def intrinsic_data(phi: RationalMapK, point: TypeIIPoint) -> IntrinsicReduction:
-    """Conjugate to the canonical chart and reduce."""
+    """Conjugate to the canonical chart and reduce; degree 2 and up only."""
     if phi.degree < 2:
         raise DegreeTooLow("intrinsic data needs a map of degree >= 2")
-    return intrinsic_from_reduction(reduction_at(phi, point), point)
+    return reduction_at(phi, point)
 
 
-def intrinsic_from_reduction(red: CoeffReduction, point: TypeIIPoint) -> IntrinsicReduction:
-    depths = squarefree_decomposition(red.h)
-    fixes = red.fixes_gauss
-    return IntrinsicReduction(
-        at=point,
-        fixes_point=fixes,
-        tangent=(red.tilde_num, red.tilde_den) if fixes else None,
-        image_direction=None if fixes else red.image_class,
-        depths=depths,
-        local_degree=red.tilde_degree if fixes else None,
-        totally_invariant=red.h.degree == 0,
-        reduction=red,
-    )
-
-
-def _resolve_class(phi: RationalMapK, point: TypeIIPoint, direction: Direction):
-    if direction.at != point:
-        raise ValueError("direction is based at a different point")
-    cls = direction.cls
-    if isinstance(cls, TowardClass):
-        cls = direction_toward(point, cls.target).cls
-    return cls
-
-
-def depth(phi: RationalMapK, point: TypeIIPoint, direction: Direction) -> int:
-    """Mass the pullback of the Dirac at the point puts on the direction."""
-    cls = _resolve_class(phi, point, direction)
-    return depth_at(intrinsic_data(phi, point).depths, cls)
-
-
-def _tangent_fixes(info: IntrinsicReduction, cls) -> bool:
-    """Whether the tangent map fixes the class; assumes fixes_point."""
-    n_poly, d_poly = info.tangent
-    e = info.local_degree
+def _fixes_class(info: IntrinsicReduction, cls) -> bool:
+    """Whether the intrinsic reduction maps every direction of the class to itself."""
+    if not info.fixes_point:
+        image = info.image_class
+        if isinstance(cls, FactorClass):
+            if isinstance(image, FiniteClass) and cls.poly.eval(image.value) == 0:
+                raise AmbiguousClass(
+                    "image direction lies inside the factor class; refine it"
+                )
+            return False
+        return cls == image
+    n_poly, d_poly = info.tilde_num, info.tilde_den
     if isinstance(cls, InfinityClass):
-        return d_poly.degree < e
+        return d_poly.degree < info.tilde_degree
     if isinstance(cls, FiniteClass):
         c = cls.value
         return n_poly.eval(c) == c * d_poly.eval(c)
@@ -593,22 +567,3 @@ def _tangent_fixes(info: IntrinsicReduction, cls) -> bool:
             f"class {cls.poly.to_str('z')} mixes fixed and moved directions"
         )
     raise TypeError(f"unsupported direction class {cls!r}")
-
-
-def is_fixed_direction(phi: RationalMapK, point: TypeIIPoint, direction: Direction) -> bool:
-    """Whether the intrinsic reduction maps the direction to itself."""
-    cls = _resolve_class(phi, point, direction)
-    return _fixes_class(intrinsic_data(phi, point), cls)
-
-
-def _fixes_class(info: IntrinsicReduction, cls) -> bool:
-    if info.fixes_point:
-        return _tangent_fixes(info, cls)
-    image = info.image_direction
-    if isinstance(cls, FactorClass):
-        if isinstance(image, FiniteClass) and cls.poly.eval(image.value) == 0:
-            raise AmbiguousClass(
-                "image direction lies inside the factor class; refine it"
-            )
-        return False
-    return cls == image

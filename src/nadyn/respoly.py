@@ -3,7 +3,9 @@
 Homogeneous pairs, their GCD form H, squarefree decompositions, and depth
 lookups for direction classes.  Classes defined by irreducible factors are
 handled through GCD splitting, so no factorisation into irreducibles is ever
-needed: squarefree over Q stays squarefree over the algebraic closure.
+needed: squarefree over Q stays squarefree over the algebraic closure.  One
+splitter, divisor_classes, cuts a depth divisor into direction classes,
+optionally along the zero set of a second polynomial.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import AmbiguousClass, BothFormsZero
-from .polys import QPoly, coprime_basis, rational_roots, squarefree_parts
+from .polys import QPoly, rational_roots, squarefree_parts
 
 
 class HomogeneousForm:
@@ -215,32 +217,18 @@ def class_degree(cls) -> int:
     return cls.poly.degree if isinstance(cls, FactorClass) else 1
 
 
-def divisor_classes(divisor: DepthDivisor) -> list[tuple[object, int]]:
+def divisor_classes(divisor: DepthDivisor, refine: QPoly) -> list[tuple[object, int]]:
     """Split the divisor into atomic classes with their per-root depths.
 
-    Includes the infinity class when it carries depth.
+    Lists infinity first when it carries depth, then, in divisor order, each
+    squarefree part cut into its GCD with refine and the cofactor, each
+    piece split by split_classes.  A class then lies wholly inside or wholly
+    outside the zero set of refine; refine = 0 gives the plain split.
     """
     out = [(INFINITY, divisor.inf_mult)] if divisor.inf_mult else []
     for s, i in divisor.parts:
-        out += [(cls, i) for cls in split_classes(s)]
-    out.sort(key=lambda item: class_sort_key(item[0]))
+        g = s.gcd(refine)
+        for piece in (g, s.exact_div(g)):
+            if piece.degree > 0:
+                out += [(cls, i) for cls in split_classes(piece)]
     return out
-
-
-def refine_classes(d1: DepthDivisor, d2: DepthDivisor):
-    """Common coprime refinement of two divisors with per-class masses.
-
-    Returns a list of (class, mass_in_d1, mass_in_d2); the mass of a class is
-    deg(class) * per-root depth, and infinity is its own class.  Masses of each
-    column sum to the respective divisor's total degree.
-    """
-    polys = [s for s, _ in d1.parts] + [s for s, _ in d2.parts]
-    rows = []
-    if d1.inf_mult or d2.inf_mult:
-        rows.append((INFINITY, d1.inf_mult, d2.inf_mult))
-    for q in coprime_basis(polys):
-        for cls in split_classes(q):
-            deg = class_degree(cls)
-            rows.append((cls, deg * depth_at(d1, cls), deg * depth_at(d2, cls)))
-    rows.sort(key=lambda row: class_sort_key(row[0]))
-    return rows

@@ -179,7 +179,7 @@ def test_criterion_7a_mass_conservation():
         phi = rand_map(rng)
         point = rand_point(rng)
         info = intrinsic_data(phi, point)
-        local = info.local_degree if info.fixes_point else 0
+        local = info.tilde_degree if info.fixes_point else 0
         assert info.depths.total_degree + local == phi.degree
     _report("7a (mass conservation, 200 random cases)")
 

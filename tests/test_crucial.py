@@ -29,7 +29,10 @@ from nadyn import (
     slope_rhs,
     step_into,
 )
+from nadyn.cli import main
 from nadyn.crucial import class_slope_data
+from nadyn.redux import _fixes_class
+from nadyn.respoly import class_degree, depth_at
 from conftest import rand_laurent_point, rand_map, rand_point, rand_unit_mobius
 
 Z2 = parse_map("z^2")
@@ -264,3 +267,65 @@ def test_descent_steps_end_exactly_at_kinks(seed):
                 assert value == base + sigma * h
             else:
                 assert value > base + sigma * h
+
+
+# The direction-class splitter.  One map is known to cut a squarefree part
+# of its depth divisor along the tangent's fixed-point form: at the Gauss
+# point H = z^4 - z^2 - 2, and the tangent fixes the roots of z^2 + 1 but
+# moves those of z^2 - 2.
+
+MIXED = "((z^2+1)*(z^2-2)*(z^2+z+1)+t)/((z^2+1)*(z^2-2)+t*z^6)"
+
+
+@pytest.mark.parametrize(
+    "extra, code, stdout",
+    [
+        (
+            ["depths"],
+            0,
+            '{"parts": [{"poly": "z^4 - z^2 - 2", "multiplicity": 1}], "inf_mult": 0, "deg_h": 4, '
+            '"classes": [{"class": "factor", "poly": "z^4 - z^2 - 2", "depth": 1}]}\n',
+        ),
+        (
+            ["slope"],
+            0,
+            '{"slopes": [{"class": "factor", "poly": "z^2 + 1", "dep": 1, "fixed": true, "rhs": "3/10", '
+            '"measured": null}, {"class": "factor", "poly": "z^2 - 2", "dep": 1, "fixed": false, '
+            '"rhs": "1/2", "measured": null}, {"class": "finite", "value": "0/1", "dep": 0, '
+            '"fixed": false, "rhs": "7/10", "measured": "7/10"}, {"class": "finite", "value": "1/1", '
+            '"dep": 0, "fixed": false, "rhs": "7/10", "measured": "7/10"}, {"class": "inf", "dep": 0, '
+            '"fixed": true, "rhs": "1/2", "measured": "1/2"}]}\n',
+        ),
+        (
+            ["slope", "--direction", "factor=z^4-z^2-2"],
+            2,
+            '{"error": "class z^4 - z^2 - 2 mixes fixed and moved directions", '
+            '"type": "AmbiguousClass"}\n',
+        ),
+        (
+            ["slope", "--direction", "factor=z^2+1"],
+            0,
+            '{"class": "factor", "poly": "z^2 + 1", "dep": 1, "fixed": true, "rhs": "3/10", '
+            '"measured": null}\n',
+        ),
+    ],
+    ids=["depths", "slope", "slope-mixed-class", "slope-fixed-half"],
+)
+def test_mixed_class_is_split_along_the_fixed_point_form(capsys, extra, code, stdout):
+    verb, *flags = extra
+    assert main([verb, "--map", MIXED, "--point", "gauss", *flags]) == code
+    out = capsys.readouterr()
+    assert (out.out, out.err) == (stdout, "")
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_class_slope_data_rows_agree_with_depth_and_fixedness(seed):
+    rng = random.Random(seed)
+    phi = rand_map(rng, degree=rng.choice([2, 3]))
+    info = intrinsic_data(phi, rand_laurent_point(rng))
+    rows = class_slope_data(info)
+    for cls, dep, fixed in rows:
+        assert dep == depth_at(info.depths, cls)
+        assert fixed == _fixes_class(info, cls)
+    assert sum(class_degree(cls) * dep for cls, dep, _ in rows) == info.depths.total_degree

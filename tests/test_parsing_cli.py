@@ -493,6 +493,14 @@ def test_cli_degcheck_rejects_bad_n_and_eps(capsys, flag, value):
     assert f"argument {flag}" in err
 
 
+@pytest.mark.parametrize("flag,value", [("--nmax", "0"), ("--nmax", "-3")])
+def test_cli_equidist_rejects_bad_nmax(capsys, flag, value):
+    code, out, err = run_cli(capsys, "equidist", "--map", "t*z^2", f"{flag}={value}")
+    assert code == 1
+    assert out == ""
+    assert f"argument {flag}" in err
+
+
 @pytest.mark.parametrize("n", ["17", "40", "1000000000"])
 def test_cli_degcheck_sample_cap_exits_2(capsys, n):
     code, out, _ = run_cli(capsys, "degcheck", "--map", "t*z^2", "--t", "1e-2", "--n", n)

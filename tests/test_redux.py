@@ -19,12 +19,10 @@ from nadyn import (
     chart,
     compose,
     conjugate,
-    depth,
     depth_sequence,
     hyp_res,
     hyp_res_direct,
     intrinsic_data,
-    is_fixed_direction,
     iterate,
     min_locus,
     ord_of,
@@ -33,15 +31,14 @@ from nadyn import (
     parse_map,
     parse_point,
     reduction_at,
+    slope_rhs,
 )
 from nadyn.polys import QPoly
 from nadyn.redux import (
     RationalMapK,
     _shift_out,
     chart_lift,
-    coeff_reduction,
     conjugate_lift,
-    intrinsic_from_reduction,
     make_map,
     minimal_lift,
     mobius_lift,
@@ -129,56 +126,66 @@ def test_minimal_lift_property():
         assert min(ords) == 0
 
 
-def test_coeff_reduction_examples():
-    red = coeff_reduction(TZ2)
+def test_reduce_lift_examples():
+    red = reduce_lift(TZ2.lift)
     assert red.h.degree == 2 and red.h.inf_mult == 2
-    assert red.tilde_degree == 0
+    assert red.tilde_degree == 0 and not red.fixes_point
     assert red.image_class == FiniteClass(Fraction(0))
 
-    red = coeff_reduction(Z2)
-    assert red.h.degree == 0
-    assert red.tilde_degree == 2
+    red = reduce_lift(Z2.lift)
+    assert red.h.degree == 0 and red.totally_invariant
+    assert red.tilde_degree == 2 and red.fixes_point
     assert red.tilde_num.to_str("z") == "z^2"
+    assert red.image_class is None
 
-    red = coeff_reduction(Z2TZ)
-    assert red.h.degree == 1
+    red = reduce_lift(Z2TZ.lift)
+    assert red.h.degree == 1 and not red.totally_invariant
     assert red.h.dehom.to_str("z") == "z"
     assert red.tilde_degree == 1
     # the tangent map is the identity
     assert red.tilde_num.to_str("z") == "z" and red.tilde_den.to_str("z") == "1"
 
 
+def test_depths_are_built_on_first_use_and_kept():
+    red = reduction_at(Z2TZ, GAUSS)
+    assert "depths" not in vars(red)
+    assert red.depths is red.depths
+    assert [(s.to_str("z"), i) for s, i in red.depths.parts] == [("z", 1)]
+    # the cached divisor is no field: records of equal fields stay equal
+    assert red == reduction_at(Z2TZ, GAUSS)
+
+
 def test_intrinsic_data_examples():
     info = intrinsic_data(TZ2, GAUSS)
     assert not info.fixes_point
-    assert info.image_direction == FiniteClass(Fraction(0))
+    assert info.image_class == FiniteClass(Fraction(0))
     assert info.depths.inf_mult == 2
     assert not info.totally_invariant
 
     info = intrinsic_data(Z2, GAUSS)
-    assert info.fixes_point and info.local_degree == 2
+    assert info.fixes_point and info.tilde_degree == 2
     assert info.depths.parts == () and info.depths.inf_mult == 0
     assert info.totally_invariant
 
     info = intrinsic_data(TZ21T, parse_point("a=0;s=-1/2"))
     assert not info.fixes_point
-    assert info.image_direction == INFINITY
+    assert info.image_class == INFINITY
     assert [(s.to_str("z"), i) for s, i in info.depths.parts] == [("z^2 + 1", 1)]
     assert not info.totally_invariant
 
 
-def test_depth_examples():
-    assert depth(TZ2, GAUSS, Direction(GAUSS, INFINITY)) == 2
-    assert depth(TZ2, GAUSS, Direction(GAUSS, FiniteClass(Fraction(5)))) == 0
-    assert depth(Z2TZ, GAUSS, Direction(GAUSS, FiniteClass(Fraction(0)))) == 1
+def test_slope_rhs_depth_examples():
+    assert slope_rhs(TZ2, GAUSS, Direction(GAUSS, INFINITY)).dep == 2
+    assert slope_rhs(TZ2, GAUSS, Direction(GAUSS, FiniteClass(Fraction(5)))).dep == 0
+    assert slope_rhs(Z2TZ, GAUSS, Direction(GAUSS, FiniteClass(Fraction(0)))).dep == 1
 
 
-def test_is_fixed_direction_examples():
-    assert is_fixed_direction(Z2TZ, GAUSS, Direction(GAUSS, FiniteClass(Fraction(0))))
-    assert not is_fixed_direction(TZ2, GAUSS, Direction(GAUSS, INFINITY))
-    assert is_fixed_direction(Z2, GAUSS, Direction(GAUSS, FiniteClass(Fraction(1))))
-    assert is_fixed_direction(Z2, GAUSS, Direction(GAUSS, INFINITY))
-    assert not is_fixed_direction(Z2, GAUSS, Direction(GAUSS, FiniteClass(Fraction(2))))
+def test_slope_rhs_fixed_examples():
+    assert slope_rhs(Z2TZ, GAUSS, Direction(GAUSS, FiniteClass(Fraction(0)))).fixed
+    assert not slope_rhs(TZ2, GAUSS, Direction(GAUSS, INFINITY)).fixed
+    assert slope_rhs(Z2, GAUSS, Direction(GAUSS, FiniteClass(Fraction(1)))).fixed
+    assert slope_rhs(Z2, GAUSS, Direction(GAUSS, INFINITY)).fixed
+    assert not slope_rhs(Z2, GAUSS, Direction(GAUSS, FiniteClass(Fraction(2)))).fixed
 
 
 def test_mass_conservation():
@@ -187,7 +194,7 @@ def test_mass_conservation():
         phi = rand_map(rng, degree=rng.choice([2, 2, 3]))
         point = rand_point(rng)
         info = intrinsic_data(phi, point)
-        local = info.local_degree if info.fixes_point else 0
+        local = info.tilde_degree if info.fixes_point else 0
         assert info.depths.total_degree + local == phi.degree
 
 
@@ -198,10 +205,8 @@ def test_chart_invariance_of_reduction_shape():
     rng = random.Random(54)
 
     def shape(phi, m):
-        red = coeff_reduction(conjugate(m, phi))
-        from nadyn import squarefree_decomposition
-
-        d = squarefree_decomposition(red.h)
+        red = reduce_lift(conjugate(m, phi).lift)
+        d = red.depths
         bag = sorted((s.degree, i) for s, i in d.parts)
         if d.inf_mult:
             bag = sorted(bag + [(1, d.inf_mult)])
@@ -293,10 +298,9 @@ def test_lift_route_matches_scalar_route_and_ignores_the_representative():
         factors = [one_plus_t, c * one_plus_t, KScalar.from_rational(-abs(q))]
         red = reduction_at(phi, point)
         info = intrinsic_data(phi, point)
-        old = coeff_reduction(conjugate(m, phi))
-        assert red == old
+        assert red == reduce_lift(conjugate(m, phi).lift)
         assert (red.reduced_num.coeffs(), red.reduced_den.coeffs()) == _reference_reduction(phi, m)
-        assert info == intrinsic_from_reduction(old, point)
+        assert info == red
         ordres = ord_res(phi, point)
         num_l, den_l = minimal_lift(conjugate(m, phi))
         assert ordres == ord_of(sylvester_resultant(den_l, num_l))
@@ -312,7 +316,7 @@ def test_lift_route_matches_scalar_route_and_ignores_the_representative():
         by_scalars = make_map([x * monomial for x in phi.num], [x * monomial for x in phi.den])
         assert by_scalars == phi
         for psi in rescaled + [by_scalars]:
-            assert coeff_reduction(psi) == coeff_reduction(phi)
+            assert reduce_lift(psi.lift) == reduce_lift(phi.lift)
             assert reduction_at(psi, point) == red
             assert intrinsic_data(psi, point) == info
             assert ord_res(psi, point) == ordres

@@ -10,13 +10,13 @@ from nadyn import (
     FiniteClass,
     HomogeneousForm,
     INFINITY,
+    InfinityClass,
     QPoly,
     depth_at,
     homogeneous_gcd,
-    refine_classes,
     squarefree_decomposition,
 )
-from nadyn.respoly import DepthDivisor
+from nadyn.respoly import DepthDivisor, class_degree, divisor_classes
 
 
 def form(degree, *coeffs):
@@ -140,34 +140,54 @@ def test_depth_matches_division_oracle():
         assert depth_at(d, FiniteClass(c)) == count
 
 
-def test_refine_classes_examples():
-    d1 = squarefree_decomposition(form(1, 0, 1))  # {0: 1}
-    rows = refine_classes(d1, d1)
-    assert [(m1, m2) for _, m1, m2 in rows] == [(1, 1)]
+def test_divisor_classes_examples():
+    # X0 * X1 * (X1 - X0) * (X1^2 + X0^2): infinity, then the part's classes in order
+    h = HomogeneousForm(5, QPoly.from_coeffs([0, 1, 0, 1]) * QPoly.from_coeffs([-1, 1]))
+    d = squarefree_decomposition(h)
+    plain = divisor_classes(d, QPoly.zero())
+    assert [(repr(cls), i) for cls, i in plain] == [
+        ("InfinityClass()", 1),
+        ("FiniteClass(0)", 1),
+        ("FiniteClass(1)", 1),
+        ("FactorClass(z^2 + 1)", 1),
+    ]
+    # cut along the zero set of z - 1: its root comes first within the part
+    cut = divisor_classes(d, QPoly.from_coeffs([-1, 1]))
+    assert [repr(cls) for cls, _ in cut] == [
+        "InfinityClass()",
+        "FiniteClass(1)",
+        "FiniteClass(0)",
+        "FactorClass(z^2 + 1)",
+    ]
+    # a factor class splits when refine holds only some of its roots
+    quartic = squarefree_decomposition(HomogeneousForm(4, QPoly.from_coeffs([-2, 0, -1, 0, 1])))
+    assert [repr(cls) for cls, _ in divisor_classes(quartic, QPoly.zero())] == [
+        "FactorClass(z^4 - z^2 - 2)"
+    ]
+    assert [repr(cls) for cls, _ in divisor_classes(quartic, QPoly.from_coeffs([1, 0, 1]))] == [
+        "FactorClass(z^2 + 1)",
+        "FactorClass(z^2 - 2)",
+    ]
 
-    two = squarefree_decomposition(HomogeneousForm(2, QPoly.from_coeffs([0, -1, 1])))
-    rows = refine_classes(d1, two)
-    masses = {str(cls): (m1, m2) for cls, m1, m2 in rows}
-    assert masses == {"FiniteClass(0)": (1, 1), "FiniteClass(1)": (0, 1)}
 
-    dx0 = squarefree_decomposition(X0_SQ)
-    dx0x1 = squarefree_decomposition(form(2, 0, 1, 0))
-    rows = refine_classes(dx0, dx0x1)
-    masses = {str(cls): (m1, m2) for cls, m1, m2 in rows}
-    assert masses == {"InfinityClass()": (2, 1), "FiniteClass(0)": (0, 1)}
+def _class_poly(cls):
+    return cls.poly if isinstance(cls, FactorClass) else QPoly.from_coeffs([-cls.value, 1])
 
 
-def test_refine_classes_masses_sum_to_degrees():
+def test_divisor_classes_masses_and_refinement():
     rng = random.Random(33)
     for _ in range(100):
         p1 = QPoly.from_coeffs([rng.randint(-2, 2) for _ in range(rng.randint(2, 6))])
-        p2 = QPoly.from_coeffs([rng.randint(-2, 2) for _ in range(rng.randint(2, 6))])
-        if p1.is_zero or p2.is_zero:
+        p2 = QPoly.from_coeffs([rng.randint(-2, 2) for _ in range(rng.randint(1, 6))])
+        if p1.is_zero:
             continue
-        h1 = HomogeneousForm(p1.degree + rng.randint(0, 2), p1)
-        h2 = HomogeneousForm(p2.degree + rng.randint(0, 2), p2)
-        d1 = squarefree_decomposition(h1)
-        d2 = squarefree_decomposition(h2)
-        rows = refine_classes(d1, d2)
-        assert sum(m1 for _, m1, _ in rows) == h1.degree
-        assert sum(m2 for _, _, m2 in rows) == h2.degree
+        h = HomogeneousForm(p1.degree + rng.randint(0, 2), p1)
+        d = squarefree_decomposition(h)
+        rows = divisor_classes(d, p2)
+        assert sum(class_degree(cls) * i for cls, i in rows) == h.degree
+        for cls, i in rows:
+            assert depth_at(d, cls) == i
+            if not isinstance(cls, InfinityClass):
+                # every class lies wholly inside or wholly outside the zero set of p2
+                q = _class_poly(cls)
+                assert q.gcd(p2).degree in (0, q.degree)
