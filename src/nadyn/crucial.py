@@ -100,6 +100,7 @@ class MinLocusResult:
     verdict: Verdict
     trail: tuple[tuple[TypeIIPoint, object, Fraction], ...]
     zero_slope_classes: tuple[object, ...]
+    good_reduction: bool  # the minimizer is totally invariant
 
 
 def ord_res_for_chart(phi: RationalMapK, m: Mobius) -> Fraction:
@@ -417,7 +418,8 @@ def min_locus(phi: RationalMapK, start: TypeIIPoint = GAUSS) -> MinLocusResult:
     point = start
     trail = []
     for _ in range(_MAX_DESCENT_STEPS):
-        data = class_slope_data(intrinsic_data(phi, point))
+        info = intrinsic_data(phi, point)
+        data = class_slope_data(info)
         slopes = [(cls, _rhs_value(d, dep, fixed)) for cls, dep, fixed in data]
         negatives = [(cls, rhs) for cls, rhs in slopes if rhs < 0]
         if not negatives:
@@ -444,4 +446,5 @@ def min_locus(phi: RationalMapK, start: TypeIIPoint = GAUSS) -> MinLocusResult:
         verdict=verdict,
         trail=tuple(trail),
         zero_slope_classes=tuple(cls for cls, rhs in slopes if rhs == 0),
+        good_reduction=info.totally_invariant,
     )

@@ -34,8 +34,9 @@ from .errors import (
 )
 from .scalars import KScalar
 from .respoly import FactorClass, FiniteClass, InfinityClass
-from .redux import RationalMapK
-from .equidist import DirectionMeasure, depth_sequence, predicted_limit, totally_invariant
+from .crucial import min_locus
+from .redux import IntrinsicReduction, RationalMapK, intrinsic_data
+from .equidist import DirectionMeasure, _depth_sequence, _prediction
 
 INF_C = complex(math.inf, 0.0)
 
@@ -422,11 +423,23 @@ def auto_hypothesis(phi: RationalMapK, n_max: int = 2) -> DirectionMeasure:
     The exact Dirac prediction is used when available; otherwise the deepest
     computed level of the depth sequence stands in for the limit.
     """
-    predicted = predicted_limit(phi, GAUSS)
+    info = intrinsic_data(phi, GAUSS)
+    if info.totally_invariant:
+        raise TotallyInvariantPoint("no limit prediction at a totally invariant point")
+    return _auto_hypothesis(phi, info, n_max)
+
+
+def _auto_hypothesis(
+    phi: RationalMapK, info: IntrinsicReduction, n_max: int = 2
+) -> DirectionMeasure:
+    """auto_hypothesis from the reduction at the Gauss point, which is not
+    totally invariant; one minimum locus serves the Dirac prediction and,
+    failing it, the depth sequence."""
+    locus = min_locus(phi)
+    predicted = _prediction(GAUSS, locus)
     if predicted is not None:
         return predicted
-    report = depth_sequence(phi, GAUSS, n_max)
-    return report.measures[-1]
+    return _depth_sequence(phi, GAUSS, n_max, info, locus).measures[-1]
 
 
 def degeneration_report(
@@ -443,13 +456,14 @@ def degeneration_report(
         raise ValueError("at least one pullback level is needed")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if totally_invariant(phi, GAUSS):
+    info = intrinsic_data(phi, GAUSS)
+    if info.totally_invariant:
         raise TotallyInvariantPoint(
             "the family has good reduction at the Gauss point; the comparison "
             "needs a point whose preimage is larger"
         )
     if hypothesis is None:
-        hypothesis = auto_hypothesis(phi)
+        hypothesis = _auto_hypothesis(phi, info)
     t_values = tuple(complex(t) for t in t_values)
     if not t_values:
         raise ValueError("at least one parameter value is needed")

@@ -17,6 +17,7 @@ from .errors import TotallyInvariantPoint
 from .polys import QPoly, coprime_basis
 from .respoly import FiniteClass, InfinityClass, class_degree, class_sort_key, divisor_classes
 from .redux import (
+    IntrinsicReduction,
     RationalMapK,
     chart_conjugate_lift,
     check_iteration_cap,
@@ -24,7 +25,7 @@ from .redux import (
     intrinsic_data,
     reduce_lift,
 )
-from .crucial import min_locus
+from .crucial import MinLocusResult, min_locus
 
 
 @dataclass(frozen=True)
@@ -71,24 +72,34 @@ def depth_sequence(phi: RationalMapK, point: TypeIIPoint, n_max: int = 4) -> Con
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    if totally_invariant(phi, point):
+    return _depth_sequence(phi, point, n_max, intrinsic_data(phi, point))
+
+
+def _depth_sequence(
+    phi: RationalMapK,
+    point: TypeIIPoint,
+    n_max: int,
+    info: IntrinsicReduction,
+    locus: MinLocusResult | None = None,
+) -> ConvergenceReport:
+    """depth_sequence from the reduction at the point, which is also the
+    level-1 reduction; the minimum locus is descended unless it is given."""
+    if info.totally_invariant:
         raise TotallyInvariantPoint(
             "the point is totally invariant; the sequence hypothesis fails"
         )
     d = phi.degree
     for n in range(2, n_max + 1):
         check_iteration_cap(d, n)  # the first level past the cap, before any work
-    measures = []
-    base = chart_conjugate_lift(phi.lift, point)
-    current = base
-    for n in range(1, n_max + 1):
-        if n > 1:
-            current = compose_lifts(base, current)
+    measures = [_measure_from_intrinsic(info, d, 1)]
+    base = current = chart_conjugate_lift(phi.lift, point)
+    for n in range(2, n_max + 1):
+        current = compose_lifts(base, current)
         measures.append(_measure_from_intrinsic(reduce_lift(current), d, n))
     tv_steps = tuple(
         tv_distance(measures[k], measures[k + 1]) for k in range(len(measures) - 1)
     )
-    predicted = predicted_limit(phi, point)
+    predicted = _prediction(point, min_locus(phi) if locus is None else locus)
     match = None
     if predicted is not None:
         match = tv_distance(measures[-1], predicted) == 0
@@ -110,11 +121,15 @@ def predicted_limit(phi: RationalMapK, point: TypeIIPoint) -> DirectionMeasure |
     """
     if totally_invariant(phi, point):
         raise TotallyInvariantPoint("no limit prediction at a totally invariant point")
-    locus = min_locus(phi)
-    minimizer = locus.minimizer
-    if not intrinsic_data(phi, minimizer).totally_invariant:
+    return _prediction(point, min_locus(phi))
+
+
+def _prediction(point: TypeIIPoint, locus: MinLocusResult) -> DirectionMeasure | None:
+    """predicted_limit at a point that is not totally invariant, read off the
+    minimum locus (its record of good reduction at the minimizer)."""
+    if not locus.good_reduction:
         return None
-    cls = direction_toward(point, minimizer).cls
+    cls = direction_toward(point, locus.minimizer).cls
     return DirectionMeasure(((cls, Fraction(1)),))
 
 
@@ -122,12 +137,23 @@ def _class_poly(cls) -> QPoly:
     return QPoly.from_coeffs([-cls.value, 1]) if isinstance(cls, FiniteClass) else cls.poly
 
 
-def _mass_on(measure: DirectionMeasure, q: QPoly) -> Fraction:
+def _finite_atoms(measure: DirectionMeasure) -> list[tuple[object, Fraction, QPoly]]:
+    """(class, mass, class polynomial) for every atom off infinity."""
+    return [
+        (cls, mass, _class_poly(cls))
+        for cls, mass in measure.atoms
+        if not isinstance(cls, InfinityClass)
+    ]
+
+
+def _mass_on(atoms: list[tuple[object, Fraction, QPoly]], q: QPoly) -> Fraction:
     """Mass on the roots of a basis polynomial; an atom's mass is equal per root."""
     total = Fraction(0)
-    for cls, mass in measure.atoms:
-        if not isinstance(cls, InfinityClass):
-            p = _class_poly(cls)
+    for cls, mass, p in atoms:
+        if isinstance(cls, FiniteClass):
+            if q.eval(cls.value) == 0:
+                total += mass
+        else:
             total += mass * q.gcd(p).degree / p.degree
     return total
 
@@ -138,8 +164,8 @@ def _mass_on_infinity(measure: DirectionMeasure) -> Fraction:
 
 def tv_distance(m1: DirectionMeasure, m2: DirectionMeasure) -> Fraction:
     """Exact total variation distance over the common class refinement."""
-    finite = [cls for m in (m1, m2) for cls, _ in m.atoms if not isinstance(cls, InfinityClass)]
+    atoms1, atoms2 = _finite_atoms(m1), _finite_atoms(m2)
     spread = abs(m1.point_mass - m2.point_mass) + abs(_mass_on_infinity(m1) - _mass_on_infinity(m2))
-    for q in coprime_basis([_class_poly(cls) for cls in finite]):
-        spread += abs(_mass_on(m1, q) - _mass_on(m2, q))
+    for q in coprime_basis([p for _, _, p in atoms1 + atoms2]):
+        spread += abs(_mass_on(atoms1, q) - _mass_on(atoms2, q))
     return spread / 2

@@ -12,6 +12,11 @@ changes no comparison and no printed output; it lets integer polynomials
 (the lifts of redux, which are primitive over Z[u]) multiply, divide and
 take Bareiss determinants on ints alone.  Every division of coefficients
 goes through qdiv: int // int when the division is exact, else a Fraction.
+
+gcd, exact_div and squarefree_parts work on primitive integer polynomials:
+Fraction coefficients are cleared first, and a quotient or a monic gcd
+takes its Fractions back only at the end.  Their results are those of
+Euclid over Q, term for term.
 """
 
 from __future__ import annotations
@@ -239,10 +244,21 @@ class QPoly:
             if self.terms and self.terms[0][0] < k:
                 raise ValueError("division is not exact")
             return QPoly._of_terms(tuple((e - k, qdiv(a, c)) for e, a in self.terms))
-        q, r = divmod(self, other)
-        if not r.is_zero:
-            raise ValueError("division is not exact")
-        return q
+        if not other.terms:
+            raise ZeroDivisionError("polynomial division by zero")
+        if not self.terms:
+            return self
+        # self = (ga/da) A and other = (gb/db) B with A, B primitive integer:
+        # the quotient is A/B, integral by Gauss's lemma, times ga db/(da gb)
+        a, ga, da = _primitive(self.terms)
+        b, gb, db = _primitive(other.terms)
+        q = _exact_quotient(a, b)
+        num, den = ga * db, da * gb
+        k = _int_gcd(num, den)
+        if k != num or k != den:
+            num, den = num // k, den // k
+            q = tuple((e, qdiv(c * num, den)) for e, c in q)
+        return QPoly._of_terms(q)
 
     def monic(self) -> "QPoly":
         if self.is_zero:
@@ -253,11 +269,15 @@ class QPoly:
         return QPoly._of_terms(tuple((e, qdiv(c, lead)) for e, c in self.terms))
 
     def gcd(self, other: "QPoly") -> "QPoly":
-        """Monic greatest common divisor; gcd(0, q) = monic q."""
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, (a % b).monic()
-        return a.monic()
+        """Monic greatest common divisor; gcd(0, q) = monic q.
+
+        The work runs on primitive integer polynomials (_primitive_gcd) and
+        one monic() ends it; the monic gcd is unique, so this is the same
+        QPoly that Euclid over Q gives.
+        """
+        if not self.terms or not other.terms:
+            return (other if not self.terms else self).monic()
+        return QPoly._of_terms(_primitive_gcd(self.terms, other.terms)).monic()
 
     def derivative(self) -> "QPoly":
         return QPoly._build({e - 1: c * e for e, c in self.terms if e})
@@ -299,20 +319,125 @@ _QP_ONE = QPoly([(0, 1)])
 _QP_X = QPoly([(1, 1)])
 
 
+# -- the integer route of gcd, exact_div and Yun ---------------------------------
+#
+# Collins's primitive PRS and Gauss's lemma, kept sparse: the operands are
+# term tuples of integer polynomials, and no list of length degree + 1 is
+# built, so polynomials in u with large exponents cost what their terms cost.
+
+
+def _primitive(terms, shift: int = 0) -> tuple:
+    """(P, g, den) for a nonzero p: p = (g/den) * x^shift * P, where P holds
+    the integer terms of content 1."""
+    den = 1
+    for _, c in terms:
+        if c.__class__ is Fraction:
+            den = _int_lcm(den, c.denominator)
+    if den != 1:
+        terms = [(e, c.numerator * (den // c.denominator)) for e, c in terms]
+    g = _int_gcd(*(c for _, c in terms))
+    if g != 1 or shift:
+        terms = [(e - shift, c // g) for e, c in terms]
+    return tuple(terms), g, den
+
+
+def _exact_quotient(a: tuple, b: tuple) -> tuple:
+    """Integer terms of a / b for integer a and primitive integer b; by Gauss's
+    lemma every quotient coefficient is an integer when b divides a."""
+    *lower, (bdeg, blead) = b
+    r = dict(a)
+    heap = [-e for e in r]
+    heapify(heap)
+    q = []
+    while heap and -heap[0] >= bdeg:
+        e = -heappop(heap)
+        c = r.pop(e)
+        if not c:
+            continue
+        f, rest = divmod(c, blead)
+        if rest:
+            raise ValueError("division is not exact")
+        k = e - bdeg
+        q.append((k, f))
+        for ej, cj in lower:
+            if k + ej not in r:
+                heappush(heap, -(k + ej))
+            r[k + ej] = r.get(k + ej, 0) - f * cj
+    if any(r.values()):
+        raise ValueError("division is not exact")
+    return tuple(reversed(q))
+
+
+def _pseudo_remainder(a: tuple, b: tuple) -> tuple:
+    """Primitive part of a pseudo-remainder of a by b, both integer, divided
+    by the power of x it carries (empty when b divides a).
+
+    Each elimination step scales the remainder by lc(b)/gcd(c, lc(b)) for
+    the leading coefficient c it cancels, not by lc(b) for every degree of
+    the quotient.  Leading exponents come from a max-heap, as in divmod.
+    """
+    *lower, (bdeg, blead) = b
+    r = dict(a)
+    heap = [-e for e in r]
+    heapify(heap)
+    while heap and -heap[0] >= bdeg:
+        e = -heappop(heap)
+        c = r.pop(e)
+        if not c:
+            continue
+        g = _int_gcd(c, blead)
+        f, m = c // g, blead // g
+        if m != 1:
+            for k in r:
+                r[k] *= m
+        k = e - bdeg
+        for ej, cj in lower:
+            if k + ej not in r:
+                heappush(heap, -(k + ej))
+            r[k + ej] = r.get(k + ej, 0) - f * cj
+    rest = sorted((e, c) for e, c in r.items() if c)
+    return _primitive(rest, rest[0][0])[0] if rest else ()
+
+
+def _primitive_gcd(a: tuple, b: tuple) -> tuple:
+    """Integer terms of a primitive gcd of two nonzero polynomials, up to sign.
+
+    The power of x is split off first.  Each remainder is divided by the
+    power of x it carries: the divisor before it has a nonzero constant term,
+    so that power is prime to the gcd.
+    """
+    v = min(a[0][0], b[0][0])
+    if len(a) == 1 or len(b) == 1:
+        return ((v, 1),)  # a monomial operand leaves x^v alone
+    a, b = _primitive(a, a[0][0])[0], _primitive(b, b[0][0])[0]
+    if a[-1][0] < b[-1][0]:
+        a, b = b, a
+    while b[-1][0] > 0:
+        r = _pseudo_remainder(a, b)
+        if not r:
+            return tuple((e + v, c) for e, c in b) if v else b
+        a, b = b, r
+    return ((v, 1),)
+
+
 def squarefree_parts(p: QPoly) -> list[tuple[QPoly, int]]:
     """Yun decomposition of p: monic S_i with p = lc * prod S_i^i.
 
     Only parts of positive degree are returned; valid in characteristic 0.
+    Yun runs on primitive integer polynomials: its gcds are primitive, and
+    by Gauss's lemma its exact quotients stay integral.
     """
     if p.is_zero:
         raise ValueError("squarefree decomposition of zero")
-    p = p.monic()
+    if p.degree < 1:
+        return []
+    p = QPoly._of_terms(_primitive(p.terms)[0])
     out = []
-    g = p.gcd(p.derivative())
+    g = QPoly._of_terms(_primitive_gcd(p.terms, p.derivative().terms))
     w = p.exact_div(g)
     i = 1
     while w.degree > 0:
-        y = w.gcd(g)
+        y = QPoly._of_terms(_primitive_gcd(w.terms, g.terms))
         s = w.exact_div(y)
         if s.degree > 0:
             out.append((s.monic(), i))
@@ -361,24 +486,17 @@ def primitive_parts(polys, shift: int = 0) -> list[QPoly]:
     A positive divisor keeps every sign; all-zero input comes back unscaled.
     """
     polys = list(polys)
-    den = 1
+    joint = tuple(t for p in polys for t in p.terms)
+    if not joint:
+        return polys
+    scaled, g, den = _primitive(joint, shift)
+    if g == 1 and den == 1 and not shift:
+        return polys
+    out, i = [], 0
     for p in polys:
-        for _, c in p.terms:
-            if c.__class__ is Fraction:
-                den = _int_lcm(den, c.denominator)
-    g = 0
-    for p in polys:
-        for _, c in p.terms:
-            g = _int_gcd(g, c if den == 1 else c.numerator * (den // c.denominator))
-            if g == 1:
-                break
-        if g == 1:
-            break
-    if den == 1 and g <= 1:
-        return [p.shifted(-shift) for p in polys] if shift else polys
-    return [
-        QPoly._of_terms(tuple((e - shift, c * den // g) for e, c in p.terms)) for p in polys
-    ]
+        out.append(QPoly._of_terms(scaled[i : i + len(p.terms)]))
+        i += len(p.terms)
+    return out
 
 
 def _scaled_value(coeffs: list[int], h: int, powers: list[int]) -> int:

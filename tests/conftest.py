@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -97,3 +98,16 @@ def rand_unit_mobius(rng: random.Random) -> Mobius:
         det = a * d - b * c
         if not det.is_zero and det.ord() == 0:
             return Mobius(a, b, c, d)
+
+
+def count_calls(monkeypatch, name: str, *modules) -> Counter:
+    """Wrap the function each module binds to `name`; count calls per module."""
+    counts: Counter = Counter()
+    for module in modules:
+
+        def counted(*args, _fn=getattr(module, name), _key=module.__name__, **kwargs):
+            counts[_key] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts

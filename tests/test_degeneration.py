@@ -11,6 +11,7 @@ from nadyn import (
     GAUSS,
     IllConditioned,
     INF_C,
+    NeedsExtension,
     RootFindingFailed,
     SampleCapExceeded,
     TargetsOverlap,
@@ -18,12 +19,17 @@ from nadyn import (
     atom_estimate,
     chordal,
     degeneration_report,
+    min_locus,
     parse_map,
     predicted_limit,
     pullback_sample,
     specialize,
 )
-from nadyn.degeneration import _ball_masks, aberth_roots
+import nadyn.crucial
+import nadyn.degeneration
+import nadyn.equidist
+from nadyn.degeneration import _ball_masks, aberth_roots, auto_hypothesis
+from conftest import count_calls
 
 Z2 = parse_map("z^2")
 TZ2 = parse_map("t*z^2")
@@ -183,6 +189,36 @@ def test_symmetric_masses():
     plus = sum(1 for p in pts if not cmath.isinf(p) and p.real > 0) / len(pts)
     minus = sum(1 for p in pts if not cmath.isinf(p) and p.real < 0) / len(pts)
     assert abs(plus - minus) < 0.02
+
+
+def test_degeneration_report_reduces_gauss_once_and_descends_once(monkeypatch):
+    # TZ2 has a Dirac prediction; TZ21T falls back to the depth sequence,
+    # which reuses the Gauss reduction and the minimum locus
+    steps = {phi: len(min_locus(phi).trail) for phi in (TZ2, TZ21T)}
+    modules = (nadyn.degeneration, nadyn.equidist, nadyn.crucial)
+    reductions = count_calls(monkeypatch, "intrinsic_data", *modules)
+    loci = count_calls(monkeypatch, "min_locus", nadyn.degeneration, nadyn.equidist)
+    for phi, k in steps.items():
+        reductions.clear()
+        loci.clear()
+        degeneration_report(phi, [1e-3], 3)
+        assert reductions == {"nadyn.degeneration": 1, "nadyn.crucial": k + 1}
+        assert loci == {"nadyn.degeneration": 1}
+    assert degeneration_report(TZ21T, [1e-3], 1).predicted == auto_hypothesis(TZ21T).atoms
+
+
+def test_degeneration_report_descends_before_sampling(monkeypatch):
+    samples = count_calls(monkeypatch, "pullback_sample", nadyn.degeneration)
+
+    def failing_locus(phi):
+        raise NeedsExtension("descending direction is irrational")
+
+    monkeypatch.setattr(nadyn.degeneration, "min_locus", failing_locus)
+    with pytest.raises(TotallyInvariantPoint):
+        degeneration_report(Z2, [1e-3], 3)
+    with pytest.raises(NeedsExtension):
+        degeneration_report(TZ21T, [1e-3], 3)
+    assert not samples
 
 
 def test_cross_validation_with_prediction():

@@ -10,16 +10,20 @@ from nadyn import (
     GAUSS,
     INFINITY,
     IterationCapExceeded,
+    NeedsExtension,
     QPoly,
     TotallyInvariantPoint,
     depth_sequence,
+    min_locus,
     parse_map,
     parse_point,
     predicted_limit,
     totally_invariant,
     tv_distance,
 )
-from conftest import rand_map, rand_point
+import nadyn.crucial
+import nadyn.equidist
+from conftest import count_calls, rand_map, rand_point
 
 Z2 = parse_map("z^2")
 TZ2 = parse_map("t*z^2")
@@ -142,6 +146,53 @@ def test_tv_steps_are_probability_gaps():
         checked += 1
 
 
-def test_depth_sequence_cap_fires_before_any_level_is_computed():
+def test_depth_sequence_cap_fires_before_any_level_is_computed(monkeypatch):
+    levels = count_calls(monkeypatch, "compose_lifts", nadyn.equidist)
+    loci = count_calls(monkeypatch, "min_locus", nadyn.equidist)
     with pytest.raises(IterationCapExceeded, match=r"degree 2\^13 exceeds cap 4096"):
         depth_sequence(TZ2, GAUSS, 10**6)
+    assert not levels and not loci
+
+
+# -- one reduction per point, and the error order -----------------------------
+
+
+def test_depth_sequence_reduces_the_point_once(monkeypatch):
+    # one intrinsic_data at the point, which is also level 1; one descent,
+    # whose last reduction says whether the minimizer has good reduction
+    cases = [(TZ2, GAUSS, 3), (TZ21T, HALF_DOWN, 2), (TZ21T, GAUSS, 2), (Z2TZ, GAUSS, 1)]
+    steps = [len(min_locus(phi).trail) for phi, _, _ in cases]
+    reductions = count_calls(monkeypatch, "intrinsic_data", nadyn.equidist, nadyn.crucial)
+    loci = count_calls(monkeypatch, "min_locus", nadyn.equidist)
+    levels = count_calls(monkeypatch, "reduce_lift", nadyn.equidist)
+    for (phi, point, n_max), k in zip(cases, steps):
+        for counts in (reductions, loci, levels):
+            counts.clear()
+        depth_sequence(phi, point, n_max)
+        assert reductions == {"nadyn.equidist": 1, "nadyn.crucial": k + 1}
+        assert loci == {"nadyn.equidist": 1}
+        assert levels["nadyn.equidist"] == n_max - 1
+
+
+def test_depth_sequence_checks_total_invariance_before_the_cap(monkeypatch):
+    loci = count_calls(monkeypatch, "min_locus", nadyn.equidist)
+    with pytest.raises(TotallyInvariantPoint):
+        depth_sequence(Z2, GAUSS, 10**6)
+    assert not loci
+
+
+def test_depth_sequence_descends_after_the_measures(monkeypatch):
+    # no corpus map makes min_locus raise, so a stub stands in for one that does
+    levels = count_calls(monkeypatch, "reduce_lift", nadyn.equidist)
+    seen = []
+
+    def failing_locus(phi):
+        seen.append(levels["nadyn.equidist"])
+        raise NeedsExtension("descending direction is irrational")
+
+    monkeypatch.setattr(nadyn.equidist, "min_locus", failing_locus)
+    with pytest.raises(NeedsExtension):
+        depth_sequence(TZ21T, GAUSS, 3)
+    assert seen == [2]  # levels 2 and 3 were reduced first
+    with pytest.raises(NeedsExtension):
+        predicted_limit(TZ21T, GAUSS)

@@ -4,6 +4,7 @@ sympy is used only here, as an independent reference; nadyn never imports it.
 """
 
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -11,7 +12,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nadyn import parse_map
-from nadyn.polys import QPoly, primitive_parts, qdiv, rational_roots, squarefree_parts
+from nadyn.polys import (
+    QPoly,
+    _primitive_gcd,
+    primitive_parts,
+    qdiv,
+    rational_roots,
+    squarefree_parts,
+)
 from nadyn.redux import _sylvester_det, compose_lifts, conjugate_lift, mobius_lift
 from conftest import rand_unit_mobius
 
@@ -126,6 +134,134 @@ def test_rational_roots_with_large_constant_terms():
     assert rational_roots(q.shifted(2)) == [0, Fraction(1, 10**13), 10**13, 10**13 + 1]
 
 
+# -- the integer route of gcd, exact_div and Yun ------------------------------------
+#
+# The reference is Euclid over Q with Fraction remainders, the route these
+# functions took before they ran on primitive integer polynomials; divmod
+# still is long division over Q.
+
+
+def _euclid_gcd(a: QPoly, b: QPoly) -> QPoly:
+    while not b.is_zero:
+        a, b = b, (a % b).monic()
+    return a.monic()
+
+
+def _euclid_exact_div(a: QPoly, b: QPoly) -> QPoly:
+    q, r = divmod(a, b)
+    if not r.is_zero:
+        raise ValueError("division is not exact")
+    return q
+
+
+def _euclid_squarefree_parts(p: QPoly) -> list[tuple[QPoly, int]]:
+    p = p.monic()
+    out = []
+    g = _euclid_gcd(p, p.derivative())
+    w = _euclid_exact_div(p, g)
+    i = 1
+    while w.degree > 0:
+        y = _euclid_gcd(w, g)
+        s = _euclid_exact_div(w, y)
+        if s.degree > 0:
+            out.append((s.monic(), i))
+        w = y
+        g = _euclid_exact_div(g, y)
+        i += 1
+    return out
+
+
+def _typed(p: QPoly) -> tuple:
+    """Terms with the type of every coefficient, so int 3 and Fraction 3 differ."""
+    return tuple((e, type(c), c) for e, c in p.terms)
+
+
+_big = st.integers(-(2**80), 2**80)
+_kernel_coeffs = st.one_of(
+    st.integers(-6, 6),
+    _big,
+    st.fractions(max_denominator=12),
+    st.builds(Fraction, _big, st.integers(1, 2**70)),
+)
+_kernel_polys = st.one_of(
+    st.just(QPoly.zero()),
+    _kernel_coeffs.map(lambda c: QPoly.monomial(0, c)),  # constants, zero included
+    st.lists(st.tuples(st.integers(0, 6), _kernel_coeffs), min_size=1, max_size=5).map(QPoly),
+)
+
+
+@settings(max_examples=250, deadline=None)
+@given(_kernel_polys, _kernel_polys, _kernel_polys)
+def test_integer_route_matches_euclid_over_q(a, b, c):
+    # a common factor c makes the gcd nontrivial; negated operands give
+    # negative leading coefficients
+    for x, y in ((a, b), (a * c, b * c), (-(a * c), b * c * c), (a, QPoly.zero())):
+        assert _typed(x.gcd(y)) == _typed(_euclid_gcd(x, y))
+        assert _typed(y.gcd(x)) == _typed(_euclid_gcd(y, x))
+    if c:
+        for x in (a * c, -(a * c) * c, a):
+            try:
+                expected = _euclid_exact_div(x, c)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    x.exact_div(c)
+            else:
+                assert _typed(x.exact_div(c)) == _typed(expected)
+    p = a * c * c * b * b * b
+    if p:
+        got = squarefree_parts(p)
+        want = _euclid_squarefree_parts(p)
+        assert [(_typed(s), i) for s, i in got] == [(_typed(s), i) for s, i in want]
+    with pytest.raises(ZeroDivisionError):
+        a.exact_div(QPoly.zero())
+
+
+def test_gcd_of_huge_coefficients_and_negative_leads():
+    x = QPoly.x()
+    big = 2**64 + 13
+    f = x.scale(big) - QPoly.monomial(0, 3)  # zero 3/big
+    a = f * (x * x + QPoly.monomial(0, 1)).scale(-(2**70))
+    b = f * f * (x - QPoly.monomial(0, Fraction(1, big)))
+    assert a.gcd(b) == f.monic() == _euclid_gcd(a, b)
+    assert a.gcd(b).terms == ((0, Fraction(-3, big)), (1, 1))
+    assert squarefree_parts(b) == _euclid_squarefree_parts(b)
+    assert (b * a).exact_div(-a) == -b
+
+
+def test_primitive_gcd_is_primitive_over_z():
+    # the integer gcd is divided by its content, over any scaling of the inputs
+    x = QPoly.x()
+    f = x.scale(6) + QPoly.monomial(0, 4)  # content 2
+    a = (f * (x + QPoly.one())).scale(Fraction(15, 7))
+    b = (f * f * (x - QPoly.one())).scale(-9)
+    g = _primitive_gcd(a.terms, b.terms)
+    assert all(type(c) is int for _, c in g)
+    assert gcd(*(c for _, c in g)) == 1
+    assert abs(g[-1][1]) == 3 and g[-1][0] == 1
+
+
+def _best_ms(fn, repeats: int = 5) -> float:
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return 1000 * best
+
+
+def test_gcd_stays_sparse_on_huge_exponents():
+    # a gcd in u whose degree is large must cost what its terms cost; a
+    # route over dense coefficient lists would take far longer than 10 ms
+    one = QPoly.one()
+    plus = QPoly.monomial(400_000) + one
+    minus = QPoly.monomial(400_000) - one
+    half = QPoly.monomial(200_000) - one
+    assert plus.gcd(half) == one
+    assert minus.gcd(half) == half
+    assert _best_ms(lambda: plus.gcd(half)) < 10
+    assert _best_ms(lambda: minus.gcd(half)) < 10
+
+
 # -- integer lifts --------------------------------------------------------------
 
 _LIFT_MAPS = [
@@ -210,6 +346,37 @@ def test_squarefree_parts_and_rational_roots_match_sympy():
             _from_sym(sympy, f).monic().coeff(0) * -1 for f, _ in irreducible if f.degree() == 1
         )
         assert rational_roots(p) == roots
+
+
+def _rand_fraction(rng: random.Random):
+    return Fraction(rng.randint(-(10**12), 10**12), rng.randint(1, 10**9))
+
+
+def _rand_fraction_poly(rng: random.Random, max_deg: int) -> QPoly:
+    return QPoly.from_coeffs([_rand_fraction(rng) for _ in range(rng.randint(1, max_deg + 1))])
+
+
+def test_fraction_heavy_kernel_matches_sympy():
+    # every coefficient a Fraction with a large denominator, a common factor
+    # so that the gcd is nontrivial, and repeated factors for Yun
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(61)
+    for _ in range(60):
+        common = _rand_fraction_poly(rng, 2)
+        a = common * _rand_fraction_poly(rng, 3)
+        b = common * _rand_fraction_poly(rng, 2)
+        sa, sb = _sym(sympy, a, x), _sym(sympy, b, x)
+        assert a.gcd(b) == _from_sym(sympy, sympy.gcd(sa, sb))
+        if b:
+            sq, sr = sympy.div(sa, sb)
+            assert divmod(a, b) == (_from_sym(sympy, sq), _from_sym(sympy, sr))
+            assert (a * b).exact_div(b) == a
+        p = a * b * b
+        if p.degree > 0:
+            _, factors = sympy.sqf_list(_sym(sympy, p, x))
+            expected = {(_from_sym(sympy, f).monic(), i) for f, i in factors if f.degree() > 0}
+            assert set(squarefree_parts(p)) == expected
 
 
 def _rand_u_poly(rng: random.Random) -> QPoly:
