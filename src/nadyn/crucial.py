@@ -43,7 +43,6 @@ from .errors import (
     BreakpointUnresolved,
     DegreeTooLow,
     IrrationalDirection,
-    NeedsExtension,
     PiecewiseBoundaryUnresolved,
     SamePoint,
 )
@@ -100,7 +99,6 @@ class MinLocusResult:
     verdict: Verdict
     trail: tuple[tuple[TypeIIPoint, object, Fraction], ...]
     zero_slope_classes: tuple[object, ...]
-    good_reduction: bool  # the minimizer is totally invariant
 
 
 def ord_res_for_chart(phi: RationalMapK, m: Mobius) -> Fraction:
@@ -412,14 +410,22 @@ def min_locus(phi: RationalMapK, start: TypeIIPoint = GAUSS) -> MinLocusResult:
 
     By convexity there is at most one descending direction per point; the
     step to the next kink is the exact first breakpoint of the closed form
-    of ordRes on the ray along that direction.
+    of ordRes on the ray along that direction.  The descending class is
+    always rational: a factor class of degree k >= 2 and per-root depth dep
+    has k*dep <= deg H, which a negative slope rules out.  The descent is
+    cached per (lift, start).
     """
+    return _descent(phi.lift, start)
+
+
+@lru_cache(maxsize=512)
+def _descent(lift: Lift, start: TypeIIPoint) -> MinLocusResult:
+    phi = RationalMapK(lift)
     d = phi.degree
     point = start
     trail = []
     for _ in range(_MAX_DESCENT_STEPS):
-        info = intrinsic_data(phi, point)
-        data = class_slope_data(info)
+        data = class_slope_data(intrinsic_data(phi, point))
         slopes = [(cls, _rhs_value(d, dep, fixed)) for cls, dep, fixed in data]
         negatives = [(cls, rhs) for cls, rhs in slopes if rhs < 0]
         if not negatives:
@@ -427,10 +433,6 @@ def min_locus(phi: RationalMapK, start: TypeIIPoint = GAUSS) -> MinLocusResult:
         if len(negatives) > 1:
             raise AssertionError("convexity violation: several descending directions")
         cls, sigma = negatives[0]
-        if isinstance(cls, FactorClass):
-            raise NeedsExtension(
-                f"descending direction is the irrational class {cls.poly.to_str('z')}"
-            )
         step = _descent_step(phi, point, cls, sigma)
         trail.append((point, cls, step))
         point = step_into(point, cls, step)
@@ -446,5 +448,4 @@ def min_locus(phi: RationalMapK, start: TypeIIPoint = GAUSS) -> MinLocusResult:
         verdict=verdict,
         trail=tuple(trail),
         zero_slope_classes=tuple(cls for cls, rhs in slopes if rhs == 0),
-        good_reduction=info.totally_invariant,
     )

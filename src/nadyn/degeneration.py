@@ -34,9 +34,8 @@ from .errors import (
 )
 from .scalars import KScalar
 from .respoly import FactorClass, FiniteClass, InfinityClass
-from .crucial import min_locus
-from .redux import IntrinsicReduction, RationalMapK, intrinsic_data
-from .equidist import DirectionMeasure, _depth_sequence, _prediction
+from .redux import RationalMapK, _sylvester_rows
+from .equidist import DirectionMeasure, depth_sequence, predicted_limit, totally_invariant
 
 INF_C = complex(math.inf, 0.0)
 
@@ -121,12 +120,7 @@ def _vanishes(c: KScalar, t0: complex, value: complex) -> bool:
 
 def _check_conditioning(phi: RationalMapK, gmap: ComplexMap, t0: complex) -> None:
     d = gmap.degree
-    n = 2 * d
-    m = np.zeros((n, n), dtype=complex)
-    for k in range(d):
-        for j in range(d + 1):
-            m[k, k + j] = gmap.den[d - j]
-            m[d + k, k + j] = gmap.num[d - j]
+    m = np.array(_sylvester_rows(gmap.den, gmap.num, 0j), dtype=complex)
     with np.errstate(all="ignore"):
         det = complex(np.linalg.det(m))
     scale = max(max(abs(c) for c in gmap.num), max(abs(c) for c in gmap.den), 1.0)
@@ -423,23 +417,7 @@ def auto_hypothesis(phi: RationalMapK, n_max: int = 2) -> DirectionMeasure:
     The exact Dirac prediction is used when available; otherwise the deepest
     computed level of the depth sequence stands in for the limit.
     """
-    info = intrinsic_data(phi, GAUSS)
-    if info.totally_invariant:
-        raise TotallyInvariantPoint("no limit prediction at a totally invariant point")
-    return _auto_hypothesis(phi, info, n_max)
-
-
-def _auto_hypothesis(
-    phi: RationalMapK, info: IntrinsicReduction, n_max: int = 2
-) -> DirectionMeasure:
-    """auto_hypothesis from the reduction at the Gauss point, which is not
-    totally invariant; one minimum locus serves the Dirac prediction and,
-    failing it, the depth sequence."""
-    locus = min_locus(phi)
-    predicted = _prediction(GAUSS, locus)
-    if predicted is not None:
-        return predicted
-    return _depth_sequence(phi, GAUSS, n_max, info, locus).measures[-1]
+    return predicted_limit(phi, GAUSS) or depth_sequence(phi, GAUSS, n_max).measures[-1]
 
 
 def degeneration_report(
@@ -456,14 +434,13 @@ def degeneration_report(
         raise ValueError("at least one pullback level is needed")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    info = intrinsic_data(phi, GAUSS)
-    if info.totally_invariant:
+    if totally_invariant(phi, GAUSS):
         raise TotallyInvariantPoint(
             "the family has good reduction at the Gauss point; the comparison "
             "needs a point whose preimage is larger"
         )
     if hypothesis is None:
-        hypothesis = _auto_hypothesis(phi, info)
+        hypothesis = auto_hypothesis(phi)
     t_values = tuple(complex(t) for t in t_values)
     if not t_values:
         raise ValueError("at least one parameter value is needed")

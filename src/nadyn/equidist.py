@@ -17,7 +17,6 @@ from .errors import TotallyInvariantPoint
 from .polys import QPoly, coprime_basis
 from .respoly import FiniteClass, InfinityClass, class_degree, class_sort_key, divisor_classes
 from .redux import (
-    IntrinsicReduction,
     RationalMapK,
     chart_conjugate_lift,
     check_iteration_cap,
@@ -25,7 +24,7 @@ from .redux import (
     intrinsic_data,
     reduce_lift,
 )
-from .crucial import MinLocusResult, min_locus
+from .crucial import min_locus
 
 
 @dataclass(frozen=True)
@@ -68,22 +67,12 @@ def depth_sequence(phi: RationalMapK, point: TypeIIPoint, n_max: int = 4) -> Con
 
     The chart conjugate psi of phi is lifted once; the n-th iterate of phi at
     the point is the n-th iterate of psi at the Gauss point, and each level
-    composes psi with the previous level's lift.
+    composes psi with the previous level's lift.  The reduction at the point
+    is the level-1 reduction.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    return _depth_sequence(phi, point, n_max, intrinsic_data(phi, point))
-
-
-def _depth_sequence(
-    phi: RationalMapK,
-    point: TypeIIPoint,
-    n_max: int,
-    info: IntrinsicReduction,
-    locus: MinLocusResult | None = None,
-) -> ConvergenceReport:
-    """depth_sequence from the reduction at the point, which is also the
-    level-1 reduction; the minimum locus is descended unless it is given."""
+    info = intrinsic_data(phi, point)
     if info.totally_invariant:
         raise TotallyInvariantPoint(
             "the point is totally invariant; the sequence hypothesis fails"
@@ -99,7 +88,7 @@ def _depth_sequence(
     tv_steps = tuple(
         tv_distance(measures[k], measures[k + 1]) for k in range(len(measures) - 1)
     )
-    predicted = _prediction(point, min_locus(phi) if locus is None else locus)
+    predicted = predicted_limit(phi, point)
     match = None
     if predicted is not None:
         match = tv_distance(measures[-1], predicted) == 0
@@ -121,15 +110,10 @@ def predicted_limit(phi: RationalMapK, point: TypeIIPoint) -> DirectionMeasure |
     """
     if totally_invariant(phi, point):
         raise TotallyInvariantPoint("no limit prediction at a totally invariant point")
-    return _prediction(point, min_locus(phi))
-
-
-def _prediction(point: TypeIIPoint, locus: MinLocusResult) -> DirectionMeasure | None:
-    """predicted_limit at a point that is not totally invariant, read off the
-    minimum locus (its record of good reduction at the minimizer)."""
-    if not locus.good_reduction:
+    minimizer = min_locus(phi).minimizer
+    if not totally_invariant(phi, minimizer):
         return None
-    cls = direction_toward(point, locus.minimizer).cls
+    cls = direction_toward(point, minimizer).cls
     return DirectionMeasure(((cls, Fraction(1)),))
 
 

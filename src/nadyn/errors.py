@@ -68,7 +68,11 @@ class BreakpointUnresolved(NadynError):
 
 
 class NeedsExtension(NadynError):
-    """Descent direction is an irrational class; not resolved over Q."""
+    """Descent direction is an irrational class; not resolved over Q.
+
+    The slope formula rules such a direction out (see crucial.min_locus), so
+    the solver does not raise it; the type stays for callers that name it.
+    """
 
 
 class TotallyInvariantPoint(NadynError):

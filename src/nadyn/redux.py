@@ -21,7 +21,9 @@ form H carries the directionwise depths, and the quotient pair is the
 tangent map (or a constant naming the image direction).  The chart
 conjugate at xi_{a,s} is read off the ray at a, the Taylor shift of the
 lift at a (one per lift and centre, cached), by scaling its coefficients
-with powers of t^s; no composition is needed.
+with powers of t^s; no composition is needed.  The reduction at a point is
+cached per (lift, point), so each point is reduced once however many callers
+ask for it; reductions of composed lifts are not cached.
 """
 
 from __future__ import annotations
@@ -525,16 +527,21 @@ def reduce_lift(lift: Lift) -> IntrinsicReduction:
     )
 
 
+@lru_cache(maxsize=512)
+def _reduction(lift: Lift, point: TypeIIPoint) -> IntrinsicReduction:
+    return reduce_lift(chart_conjugate_lift(lift, point))
+
+
 def reduction_at(phi: RationalMapK, point: TypeIIPoint) -> IntrinsicReduction:
     """Reduction of the conjugate of the map by the chart of the point."""
-    return reduce_lift(chart_conjugate_lift(phi.lift, point))
+    return _reduction(phi.lift, point)
 
 
 def intrinsic_data(phi: RationalMapK, point: TypeIIPoint) -> IntrinsicReduction:
     """Conjugate to the canonical chart and reduce; degree 2 and up only."""
     if phi.degree < 2:
         raise DegreeTooLow("intrinsic data needs a map of degree >= 2")
-    return reduction_at(phi, point)
+    return _reduction(phi.lift, point)
 
 
 def _fixes_class(info: IntrinsicReduction, cls) -> bool:

@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -111,3 +112,26 @@ def count_calls(monkeypatch, name: str, *modules) -> Counter:
 
         monkeypatch.setattr(module, name, counted)
     return counts
+
+
+def swept_caches() -> set:
+    """The program's caches: the values with a cache_clear in nadyn.* modules,
+    collected as bench/run.py collects them."""
+    return {
+        value
+        for name, module in sys.modules.items()
+        if name.startswith("nadyn.")
+        for value in vars(module).values()
+        if callable(getattr(value, "cache_clear", None))
+    }
+
+
+def clear_caches() -> None:
+    """Clear every program cache, as the benchmark does before each query."""
+    for cache in swept_caches():
+        cache.cache_clear()
+
+
+def descent_points(locus) -> set:
+    """The points a descent reduces at: the start of every step and the minimizer."""
+    return {locus.minimizer, *(point for point, _, _ in locus.trail)}

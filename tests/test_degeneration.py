@@ -28,8 +28,9 @@ from nadyn import (
 import nadyn.crucial
 import nadyn.degeneration
 import nadyn.equidist
+import nadyn.redux
 from nadyn.degeneration import _ball_masks, aberth_roots, auto_hypothesis
-from conftest import count_calls
+from conftest import clear_caches, count_calls, descent_points
 
 Z2 = parse_map("z^2")
 TZ2 = parse_map("t*z^2")
@@ -191,19 +192,19 @@ def test_symmetric_masses():
     assert abs(plus - minus) < 0.02
 
 
-def test_degeneration_report_reduces_gauss_once_and_descends_once(monkeypatch):
+def test_degeneration_report_reduces_each_point_once(monkeypatch):
     # TZ2 has a Dirac prediction; TZ21T falls back to the depth sequence,
-    # which reuses the Gauss reduction and the minimum locus
-    steps = {phi: len(min_locus(phi).trail) for phi in (TZ2, TZ21T)}
-    modules = (nadyn.degeneration, nadyn.equidist, nadyn.crucial)
-    reductions = count_calls(monkeypatch, "intrinsic_data", *modules)
-    loci = count_calls(monkeypatch, "min_locus", nadyn.degeneration, nadyn.equidist)
-    for phi, k in steps.items():
-        reductions.clear()
+    # whose reductions at the Gauss point and descent are cache hits
+    loci = count_calls(monkeypatch, "min_locus", nadyn.equidist)
+    for phi, expected_loci in ((TZ2, 1), (TZ21T, 2)):
+        clear_caches()
         loci.clear()
         degeneration_report(phi, [1e-3], 3)
-        assert reductions == {"nadyn.degeneration": 1, "nadyn.crucial": k + 1}
-        assert loci == {"nadyn.degeneration": 1}
+        reductions = nadyn.redux._reduction.cache_info().misses
+        descents = nadyn.crucial._descent.cache_info().misses
+        assert reductions == len({GAUSS} | descent_points(min_locus(phi)))
+        assert descents == 1
+        assert loci == {"nadyn.equidist": expected_loci}
     assert degeneration_report(TZ21T, [1e-3], 1).predicted == auto_hypothesis(TZ21T).atoms
 
 
@@ -213,7 +214,7 @@ def test_degeneration_report_descends_before_sampling(monkeypatch):
     def failing_locus(phi):
         raise NeedsExtension("descending direction is irrational")
 
-    monkeypatch.setattr(nadyn.degeneration, "min_locus", failing_locus)
+    monkeypatch.setattr(nadyn.equidist, "min_locus", failing_locus)
     with pytest.raises(TotallyInvariantPoint):
         degeneration_report(Z2, [1e-3], 3)
     with pytest.raises(NeedsExtension):

@@ -23,7 +23,8 @@ from nadyn import (
 )
 import nadyn.crucial
 import nadyn.equidist
-from conftest import count_calls, rand_map, rand_point
+import nadyn.redux
+from conftest import clear_caches, count_calls, descent_points, rand_map, rand_point
 
 Z2 = parse_map("z^2")
 TZ2 = parse_map("t*z^2")
@@ -157,19 +158,22 @@ def test_depth_sequence_cap_fires_before_any_level_is_computed(monkeypatch):
 # -- one reduction per point, and the error order -----------------------------
 
 
-def test_depth_sequence_reduces_the_point_once(monkeypatch):
-    # one intrinsic_data at the point, which is also level 1; one descent,
-    # whose last reduction says whether the minimizer has good reduction
+def test_depth_sequence_reduces_each_point_once(monkeypatch):
+    # one reduction per distinct point: the point itself, which is also
+    # level 1, and the points of one descent, whose last reduction says
+    # whether the minimizer has good reduction
     cases = [(TZ2, GAUSS, 3), (TZ21T, HALF_DOWN, 2), (TZ21T, GAUSS, 2), (Z2TZ, GAUSS, 1)]
-    steps = [len(min_locus(phi).trail) for phi, _, _ in cases]
-    reductions = count_calls(monkeypatch, "intrinsic_data", nadyn.equidist, nadyn.crucial)
     loci = count_calls(monkeypatch, "min_locus", nadyn.equidist)
     levels = count_calls(monkeypatch, "reduce_lift", nadyn.equidist)
-    for (phi, point, n_max), k in zip(cases, steps):
-        for counts in (reductions, loci, levels):
-            counts.clear()
+    for phi, point, n_max in cases:
+        clear_caches()
+        loci.clear()
+        levels.clear()
         depth_sequence(phi, point, n_max)
-        assert reductions == {"nadyn.equidist": 1, "nadyn.crucial": k + 1}
+        reductions = nadyn.redux._reduction.cache_info().misses
+        descents = nadyn.crucial._descent.cache_info().misses
+        assert reductions == len({point} | descent_points(min_locus(phi)))
+        assert descents == 1
         assert loci == {"nadyn.equidist": 1}
         assert levels["nadyn.equidist"] == n_max - 1
 
