@@ -13,7 +13,7 @@ import json
 import math
 import sys
 
-from .berkspace import Direction, TowardClass, direction_toward
+from .berkspace import Direction
 from .errors import IrrationalDirection, NadynError, ParseError
 from .polys import QPoly
 from .respoly import class_sort_key, divisor_classes
@@ -168,10 +168,8 @@ def _cmd_slope(args) -> dict:
     phi = parse_map(args.map)
     point = parse_point(args.point)
     if args.direction is not None:
-        cls = parse_direction_class(args.direction)
-        if isinstance(cls, TowardClass):
-            cls = direction_toward(point, cls.target).cls
-        return _slope_json(phi, point, slope_rhs(phi, point, Direction(point, cls)))
+        direction = Direction(point, parse_direction_class(args.direction))
+        return _slope_json(phi, point, slope_rhs(phi, point, direction))
     return {"slopes": [_slope_json(phi, point, report) for report in _slope_table(phi, point)]}
 
 

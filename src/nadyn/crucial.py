@@ -135,22 +135,18 @@ def _rhs_value(d: int, dep: int, fixed: bool) -> Fraction:
     return (bonus - dep) / (d - 1)
 
 
-def _resolve_class(point: TypeIIPoint, direction: Direction):
+def slope_rhs(phi: RationalMapK, point: TypeIIPoint, direction: Direction) -> SlopeReport:
+    """Reduction-theoretic slope of hypRes along a direction; the report
+    carries the direction with a toward-class resolved to its class."""
     if direction.at != point:
         raise ValueError("direction is based at a different point")
     cls = direction.cls
     if isinstance(cls, TowardClass):
         cls = direction_toward(point, cls.target).cls
-    return cls
-
-
-def slope_rhs(phi: RationalMapK, point: TypeIIPoint, direction: Direction) -> SlopeReport:
-    """Reduction-theoretic slope of hypRes along a direction."""
-    cls = _resolve_class(point, direction)
     info = intrinsic_data(phi, point)
     dep = depth_at(info.depths, cls)
     fixed = _fixes_class(info, cls)
-    return SlopeReport(direction, dep, fixed, _rhs_value(phi.degree, dep, fixed))
+    return SlopeReport(Direction(point, cls), dep, fixed, _rhs_value(phi.degree, dep, fixed))
 
 
 # classes the slope table lists even when they carry no depth
@@ -276,105 +272,82 @@ def _gauss_mass(phi: RationalMapK, probe: TypeIIPoint, cls) -> int:
     return depth_at(reduce_lift(compose_lifts(phi.lift, chart_lift(probe))).depths, cls)
 
 
-def _mass_integral(phi: RationalMapK, point: TypeIIPoint, total: Fraction, dmax: int) -> Fraction:
-    """Integral over [0, rho(gauss, point)] of the pullback mass beyond tau."""
+def _step_integral(value, total: Fraction, v_lo, v_hi, dmax: int) -> Fraction:
+    """Integral over [0, total] of a non-increasing, right-continuous step
+    function with breakpoints on (1/dmax)Z (see _denominator_bound), given
+    its value v_lo at 0 and its left limit v_hi at total.
 
-    def value(tau: Fraction) -> int:
-        probe = path_point(GAUSS, point, tau)
-        cls = direction_toward(probe, point).cls
-        return _gauss_mass(phi, probe, cls)
-
-    v_lo = value(Fraction(0))
-    # left limit at the far end: total mass minus the mass toward the
-    # Gauss point, all measured through the chart of the endpoint
-    toward_gauss = direction_toward(point, GAUSS).cls
-    v_hi = phi.degree - _gauss_mass(phi, point, toward_gauss)
+    Intervals split at the simplest rational of their middle half, so probes
+    keep small levels.  A jump left of a split is first sought at the split
+    itself, by one probe at the lattice point below it; a snapped cut
+    strictly inside its interval is certified by one probe.
+    """
 
     def recurse(lo, hi, a, b, depth):
-        # the mass function is right-continuous, so a jump lies in (lo, hi]
+        # the function is right-continuous, so a jump lies in (lo, hi]
         if a == b:
             return a * (hi - lo)
         cut = _snap_unique(lo, hi, False, True, dmax)
         if cut is not None:
+            if cut != hi and value(cut) != b:
+                raise BreakpointUnresolved(f"snapped breakpoint {cut} failed certification")
             return a * (cut - lo) + b * (hi - cut)
         if depth > _MAX_BISECT_DEPTH:
-            raise BreakpointUnresolved("mass integral bisection too deep")
-        mid = (lo + hi) / 2
+            raise BreakpointUnresolved(f"breakpoint not isolated at denominator bound {dmax}")
+        quarter = (hi - lo) / 4
+        mid = simplest_in(lo + quarter, hi - quarter)
         vm = value(mid)
-        return recurse(lo, mid, a, vm, depth + 1) + recurse(mid, hi, vm, b, depth + 1)
+        right = recurse(mid, hi, vm, b, depth + 1)
+        below = mid - Fraction(1, dmax)
+        if a != vm and dmax % mid.denominator == 0 and below > lo:
+            vb = value(below)  # no lattice point lies in (below, mid)
+            return recurse(lo, below, a, vb, depth + 1) + vb * (mid - below) + right
+        return recurse(lo, mid, a, vm, depth + 1) + right
 
     return recurse(Fraction(0), total, v_lo, v_hi, 0)
-
-
-def _wedge_parameter(phi: RationalMapK, point: TypeIIPoint, total: Fraction, dmax: int) -> Fraction:
-    """Distance from the Gauss point to the wedge of the image with the point.
-
-    The image point is never constructed: the direction at a probe toward it
-    is the constant value of the reduction of phi precomposed with the chart
-    of the endpoint, postcomposed with the inverse chart of the probe.
-    """
-    phi_m = compose_lifts(phi.lift, chart_lift(point))
-
-    def image_class(tau: Fraction):
-        probe = path_point(GAUSS, point, tau)
-        red = reduce_lift(compose_lifts(_inverse_lift(chart_lift(probe)), phi_m))
-        if red.fixes_point:
-            return None  # the image is exactly the probe point
-        return red.image_class
-
-    toward_gauss = direction_toward(point, GAUSS).cls
-    red_at_point = reduce_lift(compose_lifts(_inverse_lift(chart_lift(point)), phi_m))
-    if not red_at_point.fixes_point and red_at_point.image_class != toward_gauss:
-        return total  # wedge at the point itself
-
-    def toward(tau: Fraction):
-        # probe strictly before the endpoint, so the direction is defined
-        return direction_toward(path_point(GAUSS, point, tau), point).cls
-
-    ic0 = image_class(Fraction(0))
-    if ic0 is None:
-        return Fraction(0)
-    if ic0 != toward(Fraction(0)):
-        return Fraction(0)
-    lo, hi = Fraction(0), total
-    # the predicate flips exactly at the wedge parameter, in (lo, hi]
-    for _ in range(_MAX_BISECT_DEPTH):
-        cut = _snap_unique(lo, hi, False, True, dmax)
-        if cut is not None:
-            if cut != hi and cut != total:
-                ic = image_class(cut)
-                if ic is not None and ic == toward(cut):
-                    raise BreakpointUnresolved("snapped wedge failed certification")
-            return cut
-        mid = (lo + hi) / 2
-        ic = image_class(mid)
-        if ic is None:
-            return mid
-        if ic == toward(mid):
-            lo = mid
-        else:
-            hi = mid
-    raise BreakpointUnresolved(f"wedge not isolated at denominator bound {dmax}")
 
 
 def hyp_res_direct(phi: RationalMapK, point: TypeIIPoint) -> Fraction:
     """Evaluate hypRes geometrically: distance, wedge, and path-mass terms.
 
-    Independent of the Sylvester route: only reductions of right and left
-    composites of phi with charts enter.
+    Both terms integrate step functions along [gauss, point]: the pullback
+    mass beyond the probe, and the indicator that the probe lies before the
+    wedge of the image of the point with the point.  Independent of the
+    Sylvester route: only reductions of right and left composites of phi
+    with charts enter.
     """
     if point == GAUSS:
         return Fraction(0)
     d = phi.degree
     total = rho(GAUSS, point)
     dmax = _denominator_bound(phi, point)
+    toward_gauss = direction_toward(point, GAUSS).cls
+
+    def mass(tau: Fraction) -> int:
+        probe = path_point(GAUSS, point, tau)
+        return _gauss_mass(phi, probe, direction_toward(probe, point).cls)
+
+    # left limit at the far end: total mass minus the mass toward the
+    # Gauss point, all measured through the chart of the endpoint
+    v_hi = d - _gauss_mass(phi, point, toward_gauss)
+    integral = _step_integral(mass, total, mass(Fraction(0)), v_hi, dmax)
+
     info = intrinsic_data(phi, point)
-    if info.fixes_point:
-        wedge_term = Fraction(0)
+    if info.fixes_point or info.image_class != toward_gauss:
+        wedge = total  # the wedge is the point itself
     else:
-        wedge_term = total - _wedge_parameter(phi, point, total, dmax)
-    integral = _mass_integral(phi, point, total, dmax)
-    return total / 2 + (wedge_term - integral) / (d - 1)
+        # the image point is never constructed: the direction at a probe
+        # toward it is the constant value of the reduction of phi composed
+        # with the chart of the point and the inverse chart of the probe
+        phi_m = compose_lifts(phi.lift, chart_lift(point))
+
+        def before_wedge(tau: Fraction) -> int:
+            probe = path_point(GAUSS, point, tau)
+            red = reduce_lift(compose_lifts(_inverse_lift(chart_lift(probe)), phi_m))
+            return int(not red.fixes_point and red.image_class == direction_toward(probe, point).cls)
+
+        wedge = _step_integral(before_wedge, total, before_wedge(Fraction(0)), 0, dmax)
+    return total / 2 + (total - wedge - integral) / (d - 1)
 
 
 # -- the minimum locus -----------------------------------------------------------

@@ -39,9 +39,9 @@ from .equidist import DirectionMeasure, depth_sequence, predicted_limit, totally
 
 INF_C = complex(math.inf, 0.0)
 
-DEFAULT_START = 1 + 1j / 3
-DEFAULT_TOL = 1e-12
-DEFAULT_MAX_ITER = 500
+SAMPLE_ANCHOR = 1 + 1j / 3
+ABERTH_TOL = 1e-12
+ABERTH_MAX_ITER = 500
 SAMPLE_CAP = 2**16
 _LEADING_CUTOFF = 1e-13
 
@@ -171,8 +171,8 @@ def _join(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return out
 
 
-def _above_bound(am: np.ndarray, mz: np.ndarray, tol: float, apz: np.ndarray) -> np.ndarray:
-    """Per row, whether |p(z)| > tol * sum_i |c_i| max(1, |z|)^i.
+def _above_bound(am: np.ndarray, mz: np.ndarray, apz: np.ndarray) -> np.ndarray:
+    """Per row, whether |p(z)| > ABERTH_TOL * sum_i |c_i| max(1, |z|)^i.
 
     CPython takes the powers with libm pow, numpy with its own loops, and the
     two can differ in the last bit; rows within a relative 1e-12 of the bound
@@ -181,23 +181,23 @@ def _above_bound(am: np.ndarray, mz: np.ndarray, tol: float, apz: np.ndarray) ->
     acc = np.zeros_like(mz)
     for i in range(am.shape[1]):
         acc = acc + am[:, i] * np.power(mz, i)
-    bound = tol * acc
+    bound = ABERTH_TOL * acc
     above = apz > bound
     for r in np.flatnonzero(np.abs(apz - bound) <= 1e-12 * bound):
         m = float(mz[r])
-        exact = tol * sum(float(a) * m**i for i, a in enumerate(am[r]))
+        exact = ABERTH_TOL * sum(float(a) * m**i for i, a in enumerate(am[r]))
         above[r] = apz[r] > exact
     return above
 
 
-def _aberth(coeffs: np.ndarray, tol: float, max_iter: int) -> tuple[np.ndarray, np.ndarray]:
+def _aberth(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Aberth iteration on every row of an (m, e+1) coefficient array, e >= 2.
 
     Row by row this is the scalar method: start points on the circle of
     radius 1 + max |c_i / c_e| with phase 0.4, Gauss-Seidel sweeps over the
     roots in a fixed order, and a row stops after the first sweep in which
     every root met its residual bound.  Returns the (m, e) roots and the mask
-    of rows that had not stopped after max_iter sweeps.
+    of rows that had not stopped after ABERTH_MAX_ITER sweeps.
     """
     m, e = coeffs.shape[0], coeffs.shape[1] - 1
     mr, mi = _div(coeffs.real, coeffs.imag, coeffs.real[:, -1:], coeffs.imag[:, -1:])
@@ -218,13 +218,13 @@ def _aberth(coeffs: np.ndarray, tol: float, max_iter: int) -> tuple[np.ndarray, 
     roots_r = np.empty((m, e))
     roots_i = np.empty((m, e))
     live = np.arange(m)
-    for _ in range(max_iter):
+    for _ in range(ABERTH_MAX_ITER):
         pending = np.zeros(live.size, dtype=bool)
         for j in range(e):
             z_r, z_i = zr[:, j].copy(), zi[:, j].copy()
             pr, pi = _horner(mr, mi, z_r, z_i)
             az = np.hypot(z_r, z_i)
-            pending |= _above_bound(am, np.where(az > 1.0, az, 1.0), tol, np.hypot(pr, pi))
+            pending |= _above_bound(am, np.where(az > 1.0, az, 1.0), np.hypot(pr, pi))
             qr, qi = _horner(dr, di, z_r, z_i)
             flat = (qr == 0) & (qi == 0)
             nr, ni = _div(pr, pi, qr, qi)
@@ -273,9 +273,7 @@ def _quadratic(c: np.ndarray) -> np.ndarray:
     return np.stack([r1, r2], axis=1)
 
 
-def aberth_roots(
-    coeffs: list[complex], tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
-) -> list[complex]:
+def aberth_roots(coeffs: list[complex]) -> list[complex]:
     """All roots of a complex polynomial by simultaneous Aberth iteration.
 
     Deterministic: initial points on a scaled circle with a fixed phase, and
@@ -288,15 +286,13 @@ def aberth_roots(
     if e == 1:
         return [-coeffs[0] / coeffs[1]]
     with np.errstate(all="ignore"):
-        roots, failed = _aberth(np.array([coeffs], dtype=complex), tol, max_iter)
+        roots, failed = _aberth(np.array([coeffs], dtype=complex))
     if failed[0]:
         raise RootFindingFailed(0, sum(abs(c / coeffs[-1]) for c in coeffs))
     return roots[0].tolist()
 
 
-def _preimages(
-    num: np.ndarray, den: np.ndarray, ws: np.ndarray, tol: float, level: int
-) -> np.ndarray:
+def _preimages(num: np.ndarray, den: np.ndarray, ws: np.ndarray, level: int) -> np.ndarray:
     """The d preimages of every w in ws, with multiplicity and in the order of
     ws; preimages at infinity are padded in where leading coefficients vanish."""
     d = num.size - 1
@@ -326,7 +322,7 @@ def _preimages(
         elif e == 2:
             roots = _quadratic(_join(cr, ci))
         else:
-            roots, bad = _aberth(_join(cr, ci), tol, DEFAULT_MAX_ITER)
+            roots, bad = _aberth(_join(cr, ci))
             failed[rows[bad]] = True
         out_r[rows, :e] = roots.real
         out_i[rows, :e] = roots.imag
@@ -335,7 +331,7 @@ def _preimages(
     return _join(out_r, out_i).ravel()
 
 
-def pullback_sample(gmap: ComplexMap, z0: complex, n: int, tol: float = DEFAULT_TOL) -> np.ndarray:
+def pullback_sample(gmap: ComplexMap, z0: complex, n: int) -> np.ndarray:
     """The multiset of d^n n-th preimages of z0 under the map, as a 1-D
     complex array; each level is solved as one batch."""
     d = gmap.degree
@@ -349,7 +345,7 @@ def pullback_sample(gmap: ComplexMap, z0: complex, n: int, tol: float = DEFAULT_
     points = np.array([complex(z0)])
     with np.errstate(all="ignore"):
         for level in range(1, n + 1):
-            points = _preimages(num, den, points, tol, level)
+            points = _preimages(num, den, points, level)
     return points
 
 
@@ -401,23 +397,23 @@ def atom_estimate(
     ]
 
 
-def _class_targets(cls, tol: float) -> list[complex]:
+def _class_targets(cls) -> list[complex]:
     if isinstance(cls, InfinityClass):
         return [INF_C]
     if isinstance(cls, FiniteClass):
         return [complex(cls.value)]
     if isinstance(cls, FactorClass):
-        return aberth_roots([complex(c) for c in cls.poly.coeff_list()], tol=tol)
+        return aberth_roots([complex(c) for c in cls.poly.coeff_list()])
     raise TypeError(f"cannot place class {cls!r} in the complex plane")
 
 
-def auto_hypothesis(phi: RationalMapK, n_max: int = 2) -> DirectionMeasure:
+def auto_hypothesis(phi: RationalMapK) -> DirectionMeasure:
     """Predicted direction measure at the Gauss point.
 
-    The exact Dirac prediction is used when available; otherwise the deepest
-    computed level of the depth sequence stands in for the limit.
+    The exact Dirac prediction is used when available; otherwise the level-2
+    measure of the depth sequence stands in for the limit.
     """
-    return predicted_limit(phi, GAUSS) or depth_sequence(phi, GAUSS, n_max).measures[-1]
+    return predicted_limit(phi, GAUSS) or depth_sequence(phi, GAUSS, 2).measures[-1]
 
 
 def degeneration_report(
@@ -426,8 +422,6 @@ def degeneration_report(
     n: int,
     hypothesis: DirectionMeasure | None = None,
     eps: float = 0.1,
-    z0: complex = DEFAULT_START,
-    tol: float = DEFAULT_TOL,
 ) -> DegenerationReport:
     """Sample the maximal entropy measures and compare with the prediction."""
     if n < 1:
@@ -445,11 +439,11 @@ def degeneration_report(
     if not t_values:
         raise ValueError("at least one parameter value is needed")
     atoms = [(cls, mass) for cls, mass in hypothesis.atoms]
-    atom_targets = [_class_targets(cls, tol) for cls, _ in atoms]
+    atom_targets = [_class_targets(cls) for cls, _ in atoms]
     per_t = []
     for t0 in t_values:
         gmap = specialize(phi, t0)
-        points = _sample_with_reanchor(gmap, z0, n, tol)
+        points = _sample_with_reanchor(gmap, n)
         rows = []
         for (cls, mass), targets in zip(atoms, atom_targets):
             masks = _ball_masks(points, targets, eps)
@@ -478,14 +472,14 @@ def degeneration_report(
     )
 
 
-def _sample_with_reanchor(gmap: ComplexMap, z0: complex, n: int, tol: float) -> np.ndarray:
+def _sample_with_reanchor(gmap: ComplexMap, n: int) -> np.ndarray:
     # exceptional-orbit collisions show up as root-finding failures; retry
     # from a deterministic sequence of perturbed anchors
     last = None
     for k in range(4):
-        anchor = z0 if k == 0 else z0 * (1 + k * 1e-3) + k * 1e-3j
+        anchor = SAMPLE_ANCHOR * (1 + k * 1e-3) + k * 1e-3j
         try:
-            return pullback_sample(gmap, anchor, n, tol)
+            return pullback_sample(gmap, anchor, n)
         except RootFindingFailed as exc:
             last = exc
     raise last

@@ -26,7 +26,7 @@ from math import gcd
 
 from .berkspace import GAUSS, TowardClass, TypeIIPoint
 from .errors import DegenerateMap, DegreeTooHigh, LevelCapExceeded, ParseError, PowerTooLarge
-from .polys import QPoly, qdiv
+from .polys import QPoly, power_str, qdiv, sum_str
 from .respoly import FactorClass, FiniteClass, InfinityClass, INFINITY
 from .redux import Lift, RationalMapK, _common_level, _shift_out, _zpoly_mul, map_from_lift
 from .scalars import KScalar, K_ONE, level_cap
@@ -395,28 +395,11 @@ def _coeff_wrap(s: str) -> str:
 
 
 def _zpoly_str(coeffs) -> str:
-    parts = []
-    for i in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[i]
-        if c.is_zero:
-            continue
-        if i == 0:
-            body = _coeff_wrap(c.to_str())
-        else:
-            pw = "z" if i == 1 else f"z^{i}"
-            if c == K_ONE:
-                body = pw
-            elif c == -K_ONE:
-                body = f"-{pw}"
-            else:
-                body = f"{_coeff_wrap(c.to_str())}*{pw}"
-        parts.append(body)
-    if not parts:
-        return "0"
-    out = parts[0]
-    for body in parts[1:]:
-        out += f" - {body[1:]}" if body.startswith("-") else f" + {body}"
-    return out
+    return sum_str(
+        (_coeff_wrap(c.to_str()), power_str("z", i) if i else "")
+        for i, c in reversed(list(enumerate(coeffs)))
+        if not c.is_zero
+    )
 
 
 def map_str(phi: RationalMapK) -> str:

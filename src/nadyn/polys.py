@@ -58,6 +58,36 @@ def _terms(acc: dict) -> tuple:
     )
 
 
+def power_str(var: str, e) -> str:
+    """The power var^e for a rational e != 0; a fractional e is parenthesised."""
+    if e == 1:
+        return var
+    return f"{var}^{e}" if e.denominator == 1 else f"{var}^({e})"
+
+
+def sum_str(terms) -> str:
+    """A sparse sum from (coefficient text, power text) pairs, leading term
+    first.  An empty power text marks the constant term; a unit coefficient
+    is dropped before a power, and negative terms join with " - "."""
+    out = ""
+    for c, pw in terms:
+        if not pw:
+            body = c
+        elif c == "1":
+            body = pw
+        elif c == "-1":
+            body = f"-{pw}"
+        else:
+            body = f"{c}*{pw}"
+        if not out:
+            out = body
+        elif body.startswith("-"):
+            out += f" - {body[1:]}"
+        else:
+            out += f" + {body}"
+    return out or "0"
+
+
 class QPoly:
     """Polynomial over Q stored as sorted (exponent, coefficient) pairs."""
 
@@ -293,25 +323,7 @@ class QPoly:
     # -- printing ------------------------------------------------------------
 
     def to_str(self, var: str = "t") -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in reversed(self.terms):
-            if e == 0:
-                body = str(c)
-            else:
-                pw = var if e == 1 else f"{var}^{e}"
-                if c == 1:
-                    body = pw
-                elif c == -1:
-                    body = f"-{pw}"
-                else:
-                    body = f"{c}*{pw}"
-            parts.append(body)
-        out = parts[0]
-        for body in parts[1:]:
-            out += f" - {body[1:]}" if body.startswith("-") else f" + {body}"
-        return out
+        return sum_str((str(c), power_str(var, e) if e else "") for e, c in reversed(self.terms))
 
 
 _QP_ZERO = QPoly()

@@ -422,9 +422,9 @@ def ord_res_of_lift(lift: Lift) -> Fraction:
     return Fraction(det.val, lift.level)
 
 
-def check_iteration_cap(d: int, n: int, cap: int = ITERATION_CAP) -> None:
-    if d**n > cap:
-        raise IterationCapExceeded(f"degree {d}^{n} exceeds cap {cap}")
+def check_iteration_cap(d: int, n: int) -> None:
+    if d**n > ITERATION_CAP:
+        raise IterationCapExceeded(f"degree {d}^{n} exceeds cap {ITERATION_CAP}")
 
 
 def compose(outer: RationalMapK, inner: RationalMapK) -> RationalMapK:
@@ -432,11 +432,11 @@ def compose(outer: RationalMapK, inner: RationalMapK) -> RationalMapK:
     return RationalMapK(compose_lifts(outer.lift, inner.lift))
 
 
-def iterate(phi: RationalMapK, n: int, cap: int = ITERATION_CAP) -> RationalMapK:
+def iterate(phi: RationalMapK, n: int) -> RationalMapK:
     """n-fold composition of the map with itself."""
     if n < 1:
         raise ValueError("iteration count must be positive")
-    check_iteration_cap(phi.degree, n, cap)
+    check_iteration_cap(phi.degree, n)
     lift = phi.lift
     for _ in range(n - 1):
         lift = compose_lifts(phi.lift, lift)

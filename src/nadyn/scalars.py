@@ -15,7 +15,7 @@ from math import gcd as _int_gcd
 from math import inf
 
 from .errors import LevelCapExceeded
-from .polys import QPoly, qdiv
+from .polys import QPoly, power_str, qdiv, sum_str
 
 DEFAULT_LEVEL_CAP = 64
 
@@ -267,31 +267,7 @@ class KScalar:
 
 
 def _laurent_str(p: QPoly, level: int) -> str:
-    if p.is_zero:
-        return "0"
-    parts = []
-    for e, c in reversed(p.terms):
-        q = Fraction(e, level)
-        if q == 0:
-            body = str(c)
-        else:
-            if q == 1:
-                pw = "t"
-            elif q.denominator == 1:
-                pw = f"t^{q}"
-            else:
-                pw = f"t^({q})"
-            if c == 1:
-                body = pw
-            elif c == -1:
-                body = f"-{pw}"
-            else:
-                body = f"{c}*{pw}"
-        parts.append(body)
-    out = parts[0]
-    for body in parts[1:]:
-        out += f" - {body[1:]}" if body.startswith("-") else f" + {body}"
-    return out
+    return sum_str((str(c), power_str("t", Fraction(e, level)) if e else "") for e, c in reversed(p.terms))
 
 
 T = KScalar.t_power(1)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nadyn import (
+    BreakpointUnresolved,
     Direction,
     FactorClass,
     FiniteClass,
@@ -29,7 +30,7 @@ from nadyn import (
     step_into,
 )
 from nadyn.cli import main
-from nadyn.crucial import _rhs_value, class_slope_data
+from nadyn.crucial import _rhs_value, _step_integral, class_slope_data
 from nadyn.redux import _fixes_class
 from nadyn.respoly import class_degree, depth_at
 from conftest import rand_laurent_point, rand_map, rand_point, rand_unit_mobius
@@ -67,6 +68,12 @@ def test_slope_rhs_examples():
     assert (r.dep, r.fixed, r.rhs) == (1, True, Fraction(-1, 2))
     r = slope_rhs(Z2, GAUSS, direction(GAUSS, FiniteClass(Fraction(0))))
     assert (r.dep, r.fixed, r.rhs) == (0, True, Fraction(1, 2))
+
+
+def test_slope_rhs_resolves_toward_classes():
+    r = slope_rhs(TZ2, GAUSS, direction(GAUSS, TowardClass(ONE_DOWN)))
+    assert r.direction == direction(GAUSS, INFINITY)
+    assert r == slope_rhs(TZ2, GAUSS, direction(GAUSS, INFINITY))
 
 
 def test_slope_measured_examples():
@@ -344,3 +351,106 @@ def test_class_slope_data_rows_agree_with_depth_and_fixedness(seed):
         assert dep == depth_at(info.depths, cls)
         assert fixed == _fixes_class(info, cls)
     assert sum(class_degree(cls) * dep for cls, dep, _ in rows) == info.depths.total_degree
+
+
+# _step_integral on synthetic non-increasing, right-continuous step functions:
+# steps is a list of (breakpoint, value from there on), the first at 0.
+
+
+def _step_function(steps, total):
+    probes = []
+
+    def value(tau):
+        assert 0 < tau < total, f"probe at {tau} outside (0, total)"
+        probes.append(tau)
+        return [v for x, v in steps if x <= tau][-1]
+
+    return value, probes
+
+
+def _integral(steps, total, dmax):
+    value, probes = _step_function(steps, total)
+    left_limit = [v for x, v in steps if x < total][-1]
+    return _step_integral(value, total, steps[0][1], left_limit, dmax), probes
+
+
+def test_step_integral_jump_at_a_dyadic_midpoint():
+    steps = [(0, 2), (Fraction(1, 2), 0)]
+    result, probes = _integral(steps, Fraction(1), 2)
+    assert result == 1
+    assert probes == [Fraction(1, 2)]  # the snap at the midpoint needs no certificate
+    # on a fine lattice, one probe at the lattice point below pins the jump
+    result, probes = _integral(steps, Fraction(1), 10**6)
+    assert result == 1
+    assert probes == [Fraction(1, 2), Fraction(1, 2) - Fraction(1, 10**6)]
+
+
+def test_step_integral_jump_at_total_is_left_out():
+    # the far end enters through its left limit, so a jump there is invisible
+    total = Fraction(1)
+    result, probes = _integral([(0, 2), (Fraction(1, 3), 1), (total, 0)], total, 3)
+    assert result == Fraction(2, 3) + Fraction(2, 3)
+
+
+def test_step_integral_splits_two_jumps():
+    steps = [(0, 2), (Fraction(1, 3), 1), (Fraction(2, 3), 0)]
+    result, probes = _integral(steps, Fraction(1), 3)
+    assert result == 1
+    # the split at 1/2 sees the jump at 1/3 left of it; the split at 2/3 is
+    # itself the second jump
+    assert probes[0] == Fraction(1, 2)
+    assert sorted(probes) == [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)]
+
+
+def test_step_integral_constant_makes_no_probe():
+    result, probes = _integral([(0, 3)], Fraction(7, 4), 5)
+    assert result == Fraction(21, 4)
+    assert probes == []
+
+
+def test_step_integral_rejects_an_uncertified_snap():
+    # the only candidate of denominator 1 in (0, 3/2] is 1, but the jump is at 5/4
+    with pytest.raises(BreakpointUnresolved, match="certification"):
+        _integral([(0, 1), (Fraction(5, 4), 0)], Fraction(3, 2), 1)
+
+
+def test_step_integral_gives_up_at_the_depth_cap():
+    # a jump at sqrt(2) is never isolated among denominators up to 10^80
+    def value(tau):
+        return 1 if tau * tau < 2 else 0
+
+    with pytest.raises(BreakpointUnresolved, match="not isolated"):
+        _step_integral(value, Fraction(2), 1, 0, 10**80)
+
+
+def test_hyp_res_direct_pins_simple_breakpoints_at_high_level():
+    # a degree-3 map at a level-15 point: the wedge sits at the corner 5/3 of
+    # the path, which dyadic bisection of [0, 77/15] approached only past the
+    # hard level cap
+    phi = parse_map(
+        "(((3*t^2 + 2)/(t^3 - 4*t))*z^3 + ((-3*t^2 + 4)/(t^2 - 4))*z^2 + (-2*t^2/(t^2 - 4))*z)"
+        "/((-3*t/(t^2 - 4))*z^3 + (4/(t^3 - 4*t))*z + 1)"
+    )
+    point = parse_point("a=3/2*t^(-5/3);s=9/5")
+    assert hyp_res_direct(phi, point) == hyp_res(phi, point) == Fraction(43, 10)
+
+
+# Rumely's characterisation of the type II minimal locus: hypRes is minimal
+# exactly where the reduction is semistable, and a stable point is the
+# unique minimizer.  Both hypRes routes are checked at each point.
+
+
+@settings(max_examples=400, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_minimal_locus_is_the_semistable_locus(seed):
+    rng = random.Random(seed)
+    phi = rand_map(rng, degree=rng.choice([2, 3]))
+    locus = min_locus(phi)
+    for point in (rand_point(rng), rand_laurent_point(rng), locus.minimizer, GAUSS):
+        value = hyp_res(phi, point)
+        assert hyp_res_direct(phi, point) == value
+        assert value >= locus.min_hyp_res
+        verdict = semistability(phi, point)
+        assert (value == locus.min_hyp_res) == (verdict is not Verdict.UNSTABLE)
+        if verdict is Verdict.STABLE:
+            assert locus.unique and locus.minimizer == point

@@ -1,7 +1,15 @@
 import random
 from fractions import Fraction
 
-from nadyn.polys import QPoly, coprime_basis, rational_roots, simplest_in, squarefree_parts
+from nadyn.polys import (
+    QPoly,
+    coprime_basis,
+    power_str,
+    rational_roots,
+    simplest_in,
+    squarefree_parts,
+    sum_str,
+)
 
 
 def _poly(*coeffs):
@@ -77,6 +85,16 @@ def test_simplest_in_is_minimal_denominator():
         for q in range(1, best.denominator):
             lo_n = -(-a.numerator * q // a.denominator)  # ceil(a*q)
             assert lo_n > b * q, (a, b, best, q)
+
+
+def test_sparse_sum_printer():
+    assert sum_str([]) == "0"
+    assert sum_str([("1", "z^2"), ("-1", "z"), ("3", "")]) == "z^2 - z + 3"
+    assert sum_str([("-2", "t"), ("1/2", "")]) == "-2*t + 1/2"
+    assert sum_str([("(1 + t)", "z"), ("-t", "")]) == "(1 + t)*z - t"
+    assert sum_str([("1", "")]) == "1"
+    assert [power_str("t", e) for e in (1, 3, Fraction(2), Fraction(-1, 2))] == ["t", "t^3", "t^2", "t^(-1/2)"]
+    assert QPoly.from_coeffs([Fraction(1, 2), -1, 0, 1]).to_str("z") == "z^3 - z + 1/2"
 
 
 def test_divmod_identity_on_random_sparse_polys():
