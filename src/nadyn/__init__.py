@@ -23,6 +23,7 @@ from .errors import (
     RootFindingFailed,
     SamePoint,
     SampleCapExceeded,
+    SeriesCapExceeded,
     TargetsOverlap,
     TotallyInvariantPoint,
 )

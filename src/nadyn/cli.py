@@ -15,8 +15,7 @@ import sys
 
 from .berkspace import Direction
 from .errors import IrrationalDirection, NadynError, ParseError
-from .polys import QPoly
-from .respoly import class_sort_key, divisor_classes
+from .respoly import sorted_classes
 from .redux import intrinsic_data, reduction_at
 from .crucial import (
     _slope_table,
@@ -123,9 +122,7 @@ def _cmd_depths(args) -> dict:
     point = parse_point(args.point)
     info = intrinsic_data(phi, point)
     out = _divisor_json(info.depths)
-    classes = divisor_classes(info.depths, QPoly.zero())
-    classes.sort(key=lambda row: class_sort_key(row[0]))
-    out["classes"] = [{**class_json(cls), "depth": dep} for cls, dep in classes]
+    out["classes"] = [{**class_json(cls), "depth": dep} for cls, dep in sorted_classes(info.depths)]
     return out
 
 

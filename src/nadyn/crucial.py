@@ -10,14 +10,14 @@ v_j = ord T_j(P - aQ)(a) and w_j = ord T_j(Q)(a),
                        - 2d min_j min(v_j + j s, w_j + (j + 1) s),
 
 an affine term minus 2d times a min of affine pieces (Rumely, "The minimal
-resultant locus", 2015).  The Sylvester determinant is taken once per map, at
-the Gauss point.  Descent along the minimum locus steps exactly to the first
-breakpoint of that min.  Slopes along directions come from two independent
-routes: the reduction-theoretic formula (depth and fixedness of the
-direction) and exact one-sided difference quotients, which agree by
-convexity as soon as two dyadic quotients coincide.  A third, fully
-geometric evaluation integrates pullback masses along the segment from the
-Gauss point.
+resultant locus", 2015).  hypRes reads the ray alone; only ordRes itself
+takes the Sylvester determinant, at the Gauss point.  Descent along the
+minimum locus steps exactly to the first breakpoint of that min.  Slopes
+along directions come from two independent routes: the reduction-theoretic
+formula (depth and fixedness of the direction) and exact one-sided
+difference quotients, which agree by convexity as soon as two dyadic
+quotients coincide.  A third, fully geometric evaluation integrates
+pullback masses along the segment from the Gauss point.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .errors import (
     DegreeTooLow,
     IrrationalDirection,
     PiecewiseBoundaryUnresolved,
-    SamePoint,
 )
 from .polys import QPoly, simplest_in
 from .respoly import (
@@ -88,7 +87,6 @@ class SlopeReport:
     dep: int
     fixed: bool
     rhs: Fraction
-    measured: Fraction | None = None
 
 
 @dataclass(frozen=True)
@@ -106,17 +104,16 @@ def ord_res_for_chart(phi: RationalMapK, m: Mobius) -> Fraction:
     return ord_res_of_lift(conjugate_lift(mobius_lift(m), phi.lift))
 
 
-def ord_res(phi: RationalMapK, point: TypeIIPoint) -> Fraction:
-    """The resultant function at a type II point, in t-units, in closed form
-    on the ray at the point's centre."""
+def _rise(phi: RationalMapK, point: TypeIIPoint) -> Fraction:
+    """ordRes(point) - ordRes(Gauss): 0 at Gauss, as stored lifts have minimal valuation 0."""
     d, s = phi.degree, point.exponent
     low = min(alpha + m * s for alpha, m in ray(phi.lift, point.center).pieces)
-    return _ord_res_gauss(phi.lift) + (d * d + d) * s - 2 * d * low
+    return (d * d + d) * s - 2 * d * low
 
 
-@lru_cache(maxsize=512)
-def _ord_res_gauss(lift: Lift) -> Fraction:
-    return ord_res_of_lift(lift)
+def ord_res(phi: RationalMapK, point: TypeIIPoint) -> Fraction:
+    """The resultant function at a type II point, in t-units."""
+    return ord_res_of_lift(phi.lift) + _rise(phi, point)
 
 
 def hyp_res(phi: RationalMapK, point: TypeIIPoint) -> Fraction:
@@ -124,7 +121,7 @@ def hyp_res(phi: RationalMapK, point: TypeIIPoint) -> Fraction:
     d = phi.degree
     if d < 2:
         raise DegreeTooLow("hypRes needs a map of degree >= 2")
-    return (ord_res(phi, point) - _ord_res_gauss(phi.lift)) / (2 * d * (d - 1))
+    return _rise(phi, point) / (2 * d * (d - 1))
 
 
 # -- slopes --------------------------------------------------------------------
@@ -168,24 +165,21 @@ def _slope_table(phi: RationalMapK, point: TypeIIPoint) -> list[SlopeReport]:
 
 
 def slope_measured(phi: RationalMapK, point: TypeIIPoint, direction: Direction) -> Fraction:
-    """One-sided derivative of hypRes along the direction, by exact quotients.
+    """One-sided derivative of hypRes along the direction, by exact quotients;
+    a toward-class is resolved to its class first, as in slope_rhs.
 
     Difference quotients of a convex piecewise-affine function over nested
     steps agree exactly once the step is inside the first affine piece, so
     one agreement certifies the slope.
     """
     cls = direction.cls
+    if isinstance(cls, TowardClass):
+        cls = direction_toward(point, cls.target).cls
     if isinstance(cls, FactorClass):
         raise IrrationalDirection("measured slopes need a rational direction")
-    if not isinstance(cls, (FiniteClass, InfinityClass, TowardClass)):
+    if not isinstance(cls, (FiniteClass, InfinityClass)):
         raise TypeError(f"unsupported direction class {cls!r}")
-    if isinstance(cls, TowardClass) and isinstance(cls.target, TypeIIPoint):
-        gap = rho(point, cls.target)
-        if gap == 0:
-            raise SamePoint("direction target coincides with the base point")
-        h = min(Fraction(1, 2), gap / 2)
-    else:
-        h = Fraction(1, 2)
+    h = Fraction(1, 2)
     base = hyp_res(phi, point)
     value_h = hyp_res(phi, step_into(point, cls, h))
     for _ in range(24):

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .berkspace import TypeIIPoint, direction_toward
 from .errors import TotallyInvariantPoint
 from .polys import QPoly, coprime_basis
-from .respoly import FiniteClass, InfinityClass, class_degree, class_sort_key, divisor_classes
+from .respoly import FiniteClass, InfinityClass, class_degree, sorted_classes
 from .redux import (
     RationalMapK,
     chart_conjugate_lift,
@@ -55,9 +55,7 @@ def totally_invariant(phi: RationalMapK, point: TypeIIPoint) -> bool:
 
 def _measure_from_intrinsic(info, d: int, n: int) -> DirectionMeasure:
     scale = Fraction(1, d**n)
-    classes = divisor_classes(info.depths, QPoly.zero())
-    classes.sort(key=lambda row: class_sort_key(row[0]))
-    atoms = [(cls, i * class_degree(cls) * scale) for cls, i in classes]
+    atoms = [(cls, i * class_degree(cls) * scale) for cls, i in sorted_classes(info.depths)]
     point_mass = info.tilde_degree * scale if info.fixes_point else Fraction(0)
     return DirectionMeasure(tuple(atoms), point_mass)
 

@@ -96,6 +96,10 @@ class RootFindingFailed(NadynError):
         super().__init__(f"root finding failed at pullback level {level} for target {target!r}")
 
 
+class SeriesCapExceeded(NadynError):
+    """A centre's Laurent series would need more coefficients than the cap."""
+
+
 class SampleCapExceeded(NadynError):
     """d^n pullback points would exceed the sample cap."""
 

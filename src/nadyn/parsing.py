@@ -46,8 +46,13 @@ MAX_MAP_DEGREE = 32
 MAX_POWER_TERMS = 80
 MAX_POWER_BITS = 400
 
-# CPython converts at most 4300 decimal digits with int() by default
+# CPython converts at most 4300 decimal digits with int() by default; a
+# rational literal's numerator and denominator are held to the same cap
 MAX_LITERAL_DIGITS = 4300
+_LITERAL_BOUND = 10**MAX_LITERAL_DIGITS
+
+# the exponent of a decimal rational literal, after its E
+_EXPONENT_RE = re.compile(r"[-+]?(\d+(?:_\d+)*)")
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_]+)|(\^|\+|\-|\*|/|\(|\)))")
 
@@ -317,10 +322,28 @@ def parse_map(text: str) -> RationalMapK:
 
 
 def parse_rational(text: str) -> Fraction:
+    """A rational as Fraction reads it ("-3/4", "0.5", "1e2"), with numerator
+    and denominator of at most MAX_LITERAL_DIGITS digits.
+
+    Fraction builds 10^|exponent| before it reduces, so an exponent past
+    MAX_LITERAL_DIGITS plus the length of the rest of the text, which puts a
+    nonzero value over the cap, is refused before that power is built.
+    """
+    literal = text.strip().replace(" ", "").upper()
+    mantissa, marker, exponent = literal.partition("E")
+    match = _EXPONENT_RE.fullmatch(exponent)
+    huge = False
+    if marker and match:
+        digits = match.group(1).replace("_", "").lstrip("0")
+        # ten digits or more exceed the bound for any mantissa int() reads
+        huge = len(digits) > 9 or int(digits or 0) > MAX_LITERAL_DIGITS + len(mantissa)
     try:
-        return Fraction(text.strip().replace(" ", ""))
+        value = Fraction(mantissa + "E0" if huge else literal)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"invalid rational {text!r}") from exc
+    if huge and value or max(abs(value.numerator), value.denominator) >= _LITERAL_BOUND:
+        raise ParseError(f"rational {text!r} exceeds {MAX_LITERAL_DIGITS} digits")
+    return value
 
 
 def parse_point(text: str) -> TypeIIPoint:

@@ -7,23 +7,26 @@ denominators and divides out the integer content; a common factor in u of
 positive degree stays).  Validity means the degree-d homogeneous pair has
 nonzero resultant; map_from_lift checks it once, by the Sylvester
 determinant at one integer u modulo one prime, and only when that vanishes
-by the exact determinant of the lift.  Products and the fraction-free
-Bareiss determinant of lifts run on ints alone.  Maps enter as lifts: the parser builds one
-directly, and make_map clears the denominators of scalar vectors that come
-from outside.  Composition, conjugation, reduction and ordRes are projective
-invariants, so they run on lifts with polynomial products only, and charts
-are lifted straight from (t^s, a).  The pivot-normalised KScalar vectors
-num/den (every coefficient over the first nonzero entry of den + num) are a
-view derived from the lift on demand, for printing, specialisation and
-projective equality.  The intrinsic reduction at a type II point reduces the
-lift of the chart conjugate into one record, IntrinsicReduction: the GCD
-form H carries the directionwise depths, and the quotient pair is the
-tangent map (or a constant naming the image direction).  The chart
-conjugate at xi_{a,s} is read off the ray at a, the Taylor shift of the
-lift at a (one per lift and centre, cached), by scaling its coefficients
-with powers of t^s; no composition is needed.  The reduction at a point is
-cached per (lift, point), so each point is reduced once however many callers
-ask for it; reductions of composed lifts are not cached.
+by the exact determinant of the lift.  Beyond that fallback, the solver
+takes the exact determinant only for ordRes itself (ord_res_of_lift, from
+crucial.ord_res and crucial.ord_res_for_chart).  Products and the
+fraction-free Bareiss determinant of lifts run on ints alone.  Maps enter
+as lifts: the parser builds one directly, and make_map clears the
+denominators of scalar vectors that come from outside.  Composition,
+conjugation, reduction and ordRes are projective invariants, so they run
+on lifts with polynomial products only, and charts are lifted straight from
+(t^s, a).  The pivot-normalised KScalar vectors num/den (every coefficient
+over the first nonzero entry of den + num) are a view derived from the lift
+on demand, for printing, specialisation and projective equality.  The
+intrinsic reduction at a type II point reduces the lift of the chart
+conjugate into one record, IntrinsicReduction: the GCD form H carries the
+directionwise depths, and the quotient pair is the tangent map (or a
+constant naming the image direction).  The chart conjugate at xi_{a,s} is
+read off the ray at a, the Taylor shift of the lift at a (one per lift and
+centre, cached), by scaling its coefficients with powers of t^s; no
+composition is needed.  The reduction at a point is cached per (lift,
+point), so each point is reduced once however many callers ask for it;
+reductions of composed lifts are not cached.
 """
 
 from __future__ import annotations
@@ -187,13 +190,13 @@ def make_map(num, den) -> RationalMapK:
 
 
 def _resultant_certified(lift: Lift) -> bool:
-    """Whether the Sylvester determinant of an integer lift is nonzero at
-    u = _CHECK_U modulo the prime _CHECK_P, which proves it nonzero over Z[u]."""
-    values = []
-    for p in lift.den + lift.num:
-        if any(c.__class__ is not int for _, c in p.terms):
-            return False
-        values.append(sum(c * pow(_CHECK_U, e, _CHECK_P) for e, c in p.terms) % _CHECK_P)
+    """Whether the Sylvester determinant of a lift over Z[u] (_shift_out
+    output, so every coefficient is an int) is nonzero at u = _CHECK_U
+    modulo the prime _CHECK_P, which proves it nonzero over Z[u]."""
+    values = [
+        sum(c * pow(_CHECK_U, e, _CHECK_P) for e, c in p.terms) % _CHECK_P
+        for p in lift.den + lift.num
+    ]
     d = len(lift.den) - 1
     rows = _sylvester_rows(values[: d + 1], values[d + 1 :], 0)
     n = len(rows)

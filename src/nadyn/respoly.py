@@ -5,7 +5,8 @@ lookups for direction classes.  Classes defined by irreducible factors are
 handled through GCD splitting, so no factorisation into irreducibles is ever
 needed: squarefree over Q stays squarefree over the algebraic closure.  One
 splitter, divisor_classes, cuts a depth divisor into direction classes,
-optionally along the zero set of a second polynomial.
+optionally along the zero set of a second polynomial; sorted_classes lists
+the plain split in class_sort_key order, as reports print it.
 """
 
 from __future__ import annotations
@@ -232,3 +233,8 @@ def divisor_classes(divisor: DepthDivisor, refine: QPoly) -> list[tuple[object, 
             if piece.degree > 0:
                 out += [(cls, i) for cls in split_classes(piece)]
     return out
+
+
+def sorted_classes(divisor: DepthDivisor) -> list[tuple[object, int]]:
+    """The plain split of the divisor, in class_sort_key order."""
+    return sorted(divisor_classes(divisor, QPoly.zero()), key=lambda row: class_sort_key(row[0]))

@@ -12,9 +12,9 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from math import gcd as _int_gcd
-from math import inf
+from math import ceil, inf
 
-from .errors import LevelCapExceeded
+from .errors import LevelCapExceeded, SeriesCapExceeded
 from .polys import QPoly, power_str, qdiv, sum_str
 
 DEFAULT_LEVEL_CAP = 64
@@ -22,6 +22,11 @@ DEFAULT_LEVEL_CAP = 64
 # Absolute guard for internally generated levels (path probes, bisection);
 # the user-facing cap only applies to base_change and parsed input.
 HARD_LEVEL_CAP = 10**8
+
+# Series coefficients KScalar.truncated_below computes for a centre that is
+# not a Laurent polynomial, such as 1/(1+t); each one costs a pass over the
+# denominator, on coefficients that grow with the index
+MAX_SERIES_TERMS = 256
 
 
 def level_cap() -> int:
@@ -207,33 +212,38 @@ class KScalar:
         """Laurent expansion truncated to t-exponents strictly below bound.
 
         The result is a Laurent polynomial in u; this is what makes type II
-        centres canonical.
+        centres canonical.  A Laurent polynomial keeps its own terms below
+        the bound; any other scalar expands as a series, of at most
+        MAX_SERIES_TERMS coefficients.
         """
         if self.is_zero:
             return self
         bound = Fraction(bound)
         n = self.level
         a = self.den.val
-        shift = self.num.val - a
-        # series coefficients c_j of (num/u^val) / (den/u^a), exponents shift+j
-        count_f = bound * n - shift
-        if count_f <= 0:
-            return KScalar.zero()
-        count = int(count_f) if count_f.denominator == 1 else int(count_f) + 1
-        numt = self.num.shifted(-self.num.val)
-        dent = self.den.shifted(-a)
-        d0 = dent.coeff(0)
-        coeffs: list[Fraction] = []
-        for j in range(count):
-            s = numt.coeff(j)
-            for e, c in dent.terms:
-                if e == 0:
-                    continue
-                if e > j:
-                    break
-                s -= c * coeffs[j - e]
-            coeffs.append(qdiv(s, d0))
-        terms = [(shift + j, c) for j, c in enumerate(coeffs) if c]
+        if len(self.den.terms) == 1:
+            # the denominator is the monic monomial u^a
+            terms = [(e - a, c) for e, c in self.num.terms if e - a < bound * n]
+        else:
+            shift = self.num.val - a
+            # series coefficients c_j of (num/u^val) / (den/u^a), exponents shift+j
+            count = max(0, ceil(bound * n - shift))
+            if count > MAX_SERIES_TERMS:
+                raise SeriesCapExceeded(f"centre {self.to_str()} needs over {MAX_SERIES_TERMS} series coefficients")
+            numt = self.num.shifted(-self.num.val)
+            dent = self.den.shifted(-a)
+            d0 = dent.coeff(0)
+            coeffs: list[Fraction] = []
+            for j in range(count):
+                s = numt.coeff(j)
+                for e, c in dent.terms:
+                    if e == 0:
+                        continue
+                    if e > j:
+                        break
+                    s -= c * coeffs[j - e]
+                coeffs.append(qdiv(s, d0))
+            terms = [(shift + j, c) for j, c in enumerate(coeffs) if c]
         if not terms:
             return KScalar.zero()
         low = min(e for e, _ in terms)

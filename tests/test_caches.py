@@ -1,7 +1,8 @@
 """The program's caches: which exist, and that a cached answer is a fresh one.
 
 Reductions at a point are cached per (lift, point) and descents per
-(lift, start), beside the Taylor-shifted rays and the Gauss-point ordRes.
+(lift, start), beside the Taylor-shifted rays.  ordRes at the Gauss point
+is not cached: only ordRes itself takes that determinant, once per call.
 The benchmark and tests/test_workload_digests.py clear every cache before
 each query by collecting the ``cache_clear`` callables of ``nadyn.*``
 modules, so a cache that escapes that sweep would make a query depend on
@@ -15,13 +16,13 @@ from hypothesis import given, settings, strategies as st
 
 import nadyn.cli  # noqa: F401  (loads every module the benchmark loads)
 from nadyn import DegreeTooLow, GAUSS, intrinsic_data, min_locus, parse_map, reduction_at
-from nadyn.crucial import _descent, _ord_res_gauss
+from nadyn.crucial import _descent
 from nadyn.redux import _reduction, chart_conjugate_lift, ray, reduce_lift
 from conftest import clear_caches, rand_laurent_point, rand_map, swept_caches
 
 
 def test_the_sweep_finds_exactly_the_known_caches():
-    assert swept_caches() == {ray, _reduction, _ord_res_gauss, _descent}
+    assert swept_caches() == {ray, _reduction, _descent}
 
 
 @settings(max_examples=40, deadline=None)

@@ -4,6 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nadyn.crucial
+import nadyn.redux
+
 from nadyn import (
     BreakpointUnresolved,
     Direction,
@@ -16,9 +19,14 @@ from nadyn import (
     TowardClass,
     Verdict,
     chart,
+    compose,
+    conjugate,
+    degeneration_report,
+    depth_sequence,
     hyp_res,
     hyp_res_direct,
     intrinsic_data,
+    iterate,
     min_locus,
     ord_res,
     ord_res_for_chart,
@@ -31,9 +39,10 @@ from nadyn import (
 )
 from nadyn.cli import main
 from nadyn.crucial import _rhs_value, _step_integral, class_slope_data
-from nadyn.redux import _fixes_class
+from nadyn.redux import _fixes_class, make_map
 from nadyn.respoly import class_degree, depth_at
-from conftest import rand_laurent_point, rand_map, rand_point, rand_unit_mobius
+from nadyn.scalars import KScalar
+from conftest import clear_caches, count_calls, rand_laurent_point, rand_map, rand_point, rand_unit_mobius
 
 Z2 = parse_map("z^2")
 TZ2 = parse_map("t*z^2")
@@ -253,6 +262,49 @@ def test_closed_form_ord_res_matches_the_sylvester_route(seed):
     phi = rand_map(rng, degree=rng.choice([2, 3]))
     point = rand_laurent_point(rng)
     assert ord_res(phi, point) == ord_res_for_chart(phi, chart(point))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_hyp_res_is_the_sylvester_rise_over_2d_d_minus_1(seed):
+    rng = random.Random(seed)
+    phi = rand_map(rng, degree=rng.choice([2, 3]))
+    point = rand_laurent_point(rng)
+    d = phi.degree
+    rise = ord_res_for_chart(phi, chart(point)) - ord_res_for_chart(phi, chart(GAUSS))
+    assert 2 * d * (d - 1) * hyp_res(phi, point) == rise
+
+
+def test_hyp_res_vanishes_at_gauss_on_rescaled_and_composed_maps():
+    rng = random.Random(12)
+    for _ in range(12):
+        phi = rand_map(rng, degree=rng.choice([2, 3]))
+        psi = rand_map(rng, degree=2)
+        c = KScalar.from_rational(Fraction(rng.choice([-3, 2, 5]), rng.choice([1, 7])))
+        scale = c * KScalar.t_power(rng.randint(-3, 3))
+        maps = [
+            make_map([x * scale for x in phi.num], [x * scale for x in phi.den]),
+            compose(phi, psi),
+            compose(psi, phi),
+            iterate(psi, 2),
+            conjugate(chart(rand_laurent_point(rng)), phi),
+        ]
+        for chi in maps:
+            assert hyp_res(chi, GAUSS) == 0
+
+
+def test_only_ord_res_takes_the_sylvester_determinant(monkeypatch):
+    point = parse_point("a=1;s=1/2")
+    clear_caches()
+    dets = count_calls(monkeypatch, "ord_res_of_lift", nadyn.crucial, nadyn.redux)
+    hyp_res(TZ21T, point)
+    slope_measured(TZ21T, point, direction(point, INFINITY))
+    min_locus(TZ21T)
+    depth_sequence(TZ21T, GAUSS, 2)
+    degeneration_report(TZ21T, [1e-3], 3)
+    assert sum(dets.values()) == 0
+    ord_res(TZ21T, point)
+    assert dets == {"nadyn.crucial": 1}
 
 
 @settings(max_examples=30, deadline=None)

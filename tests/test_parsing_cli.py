@@ -30,7 +30,7 @@ from nadyn import (
     point_str,
 )
 from nadyn.cli import build_parser, main
-from nadyn.parsing import MAX_LITERAL_DIGITS, MAX_MAP_DEGREE, _Parser, _mul, _power, _scalar
+from nadyn.parsing import MAX_LITERAL_DIGITS, MAX_MAP_DEGREE, _Parser, _mul, _power, _scalar, parse_rational
 from nadyn.polys import QPoly
 from conftest import CORPUS_SOURCES
 
@@ -446,6 +446,15 @@ def test_cli_huge_literal_is_a_parse_error_with_its_position(capsys):
     assert parse_map("z^2 + " + "7" * MAX_LITERAL_DIGITS).degree == 2
 
 
+def test_parse_rational_caps_digits_before_building_powers():
+    for text in ["1e5000", "-1e-5000", "1e10000000", "9" * 4000 + "." + "9" * 4000]:
+        with pytest.raises(ParseError, match=f"exceeds {MAX_LITERAL_DIGITS} digits"):
+            parse_rational(text)
+    assert parse_rational("1e300") == 10**300
+    assert parse_rational("25e-4301") == Fraction(1, 4 * 10**4299)
+    assert parse_rational("0e10000000") == 0
+
+
 def test_cli_degenerate_map_exit_2(capsys):
     code, out, _ = run_cli(capsys, "ordres", "--map", "(z^2+1)/(z^2+1)")
     assert code == 2
@@ -678,7 +687,7 @@ def test_cli_map_fuzz_never_tracebacks(verb, expression, point):
 _RATIONAL_TEXT = st.one_of(
     st.integers(-4, 4).map(str),
     st.tuples(st.integers(-8, 8), st.integers(0, 6)).map(lambda pq: f"{pq[0]}/{pq[1]}"),
-    st.sampled_from(["", "1/2/3", "a", "0.5", "-0", "1e2"]),
+    st.sampled_from(["", "1/2/3", "a", "0.5", "-0", "1e2", "1e5000", "-1e-5000", "1e300"]),
 )
 _POINT_TEXT = st.one_of(
     st.just("gauss"),
@@ -687,7 +696,9 @@ _POINT_TEXT = st.one_of(
         st.sampled_from(["0", "1", "-3/2", "t", "t^-1", "1/t + 2", "t^(1/2)", "2*t^(-2/3) - t", "1/(1+t)", "z", "x"]),
         _RATIONAL_TEXT,
     ),
-    st.sampled_from(["a=0", "s=1", "a=0;s=1;b=2", "Gauss", ""]),
+    st.sampled_from(
+        ["a=0", "s=1", "a=0;s=1;b=2", "Gauss", "", "a=1+t;s=10000000", "a=1/(1+t);s=10000000"]
+    ),
 )
 _DIRECTION_TEXT = st.one_of(
     st.just("inf"),

@@ -8,11 +8,12 @@ from nadyn import (
     KScalar,
     LevelCapExceeded,
     RES_INF,
+    SeriesCapExceeded,
     ord_of,
     parse_scalar,
     residue,
 )
-from nadyn.scalars import base_change
+from nadyn.scalars import MAX_SERIES_TERMS, base_change
 from conftest import rand_integral_scalar, rand_scalar
 
 
@@ -120,6 +121,17 @@ def test_truncation_canonicalises_centres():
     # rational functions expand as series before truncation
     y = parse_scalar("1/(1-t)")
     assert y.truncated_below(Fraction(3)) == parse_scalar("1 + t + t^2")
+
+
+def test_truncation_reads_laurent_terms_and_caps_series():
+    # a Laurent polynomial keeps its own terms, however high the bound
+    x = parse_scalar("1/t + 2 + t^5")
+    assert x.truncated_below(Fraction(10**4000)) == x
+    assert x.truncated_below(Fraction(5)) == parse_scalar("1/t + 2")
+    y = parse_scalar("1/(1-t)")
+    assert y.truncated_below(Fraction(MAX_SERIES_TERMS)).num.degree == MAX_SERIES_TERMS - 1
+    with pytest.raises(SeriesCapExceeded):
+        y.truncated_below(Fraction(MAX_SERIES_TERMS + 1))
 
 
 def test_scalar_printing_round_trip():
