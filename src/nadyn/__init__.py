@@ -16,6 +16,7 @@ from .errors import (
     LevelCapExceeded,
     NadynError,
     NeedsExtension,
+    OutputTooLarge,
     OutOfRange,
     ParseError,
     PiecewiseBoundaryUnresolved,

@@ -96,6 +96,10 @@ class RootFindingFailed(NadynError):
         super().__init__(f"root finding failed at pullback level {level} for target {target!r}")
 
 
+class OutputTooLarge(NadynError):
+    """A value to print has more decimal digits than the interpreter converts."""
+
+
 class SeriesCapExceeded(NadynError):
     """A centre's Laurent series would need more coefficients than the cap."""
 

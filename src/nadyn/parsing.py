@@ -21,14 +21,15 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import zip_longest
 from math import gcd
 
 from .berkspace import GAUSS, TowardClass, TypeIIPoint
 from .errors import DegenerateMap, DegreeTooHigh, LevelCapExceeded, ParseError, PowerTooLarge
-from .polys import QPoly, power_str, qdiv, sum_str
+from .polys import QPoly, num_str, power_str, qdiv, sum_str
 from .respoly import FactorClass, FiniteClass, InfinityClass, INFINITY
-from .redux import Lift, RationalMapK, _common_level, _shift_out, _zpoly_mul, map_from_lift
+from . import lifts
+from .lifts import Expr, _shift_out, expr_polys, inverse as _inverse, neg as _neg, t_power as _t_power, z_degree
+from .redux import RationalMapK, map_from_lift
 from .scalars import KScalar, K_ONE, level_cap
 
 # The Sylvester determinant of a degree-d map is a 2d x 2d Bareiss
@@ -82,87 +83,49 @@ def _tokenize(text: str):
     return tokens
 
 
-# Parsed values are Lifts whose num and den may differ in length.
-
-_ZERO = QPoly.zero()
-
-
-def _scalar(num: QPoly, den: QPoly = QPoly.one(), level: int = 1) -> Lift:
-    return Lift(level, (num,), (den,))
+# Parsed values are lifts.Expr; their arithmetic is that of lifts.py, with
+# the caps checked here.
 
 
-def _trim(coeffs) -> tuple[QPoly, ...]:
-    coeffs = list(coeffs)
-    while len(coeffs) > 1 and not coeffs[-1]:
-        coeffs.pop()
-    return tuple(coeffs)
+def _scalar(num: QPoly, den: QPoly = QPoly.one(), level: int = 1) -> Expr:
+    return Expr(level, {(0, e): c for e, c in num.terms}, {(0, e): c for e, c in den.terms})
 
 
-def _capped(value: Lift) -> Lift:
-    degree = max(len(value.num), len(value.den)) - 1
+def _capped(value: Expr) -> Expr:
+    degree = z_degree(value)
     if degree > MAX_MAP_DEGREE:
         raise DegreeTooHigh(f"expression reaches degree {degree} in z, cap is {MAX_MAP_DEGREE}")
     return value
 
 
-def _add(a: Lift, b: Lift) -> Lift:
-    a, b = _common_level(a, b)
-    if a.den == b.den:
-        num, den = zip_longest(a.num, b.num, fillvalue=_ZERO), a.den
-    else:
-        num = zip_longest(_zpoly_mul(a.num, b.den), _zpoly_mul(b.num, a.den), fillvalue=_ZERO)
-        den = _zpoly_mul(a.den, b.den)
-    return _capped(Lift(a.level, _trim(p + q for p, q in num), tuple(den)))
+def _add(a: Expr, b: Expr) -> Expr:
+    return _capped(lifts.add(a, b))
 
 
-def _neg(a: Lift) -> Lift:
-    return Lift(a.level, tuple(-p for p in a.num), a.den)
+def _mul(a: Expr, b: Expr) -> Expr:
+    return _capped(lifts.mul(a, b))
 
 
-def _mul(a: Lift, b: Lift) -> Lift:
-    a, b = _common_level(a, b)
-    return _capped(Lift(a.level, _trim(_zpoly_mul(a.num, b.num)), tuple(_zpoly_mul(a.den, b.den))))
+def _span(part: dict) -> int:
+    return max(e for _, e in part) - min(e for _, e in part) if part else 0
 
 
-def _inverse(a: Lift, pos: int) -> Lift:
-    if len(a.num) == 1 and not a.num[0]:
-        raise ParseError("division by zero", pos)
-    return Lift(a.level, a.den, a.num)
-
-
-def _t_power(q: Fraction) -> Lift:
-    e = q.numerator
-    return _scalar(QPoly.monomial(max(e, 0)), QPoly.monomial(max(-e, 0)), q.denominator)
-
-
-def _span(coeffs: tuple[QPoly, ...]) -> int:
-    polys = [p for p in coeffs if p]
-    return max(p.degree for p in polys) - min(p.val for p in polys) if polys else 0
-
-
-def _power(base: Lift, n: int) -> Lift:
-    """base^n by repeated squaring, once the caps are checked before any product."""
-    degree = max(len(base.num), len(base.den)) - 1
+def _power(base: Expr, n: int) -> Expr:
+    """base^n, once the caps are checked before any product."""
+    degree = z_degree(base)
     if degree and n * degree > MAX_MAP_DEGREE:
         # the degree that n successive products would reach first
         first = (MAX_MAP_DEGREE // degree + 1) * degree
         raise DegreeTooHigh(f"expression reaches degree {first} in z, cap is {MAX_MAP_DEGREE}")
     # num and den are raised separately: each one's span in u counts
     span = max(_span(base.num), _span(base.den))
-    bits = max(abs(c).bit_length() for p in base.num + base.den for _, c in p.terms)
+    bits = max(abs(c).bit_length() for part in (base.num, base.den) for c in part.values())
     if n * span * (n * degree + 1) > MAX_POWER_TERMS or n * bits > MAX_POWER_BITS:
         raise PowerTooLarge(
             f"power ^{n} exceeds the caps of {MAX_POWER_TERMS} terms"
             f" and {MAX_POWER_BITS} coefficient bits"
         )
-    result = _scalar(QPoly.one())
-    while n:
-        if n & 1:
-            result = _mul(result, base)
-        n >>= 1
-        if n:
-            base = _mul(base, base)
-    return result
+    return lifts.power(base, n)
 
 
 class _Parser:
@@ -186,14 +149,14 @@ class _Parser:
             raise ParseError(f"expected {symbol!r}", pos)
         self.advance()
 
-    def parse(self) -> Lift:
+    def parse(self) -> Expr:
         value = self.expr()
         kind, _, pos = self.peek()
         if kind != "end":
             raise ParseError("trailing input", pos)
         return value
 
-    def expr(self) -> Lift:
+    def expr(self) -> Expr:
         value = self.term()
         while True:
             kind, op, _ = self.peek()
@@ -204,7 +167,7 @@ class _Parser:
             else:
                 return value
 
-    def term(self) -> Lift:
+    def term(self) -> Expr:
         value = self.factor()
         while True:
             kind, op, pos = self.peek()
@@ -215,7 +178,7 @@ class _Parser:
             else:
                 return value
 
-    def factor(self) -> Lift:
+    def factor(self) -> Expr:
         kind, op, _ = self.peek()
         if kind == "op" and op in "+-":
             self.advance()
@@ -223,7 +186,7 @@ class _Parser:
             return _neg(value) if op == "-" else value
         return self.power()
 
-    def power(self) -> Lift:
+    def power(self) -> Expr:
         base = self.atom()
         kind, op, pos = self.peek()
         if kind != "op" or op != "^":
@@ -236,12 +199,12 @@ class _Parser:
                 base, n = _inverse(base, pos), -n
             return _power(base, n)
         # fractional exponents only on exact powers of t: c*u^a / (c*u^b)
-        if len(base.num) != 1 or len(base.den) != 1:
+        if z_degree(base):
             raise ParseError("fractional exponent on a non-scalar base", pos)
-        (num,), (den,) = base.num, base.den
-        if len(num.terms) != 1 or len(den.terms) != 1 or num.leading != den.leading:
+        if len(base.num) != 1 or list(base.num.values()) != list(base.den.values()):
             raise ParseError("fractional exponent needs a bare power of t", pos)
-        return _t_power(Fraction(num.val - den.val, base.level) * exponent)
+        ((_, num),), ((_, den),) = base.num, base.den
+        return _t_power(Fraction(num - den, base.level) * exponent)
 
     def _exponent(self) -> Fraction:
         sign = 1
@@ -283,17 +246,17 @@ class _Parser:
             return Fraction(sign * numerator, value)
         return Fraction(sign * numerator)
 
-    def atom(self) -> Lift:
+    def atom(self) -> Expr:
         kind, value, pos = self.advance()
         if kind == "int":
-            return _scalar(QPoly.monomial(0, value))
+            return Expr(1, {(0, 0): value} if value else {}, {(0, 0): 1})
         if kind == "name":
             if value == "t":
-                return _scalar(QPoly.x())
+                return Expr(1, {(0, 1): 1}, {(0, 0): 1})
             if value == "z":
                 if not self.allow_z:
                     raise ParseError("the variable z is not allowed here", pos)
-                return Lift(1, (_ZERO, QPoly.one()), (QPoly.one(),))
+                return Expr(1, {(1, 0): 1}, {(0, 0): 1})
             raise ParseError(f"unknown name {value!r}", pos)
         if kind == "op" and value == "(":
             inner = self.expr()
@@ -304,21 +267,19 @@ class _Parser:
 
 def parse_scalar(text: str) -> KScalar:
     value = _Parser(text, allow_z=False).parse()
-    return KScalar(value.num[0], value.den[0], value.level)
+    (num,), (den,) = expr_polys(value)
+    return KScalar(num, den, value.level)
 
 
 def parse_map(text: str) -> RationalMapK:
     """Parse a rational expression in z into a validated map."""
     value = _Parser(text, allow_z=True).parse()
-    size = max(len(value.num), len(value.den))
-    if size < 2:
+    if not z_degree(value):
         raise DegenerateMap("expression does not depend on z")
     cap = level_cap()
     if value.level > cap:
-        raise LevelCapExceeded(f"map needs level {value.level}, cap is {cap}")
-    num = value.num + (_ZERO,) * (size - len(value.num))
-    den = value.den + (_ZERO,) * (size - len(value.den))
-    return map_from_lift(_shift_out(value.level, num, den))
+        raise LevelCapExceeded(f"map needs level {num_str(value.level)}, cap is {cap}")
+    return map_from_lift(_shift_out(value.level, *expr_polys(value)))
 
 
 def parse_rational(text: str) -> Fraction:
@@ -365,7 +326,7 @@ def parse_point(text: str) -> TypeIIPoint:
     cap = level_cap()
     needed = exponent.denominator * center.level // gcd(exponent.denominator, center.level)
     if needed > cap:
-        raise LevelCapExceeded(f"point needs level {needed}, cap is {cap}")
+        raise LevelCapExceeded(f"point needs level {num_str(needed)}, cap is {cap}")
     return TypeIIPoint(center, exponent)
 
 
@@ -392,11 +353,11 @@ def parse_direction_class(text: str):
 
 def _parse_residue_poly(text: str) -> QPoly:
     value = _Parser(text, allow_z=True).parse()
-    if len(value.den) != 1:
+    if any(i for i, _ in value.den):
         raise ParseError("factor polynomials cannot have z in a denominator")
-    den = value.den[0]
+    num, (den, *_) = expr_polys(value)
     coeffs = []
-    for c in value.num:
+    for c in num:
         # c/den is rational exactly when c is a rational multiple of den
         q = qdiv(c.leading, den.leading) if c else 0
         if c != den.scale(q):
@@ -410,7 +371,7 @@ def _parse_residue_poly(text: str) -> QPoly:
 
 def frac_str(q: Fraction) -> str:
     q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}"
+    return f"{num_str(q.numerator)}/{num_str(q.denominator)}"
 
 
 def _coeff_wrap(s: str) -> str:
@@ -437,14 +398,14 @@ def map_str(phi: RationalMapK) -> str:
 def point_str(point: TypeIIPoint) -> str:
     if point == GAUSS:
         return "gauss"
-    return f"a={point.center.to_str()};s={point.exponent}"
+    return f"a={point.center.to_str()};s={num_str(point.exponent)}"
 
 
 def class_str(cls) -> str:
     if isinstance(cls, InfinityClass):
         return "inf"
     if isinstance(cls, FiniteClass):
-        return f"res={cls.value}"
+        return f"res={num_str(cls.value)}"
     if isinstance(cls, FactorClass):
         return f"factor={cls.poly.to_str('z')}"
     if isinstance(cls, TowardClass):

@@ -21,10 +21,13 @@ Euclid over Q, term for term.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd as _int_gcd
 from math import lcm as _int_lcm
+
+from .errors import OutputTooLarge
 
 
 def _as_coeff(c):
@@ -58,11 +61,22 @@ def _terms(acc: dict) -> tuple:
     )
 
 
+def num_str(c) -> str:
+    """str(c) for an int or a Fraction.  CPython converts at most
+    sys.get_int_max_str_digits() decimal digits; past that the value is an
+    OutputTooLarge instead of a ValueError."""
+    try:
+        return str(c)
+    except ValueError as exc:
+        limit = sys.get_int_max_str_digits()
+        raise OutputTooLarge(f"a value to print exceeds {limit} decimal digits") from exc
+
+
 def power_str(var: str, e) -> str:
     """The power var^e for a rational e != 0; a fractional e is parenthesised."""
     if e == 1:
         return var
-    return f"{var}^{e}" if e.denominator == 1 else f"{var}^({e})"
+    return f"{var}^{num_str(e)}" if e.denominator == 1 else f"{var}^({num_str(e)})"
 
 
 def sum_str(terms) -> str:
@@ -323,7 +337,7 @@ class QPoly:
     # -- printing ------------------------------------------------------------
 
     def to_str(self, var: str = "t") -> str:
-        return sum_str((str(c), power_str(var, e) if e else "") for e, c in reversed(self.terms))
+        return sum_str((num_str(c), power_str(var, e) if e else "") for e, c in reversed(self.terms))
 
 
 _QP_ZERO = QPoly()

@@ -39,8 +39,8 @@ from typing import NamedTuple
 
 from .berkspace import Mobius, TypeIIPoint
 from .errors import AmbiguousClass, DegenerateMap, DegreeTooLow, IterationCapExceeded
-from .errors import LevelCapExceeded
-from .polys import QPoly, primitive_parts, qdiv
+from .lifts import Lift, _at_level, _shift_out, compose_lifts, taylor_shift
+from .polys import QPoly, qdiv
 from .respoly import (
     DepthDivisor,
     FactorClass,
@@ -51,7 +51,7 @@ from .respoly import (
     homogeneous_gcd,
     squarefree_decomposition,
 )
-from .scalars import HARD_LEVEL_CAP, KScalar
+from .scalars import KScalar
 
 ITERATION_CAP = 4096
 
@@ -59,16 +59,6 @@ ITERATION_CAP = 4096
 # prime _CHECK_P before it takes the exact determinant.
 _CHECK_P = 2**61 - 1
 _CHECK_U = 1009
-
-
-class Lift(NamedTuple):
-    """Coefficients num[i], den[i] in Q[u], t = u^level, of one map or Mobius
-    matrix up to a common scalar.  A map's stored lift is _shift_out output:
-    coefficients in Z[u], minimal valuation 0, integer content 1."""
-
-    level: int
-    num: tuple[QPoly, ...]
-    den: tuple[QPoly, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,72 +217,10 @@ def map_from_lift(lift: Lift) -> RationalMapK:
 # -- lifts: one representative over Q[u] ------------------------------------------
 
 
-def _shift_out(level: int, num, den) -> Lift:
-    """The lift over Z[u] with content 1: the common power of u divided out,
-    rational denominators cleared and the integer content divided out."""
-    polys = [*num, *den]
-    k = min((p.val for p in polys if p), default=0)
-    polys = primitive_parts(polys, k)
-    return Lift(level, tuple(polys[: len(num)]), tuple(polys[len(num) :]))
-
-
 def _lift(num: tuple[KScalar, ...], den: tuple[KScalar, ...]) -> Lift:
     level = lcm(*(c.level for c in den + num))
     polys, _ = _cleared_vector(den + num, level)
     return _shift_out(level, polys[len(den) :], polys[: len(den)])
-
-
-def _at_level(lift: Lift, level: int) -> Lift:
-    if level == lift.level:
-        return lift
-    if level > HARD_LEVEL_CAP:
-        raise LevelCapExceeded(f"internal level {level} exceeds hard cap")
-    m = level // lift.level
-
-    def stretch(polys):
-        return tuple(QPoly((e * m, c) for e, c in p.terms) for p in polys)
-
-    return Lift(level, stretch(lift.num), stretch(lift.den))
-
-
-def _common_level(a: Lift, b: Lift) -> tuple[Lift, Lift]:
-    level = lcm(a.level, b.level)
-    return _at_level(a, level), _at_level(b, level)
-
-
-def _zpoly_mul(p: list[QPoly], q: list[QPoly]) -> list[QPoly]:
-    """Product of two polynomials in z with coefficients in Q[u]."""
-    out = [QPoly.zero()] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                if b:
-                    out[i + j] = out[i + j] + a * b
-    return out
-
-
-def compose_lifts(outer: Lift, inner: Lift) -> Lift:
-    """Lift of outer after inner: sum of outer_i * p^i * q^(d-i) over Q[u]."""
-    outer, inner = _common_level(outer, inner)
-    d = len(outer.num) - 1
-    p, q = inner.num, inner.den
-    p_pows, q_pows = [[QPoly.one()]], [[QPoly.one()]]
-    for _ in range(d):
-        p_pows.append(_zpoly_mul(p_pows[-1], p))
-        q_pows.append(_zpoly_mul(q_pows[-1], q))
-    size = d * (len(p) - 1) + 1
-    num, den = [QPoly.zero()] * size, [QPoly.zero()] * size
-    for i in range(d + 1):
-        a, b = outer.num[i], outer.den[i]
-        if not (a or b):
-            continue
-        for k, c in enumerate(_zpoly_mul(p_pows[i], q_pows[d - i])):
-            if c:
-                if a:
-                    num[k] = num[k] + a * c
-                if b:
-                    den[k] = den[k] + b * c
-    return _shift_out(outer.level, num, den)
 
 
 def mobius_lift(m: Mobius) -> Lift:
@@ -344,44 +272,15 @@ class Ray(NamedTuple):
     pieces: tuple[tuple[Fraction, int], ...]
 
 
-def _taylor_shift(coeffs: list[QPoly], a: QPoly) -> list[QPoly]:
-    """Coefficients in z of sum(coeffs[i] * (z + a)^i)."""
-    c = list(coeffs)
-    n = len(c) - 1
-    for i in range(n):
-        for j in range(n - 1, i - 1, -1):
-            if c[j + 1]:
-                c[j] = c[j] + a * c[j + 1]
-    return c
-
-
 @lru_cache(maxsize=512)
 def ray(lift: Lift, center: KScalar) -> Ray:
-    """The ray of the map's lift from a Laurent-polynomial centre.
-
-    Entry i is scaled by B^(d-i) before the Taylor shift at A, which keeps
-    all the work in Z[u].
-    """
+    """The ray of the map's lift from a Laurent-polynomial centre (see
+    lifts.taylor_shift)."""
     level = lcm(lift.level, center.level)
-    lift = _at_level(lift, level)
-    d = len(lift.num) - 1
-    num, den = list(lift.num), list(lift.den)
-    k = 0
+    lift, k = _at_level(lift, level), 0
     if not center.is_zero:
-        a = center.with_level(level)
-        k = a.den.val  # a.den is the monic monomial u^k
-        scale = lcm(*(c.denominator for _, c in a.num.terms))
-        big_a = a.num.scale(scale)
-
-        def times_b(p: QPoly, m: int) -> QPoly:
-            if scale != 1:
-                p = p.scale(scale**m)
-            return p.shifted(k * m)
-
-        num = [times_b(times_b(p, 1) - big_a * q, d - i) for i, (p, q) in enumerate(zip(num, den))]
-        den = [times_b(q, d + 1 - i) for i, q in enumerate(den)]
-        num = [times_b(p, j) for j, p in enumerate(_taylor_shift(num, big_a))]
-        den = [times_b(q, j) for j, q in enumerate(_taylor_shift(den, big_a))]
+        lift, k = taylor_shift(lift, center)
+    d, num, den = len(lift.num) - 1, lift.num, lift.den
     low: dict[int, int] = {}
     for j in range(d + 1):
         for p, m in ((num[j], j), (den[j], j + 1)):
@@ -389,7 +288,7 @@ def ray(lift: Lift, center: KScalar) -> Ray:
                 low[m] = p.val
     offset = k * (d + 1)
     pieces = tuple((Fraction(v - offset, level), m) for m, v in sorted(low.items()))
-    return Ray(Lift(level, tuple(num), tuple(den)), pieces)
+    return Ray(lift, pieces)
 
 
 def chart_conjugate_lift(lift: Lift, point: TypeIIPoint) -> Lift:

@@ -15,7 +15,7 @@ from math import gcd as _int_gcd
 from math import ceil, inf
 
 from .errors import LevelCapExceeded, SeriesCapExceeded
-from .polys import QPoly, power_str, qdiv, sum_str
+from .polys import QPoly, num_str, power_str, qdiv, sum_str
 
 DEFAULT_LEVEL_CAP = 64
 
@@ -277,7 +277,7 @@ class KScalar:
 
 
 def _laurent_str(p: QPoly, level: int) -> str:
-    return sum_str((str(c), power_str("t", Fraction(e, level)) if e else "") for e, c in reversed(p.terms))
+    return sum_str((num_str(c), power_str("t", Fraction(e, level)) if e else "") for e, c in reversed(p.terms))
 
 
 T = KScalar.t_power(1)

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -485,6 +486,16 @@ def test_hyp_res_direct_pins_simple_breakpoints_at_high_level():
     )
     point = parse_point("a=3/2*t^(-5/3);s=9/5")
     assert hyp_res_direct(phi, point) == hyp_res(phi, point) == Fraction(43, 10)
+
+
+def test_hyp_res_direct_isolates_breakpoints_far_from_gauss():
+    # the path is about 10^300 long, so isolating its breakpoints takes
+    # about 2,400 levels of splits, and its probes carry u^(10^300)
+    phi = parse_map("(t*z^2+1)/t")
+    point = parse_point("a=2*t^(-2/3) - t;s=1e300")
+    start = time.perf_counter()
+    assert hyp_res_direct(phi, point) == hyp_res(phi, point)
+    assert time.perf_counter() - start < 5
 
 
 # Rumely's characterisation of the type II minimal locus: hypRes is minimal

@@ -1,17 +1,21 @@
 """The exact kernel: coefficient normal form, integer lifts, and a sympy oracle.
 
 sympy is used only here, as an independent reference; nadyn never imports it.
+The lift products of nadyn.lifts are checked against the route they
+replaced, one QPoly per u-polynomial product, which is kept here only.
 """
 
 import random
 import time
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nadyn import parse_map
+from nadyn import KScalar, TypeIIPoint, parse_map
+from nadyn import lifts
+from nadyn.lifts import Expr, Lift, _at_level, _common_level, expr_polys
 from nadyn.polys import (
     QPoly,
     _primitive_gcd,
@@ -20,8 +24,8 @@ from nadyn.polys import (
     rational_roots,
     squarefree_parts,
 )
-from nadyn.redux import _sylvester_det, compose_lifts, conjugate_lift, mobius_lift
-from conftest import rand_unit_mobius
+from nadyn.redux import _sylvester_det, chart_lift, compose_lifts, conjugate_lift, mobius_lift, ray
+from conftest import rand_laurent_point, rand_map, rand_unit_mobius
 
 
 def _normal(c) -> bool:
@@ -291,6 +295,171 @@ def test_lifts_are_primitive_over_z():
         m = mobius_lift(rand_unit_mobius(rng))
         _assert_integer_primitive(m)
         _assert_integer_primitive(conjugate_lift(m, lift))
+
+
+# -- the QPoly reference route of lift products ---------------------------------
+
+
+def _ref_zmul(p, q) -> list:
+    out = [QPoly.zero()] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                if b:
+                    out[i + j] = out[i + j] + a * b
+    return out
+
+
+def _ref_shift_out(level, num, den) -> Lift:
+    polys = [*num, *den]
+    k = min((p.val for p in polys if p), default=0)
+    polys = primitive_parts(polys, k)
+    return Lift(level, tuple(polys[: len(num)]), tuple(polys[len(num) :]))
+
+
+def _ref_compose(outer: Lift, inner: Lift) -> Lift:
+    outer, inner = _common_level(outer, inner)
+    d = len(outer.num) - 1
+    p_pows, q_pows = [[QPoly.one()]], [[QPoly.one()]]
+    for _ in range(d):
+        p_pows.append(_ref_zmul(p_pows[-1], inner.num))
+        q_pows.append(_ref_zmul(q_pows[-1], inner.den))
+    size = d * (len(inner.num) - 1) + 1
+    num, den = [QPoly.zero()] * size, [QPoly.zero()] * size
+    for i in range(d + 1):
+        for k, c in enumerate(_ref_zmul(p_pows[i], q_pows[d - i])):
+            num[k] = num[k] + outer.num[i] * c
+            den[k] = den[k] + outer.den[i] * c
+    return _ref_shift_out(outer.level, num, den)
+
+
+def _ref_ray_lift(lift: Lift, center: KScalar) -> Lift:
+    """The Taylor shift of the lift at the centre A/B, scaled by powers of B."""
+    level = lcm(lift.level, center.level)
+    lift, a = _at_level(lift, level), center.with_level(level)
+    d = len(lift.num) - 1
+    k = a.den.val
+    scale = lcm(*(Fraction(c).denominator for _, c in a.num.terms))
+    big_a = a.num.scale(scale)
+
+    def times_b(p, m):
+        return p.scale(scale**m).shifted(k * m)
+
+    def shift(c):
+        c = list(c)
+        for i in range(d):
+            for j in range(d - 1, i - 1, -1):
+                c[j] = c[j] + big_a * c[j + 1]
+        return [times_b(x, j) for j, x in enumerate(c)]
+
+    num = [times_b(times_b(p, 1) - big_a * q, d - i) for i, (p, q) in enumerate(zip(lift.num, lift.den))]
+    den = [times_b(q, d + 1 - i) for i, q in enumerate(lift.den)]
+    return Lift(level, tuple(shift(num)), tuple(shift(den)))
+
+
+# the parser's values on this route: Lifts with trimmed num and den
+def _ref_trim(coeffs) -> tuple:
+    coeffs = list(coeffs)
+    while len(coeffs) > 1 and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def _ref_add(a: Lift, b: Lift) -> Lift:
+    a, b = _common_level(a, b)
+    if a.den == b.den:
+        num, other, den = a.num, b.num, a.den
+    else:
+        num, other, den = _ref_zmul(a.num, b.den), _ref_zmul(b.num, a.den), _ref_zmul(a.den, b.den)
+    size = max(len(num), len(other))
+    num = [p + q for p, q in zip(_padded(num, size), _padded(other, size))]
+    return Lift(a.level, _ref_trim(num), tuple(den))
+
+
+def _ref_mul(a: Lift, b: Lift) -> Lift:
+    a, b = _common_level(a, b)
+    return Lift(a.level, _ref_trim(_ref_zmul(a.num, b.num)), tuple(_ref_zmul(a.den, b.den)))
+
+
+def _ref_power(base: Lift, n: int) -> Lift:
+    result = Lift(1, (QPoly.one(),), (QPoly.one(),))
+    for _ in range(n):
+        result = _ref_mul(result, base)
+    return result
+
+
+def _padded(polys, size) -> tuple:
+    return tuple(polys) + (QPoly.zero(),) * (size - len(polys))
+
+
+def _as_expr(value: Lift) -> Expr:
+    def part(polys):
+        return {(i, e): c for i, p in enumerate(polys) for e, c in p.terms}
+
+    return Expr(value.level, part(value.num), part(value.den))
+
+
+def _same_value(expr: Expr, value: Lift) -> bool:
+    num, den = expr_polys(expr)
+    size = max(len(num), len(value.num), len(value.den))
+    return (expr.level, _padded(num, size), _padded(den, size)) == (
+        value.level,
+        _padded(value.num, size),
+        _padded(value.den, size),
+    )
+
+
+def _wild_lift(rng: random.Random, level: int, big: int) -> Lift:
+    """A rand_map lift at the given level, each entry times +-big * u^k with
+    k up to 10^6: the arithmetic needs no valid map."""
+    lift = rand_map(rng, degree=rng.choice([1, 2, 3])).lift
+
+    def wild(p):
+        return QPoly((e + rng.randint(0, 10**6), c * rng.choice([-big, big])) for e, c in p.terms)
+
+    return Lift(level, tuple(map(wild, lift.num)), tuple(map(wild, lift.den)))
+
+
+def _assert_int_entries(lift: Lift):
+    assert all(type(c) is int for p in lift.num + lift.den for _, c in p.terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    levels=st.tuples(st.integers(1, 64), st.integers(1, 64)),
+    big=st.integers(2**64, 2**80),
+)
+def test_lift_kernel_matches_the_qpoly_route(seed, levels, big):
+    rng = random.Random(seed)
+    a, b = (_wild_lift(rng, level, big) for level in levels)
+    composed = compose_lifts(a, b)
+    assert composed == _ref_compose(a, b)
+    _assert_int_entries(composed)
+    center = rand_laurent_point(rng).center
+    shifted = ray(a, center).lift
+    assert shifted == _ref_ray_lift(a, center)
+    _assert_int_entries(shifted)
+    # the parser's arithmetic, on values whose num and den are trimmed
+    va, vb = (Lift(x.level, _ref_trim(x.num), _ref_trim(x.den)) for x in (a, b))
+    same_den = Lift(va.level, vb.num, va.den)
+    ea, eb, es = map(_as_expr, (va, vb, same_den))
+    assert _same_value(lifts.mul(ea, eb), _ref_mul(va, vb))
+    assert _same_value(lifts.add(ea, eb), _ref_add(va, vb))
+    assert _same_value(lifts.add(ea, es), _ref_add(va, same_den))
+    assert _same_value(lifts.neg(ea), Lift(va.level, tuple(-p for p in va.num), va.den))
+    n = rng.randint(0, 3)
+    assert _same_value(lifts.power(ea, n), _ref_power(va, n))
+
+
+def test_compose_stays_sparse_on_huge_exponents():
+    # a chart at s = 10^70 puts u^(10^70) into the lift; a dense route in u
+    # could not hold it, and the composite must cost what its terms cost
+    lift = parse_map("(t*z^2+1)/t").lift
+    chart = chart_lift(TypeIIPoint(KScalar.t_power(-1), Fraction(10**70)))
+    composed = compose_lifts(lift, chart)
+    assert max(p.degree for p in composed.num + composed.den) >= 10**70
+    assert _best_ms(lambda: compose_lifts(lift, chart)) < 10
 
 
 # -- sympy oracle -----------------------------------------------------------------

@@ -455,6 +455,29 @@ def test_parse_rational_caps_digits_before_building_powers():
     assert parse_rational("0e10000000") == 0
 
 
+NINES = "9" * MAX_LITERAL_DIGITS
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # ordRes = 6s has one digit more than the accepted s
+        ("ordres", "--map", "z^2", "--point", f"a=0;s={NINES}"),
+        # a coefficient of twice the digits of one accepted literal
+        ("reduce", "--map", f"{NINES}*{NINES}*z^2 + 1"),
+        # the lcm of two accepted levels
+        ("ordres", "--map", f"z + t^(1/{NINES}) + t^(1/{NINES[1:]})"),
+    ],
+)
+def test_cli_output_past_the_digit_limit_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (2, "")
+    assert json.loads(out) == {
+        "error": f"a value to print exceeds {MAX_LITERAL_DIGITS} decimal digits",
+        "type": "OutputTooLarge",
+    }
+
+
 def test_cli_degenerate_map_exit_2(capsys):
     code, out, _ = run_cli(capsys, "ordres", "--map", "(z^2+1)/(z^2+1)")
     assert code == 2
