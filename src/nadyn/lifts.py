@@ -21,7 +21,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .errors import LevelCapExceeded, ParseError
-from .polys import QPoly, _primitive
+from .polys import QPoly, primitive_parts
 from .scalars import HARD_LEVEL_CAP, KScalar
 
 _ONE = [{0: 1}]  # 1 as a polynomial in z
@@ -101,25 +101,13 @@ def _freeze(x: dict) -> QPoly:
     return QPoly._of_terms(tuple(sorted([t for t in x.items() if t[1]])))
 
 
-def _primitive_lift(level: int, num: list[dict], den: list[dict]) -> Lift:
-    """The Lift with the least power of u, rational denominators and the
-    integer content divided out (a positive divisor, so signs are kept);
-    each entry becomes a QPoly once."""
-    entries = [[t for t in x.items() if t[1]] for x in (*num, *den)]
-    joint = [t for x in entries for t in x]
-    if joint:
-        joint, _, _ = _primitive(joint, min(e for e, _ in joint))
-    polys, i = [], 0
-    for x in entries:
-        polys.append(QPoly._of_terms(tuple(sorted(joint[i : i + len(x)]))))
-        i += len(x)
-    return Lift(level, tuple(polys[: len(num)]), tuple(polys[len(num) :]))
-
-
 def _shift_out(level: int, num, den) -> Lift:
     """The lift over Z[u] with content 1: the common power of u divided out,
     rational denominators cleared and the integer content divided out."""
-    return _primitive_lift(level, _dicts(num), _dicts(den))
+    polys = [*num, *den]
+    k = min((p.val for p in polys if p), default=0)
+    polys = primitive_parts(polys, k)
+    return Lift(level, tuple(polys[: len(num)]), tuple(polys[len(num) :]))
 
 
 def _at_level(lift: Lift, level: int) -> Lift:
@@ -147,14 +135,14 @@ def compose_lifts(outer: Lift, inner: Lift) -> Lift:
     """Lift of outer after inner: sum of outer_i * p^i * q^(d-i) over Z[u]."""
     outer, inner = _common_level(outer, inner)
     parts = _substitute([_dicts(outer.num), _dicts(outer.den)], _dicts(inner.num), _dicts(inner.den))
-    return _primitive_lift(outer.level, *parts)
+    return _shift_out(outer.level, *([_freeze(x) for x in part] for part in parts))
 
 
 def taylor_shift(lift: Lift, a: KScalar) -> tuple[Lift, int]:
     """The Taylor shift of a lift P/Q at a Laurent-polynomial centre a = A/B,
-    A in Z[u] and B = scale * u^k, cleared of denominators: num[j] =
+    A in Z[u] and B = scale * u^k, cleared of denominators, and k: num[j] =
     B^(d+1) T_j(P - aQ)(a) and den[j] = B^(d+1) T_j(Q)(a), at the lift's
-    level, which a's divides; and k.
+    level, which the level of a divides.
 
     With num'_i = B^(d-i) (B P_i - A Q_i) and den'_i = B^(d+1-i) Q_i these
     are the coefficients of the sums of num'_i (Bz + A)^i and den'_i (Bz + A)^i,

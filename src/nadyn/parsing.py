@@ -5,16 +5,17 @@ the bare t for fractional radii); maps are rational expressions in z with
 scalar coefficients.  Printing and parsing round-trip: parse(print(x)) == x.
 
 An expression is parsed straight into a lift: a numerator and a denominator
-polynomial in z with coefficients in Q[u], t = u^N, at one level N.  Sums
-and products are polynomial products (no GCD, no scalar field operation);
-parse_map brings the lift to _shift_out form, checks N against
-NADYN_LEVEL_CAP and leaves validation to redux.map_from_lift, which stores
-that lift as the map.  Division by zero, including a negative power of zero,
-and a zero denominator in an exponent are ParseErrors with a position.  An
-expression of degree in z above MAX_MAP_DEGREE is a DegreeTooHigh as soon as
-a product or sum reaches it, before the Sylvester check, whose cost grows as
-the cube of the degree.  An integer power is computed by repeated squaring
-once its result is known to stay under the degree and size caps.
+polynomial in z with coefficients in Z[u], t = u^N, at one level N, held as
+a lifts.Expr.  Sums and products are polynomial products in nadyn.lifts (no
+GCD, no scalar field operation); parse_map brings the lift to _shift_out
+form, checks N against NADYN_LEVEL_CAP and leaves validation to
+redux.map_from_lift, which stores that lift as the map.  Division by zero,
+including a negative power of zero, and a zero denominator in an exponent
+are ParseErrors with a position.  An expression of degree in z above
+MAX_MAP_DEGREE is a DegreeTooHigh as soon as a product or sum reaches it,
+before the Sylvester check, whose cost grows as the cube of the degree.  An
+integer power is computed by repeated squaring once its result is known to
+stay under the degree and size caps.
 """
 
 from __future__ import annotations

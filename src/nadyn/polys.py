@@ -2,8 +2,10 @@
 
 This is the shared low-level layer: numerators and denominators of scalars
 (polynomials in the uniformizer u) live here, and so do the residue-side
-polynomials in the tangent variable.  Exponents can get large when probing
-points with fine radii, hence the sparse representation.
+polynomials in the tangent variable.  The entries of a lift are QPolys too,
+but their products run in nadyn.lifts, on ints, and each result entry
+becomes a QPoly once.  Exponents can get large when probing points with
+fine radii, hence the sparse representation.
 
 Coefficients have one normal form: an integral coefficient is a plain int,
 any other is a Fraction with denominator greater than 1, and none is ever a

@@ -9,8 +9,9 @@ nonzero resultant; map_from_lift checks it once, by the Sylvester
 determinant at one integer u modulo one prime, and only when that vanishes
 by the exact determinant of the lift.  Beyond that fallback, the solver
 takes the exact determinant only for ordRes itself (ord_res_of_lift, from
-crucial.ord_res and crucial.ord_res_for_chart).  Products and the
-fraction-free Bareiss determinant of lifts run on ints alone.  Maps enter
+crucial.ord_res and crucial.ord_res_for_chart).  Products of lifts
+(composition, the Taylor shift of a ray, _shift_out) live in nadyn.lifts;
+they and the fraction-free Bareiss determinant run on ints alone.  Maps enter
 as lifts: the parser builds one directly, and make_map clears the
 denominators of scalar vectors that come from outside.  Composition,
 conjugation, reduction and ordRes are projective invariants, so they run
