@@ -26,7 +26,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, lcm, log
+from math import floor, lcm
 
 from .berkspace import (
     Direction,
@@ -72,8 +72,6 @@ from .redux import (
 from .scalars import KScalar
 
 _MAX_DESCENT_STEPS = 1000
-# splits of _step_integral per bit of total * dmax: log(2) / log(4/3)
-_LEVELS_PER_BIT = log(2) / log(4 / 3)
 
 
 class Verdict(enum.Enum):
@@ -237,26 +235,6 @@ def _denominator_bound(phi: RationalMapK, point: TypeIIPoint) -> int:
     return lcm(*range(1, 4 * d + 1)) * level
 
 
-def _snap_unique(lo, hi, incl_lo, incl_hi, dmax):
-    """The only rational with denominator <= dmax in the interval, or None.
-
-    A kink is known to lie in the interval and to have denominator <= dmax,
-    so a positive answer pins it exactly.
-    """
-    cut = simplest_in(lo, hi, incl_lo, incl_hi)
-    if cut.denominator > dmax:
-        return None
-    if cut != lo and lo < cut:
-        left = simplest_in(lo, cut, incl_lo, False)
-        if left.denominator <= dmax:
-            return None
-    if cut != hi and cut < hi:
-        right = simplest_in(cut, hi, False, incl_hi)
-        if right.denominator <= dmax:
-            return None
-    return cut
-
-
 def _gauss_mass(phi: RationalMapK, probe: TypeIIPoint, cls) -> int:
     """Mass of (phi^* delta_gauss) on the component of the class at the probe.
 
@@ -267,52 +245,55 @@ def _gauss_mass(phi: RationalMapK, probe: TypeIIPoint, cls) -> int:
     return depth_at(reduce_lift(compose_lifts(phi.lift, chart_lift(probe))).depths, cls)
 
 
+def _alone(cut: Fraction, lo: Fraction, hi: Fraction, dmax: int) -> bool:
+    """Whether cut is the only rational of denominator <= dmax in (lo, hi]."""
+    if simplest_in(lo, cut, False, False).denominator <= dmax:
+        return False
+    return cut == hi or simplest_in(cut, hi, False, True).denominator > dmax
+
+
 def _step_integral(value, total: Fraction, v_lo, v_hi, dmax: int) -> Fraction:
     """Integral over [0, total] of a non-increasing, right-continuous step
     function with breakpoints on (1/dmax)Z (see _denominator_bound), given
     its value v_lo at 0 and its left limit v_hi at total.
 
-    Intervals split at the simplest rational of their middle half, so probes
-    keep small levels.  A jump left of a split is first sought at the split
-    itself, by one probe at the lattice point below it; a snapped cut
-    strictly inside its interval is certified by one probe, and a cut off
-    the lattice cannot be a breakpoint.
-
-    A split keeps at most 3/4 of an interval, so after log_{4/3}(total *
-    dmax) levels every interval is shorter than the lattice spacing 1/dmax
-    and holds at most one breakpoint; a deeper interval is left unresolved.
-    (On random maps of degree 2-4 the snaps come 20 levels or more before
-    that bound.)  Far from the Gauss point the bound runs into the thousands,
-    so the intervals wait on an explicit stack.
+    A jump lies in (lo, hi].  An interval with no lattice point is not
+    isolated; one whose only rational of denominator <= dmax is a lattice
+    point has the jump there, certified by one probe unless it is hi.  Any
+    other interval splits at the simplest rational of its middle half (small
+    levels), and a jump left of a split is first sought by one probe at the
+    lattice point below it.  A split keeps at most 3/4 of an interval, and
+    one shorter than 1/dmax^2 holds at most one rational of denominator <=
+    dmax, so the splits nest at most log_{4/3}(total * dmax^2) + 1 deep:
+    thousands far from the Gauss point, hence the explicit stack.
     """
-    max_depth = int(ceil(total * dmax).bit_length() * _LEVELS_PER_BIT) + 1
     integral = Fraction(0)
-    # the function is right-continuous, so a jump lies in (lo, hi]
-    stack = [(Fraction(0), total, v_lo, v_hi, 0)]
+    stack = [(Fraction(0), total, v_lo, v_hi)]
     while stack:
-        lo, hi, a, b, depth = stack.pop()
+        lo, hi, a, b = stack.pop()
         if a == b:
             integral += a * (hi - lo)
             continue
-        cut = _snap_unique(lo, hi, False, True, dmax)
-        if cut is not None and dmax % cut.denominator == 0:
+        n = floor(hi * dmax)  # n/dmax is the last lattice point in (lo, hi]
+        if n <= lo * dmax:
+            raise BreakpointUnresolved(f"breakpoint not isolated at denominator bound {dmax}")
+        cut = Fraction(n, dmax)
+        if n - 1 <= lo * dmax and _alone(cut, lo, hi, dmax):
             if cut != hi and value(cut) != b:
                 raise BreakpointUnresolved(f"snapped breakpoint {cut} failed certification")
             integral += a * (cut - lo) + b * (hi - cut)
             continue
-        if cut is not None or depth > max_depth:
-            raise BreakpointUnresolved(f"breakpoint not isolated at denominator bound {dmax}")
         quarter = (hi - lo) / 4
         mid = simplest_in(lo + quarter, hi - quarter)
         vm = value(mid)
-        stack.append((mid, hi, vm, b, depth + 1))
+        stack.append((mid, hi, vm, b))
         below = mid - Fraction(1, dmax)
         if a != vm and dmax % mid.denominator == 0 and below > lo:
             vb = value(below)  # no lattice point lies in (below, mid)
             integral += vb * (mid - below)
-            stack.append((lo, below, a, vb, depth + 1))
+            stack.append((lo, below, a, vb))
         else:
-            stack.append((lo, mid, a, vm, depth + 1))
+            stack.append((lo, mid, a, vm))
     return integral
 
 

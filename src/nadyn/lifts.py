@@ -1,17 +1,11 @@
 """Lift arithmetic: polynomials in z with coefficients in Z[u], t = u^level.
 
-A Lift is one representative of a map (or a Mobius matrix, or a parsed
-expression) up to a common scalar.  Every product of lifts in nadyn runs
-here: the parser's sums, products and powers, composition (and through it
-conjugation, iteration and the probes of crucial), the B-scaled Taylor shift
-of redux.ray, level changes, and the division by the least power of u and
-the integer content (_shift_out).
-
-Products add int products into plain dicts keyed by u-exponent, one per
-power of z, and each result entry becomes a QPoly once (QPoly._of_terms), so
-a Lift's entries stay QPolys for every consumer.  u stays sparse: a chart at
-s = 10^70 puts u^(10^70) into a lift.  The parser's values (Expr), small and
-sparse in z as well, keep one dict keyed by (power of z, power of u).
+Every product of lifts runs here: the parser's sums, products and powers,
+composition (so conjugation, iteration and the probes of crucial), the
+Taylor shift of redux.ray, level changes and _shift_out.  A polynomial in z
+is a list of dicts, one per power of z, from powers of u to ints, so u stays
+sparse (a chart at s = 10^70 puts u^(10^70) into a lift); each entry of a
+finished Lift becomes a QPoly once, so every consumer sees QPolys.
 """
 
 from __future__ import annotations
@@ -20,12 +14,11 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
-from .errors import LevelCapExceeded, ParseError
+from .errors import LevelCapExceeded
 from .polys import QPoly, primitive_parts
 from .scalars import HARD_LEVEL_CAP, KScalar
 
 _ONE = [{0: 1}]  # 1 as a polynomial in z
-_UNIT = {(0, 0): 1}  # 1 as a parsed numerator or denominator
 
 
 class Lift(NamedTuple):
@@ -38,21 +31,13 @@ class Lift(NamedTuple):
     den: tuple[QPoly, ...]
 
 
-class Expr(NamedTuple):
-    """A parsed expression num/den, t = u^level, in the kernel's own form:
-    num and den map (power of z, power of u) to a nonzero int.  Parsing
-    meets no other coefficients."""
-
-    level: int
-    num: dict
-    den: dict
-
-
 # -- products: a polynomial in z is a list of dicts, one per power of z -------
 
 
 def _addmul(acc: list, p: list, q: list) -> list:
-    """acc += p * q, with acc long enough."""
+    """acc += p * q, acc extended as far as p * q reaches."""
+    if len(acc) < len(p) + len(q) - 1:
+        acc.extend({} for _ in range(len(p) + len(q) - 1 - len(acc)))
     for i, a in enumerate(p):
         if a:
             for j, b in enumerate(q):
@@ -67,7 +52,17 @@ def _addmul(acc: list, p: list, q: list) -> list:
 
 
 def _mul(p: list, q: list) -> list:
-    return _addmul([{} for _ in range(len(p) + len(q) - 1)], p, q)
+    if len(q) == 1 and len(q[0]) == 1:
+        p, q = q, p
+    if len(p) == 1 and len(p[0]) == 1:  # a monomial c * u^e scales and shifts
+        ((e, c),) = p[0].items()
+        return [{e + e2: c * c2 for e2, c2 in x.items()} for x in q]
+    return _addmul([], p, q)
+
+
+def _stretch(p: list, m: int) -> list:
+    """p(u^m)."""
+    return p if m == 1 else [{e * m: c for e, c in x.items()} for x in p]
 
 
 def _substitute(parts: list[list[dict]], p: list, q: list) -> list[list]:
@@ -139,15 +134,10 @@ def compose_lifts(outer: Lift, inner: Lift) -> Lift:
 
 
 def taylor_shift(lift: Lift, a: KScalar) -> tuple[Lift, int]:
-    """The Taylor shift of a lift P/Q at a Laurent-polynomial centre a = A/B,
-    A in Z[u] and B = scale * u^k, cleared of denominators, and k: num[j] =
-    B^(d+1) T_j(P - aQ)(a) and den[j] = B^(d+1) T_j(Q)(a), at the lift's
-    level, which the level of a divides.
-
-    With num'_i = B^(d-i) (B P_i - A Q_i) and den'_i = B^(d+1-i) Q_i these
-    are the coefficients of the sums of num'_i (Bz + A)^i and den'_i (Bz + A)^i,
-    so all the work stays in Z[u].
-    """
+    """The lift of redux.Ray at a centre a = A/B, B = scale * u^k, whose
+    level divides the lift's, and k.  Its entries are the coefficients of
+    the sums of B^(d-i) (B P_i - A Q_i) (Bz + A)^i and B^(d+1-i) Q_i (Bz + A)^i,
+    so all the work stays in Z[u]."""
     a = a.with_level(lift.level)
     k = a.den.val  # a.den is the monic monomial u^k
     scale = lcm(*(c.denominator for _, c in a.num.terms))
@@ -168,68 +158,48 @@ def taylor_shift(lift: Lift, a: KScalar) -> tuple[Lift, int]:
     return Lift(lift.level, *(tuple(map(_freeze, part)) for part in parts)), k
 
 
-# -- the parser's arithmetic ---------------------------------------------------------
+# -- the parser's values: (level, num, den), num and den polynomials in z as
+# above, with no zero entry and no zero leading coefficient in z -------------
 
 
-def _biaddmul(acc: dict, p: dict, q: dict) -> dict:
-    """acc += p * q for polynomials keyed by (power of z, power of u)."""
-    get = acc.get
-    for (i1, e1), c1 in p.items():
-        for (i2, e2), c2 in q.items():
-            key = (i1 + i2, e1 + e2)
-            acc[key] = get(key, 0) + c1 * c2
-    return acc
+def _trim(p: list) -> list:
+    p = [x if all(x.values()) else {e: c for e, c in x.items() if c} for x in p]
+    while len(p) > 1 and not p[-1]:
+        p.pop()
+    return p
 
 
-def _bimul(p: dict, q: dict) -> dict:
-    return {key: c for key, c in _biaddmul({}, p, q).items() if c}
+def _common(a: tuple, b: tuple) -> tuple:
+    """The level of a and b together, and their num and den at that level."""
+    if a[0] == b[0]:
+        return (*a, *b[1:])
+    level = lcm(a[0], b[0])
+    return level, *(_stretch(p, level // v[0]) for v in (a, b) for p in v[1:])
 
 
-def z_degree(value: Expr) -> int:
-    return max((i for i, _ in (*value.num, *value.den)), default=0)
+def z_degree(value: tuple) -> int:
+    return max(len(value[1]), len(value[2])) - 1
 
 
-def _expr_at_level(value: Expr, level: int) -> Expr:
-    if level == value.level:
-        return value
-    m = level // value.level
-    num = {(i, e * m): c for (i, e), c in value.num.items()}
-    den = {(i, e * m): c for (i, e), c in value.den.items()}
-    return Expr(level, num, den)
+def add(a: tuple, b: tuple) -> tuple:
+    level, an, ad, bn, bd = _common(a, b)
+    if ad == bd:
+        return level, _trim(_addmul([dict(x) for x in an], bn, _ONE)), ad
+    return level, _trim(_addmul(_mul(an, bd), bn, ad)), _trim(_mul(ad, bd))
 
 
-def _common(a: Expr, b: Expr) -> tuple[int, Expr, Expr]:
-    level = lcm(a.level, b.level)
-    return level, _expr_at_level(a, level), _expr_at_level(b, level)
+def neg(a: tuple) -> tuple:
+    return a[0], [{e: -c for e, c in x.items()} for x in a[1]], a[2]
 
 
-def add(a: Expr, b: Expr) -> Expr:
-    level, a, b = _common(a, b)
-    if a.den == b.den:
-        num, den = _biaddmul(dict(a.num), b.num, _UNIT), a.den
-    else:
-        num, den = _biaddmul(_bimul(a.num, b.den), b.num, a.den), _bimul(a.den, b.den)
-    return Expr(level, {key: c for key, c in num.items() if c}, den)
+def mul(a: tuple, b: tuple) -> tuple:
+    level, an, ad, bn, bd = _common(a, b)
+    return level, _trim(_mul(an, bn)), _trim(_mul(ad, bd))
 
 
-def neg(a: Expr) -> Expr:
-    return Expr(a.level, {key: -c for key, c in a.num.items()}, a.den)
-
-
-def mul(a: Expr, b: Expr) -> Expr:
-    level, a, b = _common(a, b)
-    return Expr(level, _bimul(a.num, b.num), _bimul(a.den, b.den))
-
-
-def inverse(a: Expr, pos: int) -> Expr:
-    if not a.num:
-        raise ParseError("division by zero", pos)
-    return Expr(a.level, a.den, a.num)
-
-
-def power(base: Expr, n: int) -> Expr:
+def power(base: tuple, n: int) -> tuple:
     """base^n by repeated squaring."""
-    result = Expr(1, _UNIT, _UNIT)
+    result = (1, _ONE, _ONE)
     while n:
         if n & 1:
             result = mul(result, base)
@@ -239,17 +209,13 @@ def power(base: Expr, n: int) -> Expr:
     return result
 
 
-def t_power(q: Fraction) -> Expr:
+def t_power(q: Fraction) -> tuple:
     """The scalar t^q."""
     e = q.numerator
-    return Expr(q.denominator, {(0, max(e, 0)): 1}, {(0, max(-e, 0)): 1})
+    return q.denominator, [{max(e, 0): 1}], [{max(-e, 0): 1}]
 
 
-def expr_polys(value: Expr) -> tuple[tuple[QPoly, ...], tuple[QPoly, ...]]:
+def frozen(value: tuple) -> tuple[tuple[QPoly, ...], tuple[QPoly, ...]]:
     """num and den as coefficient vectors in z over Z[u], of equal length."""
     size = z_degree(value) + 1
-    num, den = [{} for _ in range(size)], [{} for _ in range(size)]
-    for part, out in ((value.num, num), (value.den, den)):
-        for (i, e), c in part.items():
-            out[i][e] = c
-    return tuple(map(_freeze, num)), tuple(map(_freeze, den))
+    return tuple(tuple(_freeze(x) for x in p + [{}] * (size - len(p))) for p in value[1:])

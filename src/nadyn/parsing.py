@@ -4,12 +4,10 @@ Scalars are rational expressions in t (integer powers, or rational powers of
 the bare t for fractional radii); maps are rational expressions in z with
 scalar coefficients.  Printing and parsing round-trip: parse(print(x)) == x.
 
-An expression is parsed straight into a lift: a numerator and a denominator
-polynomial in z with coefficients in Z[u], t = u^N, at one level N, held as
-a lifts.Expr.  Sums and products are polynomial products in nadyn.lifts (no
-GCD, no scalar field operation); parse_map brings the lift to _shift_out
-form, checks N against NADYN_LEVEL_CAP and leaves validation to
-redux.map_from_lift, which stores that lift as the map.  Division by zero,
+An expression is parsed straight into a lift over Z[u], t = u^N, in the int
+form and with the sums and products of nadyn.lifts (no GCD, no scalar field
+operation); parse_map brings it to _shift_out form, checks N against
+NADYN_LEVEL_CAP and leaves validation to redux.map_from_lift.  Division by zero,
 including a negative power of zero, and a zero denominator in an exponent
 are ParseErrors with a position.  An expression of degree in z above
 MAX_MAP_DEGREE is a DegreeTooHigh as soon as a product or sum reaches it,
@@ -25,11 +23,11 @@ from fractions import Fraction
 from math import gcd
 
 from .berkspace import GAUSS, TowardClass, TypeIIPoint
-from .errors import DegenerateMap, DegreeTooHigh, LevelCapExceeded, ParseError, PowerTooLarge
+from .errors import DegenerateMap, DegreeTooHigh, LevelCapExceeded, OutputTooLarge, ParseError, PowerTooLarge
 from .polys import QPoly, num_str, power_str, qdiv, sum_str
 from .respoly import FactorClass, FiniteClass, InfinityClass, INFINITY
 from . import lifts
-from .lifts import Expr, _shift_out, expr_polys, inverse as _inverse, neg as _neg, t_power as _t_power, z_degree
+from .lifts import _shift_out, frozen, neg as _neg, t_power as _t_power, z_degree
 from .redux import RationalMapK, map_from_lift
 from .scalars import KScalar, K_ONE, level_cap
 
@@ -84,34 +82,38 @@ def _tokenize(text: str):
     return tokens
 
 
-# Parsed values are lifts.Expr; their arithmetic is that of lifts.py, with
-# the caps checked here.
+# A parsed value is a tuple (level, num, den) in the int form of nadyn.lifts;
+# its arithmetic is that of lifts.py, with the caps checked here.
 
 
-def _scalar(num: QPoly, den: QPoly = QPoly.one(), level: int = 1) -> Expr:
-    return Expr(level, {(0, e): c for e, c in num.terms}, {(0, e): c for e, c in den.terms})
-
-
-def _capped(value: Expr) -> Expr:
+def _capped(value: tuple) -> tuple:
     degree = z_degree(value)
     if degree > MAX_MAP_DEGREE:
         raise DegreeTooHigh(f"expression reaches degree {degree} in z, cap is {MAX_MAP_DEGREE}")
     return value
 
 
-def _add(a: Expr, b: Expr) -> Expr:
+def _add(a: tuple, b: tuple) -> tuple:
     return _capped(lifts.add(a, b))
 
 
-def _mul(a: Expr, b: Expr) -> Expr:
+def _mul(a: tuple, b: tuple) -> tuple:
     return _capped(lifts.mul(a, b))
 
 
-def _span(part: dict) -> int:
-    return max(e for _, e in part) - min(e for _, e in part) if part else 0
+def _inverse(value: tuple, pos: int) -> tuple:
+    level, num, den = value
+    if not num[0] and len(num) == 1:
+        raise ParseError("division by zero", pos)
+    return level, den, num
 
 
-def _power(base: Expr, n: int) -> Expr:
+def _span(part: list) -> int:
+    exponents = [e for x in part for e in x]
+    return max(exponents) - min(exponents) if exponents else 0
+
+
+def _power(base: tuple, n: int) -> tuple:
     """base^n, once the caps are checked before any product."""
     degree = z_degree(base)
     if degree and n * degree > MAX_MAP_DEGREE:
@@ -119,8 +121,8 @@ def _power(base: Expr, n: int) -> Expr:
         first = (MAX_MAP_DEGREE // degree + 1) * degree
         raise DegreeTooHigh(f"expression reaches degree {first} in z, cap is {MAX_MAP_DEGREE}")
     # num and den are raised separately: each one's span in u counts
-    span = max(_span(base.num), _span(base.den))
-    bits = max(abs(c).bit_length() for part in (base.num, base.den) for c in part.values())
+    span = max(_span(base[1]), _span(base[2]))
+    bits = max(abs(c).bit_length() for part in base[1:] for x in part for c in x.values())
     if n * span * (n * degree + 1) > MAX_POWER_TERMS or n * bits > MAX_POWER_BITS:
         raise PowerTooLarge(
             f"power ^{n} exceeds the caps of {MAX_POWER_TERMS} terms"
@@ -150,14 +152,14 @@ class _Parser:
             raise ParseError(f"expected {symbol!r}", pos)
         self.advance()
 
-    def parse(self) -> Expr:
+    def parse(self) -> tuple:
         value = self.expr()
         kind, _, pos = self.peek()
         if kind != "end":
             raise ParseError("trailing input", pos)
         return value
 
-    def expr(self) -> Expr:
+    def expr(self) -> tuple:
         value = self.term()
         while True:
             kind, op, _ = self.peek()
@@ -168,7 +170,7 @@ class _Parser:
             else:
                 return value
 
-    def term(self) -> Expr:
+    def term(self) -> tuple:
         value = self.factor()
         while True:
             kind, op, pos = self.peek()
@@ -179,7 +181,7 @@ class _Parser:
             else:
                 return value
 
-    def factor(self) -> Expr:
+    def factor(self) -> tuple:
         kind, op, _ = self.peek()
         if kind == "op" and op in "+-":
             self.advance()
@@ -187,7 +189,7 @@ class _Parser:
             return _neg(value) if op == "-" else value
         return self.power()
 
-    def power(self) -> Expr:
+    def power(self) -> tuple:
         base = self.atom()
         kind, op, pos = self.peek()
         if kind != "op" or op != "^":
@@ -202,62 +204,57 @@ class _Parser:
         # fractional exponents only on exact powers of t: c*u^a / (c*u^b)
         if z_degree(base):
             raise ParseError("fractional exponent on a non-scalar base", pos)
-        if len(base.num) != 1 or list(base.num.values()) != list(base.den.values()):
+        level, (num,), (den,) = base
+        if len(num) != 1 or list(num.values()) != list(den.values()):
             raise ParseError("fractional exponent needs a bare power of t", pos)
-        ((_, num),), ((_, den),) = base.num, base.den
-        return _t_power(Fraction(num - den, base.level) * exponent)
+        (a,), (b,) = num, den
+        return _t_power(Fraction(a - b, level) * exponent)
 
-    def _exponent(self) -> Fraction:
-        sign = 1
-        kind, value, pos = self.peek()
+    def _sign(self) -> int:
+        kind, value, _ = self.peek()
         if kind == "op" and value in "+-":
             self.advance()
-            sign = -1 if value == "-" else 1
-            kind, value, pos = self.peek()
+            return -1 if value == "-" else 1
+        return 1
+
+    def _exponent(self) -> Fraction:
+        sign = self._sign()
+        kind, value, pos = self.advance()
         if kind == "int":
-            self.advance()
             return Fraction(sign * value)
         if kind == "op" and value == "(":
-            self.advance()
             inner = self._signed_rational()
             self.expect_op(")")
             return sign * inner
         raise ParseError("expected an integer or parenthesised exponent", pos)
 
     def _signed_rational(self) -> Fraction:
-        sign = 1
-        kind, value, pos = self.peek()
-        if kind == "op" and value in "+-":
-            self.advance()
-            sign = -1 if value == "-" else 1
-            kind, value, pos = self.peek()
+        sign = self._sign()
+        kind, numerator, pos = self.advance()
         if kind != "int":
             raise ParseError("expected a rational exponent", pos)
-        self.advance()
-        numerator = value
         kind, value, _ = self.peek()
-        if kind == "op" and value == "/":
-            self.advance()
-            kind, value, pos = self.peek()
-            if kind != "int":
-                raise ParseError("expected a denominator", pos)
-            self.advance()
-            if value == 0:
-                raise ParseError("zero denominator in an exponent", pos)
-            return Fraction(sign * numerator, value)
-        return Fraction(sign * numerator)
+        if kind != "op" or value != "/":
+            return Fraction(sign * numerator)
+        self.advance()
+        kind, value, pos = self.advance()
+        if kind != "int":
+            raise ParseError("expected a denominator", pos)
+        if value == 0:
+            raise ParseError("zero denominator in an exponent", pos)
+        return Fraction(sign * numerator, value)
 
-    def atom(self) -> Expr:
+    def atom(self) -> tuple:
         kind, value, pos = self.advance()
         if kind == "int":
-            return Expr(1, {(0, 0): value} if value else {}, {(0, 0): 1})
+            return 1, [{0: value} if value else {}], [{0: 1}]
         if kind == "name":
             if value == "t":
-                return Expr(1, {(0, 1): 1}, {(0, 0): 1})
+                return 1, [{1: 1}], [{0: 1}]
             if value == "z":
                 if not self.allow_z:
                     raise ParseError("the variable z is not allowed here", pos)
-                return Expr(1, {(1, 0): 1}, {(0, 0): 1})
+                return 1, [{}, {0: 1}], [{0: 1}]
             raise ParseError(f"unknown name {value!r}", pos)
         if kind == "op" and value == "(":
             inner = self.expr()
@@ -268,8 +265,8 @@ class _Parser:
 
 def parse_scalar(text: str) -> KScalar:
     value = _Parser(text, allow_z=False).parse()
-    (num,), (den,) = expr_polys(value)
-    return KScalar(num, den, value.level)
+    (num,), (den,) = frozen(value)
+    return KScalar(num, den, value[0])
 
 
 def parse_map(text: str) -> RationalMapK:
@@ -278,9 +275,17 @@ def parse_map(text: str) -> RationalMapK:
     if not z_degree(value):
         raise DegenerateMap("expression does not depend on z")
     cap = level_cap()
-    if value.level > cap:
-        raise LevelCapExceeded(f"map needs level {num_str(value.level)}, cap is {cap}")
-    return map_from_lift(_shift_out(value.level, *expr_polys(value)))
+    if value[0] > cap:
+        raise LevelCapExceeded(f"map needs level {_level_str(value[0])}, cap is {cap}")
+    return map_from_lift(_shift_out(value[0], *frozen(value)))
+
+
+def _level_str(level: int) -> str:
+    # a level past the digits the interpreter prints is named by its size
+    try:
+        return num_str(level)
+    except OutputTooLarge:
+        return f"of {level.bit_length()} bits"
 
 
 def parse_rational(text: str) -> Fraction:
@@ -327,7 +332,7 @@ def parse_point(text: str) -> TypeIIPoint:
     cap = level_cap()
     needed = exponent.denominator * center.level // gcd(exponent.denominator, center.level)
     if needed > cap:
-        raise LevelCapExceeded(f"point needs level {num_str(needed)}, cap is {cap}")
+        raise LevelCapExceeded(f"point needs level {_level_str(needed)}, cap is {cap}")
     return TypeIIPoint(center, exponent)
 
 
@@ -354,9 +359,9 @@ def parse_direction_class(text: str):
 
 def _parse_residue_poly(text: str) -> QPoly:
     value = _Parser(text, allow_z=True).parse()
-    if any(i for i, _ in value.den):
+    if len(value[2]) > 1:
         raise ParseError("factor polynomials cannot have z in a denominator")
-    num, (den, *_) = expr_polys(value)
+    num, (den, *_) = frozen(value)
     coeffs = []
     for c in num:
         # c/den is rational exactly when c is a rational multiple of den

@@ -1,33 +1,22 @@
 """Rational maps over K: composition, conjugation, reductions, depths.
 
 A map is stored as one lift: numerator and denominator coefficient vectors
-of equal length d+1 in Z[u], u = t^(1/N), of minimal valuation 0 and integer
-content 1 (_shift_out divides out the common power of u, clears rational
-denominators and divides out the integer content; a common factor in u of
-positive degree stays).  Validity means the degree-d homogeneous pair has
-nonzero resultant; map_from_lift checks it once, by the Sylvester
-determinant at one integer u modulo one prime, and only when that vanishes
-by the exact determinant of the lift.  Beyond that fallback, the solver
-takes the exact determinant only for ordRes itself (ord_res_of_lift, from
-crucial.ord_res and crucial.ord_res_for_chart).  Products of lifts
-(composition, the Taylor shift of a ray, _shift_out) live in nadyn.lifts;
-they and the fraction-free Bareiss determinant run on ints alone.  Maps enter
-as lifts: the parser builds one directly, and make_map clears the
-denominators of scalar vectors that come from outside.  Composition,
-conjugation, reduction and ordRes are projective invariants, so they run
-on lifts with polynomial products only, and charts are lifted straight from
-(t^s, a).  The pivot-normalised KScalar vectors num/den (every coefficient
-over the first nonzero entry of den + num) are a view derived from the lift
-on demand, for printing, specialisation and projective equality.  The
-intrinsic reduction at a type II point reduces the lift of the chart
-conjugate into one record, IntrinsicReduction: the GCD form H carries the
-directionwise depths, and the quotient pair is the tangent map (or a
-constant naming the image direction).  The chart conjugate at xi_{a,s} is
-read off the ray at a, the Taylor shift of the lift at a (one per lift and
-centre, cached), by scaling its coefficients with powers of t^s; no
-composition is needed.  The reduction at a point is cached per (lift,
-point), so each point is reduced once however many callers ask for it;
-reductions of composed lifts are not cached.
+of equal length d+1 in Z[u], u = t^(1/N), in _shift_out form (minimal
+valuation 0, integer content 1; a common factor in u of positive degree
+stays).  Validity means the degree-d homogeneous pair has nonzero
+resultant; map_from_lift checks it once, by the Sylvester determinant at
+one integer u modulo one prime, and only when that vanishes by the exact
+determinant.  Beyond that, the exact determinant is taken only for ordRes
+(ord_res_of_lift).  Products of lifts live in nadyn.lifts; they and the
+Bareiss determinant run on ints alone.  The parser builds lifts directly,
+and make_map clears the denominators of scalar vectors from outside.
+Composition, conjugation, reduction and ordRes are projective invariants,
+so they run on lifts, and charts are lifted straight from (t^s, a).  The
+pivot-normalised KScalar vectors num/den are a view derived on demand, for
+printing, specialisation and projective equality.  The intrinsic reduction
+at a type II point (IntrinsicReduction) reduces the lift of the chart
+conjugate, read off the cached ray at the centre by scaling with powers of
+t^s; it is cached per (lift, point), so each point is reduced once.
 """
 
 from __future__ import annotations
@@ -110,11 +99,7 @@ def _bareiss_det(mat: list[list[QPoly]]) -> QPoly:
     prev = QPoly.one()
     for k in range(n - 1):
         if mat[k][k].is_zero:
-            swap = None
-            for r in range(k + 1, n):
-                if not mat[r][k].is_zero:
-                    swap = r
-                    break
+            swap = next((r for r in range(k + 1, n) if mat[r][k]), None)
             if swap is None:
                 return QPoly.zero()
             mat[k], mat[swap] = mat[swap], mat[k]

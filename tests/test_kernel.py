@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from nadyn import KScalar, TypeIIPoint, parse_map
 from nadyn import lifts
-from nadyn.lifts import Expr, Lift, _at_level, _common_level, expr_polys
+from nadyn.lifts import Lift, _at_level, _common_level, frozen
 from nadyn.polys import (
     QPoly,
     _primitive_gcd,
@@ -392,17 +392,14 @@ def _padded(polys, size) -> tuple:
     return tuple(polys) + (QPoly.zero(),) * (size - len(polys))
 
 
-def _as_expr(value: Lift) -> Expr:
-    def part(polys):
-        return {(i, e): c for i, p in enumerate(polys) for e, c in p.terms}
-
-    return Expr(value.level, part(value.num), part(value.den))
+def _as_parsed(value: Lift) -> tuple:
+    return value.level, *([dict(p.terms) for p in polys] for polys in (value.num, value.den))
 
 
-def _same_value(expr: Expr, value: Lift) -> bool:
-    num, den = expr_polys(expr)
+def _same_value(parsed: tuple, value: Lift) -> bool:
+    num, den = frozen(parsed)
     size = max(len(num), len(value.num), len(value.den))
-    return (expr.level, _padded(num, size), _padded(den, size)) == (
+    return (parsed[0], _padded(num, size), _padded(den, size)) == (
         value.level,
         _padded(value.num, size),
         _padded(value.den, size),
@@ -443,7 +440,7 @@ def test_lift_kernel_matches_the_qpoly_route(seed, levels, big):
     # the parser's arithmetic, on values whose num and den are trimmed
     va, vb = (Lift(x.level, _ref_trim(x.num), _ref_trim(x.den)) for x in (a, b))
     same_den = Lift(va.level, vb.num, va.den)
-    ea, eb, es = map(_as_expr, (va, vb, same_den))
+    ea, eb, es = map(_as_parsed, (va, vb, same_den))
     assert _same_value(lifts.mul(ea, eb), _ref_mul(va, vb))
     assert _same_value(lifts.add(ea, eb), _ref_add(va, vb))
     assert _same_value(lifts.add(ea, es), _ref_add(va, same_den))

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -30,8 +31,7 @@ from nadyn import (
     point_str,
 )
 from nadyn.cli import build_parser, main
-from nadyn.parsing import MAX_LITERAL_DIGITS, MAX_MAP_DEGREE, _Parser, _mul, _power, _scalar, parse_rational
-from nadyn.polys import QPoly
+from nadyn.parsing import MAX_LITERAL_DIGITS, MAX_MAP_DEGREE, _Parser, _mul, _power, parse_rational
 from conftest import CORPUS_SOURCES
 
 
@@ -406,7 +406,7 @@ def test_power_by_squaring_equals_repeated_products():
     cases = [("1+t", 13), ("z+1/(2-t)", 7), ("(z^2-t)/(3*z+1)", 5), ("t^(1/2)+z", 6), ("2/t", 9), ("z", 0)]
     for text, n in cases:
         base = _Parser(text, allow_z=True).parse()
-        product = _scalar(QPoly.one())
+        product = (1, [{0: 1}], [{0: 1}])  # the parsed value 1
         for _ in range(n):
             product = _mul(product, base)
         assert _power(base, n) == product, text
@@ -465,8 +465,6 @@ NINES = "9" * MAX_LITERAL_DIGITS
         ("ordres", "--map", "z^2", "--point", f"a=0;s={NINES}"),
         # a coefficient of twice the digits of one accepted literal
         ("reduce", "--map", f"{NINES}*{NINES}*z^2 + 1"),
-        # the lcm of two accepted levels
-        ("ordres", "--map", f"z + t^(1/{NINES}) + t^(1/{NINES[1:]})"),
     ],
 )
 def test_cli_output_past_the_digit_limit_exits_2(capsys, argv):
@@ -476,6 +474,20 @@ def test_cli_output_past_the_digit_limit_exits_2(capsys, argv):
         "error": f"a value to print exceeds {MAX_LITERAL_DIGITS} decimal digits",
         "type": "OutputTooLarge",
     }
+
+
+def test_cli_level_past_the_digit_limit_keeps_the_level_cap_error(capsys):
+    # the lcm of two accepted levels has too many digits to print
+    level = math.lcm(int(NINES), int(NINES[1:]))
+    for argv in (
+        ("ordres", "--map", f"z + t^(1/{NINES}) + t^(1/{NINES[1:]})"),
+        ("ordres", "--map", "z^2", "--point", f"a=t^(1/{NINES});s=1/{NINES[1:]}"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (2, "")
+        error = json.loads(out)
+        assert error["type"] == "LevelCapExceeded"
+        assert f"needs level of {level.bit_length()} bits, cap is" in error["error"]
 
 
 def test_cli_degenerate_map_exit_2(capsys):
