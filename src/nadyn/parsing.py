@@ -263,6 +263,14 @@ class _Parser:
         raise ParseError("expected a value", pos)
 
 
+def _level_str(level: int) -> str:
+    # a level past the digits the interpreter prints is named by its size
+    try:
+        return num_str(level)
+    except OutputTooLarge:
+        return f"of {level.bit_length()} bits"
+
+
 def parse_scalar(text: str) -> KScalar:
     value = _Parser(text, allow_z=False).parse()
     (num,), (den,) = frozen(value)
@@ -278,14 +286,6 @@ def parse_map(text: str) -> RationalMapK:
     if value[0] > cap:
         raise LevelCapExceeded(f"map needs level {_level_str(value[0])}, cap is {cap}")
     return map_from_lift(_shift_out(value[0], *frozen(value)))
-
-
-def _level_str(level: int) -> str:
-    # a level past the digits the interpreter prints is named by its size
-    try:
-        return num_str(level)
-    except OutputTooLarge:
-        return f"of {level.bit_length()} bits"
 
 
 def parse_rational(text: str) -> Fraction:
