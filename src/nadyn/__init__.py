@@ -19,7 +19,6 @@ from .errors import (
     OutputTooLarge,
     OutOfRange,
     ParseError,
-    PiecewiseBoundaryUnresolved,
     PowerTooLarge,
     RootFindingFailed,
     SamePoint,

@@ -169,17 +169,4 @@ def step_into(point: TypeIIPoint, cls, h: Fraction) -> TypeIIPoint:
     if isinstance(cls, FiniteClass):
         centre = point.center + KScalar.from_rational(cls.value) * KScalar.t_power(point.exponent)
         return TypeIIPoint(centre, point.exponent + h)
-    if isinstance(cls, TowardClass):
-        target = cls.target
-        if isinstance(target, TypeIIPoint):
-            return path_point(point, target, h)
-        if target is CLASSICAL_INF:
-            return TypeIIPoint(point.center, point.exponent - h)
-        if isinstance(target, KScalar):
-            gap = (target - point.center).ord()
-            m = min(point.exponent, gap)
-            up = point.exponent - m
-            if h <= up:
-                return TypeIIPoint(point.center, point.exponent - h)
-            return TypeIIPoint(target, m + (h - up))
     raise TypeError(f"cannot step along class {cls!r}")

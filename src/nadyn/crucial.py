@@ -14,10 +14,11 @@ resultant locus", 2015).  hypRes reads the ray alone; only ordRes itself
 takes the Sylvester determinant, at the Gauss point.  Descent along the
 minimum locus steps exactly to the first breakpoint of that min.  Slopes
 along directions come from two independent routes: the reduction-theoretic
-formula (depth and fixedness of the direction) and exact one-sided
-difference quotients, which agree by convexity as soon as two dyadic
-quotients coincide.  A third, fully geometric evaluation integrates
-pullback masses along the segment from the Gauss point.
+formula (depth and fixedness of the direction) and the closed form itself,
+whose one-sided derivative along a rational class is read off the active
+piece of least slope on the ray at the class's centre.  A third, fully
+geometric evaluation integrates pullback masses along the segment from the
+Gauss point.
 """
 
 from __future__ import annotations
@@ -39,12 +40,7 @@ from .berkspace import (
     rho,
     step_into,
 )
-from .errors import (
-    BreakpointUnresolved,
-    DegreeTooLow,
-    IrrationalDirection,
-    PiecewiseBoundaryUnresolved,
-)
+from .errors import BreakpointUnresolved, DegreeTooLow, IrrationalDirection
 from .polys import QPoly, simplest_in
 from .respoly import (
     FactorClass,
@@ -163,14 +159,33 @@ def _slope_table(phi: RationalMapK, point: TypeIIPoint) -> list[SlopeReport]:
     ]
 
 
-def slope_measured(phi: RationalMapK, point: TypeIIPoint, direction: Direction) -> Fraction:
-    """One-sided derivative of hypRes along the direction, by exact quotients;
-    a toward-class is resolved to its class first, as in slope_rhs.
+def _ray_slope(phi: RationalMapK, point: TypeIIPoint, cls) -> tuple[Fraction, list[Fraction]]:
+    """One-sided slope of hypRes along a rational class, and the distances
+    to the crossings of its active piece ahead; the least is the next kink.
 
-    Difference quotients of a convex piecewise-affine function over nested
-    steps agree exactly once the step is inside the first affine piece, so
-    one agreement certifies the slope.
+    The class is a ray from a centre: a + c*t^s with s rising for the class
+    c, a with s falling for infinity.  In x = +-s along it every piece
+    alpha + m*s of the closed form is affine in x, the active piece of least
+    slope m0 gives the slope (+-(d+1) - 2*m0) / (2(d-1)), and only pieces of
+    smaller slope can cross it ahead.
     """
+    d, s = phi.degree, point.exponent
+    if isinstance(cls, InfinityClass):
+        center, sign = point.center, -1
+    else:
+        center, sign = point.center + KScalar.from_rational(cls.value) * KScalar.t_power(s), 1
+    pieces = [(alpha, sign * m) for alpha, m in ray(phi.lift, center).pieces]
+    x = sign * s
+    low = min(alpha + m * x for alpha, m in pieces)
+    alpha0, m0 = min(((alpha, m) for alpha, m in pieces if alpha + m * x == low), key=lambda p: p[1])
+    kinks = [(alpha - alpha0) / (m0 - m) - x for alpha, m in pieces if m < m0]
+    return Fraction(sign * (d + 1) - 2 * m0, 2 * (d - 1)), kinks
+
+
+def slope_measured(phi: RationalMapK, point: TypeIIPoint, direction: Direction) -> Fraction:
+    """One-sided derivative of hypRes along the direction, read off the closed
+    form on the ray; a toward-class is resolved to its class first, as in
+    slope_rhs."""
     cls = direction.cls
     if isinstance(cls, TowardClass):
         cls = direction_toward(point, cls.target).cls
@@ -178,18 +193,9 @@ def slope_measured(phi: RationalMapK, point: TypeIIPoint, direction: Direction) 
         raise IrrationalDirection("measured slopes need a rational direction")
     if not isinstance(cls, (FiniteClass, InfinityClass)):
         raise TypeError(f"unsupported direction class {cls!r}")
-    h = Fraction(1, 2)
-    base = hyp_res(phi, point)
-    value_h = hyp_res(phi, step_into(point, cls, h))
-    for _ in range(24):
-        half = h / 2
-        value_half = hyp_res(phi, step_into(point, cls, half))
-        q1 = (value_h - base) / h
-        q2 = (value_half - base) / half
-        if q1 == q2:
-            return q1
-        h, value_h = half, value_half
-    raise PiecewiseBoundaryUnresolved(f"no stable quotient along {cls!r}")
+    if phi.degree < 2:
+        raise DegreeTooLow("hypRes needs a map of degree >= 2")
+    return _ray_slope(phi, point, cls)[0]
 
 
 # -- direction class inventory --------------------------------------------------
@@ -343,31 +349,6 @@ def hyp_res_direct(phi: RationalMapK, point: TypeIIPoint) -> Fraction:
 # -- the minimum locus -----------------------------------------------------------
 
 
-def _descent_step(phi: RationalMapK, point: TypeIIPoint, cls, sigma: Fraction) -> Fraction:
-    """Distance along a rational class to the next kink of hypRes.
-
-    The class is a ray from a centre: a + c*t^s with s rising for the class
-    c, a with s falling for infinity.  In x = +-s along it every piece
-    alpha + m*s of the closed form is affine in x, and the kink is the first
-    crossing of the active piece by one of smaller slope.
-    """
-    d, s = phi.degree, point.exponent
-    if isinstance(cls, InfinityClass):
-        center, sign = point.center, -1
-    else:
-        center, sign = point.center + KScalar.from_rational(cls.value) * KScalar.t_power(s), 1
-    pieces = [(alpha, sign * m) for alpha, m in ray(phi.lift, center).pieces]
-    x = sign * s
-    low = min(alpha + m * x for alpha, m in pieces)
-    alpha0, m0 = min(((alpha, m) for alpha, m in pieces if alpha + m * x == low), key=lambda p: p[1])
-    if Fraction(sign * (d + 1) - 2 * m0, 2 * (d - 1)) != sigma:
-        raise AssertionError("closed-form slope disagrees with the depth formula")
-    crossings = [(alpha - alpha0) / (m0 - m) for alpha, m in pieces if m < m0]
-    if not crossings:
-        raise AssertionError("descent ray has no breakpoint")
-    return min(crossings) - x
-
-
 def min_locus(phi: RationalMapK, start: TypeIIPoint = GAUSS) -> MinLocusResult:
     """Descend hypRes from the start point to its minimum locus.
 
@@ -396,7 +377,12 @@ def _descent(lift: Lift, start: TypeIIPoint) -> MinLocusResult:
         if len(negatives) > 1:
             raise AssertionError("convexity violation: several descending directions")
         cls, sigma = negatives[0]
-        step = _descent_step(phi, point, cls, sigma)
+        slope, kinks = _ray_slope(phi, point, cls)
+        if slope != sigma:
+            raise AssertionError("closed-form slope disagrees with the depth formula")
+        if not kinks:
+            raise AssertionError("descent ray has no breakpoint")
+        step = min(kinks)
         trail.append((point, cls, step))
         point = step_into(point, cls, step)
     else:

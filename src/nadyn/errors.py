@@ -59,10 +59,6 @@ class IrrationalDirection(NadynError):
     """Measured slopes are only defined along rational direction classes."""
 
 
-class PiecewiseBoundaryUnresolved(NadynError):
-    """Difference quotients failed to stabilise within the halving cap."""
-
-
 class BreakpointUnresolved(NadynError):
     """A piecewise breakpoint could not be snapped to a bounded rational."""
 

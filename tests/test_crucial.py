@@ -1,3 +1,4 @@
+import json
 import random
 import time
 from fractions import Fraction
@@ -39,7 +40,7 @@ from nadyn import (
     step_into,
 )
 from nadyn.cli import main
-from nadyn.crucial import _rhs_value, _step_integral, class_slope_data
+from nadyn.crucial import _ray_slope, _rhs_value, _slope_table, _step_integral, class_slope_data
 from nadyn.redux import _fixes_class, make_map
 from nadyn.respoly import class_degree, depth_at
 from nadyn.scalars import KScalar
@@ -95,6 +96,21 @@ def test_slope_measured_examples():
 def test_slope_measured_along_toward_class():
     cls = TowardClass(ONE_DOWN)
     assert slope_measured(TZ2, GAUSS, direction(GAUSS, cls)) == Fraction(-1, 2)
+
+
+# A point 10^-8 above the kink at s = -1/2: the slope is read off the ray
+# however close the kink lies.
+NEAR_KINK = ["slope", "--map", "(t*z^2+1)/t", "--point", "a=0;s=-49999999/100000000"]
+
+
+@pytest.mark.parametrize("flags", [["--direction", "inf"], []], ids=["inf", "table"])
+def test_slope_measured_next_to_a_kink(capsys, monkeypatch, flags):
+    monkeypatch.setenv("NADYN_LEVEL_CAP", "100000000")
+    assert main([*NEAR_KINK, *flags]) == 0
+    out = json.loads(capsys.readouterr().out)
+    rows = out["slopes"] if "slopes" in out else [out]
+    assert rows[0]["class"] == "inf" and rows[0]["rhs"] == "-3/2"
+    assert all(row["measured"] == row["rhs"] for row in rows)
 
 
 def test_slope_measured_rejects_factor_classes():
@@ -324,6 +340,24 @@ def test_descent_steps_end_exactly_at_kinks(seed):
                 assert value == base + sigma * h
             else:
                 assert value > base + sigma * h
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_ray_slope_and_first_kink_match_the_sylvester_route(seed):
+    rng = random.Random(seed)
+    phi = rand_map(rng, degree=rng.choice([2, 3]))
+    point = rand_laurent_point(rng)
+    base = _sylvester_hyp_res(phi, point)
+    # every class of positive depth, then 0, 1 and infinity
+    for cls in (row.direction.cls for row in _slope_table(phi, point)):
+        if isinstance(cls, FactorClass):
+            continue
+        slope, kinks = _ray_slope(phi, point, cls)
+        h = min(kinks, default=Fraction(1))
+        assert _sylvester_hyp_res(phi, step_into(point, cls, h)) == base + slope * h
+        if kinks:
+            assert _sylvester_hyp_res(phi, step_into(point, cls, h * 4 / 3)) > base + slope * h * 4 / 3
 
 
 # A descending direction is never a factor class: a class of degree k >= 2
