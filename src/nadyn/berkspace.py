@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf
 
 from .errors import OutOfRange, SamePoint
 from .respoly import FiniteClass, InfinityClass, INFINITY
@@ -20,13 +19,6 @@ from .scalars import KScalar, K_ONE, K_ZERO
 
 class ClassicalInfinity:
     """The classical point infinity of P^1(K)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
 
     def __repr__(self):
         return "inf"
@@ -99,11 +91,7 @@ def chart(point: TypeIIPoint) -> Mobius:
 
 
 def _join_exponent(p1: TypeIIPoint, p2: TypeIIPoint) -> Fraction:
-    d = (p1.center - p2.center).ord()
-    m = min(p1.exponent, p2.exponent)
-    if d is inf:
-        return m
-    return min(m, d)
+    return min(p1.exponent, p2.exponent, (p1.center - p2.center).ord())
 
 
 def rho(p1: TypeIIPoint, p2: TypeIIPoint) -> Fraction:
@@ -142,19 +130,14 @@ def direction_toward(point: TypeIIPoint, target) -> Direction:
     if isinstance(target, TypeIIPoint):
         if target == point:
             raise SamePoint("no direction from a point toward itself")
-        below = target.exponent > point.exponent and (
-            (target.center - point.center).ord() >= point.exponent
-        )
-        if not below:
+        if target.exponent <= point.exponent:
             return Direction(point, INFINITY)
-        centre_gap = target.center - point.center
-    elif isinstance(target, KScalar):
-        gap_ord = (target - point.center).ord()
-        if gap_ord < point.exponent:
-            return Direction(point, INFINITY)
-        centre_gap = target - point.center
-    else:
+        target = target.center
+    elif not isinstance(target, KScalar):
         raise TypeError(f"unsupported target {target!r}")
+    centre_gap = target - point.center
+    if centre_gap.ord() < point.exponent:
+        return Direction(point, INFINITY)
     value = (centre_gap / KScalar.t_power(point.exponent)).residue()
     return Direction(point, FiniteClass(value))
 

@@ -3,6 +3,8 @@
 Exact rationals are printed as "p/q" strings so reports are bit-stable;
 only degcheck reports floating point numbers (12 significant digits).
 Exit codes: 0 success, 1 usage or syntax errors, 2 domain errors.
+main parses each input once, the map before the verb's point, and hands
+both to the verb's handler; with both malformed, the map's error shows.
 """
 
 from __future__ import annotations
@@ -96,11 +98,17 @@ def _slope_json(phi, point, report) -> dict:
     }
 
 
-def _cmd_reduce(args) -> dict:
-    phi = parse_map(args.map)
-    point = parse_point(args.point)
+def _reduced_map_json(red, key: str) -> dict:
+    """The reduced map under key when the reduction fixes the point, else
+    the image class; reports put it last."""
+    if red.fixes_point:
+        return {key: {"num": red.tilde_num.to_str("z"), "den": red.tilde_den.to_str("z")}}
+    return {"image": class_json(red.image_class)}
+
+
+def _cmd_reduce(args, phi, point) -> dict:
     red = reduction_at(phi, point)
-    out = {
+    return {
         "map": map_str(phi),
         "point": point_str(point),
         "reduced_num": [frac_str(c) for c in red.reduced_num.coeffs()],
@@ -109,49 +117,33 @@ def _cmd_reduce(args) -> dict:
         "h_inf_mult": red.h.inf_mult,
         "deg_h": red.h.degree,
         "tilde_degree": red.tilde_degree,
+        **_reduced_map_json(red, "tilde"),
     }
-    if red.fixes_point:
-        out["tilde"] = {"num": red.tilde_num.to_str("z"), "den": red.tilde_den.to_str("z")}
-    else:
-        out["image"] = class_json(red.image_class)
-    return out
 
 
-def _cmd_depths(args) -> dict:
-    phi = parse_map(args.map)
-    point = parse_point(args.point)
+def _cmd_depths(args, phi, point) -> dict:
     info = intrinsic_data(phi, point)
     out = _divisor_json(info.depths)
     out["classes"] = [{**class_json(cls), "depth": dep} for cls, dep in sorted_classes(info.depths)]
     return out
 
 
-def _cmd_intrinsic(args) -> dict:
-    phi = parse_map(args.map)
-    point = parse_point(args.point)
+def _cmd_intrinsic(args, phi, point) -> dict:
     info = intrinsic_data(phi, point)
-    out = {
+    return {
         "fixes_point": info.fixes_point,
         "local_degree": info.tilde_degree if info.fixes_point else None,
         "totally_invariant": info.totally_invariant,
         "depths": _divisor_json(info.depths),
+        **_reduced_map_json(info, "tangent"),
     }
-    if info.fixes_point:
-        out["tangent"] = {"num": info.tilde_num.to_str("z"), "den": info.tilde_den.to_str("z")}
-    else:
-        out["image"] = class_json(info.image_class)
-    return out
 
 
-def _cmd_ordres(args) -> dict:
-    phi = parse_map(args.map)
-    point = parse_point(args.point)
+def _cmd_ordres(args, phi, point) -> dict:
     return {"ord_res": frac_str(ord_res(phi, point))}
 
 
-def _cmd_hypres(args) -> dict:
-    phi = parse_map(args.map)
-    point = parse_point(args.point)
+def _cmd_hypres(args, phi, point) -> dict:
     out = {
         "ord_res": frac_str(ord_res(phi, point)),
         "hyp_res": frac_str(hyp_res(phi, point)),
@@ -161,18 +153,14 @@ def _cmd_hypres(args) -> dict:
     return out
 
 
-def _cmd_slope(args) -> dict:
-    phi = parse_map(args.map)
-    point = parse_point(args.point)
+def _cmd_slope(args, phi, point) -> dict:
     if args.direction is not None:
         direction = Direction(point, parse_direction_class(args.direction))
         return _slope_json(phi, point, slope_rhs(phi, point, direction))
     return {"slopes": [_slope_json(phi, point, report) for report in _slope_table(phi, point)]}
 
 
-def _cmd_minlocus(args) -> dict:
-    phi = parse_map(args.map)
-    start = parse_point(args.start)
+def _cmd_minlocus(args, phi, start) -> dict:
     result = min_locus(phi, start)
     return {
         "minimizer": _point_json(result.minimizer),
@@ -188,15 +176,11 @@ def _cmd_minlocus(args) -> dict:
     }
 
 
-def _cmd_semistable(args) -> dict:
-    phi = parse_map(args.map)
-    point = parse_point(args.point)
+def _cmd_semistable(args, phi, point) -> dict:
     return {"verdict": semistability(phi, point).value}
 
 
-def _cmd_equidist(args) -> dict:
-    phi = parse_map(args.map)
-    point = parse_point(args.point)
+def _cmd_equidist(args, phi, point) -> dict:
     report = depth_sequence(phi, point, args.nmax)
     levels = [
         {"n": n, **_measure_json(measure)}
@@ -263,8 +247,7 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _cmd_degcheck(args) -> dict:
-    phi = parse_map(args.map)
+def _cmd_degcheck(args, phi, _) -> dict:
     t_values = _parse_t_values(args.t)
     hypothesis = None if args.hypothesis == "auto" else _parse_hypothesis(args.hypothesis)
     report = degeneration_report(
@@ -291,21 +274,21 @@ def _cmd_degcheck(args) -> dict:
     }
 
 
-# verb -> (handler, takes --point, extra flags); every verb takes --map and
-# --pretty
+# verb -> (handler, the argument that holds its point or None, extra
+# flags); every verb takes --map and --pretty
 _VERBS = {
-    "reduce": (_cmd_reduce, True, ()),
-    "depths": (_cmd_depths, True, ()),
-    "intrinsic": (_cmd_intrinsic, True, ()),
-    "ordres": (_cmd_ordres, True, ()),
-    "hypres": (_cmd_hypres, True, (("--direct", {"action": "store_true"}),)),
-    "slope": (_cmd_slope, True, (("--direction", {}),)),
-    "minlocus": (_cmd_minlocus, False, (("--start", {"default": "gauss"}),)),
-    "semistable": (_cmd_semistable, True, ()),
-    "equidist": (_cmd_equidist, True, (("--nmax", {"type": _positive_int, "default": 4}),)),
+    "reduce": (_cmd_reduce, "point", ()),
+    "depths": (_cmd_depths, "point", ()),
+    "intrinsic": (_cmd_intrinsic, "point", ()),
+    "ordres": (_cmd_ordres, "point", ()),
+    "hypres": (_cmd_hypres, "point", (("--direct", {"action": "store_true"}),)),
+    "slope": (_cmd_slope, "point", (("--direction", {}),)),
+    "minlocus": (_cmd_minlocus, "start", (("--start", {"default": "gauss"}),)),
+    "semistable": (_cmd_semistable, "point", ()),
+    "equidist": (_cmd_equidist, "point", (("--nmax", {"type": _positive_int, "default": 4}),)),
     "degcheck": (
         _cmd_degcheck,
-        False,
+        None,
         (
             ("--t", {"required": True}),
             ("--n", {"type": _positive_int, "default": 12}),
@@ -330,17 +313,16 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
     else:
         names = "{" + ",".join(_VERBS) + "}"
         sub = parser.add_subparsers(dest="verb", required=True, metavar=names)
-    for name, (fn, point, extra) in _VERBS.items():
+    for name, (_, point, extra) in _VERBS.items():
         if verb is not None and name != verb:
             continue
         p = sub.add_parser(name)
         p.add_argument("--map", required=True)
-        if point:
+        if point == "point":  # --start of minlocus is among its extra flags
             p.add_argument("--point", default="gauss")
         p.add_argument("--pretty", action="store_true")
         for flag, kwargs in extra:
             p.add_argument(flag, **kwargs)
-        p.set_defaults(fn=fn)
     return parser
 
 
@@ -351,8 +333,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
+    fn, point = _VERBS[args.verb][:2]
     try:
-        out = args.fn(args)
+        phi = parse_map(args.map)
+        out = fn(args, phi, parse_point(getattr(args, point)) if point else None)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

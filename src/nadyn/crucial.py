@@ -127,14 +127,20 @@ def _rhs_value(d: int, dep: int, fixed: bool) -> Fraction:
     return (bonus - dep) / (d - 1)
 
 
-def slope_rhs(phi: RationalMapK, point: TypeIIPoint, direction: Direction) -> SlopeReport:
-    """Reduction-theoretic slope of hypRes along a direction; the report
-    carries the direction with a toward-class resolved to its class."""
+def _class_at(point: TypeIIPoint, direction: Direction):
+    """The class of a direction based at the point, a toward-class resolved."""
     if direction.at != point:
         raise ValueError("direction is based at a different point")
     cls = direction.cls
     if isinstance(cls, TowardClass):
-        cls = direction_toward(point, cls.target).cls
+        return direction_toward(point, cls.target).cls
+    return cls
+
+
+def slope_rhs(phi: RationalMapK, point: TypeIIPoint, direction: Direction) -> SlopeReport:
+    """Reduction-theoretic slope of hypRes along a direction; the report
+    carries the direction with a toward-class resolved to its class."""
+    cls = _class_at(point, direction)
     info = intrinsic_data(phi, point)
     dep = depth_at(info.depths, cls)
     fixed = _fixes_class(info, cls)
@@ -184,11 +190,9 @@ def _ray_slope(phi: RationalMapK, point: TypeIIPoint, cls) -> tuple[Fraction, li
 
 def slope_measured(phi: RationalMapK, point: TypeIIPoint, direction: Direction) -> Fraction:
     """One-sided derivative of hypRes along the direction, read off the closed
-    form on the ray; a toward-class is resolved to its class first, as in
-    slope_rhs."""
-    cls = direction.cls
-    if isinstance(cls, TowardClass):
-        cls = direction_toward(point, cls.target).cls
+    form on the ray; as in slope_rhs, the direction must be based at the
+    point and a toward-class is resolved to its class first."""
+    cls = _class_at(point, direction)
     if isinstance(cls, FactorClass):
         raise IrrationalDirection("measured slopes need a rational direction")
     if not isinstance(cls, (FiniteClass, InfinityClass)):

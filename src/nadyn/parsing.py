@@ -62,9 +62,10 @@ def _tokenize(text: str):
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        if not m:
+            rest = text[pos:].lstrip()  # the culprit is past the whitespace
+            if rest:
+                raise ParseError(f"unexpected character {rest[0]!r}", len(text) - len(rest))
             break
         if m.group(1):
             if len(m.group(1)) > MAX_LITERAL_DIGITS:
@@ -72,11 +73,11 @@ def _tokenize(text: str):
                     f"integer literal of {len(m.group(1))} digits exceeds {MAX_LITERAL_DIGITS} digits",
                     m.start(1),
                 )
-            tokens.append(("int", int(m.group(1)), pos))
+            tokens.append(("int", int(m.group(1)), m.start(1)))
         elif m.group(2):
-            tokens.append(("name", m.group(2), pos))
+            tokens.append(("name", m.group(2), m.start(2)))
         else:
-            tokens.append(("op", m.group(3), pos))
+            tokens.append(("op", m.group(3), m.start(3)))
         pos = m.end()
     tokens.append(("end", None, len(text)))
     return tokens

@@ -13,12 +13,13 @@ float.  Fraction(3) == 3 with equal hashes and str, so the normal form
 changes no comparison and no printed output; it lets integer polynomials
 (the lifts of redux, which are primitive over Z[u]) multiply, divide and
 take Bareiss determinants on ints alone.  Every division of coefficients
-goes through qdiv: int // int when the division is exact, else a Fraction.
+gives int // int when the division is exact, else a Fraction (qdiv).
 
 gcd, exact_div and squarefree_parts work on primitive integer polynomials:
 Fraction coefficients are cleared first, and a quotient or a monic gcd
 takes its Fractions back only at the end.  Their results are those of
-Euclid over Q, term for term.
+Euclid over Q, term for term.  One long division serves divmod and
+exact_div.
 """
 
 from __future__ import annotations
@@ -260,25 +261,8 @@ class QPoly:
     def __divmod__(self, other: "QPoly"):
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        # long division on a dict of remainder terms, leading exponents taken
-        # from a max-heap; every exponent is pushed once and popped once
-        *lower, (ddeg, dlead) = other.terms
-        r = dict(self.terms)
-        heap = [-e for e in r]
-        heapify(heap)
-        q: dict = {}
-        while heap and -heap[0] >= ddeg:
-            e = -heappop(heap)
-            c = r.pop(e)
-            if not c:
-                continue
-            k = e - ddeg
-            q[k] = f = qdiv(c, dlead)
-            for ej, cj in lower:
-                if k + ej not in r:
-                    heappush(heap, -(k + ej))
-                r[k + ej] = r.get(k + ej, 0) - f * cj
-        return QPoly._build(q), QPoly._build(r)
+        q, r = _long_division(self.terms, other.terms)
+        return QPoly._of_terms(q), QPoly._build(r)
 
     def __mod__(self, other: "QPoly") -> "QPoly":
         return divmod(self, other)[1]
@@ -298,7 +282,9 @@ class QPoly:
         # the quotient is A/B, integral by Gauss's lemma, times ga db/(da gb)
         a, ga, da = _primitive(self.terms)
         b, gb, db = _primitive(other.terms)
-        q = _exact_quotient(a, b)
+        q, r = _long_division(a, b)
+        if any(r.values()):
+            raise ValueError("division is not exact")
         num, den = ga * db, da * gb
         k = _int_gcd(num, den)
         if k != num or k != den:
@@ -369,9 +355,12 @@ def _primitive(terms, shift: int = 0) -> tuple:
     return tuple(terms), g, den
 
 
-def _exact_quotient(a: tuple, b: tuple) -> tuple:
-    """Integer terms of a / b for integer a and primitive integer b; by Gauss's
-    lemma every quotient coefficient is an integer when b divides a."""
+def _long_division(a: tuple, b: tuple) -> tuple:
+    """Long division of the terms a by the nonzero terms b: the quotient's
+    terms, ascending, and the remainder as an exponent -> coefficient dict.
+    Leading exponents come from a max-heap; each is pushed and popped once.
+    An exact coefficient quotient stays an int, so integer operands with an
+    integral quotient (Gauss's lemma) build no Fraction."""
     *lower, (bdeg, blead) = b
     r = dict(a)
     heap = [-e for e in r]
@@ -382,18 +371,14 @@ def _exact_quotient(a: tuple, b: tuple) -> tuple:
         c = r.pop(e)
         if not c:
             continue
-        f, rest = divmod(c, blead)
-        if rest:
-            raise ValueError("division is not exact")
         k = e - bdeg
+        f = c // blead if not c % blead else qdiv(c, blead)
         q.append((k, f))
         for ej, cj in lower:
             if k + ej not in r:
                 heappush(heap, -(k + ej))
             r[k + ej] = r.get(k + ej, 0) - f * cj
-    if any(r.values()):
-        raise ValueError("division is not exact")
-    return tuple(reversed(q))
+    return tuple(reversed(q)), r
 
 
 def _pseudo_remainder(a: tuple, b: tuple) -> tuple:
@@ -480,11 +465,9 @@ def coprime_basis(polys) -> list[QPoly]:
     basis: list[QPoly] = []
     for f in polys:
         f = f.monic()
-        if f.degree <= 0:
-            continue
         refined: list[QPoly] = []
         for b in basis:
-            if f.degree == 0:
+            if f.degree <= 0:
                 refined.append(b)
                 continue
             g = f.gcd(b)

@@ -450,10 +450,8 @@ def _fixes_class(info: IntrinsicReduction, cls) -> bool:
         c = cls.value
         return n_poly.eval(c) == c * d_poly.eval(c)
     if isinstance(cls, FactorClass):
-        fixed_form = n_poly - QPoly.x() * d_poly
-        if fixed_form.is_zero:
-            return True
-        g = cls.poly.gcd(fixed_form)
+        # gcd(poly, 0) is the monic poly itself: the identity fixes every class
+        g = cls.poly.gcd(n_poly - QPoly.x() * d_poly)
         if g.degree == 0:
             return False
         if g.degree == cls.poly.degree:

@@ -51,9 +51,6 @@ class HomogeneousForm:
         """Multiplicity of [0:1]; meaningless for the zero form."""
         return self.degree - self.dehom.degree
 
-    def coeff(self, i: int) -> Fraction:
-        return self.dehom.coeff(i)
-
     def coeffs(self) -> list[Fraction]:
         out = self.dehom.coeff_list()
         out += [0] * (self.degree + 1 - len(out))
@@ -168,8 +165,6 @@ def squarefree_decomposition(h: HomogeneousForm) -> DepthDivisor:
     """Read off all root multiplicities of h without factoring."""
     if h.is_zero:
         raise ValueError("squarefree decomposition of the zero form")
-    if h.dehom.degree <= 0:
-        return DepthDivisor(parts=(), inf_mult=h.degree)
     parts = tuple(squarefree_parts(h.dehom))
     return DepthDivisor(parts=parts, inf_mult=h.inf_mult)
 

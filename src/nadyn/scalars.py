@@ -44,13 +44,6 @@ def level_cap() -> int:
 class ResidueInfinity:
     """The point at infinity of the residue projective line."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self):
         return "inf"
 

@@ -98,6 +98,15 @@ def test_slope_measured_along_toward_class():
     assert slope_measured(TZ2, GAUSS, direction(GAUSS, cls)) == Fraction(-1, 2)
 
 
+def test_slope_measured_rejects_a_direction_based_elsewhere():
+    # the slope at the first argument used to come back (1/2), as if the
+    # direction were based there; slope_rhs refuses the same call
+    elsewhere = direction(parse_point("a=0;s=1"), INFINITY)
+    for slope in (slope_measured, slope_rhs):
+        with pytest.raises(ValueError, match="^direction is based at a different point$"):
+            slope(TZ21T, ONE_DOWN, elsewhere)
+
+
 # A point 10^-8 above the kink at s = -1/2: the slope is read off the ray
 # however close the kink lies.
 NEAR_KINK = ["slope", "--map", "(t*z^2+1)/t", "--point", "a=0;s=-49999999/100000000"]

@@ -33,3 +33,53 @@ def test_every_error_type_has_a_raise_site():
     }
     assert UNRAISED_ON_PURPOSE <= types
     assert sorted(types - UNRAISED_ON_PURPOSE - _raised_names()) == []
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, node) of each private top-level function or class and each
+    private method of a top-level class; dunder methods are public hooks."""
+    for node in tree.body:
+        defs = [node]
+        if isinstance(node, ast.ClassDef):
+            defs += node.body
+        for d in defs:
+            if (
+                isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and d.name.startswith("_")
+                and not d.name.endswith("__")
+            ):
+                yield d.name, d
+
+
+def _references(tree: ast.Module) -> list[tuple[str, str, int]]:
+    """(kind, name, node id) of every bare name, attribute and imported name."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.append(("name", node.id, id(node)))
+        elif isinstance(node, ast.Attribute):
+            out.append(("attr", node.attr, id(node)))
+        elif isinstance(node, ast.ImportFrom):
+            # "from .polys import _primitive" refers to a name of polys
+            module = (node.module or "").split(".")[-1]
+            out += [(f"import {module}", alias.name, id(node)) for alias in node.names]
+    return out
+
+
+def test_every_private_helper_is_used_in_the_package():
+    # a private helper that only tests reach is dead code with a test; a
+    # reference from inside the helper's own body does not count
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in SRC.glob("*.py")}
+    refs = {stem: _references(tree) for stem, tree in trees.items()}
+    unused = []
+    for stem, tree in trees.items():
+        for name, node in _private_definitions(tree):
+            inside = {id(n) for n in ast.walk(node)}
+            kinds = {"attr", f"import {stem}"}
+            if not any(
+                ref_name == name and ref_id not in inside and (kind in kinds or (kind == "name" and other == stem))
+                for other, found in refs.items()
+                for kind, ref_name, ref_id in found
+            ):
+                unused.append(f"{stem}.{name}")
+    assert sorted(unused) == []

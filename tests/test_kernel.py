@@ -220,6 +220,26 @@ def test_integer_route_matches_euclid_over_q(a, b, c):
         a.exact_div(QPoly.zero())
 
 
+_divisors = st.lists(
+    st.tuples(st.integers(0, 6), _kernel_coeffs.filter(bool)), min_size=2, max_size=4, unique_by=lambda t: t[0]
+).map(QPoly)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kernel_polys, _divisors, _kernel_polys)
+def test_exact_div_is_the_divmod_quotient_or_refuses(a, b, r):
+    # divmod and the general path of exact_div share one long division; a
+    # multiple of b must come back as the divmod quotient, anything with a
+    # remainder must be refused, whatever the coefficients' denominators
+    for x in (a * b, a * b + r, a):
+        q, rest = divmod(x, b)
+        if rest:
+            with pytest.raises(ValueError, match="^division is not exact$"):
+                x.exact_div(b)
+        else:
+            assert _typed(x.exact_div(b)) == _typed(q)
+
+
 def test_gcd_of_huge_coefficients_and_negative_leads():
     x = QPoly.x()
     big = 2**64 + 13

@@ -89,6 +89,39 @@ def test_cli_zero_in_a_power_is_a_parse_error(capsys, argv, position):
     assert f"(at position {position})" in err and "Traceback" not in err
 
 
+def test_parse_error_positions_skip_the_whitespace_before_a_token():
+    for text, message in [
+        ("z^2 + )", "expected a value (at position 6)"),
+        ("z^2 + 1 1", "trailing input (at position 8)"),
+        ("z^2 $ 1", "unexpected character '$' (at position 4)"),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_map(text)
+        assert str(err.value) == message
+    assert parse_map("z^2+1 ") == parse_map("z^2+1")
+
+
+@pytest.mark.parametrize(
+    "verb, rest",
+    [
+        ("ordres", ["--point", "a=0;s=x"]),
+        ("slope", ["--point", "a=0;s=x", "--direction", "bogus"]),
+        ("minlocus", ["--start", "a=0;s=x"]),
+        ("degcheck", ["--t", "abc"]),
+    ],
+)
+def test_cli_reports_the_map_error_before_the_other_inputs(capsys, verb, rest):
+    code, out, err = run_cli(capsys, verb, "--map", "z^^2", *rest)
+    assert (code, out) == (1, "")
+    assert err == "error: expected an integer or parenthesised exponent (at position 2)\n"
+    # a map that parses but is degenerate is a domain error, still before the point
+    code, out, err = run_cli(capsys, verb, "--map", "(z+1)/(z+1)", *rest)
+    assert code == 2 and json.loads(out)["type"] == "DegenerateMap" and err == ""
+    # with a valid map, the other input's error shows
+    code, out, err = run_cli(capsys, verb, "--map", "z^2", *rest)
+    assert (code, out) == (1, "") and "position 2" not in err
+
+
 def test_cli_map_level_cap_exits_2(capsys):
     code, out, _ = run_cli(capsys, "ordres", "--map", "z^2 + t^(1/65)*z")
     assert code == 2
