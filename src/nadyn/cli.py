@@ -30,7 +30,7 @@ from .crucial import (
     slope_rhs,
 )
 from .equidist import DirectionMeasure, depth_sequence
-from .degeneration import INF_C, degeneration_report
+from .degeneration import degeneration_report
 from .parsing import (
     class_from_json,
     class_json,
@@ -56,7 +56,7 @@ def _fmt_float(x: float) -> str:
 
 
 def _fmt_complex(z: complex) -> str:
-    if z == INF_C or (abs(z.real) == float("inf")):
+    if abs(z.real) == float("inf"):
         return "inf"
     return f"{_fmt_float(z.real)}{'+' if z.imag >= 0 else '-'}{_fmt_float(abs(z.imag))}j"
 

@@ -78,7 +78,7 @@ class AtomEstimate:
 class DegenerationReport:
     t_values: tuple[complex, ...]
     predicted: tuple[tuple[object, Fraction], ...]
-    sampled: tuple[dict, ...]  # one dict per t, class index -> mass data
+    sampled: tuple[dict, ...]  # one {"t", "rows"} dict per t, a row per atom
     max_discrepancy: float
 
 

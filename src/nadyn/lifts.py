@@ -4,8 +4,8 @@ Every product of lifts runs here: the parser's sums, products and powers,
 composition (so conjugation, iteration and the probes of crucial), the
 Taylor shift of redux.ray, level changes and _shift_out.  A polynomial in z
 is a list of dicts, one per power of z, from powers of u to ints, so u stays
-sparse (a chart at s = 10^70 puts u^(10^70) into a lift); each entry of a
-finished Lift becomes a QPoly once, so every consumer sees QPolys.
+sparse (a chart at s = 10^70 puts u^(10^70) into a lift); a finished Lift's
+entries are QPolys, rebuilt by _shift_out when it divides out u^k or a content.
 """
 
 from __future__ import annotations
@@ -92,10 +92,6 @@ def _dicts(polys) -> list[dict]:
     return [dict(p.terms) for p in polys]
 
 
-def _freeze(x: dict) -> QPoly:
-    return QPoly._of_terms(tuple(sorted([t for t in x.items() if t[1]])))
-
-
 def _shift_out(level: int, num, den) -> Lift:
     """The lift over Z[u] with content 1: the common power of u divided out,
     rational denominators cleared and the integer content divided out."""
@@ -111,11 +107,7 @@ def _at_level(lift: Lift, level: int) -> Lift:
     if level > HARD_LEVEL_CAP:
         raise LevelCapExceeded(f"internal level {level} exceeds hard cap")
     m = level // lift.level
-
-    def stretch(polys):
-        return tuple(QPoly._of_terms(tuple([(e * m, c) for e, c in p.terms])) for p in polys)
-
-    return Lift(level, stretch(lift.num), stretch(lift.den))
+    return Lift(level, tuple(p.stretched(m) for p in lift.num), tuple(p.stretched(m) for p in lift.den))
 
 
 def _common_level(a: Lift, b: Lift) -> tuple[Lift, Lift]:
@@ -130,7 +122,7 @@ def compose_lifts(outer: Lift, inner: Lift) -> Lift:
     """Lift of outer after inner: sum of outer_i * p^i * q^(d-i) over Z[u]."""
     outer, inner = _common_level(outer, inner)
     parts = _substitute([_dicts(outer.num), _dicts(outer.den)], _dicts(inner.num), _dicts(inner.den))
-    return _shift_out(outer.level, *([_freeze(x) for x in part] for part in parts))
+    return _shift_out(outer.level, *([QPoly._build(x) for x in part] for part in parts))
 
 
 def taylor_shift(lift: Lift, a: KScalar) -> tuple[Lift, int]:
@@ -155,7 +147,7 @@ def taylor_shift(lift: Lift, a: KScalar) -> tuple[Lift, int]:
         num.append(times_b(_addmul([times_b(dict(p.terms), 1)], minus_a, [q])[0], d - i))
         den.append(times_b(q, d + 1 - i))
     parts = _substitute([num, den], [big_a, {k: scale}], _ONE)
-    return Lift(lift.level, *(tuple(map(_freeze, part)) for part in parts)), k
+    return Lift(lift.level, *(tuple(map(QPoly._build, part)) for part in parts)), k
 
 
 # -- the parser's values: (level, num, den), num and den polynomials in z as
@@ -218,4 +210,4 @@ def t_power(q: Fraction) -> tuple:
 def frozen(value: tuple) -> tuple[tuple[QPoly, ...], tuple[QPoly, ...]]:
     """num and den as coefficient vectors in z over Z[u], of equal length."""
     size = z_degree(value) + 1
-    return tuple(tuple(_freeze(x) for x in p + [{}] * (size - len(p))) for p in value[1:])
+    return tuple(tuple(QPoly._build(x) for x in p + [{}] * (size - len(p))) for p in value[1:])

@@ -54,31 +54,26 @@ _LITERAL_BOUND = 10**MAX_LITERAL_DIGITS
 # the exponent of a decimal rational literal, after its E
 _EXPONENT_RE = re.compile(r"[-+]?(\d+(?:_\d+)*)")
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_]+)|(\^|\+|\-|\*|/|\(|\)))")
+_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_]+)|([-+*/^()])|(\S))")
 
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            rest = text[pos:].lstrip()  # the culprit is past the whitespace
-            if rest:
-                raise ParseError(f"unexpected character {rest[0]!r}", len(text) - len(rest))
-            break
-        if m.group(1):
-            if len(m.group(1)) > MAX_LITERAL_DIGITS:
+    for m in _TOKEN_RE.finditer(text):
+        digits, name, op, other = m.groups()
+        if digits:
+            if len(digits) > MAX_LITERAL_DIGITS:
                 raise ParseError(
-                    f"integer literal of {len(m.group(1))} digits exceeds {MAX_LITERAL_DIGITS} digits",
+                    f"integer literal of {len(digits)} digits exceeds {MAX_LITERAL_DIGITS} digits",
                     m.start(1),
                 )
-            tokens.append(("int", int(m.group(1)), m.start(1)))
-        elif m.group(2):
-            tokens.append(("name", m.group(2), m.start(2)))
+            tokens.append(("int", int(digits), m.start(1)))
+        elif name:
+            tokens.append(("name", name, m.start(2)))
+        elif op:
+            tokens.append(("op", op, m.start(3)))
         else:
-            tokens.append(("op", m.group(3), m.start(3)))
-        pos = m.end()
+            raise ParseError(f"unexpected character {other!r}", m.start(4))
     tokens.append(("end", None, len(text)))
     return tokens
 

@@ -3,8 +3,8 @@
 This is the shared low-level layer: numerators and denominators of scalars
 (polynomials in the uniformizer u) live here, and so do the residue-side
 polynomials in the tangent variable.  The entries of a lift are QPolys too,
-but their products run in nadyn.lifts, on ints, and each result entry
-becomes a QPoly once.  Exponents can get large when probing points with
+but their products run in nadyn.lifts, on ints, and the result entries
+become QPolys.  Exponents can get large when probing points with
 fine radii, hence the sparse representation.
 
 Coefficients have one normal form: an integral coefficient is a plain int,
@@ -245,6 +245,10 @@ class QPoly:
         if k < 0 and self.val < -k:
             raise ValueError("negative shift below valuation")
         return QPoly._of_terms(tuple((e + k, c) for e, c in self.terms))
+
+    def stretched(self, m: int) -> "QPoly":
+        """p(x^m) for a positive integer m."""
+        return QPoly._of_terms(tuple((e * m, c) for e, c in self.terms))
 
     def __pow__(self, n: int) -> "QPoly":
         if n < 0:

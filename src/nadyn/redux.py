@@ -292,13 +292,12 @@ def chart_conjugate_lift(lift: Lift, point: TypeIIPoint) -> Lift:
     return _shift_out(r.level, num, den)
 
 
-def _normalised(lift: Lift, minimal: bool = False):
+def _normalised(lift: Lift):
     """The KScalar view of a lift: every coefficient over the pivot, the
-    first nonzero entry of den + num; times a unit-making power of u if minimal."""
+    first nonzero entry of den + num."""
     pivot = next(p for p in lift.den + lift.num if p)
-    scale = QPoly.monomial(pivot.val if minimal else 0)
-    num = tuple(KScalar(p * scale, pivot, lift.level) for p in lift.num)
-    den = tuple(KScalar(p * scale, pivot, lift.level) for p in lift.den)
+    num = tuple(KScalar(p, pivot, lift.level) for p in lift.num)
+    den = tuple(KScalar(p, pivot, lift.level) for p in lift.den)
     return num, den
 
 
@@ -344,11 +343,6 @@ def postcompose(m: Mobius, phi: RationalMapK) -> RationalMapK:
 def conjugate(m: Mobius, phi: RationalMapK) -> RationalMapK:
     """Exact coefficients of m^(-1) . phi . m; the degree is preserved."""
     return RationalMapK(conjugate_lift(mobius_lift(m), phi.lift))
-
-
-def minimal_lift(phi: RationalMapK) -> tuple[tuple[KScalar, ...], tuple[KScalar, ...]]:
-    """Scale the coefficient pair so all entries are integral, one a unit."""
-    return _normalised(phi.lift, minimal=True)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from .polys import QPoly, num_str, power_str, qdiv, sum_str
 DEFAULT_LEVEL_CAP = 64
 
 # Absolute guard for internally generated levels (path probes, bisection);
-# the user-facing cap only applies to base_change and parsed input.
+# the user-facing cap only applies to parsed input.
 HARD_LEVEL_CAP = 10**8
 
 # Series coefficients KScalar.truncated_below computes for a centre that is
@@ -136,10 +136,8 @@ class KScalar:
         if target > HARD_LEVEL_CAP:
             raise LevelCapExceeded(f"internal level {target} exceeds hard cap")
         m = target // self.level
-        num = QPoly((e * m, c) for e, c in self.num.terms)
-        den = QPoly((e * m, c) for e, c in self.den.terms)
         out = object.__new__(KScalar)
-        out.num, out.den, out.level = num, den, target
+        out.num, out.den, out.level = self.num.stretched(m), self.den.stretched(m), target
         return out
 
     def _unify(self, other: "KScalar"):
@@ -286,14 +284,3 @@ def ord_of(x: KScalar):
 def residue(x: KScalar):
     """Reduction of x modulo the maximal ideal, valued in Q union {inf}."""
     return x.residue()
-
-
-def base_change(x: KScalar, m: int) -> KScalar:
-    """Replace the uniformizer u by a root of order m: level N -> N*m."""
-    if m < 1:
-        raise ValueError("base change order must be a positive integer")
-    target = x.level * m
-    cap = level_cap()
-    if target > cap:
-        raise LevelCapExceeded(f"level {target} exceeds cap {cap}")
-    return x.with_level(target)

@@ -8,6 +8,7 @@ import pytest
 from nadyn import (
     DegenerateMap,
     KScalar,
+    LevelCapExceeded,
     Mobius,
     QPoly,
     TypeIIPoint,
@@ -15,6 +16,7 @@ from nadyn import (
     parse_point,
 )
 from nadyn.redux import make_map
+from nadyn.scalars import level_cap
 
 CORPUS_SOURCES = ["z^2", "t*z^2", "(t*z^2+1)/t", "(z^2-t)/z", "z^2+t"]
 POINT_SOURCES = ["gauss", "a=0;s=1/2", "a=0;s=-1/2", "a=0;s=1", "a=0;s=-1", "a=1;s=1"]
@@ -53,6 +55,28 @@ def rand_scalar(rng: random.Random, min_exp=-2, max_exp=3, allow_zero=False) -> 
 
 def rand_integral_scalar(rng: random.Random) -> KScalar:
     return rand_scalar(rng, min_exp=0, max_exp=3)
+
+
+def base_change(x: KScalar, m: int) -> KScalar:
+    """Replace the uniformizer u by a root of order m: level N -> N*m, held
+    to the user-facing level cap."""
+    if m < 1:
+        raise ValueError("base change order must be a positive integer")
+    target = x.level * m
+    cap = level_cap()
+    if target > cap:
+        raise LevelCapExceeded(f"level {target} exceeds cap {cap}")
+    return x.with_level(target)
+
+
+def minimal_lift(phi) -> tuple[tuple[KScalar, ...], tuple[KScalar, ...]]:
+    """Scale the coefficient pair so all entries are integral, one a unit:
+    every entry of the stored lift over the pivot, the first nonzero entry of
+    den + num, times the power of u that makes the pivot a unit."""
+    lift = phi.lift
+    pivot = next(p for p in lift.den + lift.num if p)
+    scale = QPoly.monomial(pivot.val)
+    return tuple(tuple(KScalar(p * scale, pivot, lift.level) for p in part) for part in (lift.num, lift.den))
 
 
 def rand_map(rng: random.Random, degree=2):

@@ -11,6 +11,7 @@ import nadyn.redux
 
 from nadyn import (
     BreakpointUnresolved,
+    DegreeTooLow,
     Direction,
     FactorClass,
     FiniteClass,
@@ -105,6 +106,13 @@ def test_slope_measured_rejects_a_direction_based_elsewhere():
     for slope in (slope_measured, slope_rhs):
         with pytest.raises(ValueError, match="^direction is based at a different point$"):
             slope(TZ21T, ONE_DOWN, elsewhere)
+
+
+def test_slope_measured_refuses_degree_one_and_non_class_directions():
+    with pytest.raises(DegreeTooLow, match="^hypRes needs a map of degree >= 2$"):
+        slope_measured(parse_map("t*z"), GAUSS, direction(GAUSS, INFINITY))
+    with pytest.raises(TypeError, match="^unsupported direction class 'inf'$"):
+        slope_measured(TZ2, GAUSS, direction(GAUSS, "inf"))
 
 
 # A point 10^-8 above the kink at s = -1/2: the slope is read off the ray

@@ -29,7 +29,15 @@ import nadyn.crucial
 import nadyn.degeneration
 import nadyn.equidist
 import nadyn.redux
-from nadyn.degeneration import _ball_masks, aberth_roots, auto_hypothesis
+from nadyn.degeneration import (
+    ABERTH_TOL,
+    SAMPLE_ANCHOR,
+    _above_bound,
+    _ball_masks,
+    _sample_with_reanchor,
+    aberth_roots,
+    auto_hypothesis,
+)
 from conftest import clear_caches, count_calls, descent_points
 
 Z2 = parse_map("z^2")
@@ -358,6 +366,55 @@ def test_pullback_all_zero_row_fails_with_level_and_target():
     with pytest.raises(RootFindingFailed) as err:
         pullback_sample(g, 2 + 0j, 1)
     assert (err.value.level, err.value.target) == (1, 2 + 0j)
+
+
+def test_reanchor_samples_at_the_next_anchor_and_raises_the_last_error(monkeypatch):
+    gmap = specialize(TZ21T, 1e-3)
+    real = nadyn.degeneration.pullback_sample
+    anchors = []
+
+    def first_fails(g, anchor, n):
+        anchors.append(anchor)
+        if len(anchors) == 1:
+            raise RootFindingFailed(0, anchor)
+        return real(g, anchor, n)
+
+    monkeypatch.setattr(nadyn.degeneration, "pullback_sample", first_fails)
+    sample = _sample_with_reanchor(gmap, 3)
+    assert anchors == [SAMPLE_ANCHOR, SAMPLE_ANCHOR * (1 + 1e-3) + 1e-3j]
+    assert sample.tolist() == real(gmap, anchors[1], 3).tolist()
+
+    errors = []
+
+    def all_fail(g, anchor, n):
+        errors.append(RootFindingFailed(len(errors), anchor))
+        raise errors[-1]
+
+    monkeypatch.setattr(nadyn.degeneration, "pullback_sample", all_fail)
+    with pytest.raises(RootFindingFailed) as err:
+        _sample_with_reanchor(gmap, 3)
+    assert len(errors) == 4 and err.value is errors[-1]
+
+
+def test_aberth_roots_past_the_sweep_cap_is_typed(monkeypatch):
+    monkeypatch.setattr(nadyn.degeneration, "ABERTH_MAX_ITER", 1)
+    with pytest.raises(RootFindingFailed, match="^root finding failed at pullback level 0 for target 24.0$"):
+        aberth_roots([-6, 11, -6, 1])
+
+
+def test_above_bound_decides_rows_on_the_bound_by_the_scalar_formula():
+    # numpy's power and libm's pow can differ in the last bit, so a row that
+    # sits on the vector bound may lie above or below the scalar one, and a
+    # row on the scalar bound may lie above the vector one
+    rng = np.random.default_rng(1)
+    am = rng.random((1000, 6)) * 10
+    mz = rng.random(1000) * 3 + 0.5
+    acc = np.zeros_like(mz)
+    for i in range(am.shape[1]):
+        acc = acc + am[:, i] * np.power(mz, i)
+    scalar = [ABERTH_TOL * sum(float(a) * float(m) ** i for i, a in enumerate(row)) for row, m in zip(am, mz)]
+    for apz in (ABERTH_TOL * acc, np.array(scalar)):
+        assert _above_bound(am, mz, apz).tolist() == [p > s for p, s in zip(apz.tolist(), scalar)]
 
 
 def test_pullback_sample_cap_is_typed():

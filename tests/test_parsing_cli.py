@@ -357,6 +357,76 @@ def test_cli_usage_errors_are_pinned(capsys, monkeypatch, argv, err):
     assert run_cli(capsys, *argv) == (1, "", err)
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["reduce", "--map", "z^(1/2)"], "fractional exponent on a non-scalar base (at position 1)"),
+        (["reduce", "--map", "t^(1/)*z"], "expected a denominator (at position 5)"),
+        (["reduce", "--map", "t^(x)*z"], "expected a rational exponent (at position 3)"),
+        (["reduce", "--map", "(z"], "expected ')' (at position 2)"),
+        (["slope", "--map", "t*z^2", "--direction", "factor=0"], "factor class needs positive degree"),
+        (
+            ["slope", "--map", "t*z^2", "--direction", "factor=1/z"],
+            "factor polynomials cannot have z in a denominator",
+        ),
+        (
+            ["slope", "--map", "t*z^2", "--direction", "factor=z^2+t"],
+            "factor polynomials need rational coefficients",
+        ),
+        (
+            ["degcheck", "--map", "t*z^2", "--t", "1e-2", "--hypothesis", '[{"class": "bogus", "mass": "1"}]'],
+            "unknown class kind 'bogus'",
+        ),
+    ],
+)
+def test_cli_rare_syntax_errors_are_pinned(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "cap, argv, error, kind",
+    [
+        ("abc", ["reduce", "--map", "z^2"], "invalid NADYN_LEVEL_CAP value 'abc'", "LevelCapExceeded"),
+        (
+            "1000000000",
+            ["reduce", "--map", "z^2", "--point", "a=0;s=1/200000000"],
+            "internal level 200000000 exceeds hard cap",
+            "LevelCapExceeded",
+        ),
+        (
+            None,
+            ["slope", "--map", "1+t*z^2", "--direction", "factor=z^2-1"],
+            "image direction lies inside the factor class; refine it",
+            "AmbiguousClass",
+        ),
+    ],
+)
+def test_cli_rare_domain_errors_are_pinned(capsys, monkeypatch, cap, argv, error, kind):
+    if cap is not None:
+        monkeypatch.setenv("NADYN_LEVEL_CAP", cap)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (2, "")
+    assert json.loads(out) == {"error": error, "type": kind}
+
+
+@pytest.mark.parametrize(
+    "argv, flag, key, value",
+    [
+        (["reduce", "--map", "-z^2"], "--map", "map", "-z^2"),
+        (["degcheck", "--map", "t*z^2", "--t", "-1e-3", "--n", "2"], "--t", "t", ["-0.001+0j"]),
+    ],
+)
+def test_cli_values_that_begin_with_a_minus_need_the_equals_form(capsys, argv, flag, key, value):
+    # argparse reads a separate value that begins with "-" as a flag
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.endswith(f"error: argument {flag}: expected one argument\n")
+    i = argv.index(flag)
+    code, out, err = run_cli(capsys, *argv[:i], f"{flag}={argv[i + 1]}", *argv[i + 2 :])
+    assert (code, err) == (0, "")
+    assert json.loads(out)[key] == value
+
+
 @pytest.mark.parametrize("verb", [None, *_VERBS])
 def test_cli_help_matches_the_fully_built_parser(capsys, monkeypatch, verb):
     monkeypatch.setenv("COLUMNS", "80")

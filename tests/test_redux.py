@@ -40,12 +40,11 @@ from nadyn.redux import (
     chart_lift,
     conjugate_lift,
     make_map,
-    minimal_lift,
     mobius_lift,
     reduce_lift,
     sylvester_resultant,
 )
-from conftest import clear_caches, rand_laurent_point, rand_map, rand_point, rand_unit_mobius
+from conftest import clear_caches, minimal_lift, rand_laurent_point, rand_map, rand_point, rand_unit_mobius
 
 Z2 = parse_map("z^2")
 TZ2 = parse_map("t*z^2")

@@ -13,8 +13,8 @@ from nadyn import (
     parse_scalar,
     residue,
 )
-from nadyn.scalars import MAX_SERIES_TERMS, base_change
-from conftest import rand_integral_scalar, rand_scalar
+from nadyn.scalars import MAX_SERIES_TERMS
+from conftest import base_change, rand_integral_scalar, rand_scalar
 
 
 def test_ord_examples():
