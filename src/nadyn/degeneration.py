@@ -11,7 +11,8 @@ numpy batch, linear rows directly, quadratic rows by the stable closed form
 and higher degrees by Aberth iteration run across all rows at once.  Ball
 hits are counted with array masks.  A report needs n >= 1 levels and a ball
 radius eps > 0; a sample larger than SAMPLE_CAP points raises
-SampleCapExceeded.
+SampleCapExceeded.  Each function that uses numpy imports it itself, so the
+exact solver, which imports this module, never loads numpy.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .berkspace import GAUSS
 from .errors import (
@@ -119,6 +118,7 @@ def _vanishes(c: KScalar, t0: complex, value: complex) -> bool:
 
 
 def _check_conditioning(phi: RationalMapK, gmap: ComplexMap, t0: complex) -> None:
+    import numpy as np
     d = gmap.degree
     m = np.array(_sylvester_rows(gmap.den, gmap.num, 0j), dtype=complex)
     with np.errstate(all="ignore"):
@@ -145,6 +145,7 @@ def _mul(ar, ai, br, bi):
 
 def _div(ar, ai, br, bi):
     """Complex quotient as CPython computes it (Smith's method)."""
+    import numpy as np
     by_real = np.abs(br) >= np.abs(bi)
     ratio = np.where(by_real, bi / br, br / bi)
     denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
@@ -155,6 +156,7 @@ def _div(ar, ai, br, bi):
 
 def _horner(cr, ci, zr, zi):
     """Rows of coefficients (constant term first) evaluated at one z per row."""
+    import numpy as np
     accr = np.zeros_like(zr)
     acci = np.zeros_like(zr)
     for k in range(cr.shape[1] - 1, -1, -1):
@@ -165,6 +167,7 @@ def _horner(cr, ci, zr, zi):
 
 
 def _join(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    import numpy as np
     out = np.empty(re.shape, dtype=complex)
     out.real = re
     out.imag = im
@@ -178,6 +181,7 @@ def _above_bound(am: np.ndarray, mz: np.ndarray, apz: np.ndarray) -> np.ndarray:
     two can differ in the last bit; rows within a relative 1e-12 of the bound
     are decided by the scalar formula.
     """
+    import numpy as np
     acc = np.zeros_like(mz)
     for i in range(am.shape[1]):
         acc = acc + am[:, i] * np.power(mz, i)
@@ -199,6 +203,7 @@ def _aberth(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     every root met its residual bound.  Returns the (m, e) roots and the mask
     of rows that had not stopped after ABERTH_MAX_ITER sweeps.
     """
+    import numpy as np
     m, e = coeffs.shape[0], coeffs.shape[1] - 1
     mr, mi = _div(coeffs.real, coeffs.imag, coeffs.real[:, -1:], coeffs.imag[:, -1:])
     am = np.hypot(mr, mi)
@@ -263,6 +268,7 @@ def _aberth(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _quadratic(c: np.ndarray) -> np.ndarray:
     """Both roots of each row c0 + c1 z + c2 z^2, by the stable closed form."""
+    import numpy as np
     p = c[:, 1] / c[:, 2]
     q = c[:, 0] / c[:, 2]
     s = np.sqrt(p * p / 4 - q)
@@ -280,6 +286,7 @@ def aberth_roots(coeffs: list[complex]) -> list[complex]:
     a fixed sequential update order.  This is the one-row case of the
     batched iteration the pullback sampler runs.
     """
+    import numpy as np
     e = len(coeffs) - 1
     if e < 1:
         return []
@@ -295,6 +302,7 @@ def aberth_roots(coeffs: list[complex]) -> list[complex]:
 def _preimages(num: np.ndarray, den: np.ndarray, ws: np.ndarray, level: int) -> np.ndarray:
     """The d preimages of every w in ws, with multiplicity and in the order of
     ws; preimages at infinity are padded in where leading coefficients vanish."""
+    import numpy as np
     d = num.size - 1
     wr, wi = ws.real[:, None], ws.imag[:, None]
     at_inf = np.isinf(wr) | np.isinf(wi)
@@ -334,6 +342,7 @@ def _preimages(num: np.ndarray, den: np.ndarray, ws: np.ndarray, level: int) -> 
 def pullback_sample(gmap: ComplexMap, z0: complex, n: int) -> np.ndarray:
     """The multiset of d^n n-th preimages of z0 under the map, as a 1-D
     complex array; each level is solved as one batch."""
+    import numpy as np
     d = gmap.degree
     size = 1
     for _ in range(n):
@@ -358,6 +367,7 @@ def _ball_masks(points: np.ndarray, targets: list[complex], eps: float) -> np.nd
     within a relative 1e-12 of eps, and finite points too large to square,
     are decided by chordal itself.
     """
+    import numpy as np
     pr, pi = points.real, points.imag
     p_inf = np.isinf(pr) | np.isinf(pi)
     masks = np.empty((len(targets), points.size), dtype=bool)
@@ -381,6 +391,7 @@ def atom_estimate(
     points: list[complex] | np.ndarray, targets: list[complex], eps: float = 0.1
 ) -> list[AtomEstimate]:
     """Fraction of the sample within chordal eps of each target."""
+    import numpy as np
     if eps <= 0:
         raise ValueError("eps must be positive")
     for i in range(len(targets)):
