@@ -5,6 +5,8 @@ only degcheck reports floating point numbers (12 significant digits).
 Exit codes: 0 success, 1 usage or syntax errors, 2 domain errors.
 main parses each input once, the map before the verb's point, and hands
 both to the verb's handler; with both malformed, the map's error shows.
+One argparse parser, built at import, serves every main call in a process:
+parse_args keeps no state, and help is sized when it is printed.
 """
 
 from __future__ import annotations
@@ -224,7 +226,7 @@ def _parse_hypothesis(text: str) -> DirectionMeasure:
     for atom in atoms:
         try:
             cls = class_from_json(atom)
-        except (KeyError, TypeError, AttributeError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ParseError(f"hypothesis atom {atom!r} is incomplete or mistyped") from exc
         mass = parse_rational(atom["mass"])
         if not 0 <= mass <= 1:
@@ -299,23 +301,11 @@ _VERBS = {
 }
 
 
-def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser.  Given a verb, only that sub-parser is built and the
-    other verbs appear by name in the usage line; else every verb is built.
-
-    The usage line is the one place a named verb's run can show the others
-    (an unrecognised argument error); the verb's own errors and help print
-    its sub-parser's usage.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser with every verb's sub-parser; main reuses _PARSER."""
     parser = _Parser(prog="nadyn", description="exact non-archimedean dynamics solver")
-    if verb is None:
-        sub = parser.add_subparsers(dest="verb", required=True)
-    else:
-        names = "{" + ",".join(_VERBS) + "}"
-        sub = parser.add_subparsers(dest="verb", required=True, metavar=names)
+    sub = parser.add_subparsers(dest="verb", required=True)
     for name, (_, point, extra) in _VERBS.items():
-        if verb is not None and name != verb:
-            continue
         p = sub.add_parser(name)
         p.add_argument("--map", required=True)
         if point == "point":  # --start of minlocus is among its extra flags
@@ -326,11 +316,12 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv[0] if argv and argv[0] in _VERBS else None)
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)  # None reads sys.argv[1:]
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     fn, point = _VERBS[args.verb][:2]

@@ -96,13 +96,14 @@ def specialize(phi: RationalMapK, t0: complex) -> ComplexMap:
                 n_val, d_val = c.eval_parts(t0)
                 if _vanishes(c, t0, d_val):
                     raise CoefficientPole(f"coefficient {c.to_str()} has a pole at t = {t0}")
-                out.append(n_val / d_val)
-            except (OverflowError, ZeroDivisionError) as exc:
-                raise IllConditioned(
-                    f"coefficient {c.to_str()} leaves the float range at t = {t0}"
-                ) from exc
+                value = n_val / d_val
+            except (OverflowError, ZeroDivisionError):
+                value = math.inf
+            if not cmath.isfinite(value):  # complex division overflows without raising
+                raise IllConditioned(f"coefficient {c.to_str()} leaves the float range at t = {t0}")
+            out.append(value)
     gmap = ComplexMap(tuple(num), tuple(den))
-    _check_conditioning(phi, gmap, t0)
+    _check_conditioning(gmap, t0)
     return gmap
 
 
@@ -117,13 +118,16 @@ def _vanishes(c: KScalar, t0: complex, value: complex) -> bool:
     return abs(value) <= 1e-14 * scale
 
 
-def _check_conditioning(phi: RationalMapK, gmap: ComplexMap, t0: complex) -> None:
+def _check_conditioning(gmap: ComplexMap, t0: complex) -> None:
+    """Raise IllConditioned when the float resultant is negligible next to
+    the coefficients: |det| <= 1e-250 * scale^(2d), homogeneous of degree 2d
+    in them.  The pivot coefficient specialises to exactly 1, so scale >= 1."""
     import numpy as np
     d = gmap.degree
     m = np.array(_sylvester_rows(gmap.den, gmap.num, 0j), dtype=complex)
     with np.errstate(all="ignore"):
         det = complex(np.linalg.det(m))
-    scale = max(max(abs(c) for c in gmap.num), max(abs(c) for c in gmap.den), 1.0)
+    scale = max(abs(c) for c in gmap.num + gmap.den)
     try:
         vanishes = not cmath.isfinite(det) or abs(det) <= 1e-250 * scale ** (2 * d)
     except OverflowError:  # coefficients too large for a float resultant

@@ -429,8 +429,10 @@ def class_from_json(obj: dict):
     kind = obj.get("class")
     if kind == "inf":
         return INFINITY
-    if kind == "finite":
+    if kind == "finite" and isinstance(obj["value"], str):
         return FiniteClass(parse_rational(obj["value"]))
-    if kind == "factor":
+    if kind == "factor" and isinstance(obj["poly"], str):
         return parse_direction_class(f"factor={obj['poly']}")
+    if kind in ("finite", "factor"):
+        raise TypeError(f"a {kind} class needs its field as a string")
     raise ParseError(f"unknown class kind {kind!r}")

@@ -38,7 +38,7 @@ from nadyn.degeneration import (
     aberth_roots,
     auto_hypothesis,
 )
-from conftest import clear_caches, count_calls, descent_points
+from conftest import clear_caches, count_calls, descent_points, rand_map
 
 Z2 = parse_map("z^2")
 TZ2 = parse_map("t*z^2")
@@ -95,6 +95,15 @@ def test_specialize_ill_conditioned():
     phi = parse_map("((1 - 1000*t)*z^2 + z)/1")
     with pytest.raises(IllConditioned):
         specialize(phi, 0.001)
+
+
+def test_specialised_maps_keep_the_pivot_coefficient_one():
+    # the conditioning test's scale max|c| is at least 1 because the pivot of
+    # the normalised coefficients specialises to exactly 1
+    rng = random.Random(5)
+    for _ in range(60):
+        gmap = specialize(rand_map(rng, rng.choice([2, 3])), 1e-3)
+        assert any(c == 1 + 0j for c in gmap.num + gmap.den)
 
 
 def test_aberth_finds_roots_with_residual_bound():

@@ -5,13 +5,21 @@ the functions that need it, so a fresh process that answers an exact query
 never loads it.  Each test runs in a subprocess, because this one has
 imported numpy long ago.  The second test pins what the benchmark reads of
 the package: its cache sweep and its tracer's table of wrapped functions.
+The last runs the ``python -m nadyn.cli`` entry point against in-process
+``main``.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from nadyn.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -86,3 +94,27 @@ def test_benchmark_sweep_and_tracer_resolve_without_numpy():
     importing anything, and every traced function resolves."""
     seen = _run(_BENCH_CONTRACT, str(ROOT / "bench"))
     assert seen == {"caches_are_known": True, "numpy": False, "unresolved": []}
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["reduce", "--map", "(z^2-t)/z"], 0),
+        (["reduce"], 1),  # the pinned usage error
+        (["depths", "--map", "z/t"], 2),  # DegreeTooLow
+    ],
+)
+def test_module_entry_point_matches_main(monkeypatch, argv, code):
+    monkeypatch.setenv("COLUMNS", "80")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "nadyn.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(argv) == code
+    assert (done.returncode, done.stdout, done.stderr) == (code, out.getvalue(), err.getvalue())

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -32,7 +33,7 @@ from nadyn import (
 )
 from nadyn.cli import build_parser, main
 from nadyn.parsing import MAX_LITERAL_DIGITS, MAX_MAP_DEGREE, _Parser, _mul, _power, parse_rational
-from conftest import CORPUS_SOURCES
+from conftest import CORPUS_SOURCES, clear_caches
 
 
 def test_parse_map_examples():
@@ -146,6 +147,7 @@ def test_scalar_grammar_extras():
     assert ord_of(parse_scalar("t^-1")) == -1
     assert parse_scalar("t^(1/2)") == KScalar.t_power(Fraction(1, 2))
     assert parse_scalar("3/2*t^2") == parse_scalar("(3*t^2)/2")
+    assert parse_map("z^(2)") == parse_map("z^2")  # a parenthesised integer exponent
     with pytest.raises(ParseError):
         parse_scalar("(1+t)^(1/2)")
 
@@ -377,6 +379,8 @@ def test_cli_usage_errors_are_pinned(capsys, monkeypatch, argv, err):
             ["degcheck", "--map", "t*z^2", "--t", "1e-2", "--hypothesis", '[{"class": "bogus", "mass": "1"}]'],
             "unknown class kind 'bogus'",
         ),
+        (["reduce", "--map", "z^2", "--point", "a=z;s=1"], "the variable z is not allowed here (at position 0)"),
+        (["slope", "--map", "t*z^2", "--direction", "bogus"], "unknown direction literal 'bogus'"),
     ],
 )
 def test_cli_rare_syntax_errors_are_pinned(capsys, argv, message):
@@ -448,6 +452,23 @@ def test_cli_help_matches_the_fully_built_parser(capsys, monkeypatch, verb):
             "  --point POINT\n"
             "  --pretty\n"
         )
+
+
+def test_cli_reuses_one_parser_across_calls(capsys, monkeypatch):
+    # the benchmark clears the program's caches before each query; the
+    # parser is no cache, so the next calls still build no ArgumentParser
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    clear_caches()
+    assert run_cli(capsys, "ordres", "--map", "t*z^2") == (0, '{"ord_res": "2/1"}\n', "")
+    assert run_cli(capsys, "reduce")[0] == 1
+    assert built == []
 
 
 _BIG_CONSTANT_MAP = "((z-10000000000001)*(z-1))/(t*z^2+z-10000000000001)"
@@ -664,6 +685,10 @@ def test_cli_degcheck_sample_cap_exits_2(capsys, n):
         '[{"class": "finite", "mass": "1"}]',
         '[{"class": "finite", "value": 3, "mass": "1"}]',
         '[{"class": "inf", "mass": "2"}]',
+        '[{"class": "factor", "poly": null, "mass": "1"}]',
+        '[{"class": "factor", "poly": true, "mass": "1"}]',
+        '[{"class": "factor", "poly": ["z^2 + 1"], "mass": "1"}]',
+        '[{"class": "finite", "value": null, "mass": "1"}]',
     ],
 )
 def test_cli_degcheck_bad_hypothesis_is_a_parse_error(capsys, hypothesis):
@@ -674,11 +699,26 @@ def test_cli_degcheck_bad_hypothesis_is_a_parse_error(capsys, hypothesis):
     assert out == "" and "hypothesis" in err
 
 
-@pytest.mark.parametrize("t_arg", ["1e-200", "1e-320"])
-def test_cli_degcheck_float_range_is_ill_conditioned(capsys, t_arg):
-    code, out, _ = run_cli(capsys, "degcheck", "--map", "(t*z^2+1)/t", "--t", t_arg, "--n", "4")
-    assert code == 2
-    assert json.loads(out)["type"] == "IllConditioned"
+_BIG = "1" + "0" * 400  # past the float range, under MAX_LITERAL_DIGITS
+
+
+@pytest.mark.parametrize(
+    "phi, t_arg, message",
+    [
+        ("(t*z^2+1)/t", "1e-200", "specialised resultant vanishes at t = (1e-200+0j)"),
+        # 1/t overflows to inf without raising
+        ("(t*z^2+1)/t", "1e-320", "coefficient 1/t leaves the float range at t = (1e-320+0j)"),
+        # t^400 underflows to 0: ZeroDivisionError
+        ("z^2+1/t^400", "1e-3", "coefficient 1/t^400 leaves the float range at t = (0.001+0j)"),
+        # an int past the float range: OverflowError
+        (f"{_BIG}*z^2+1/t", "1e-3", f"coefficient {_BIG} leaves the float range at t = (0.001+0j)"),
+    ],
+    ids=["1e-200", "1e-320", "t^400", "400 digits"],
+)
+def test_cli_degcheck_float_range_is_ill_conditioned(capsys, phi, t_arg, message):
+    code, out, err = run_cli(capsys, "degcheck", "--map", phi, "--t", t_arg, "--n", "4")
+    assert (code, err) == (2, "")
+    assert json.loads(out) == {"error": message, "type": "IllConditioned"}
 
 
 _DEGCHECK_GOLDEN = json.loads((Path(__file__).parent / "data" / "degcheck_golden.json").read_text())
