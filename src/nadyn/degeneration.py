@@ -7,10 +7,11 @@ Distances on the complex projective line are chordal with diameter 1, so the
 ball of radius 0.1 around infinity is {|z| > sqrt(99)}.
 
 Sampling is level-batched: the d^(k-1) targets of level k are solved as one
-numpy batch, linear rows directly, quadratic rows by the stable closed form
-and higher degrees by Aberth iteration run across all rows at once.  Ball
-hits are counted with array masks.  A report needs n >= 1 levels and a ball
-radius eps > 0; a sample larger than SAMPLE_CAP points raises
+numpy batch on contiguous coefficient columns (gathered by degree only where
+a leading coefficient vanishes), linear rows directly, quadratic rows by the
+stable closed form, higher degrees by Aberth iteration across all rows.  Ball
+hits are counted with array masks; chordal is total on finite floats.  A
+report needs n >= 1 levels and eps > 0; a sample past SAMPLE_CAP points raises
 SampleCapExceeded.  Each function that uses numpy imports it itself, so the
 exact solver, which imports this module, never loads numpy.
 """
@@ -50,10 +51,17 @@ def chordal(z: complex, w: complex) -> float:
     zi, wi = cmath.isinf(z), cmath.isinf(w)
     if zi and wi:
         return 0.0
-    if zi or wi:
-        finite = w if zi else z
-        return 1.0 / math.sqrt(1.0 + abs(finite) ** 2)
-    return abs(z - w) / (math.sqrt(1.0 + abs(z) ** 2) * math.sqrt(1.0 + abs(w) ** 2))
+    try:
+        if zi or wi:
+            return 1.0 / math.sqrt(1.0 + abs(w if zi else z) ** 2)
+        return abs(z - w) / (math.sqrt(1.0 + abs(z) ** 2) * math.sqrt(1.0 + abs(w) ** 2))
+    except OverflowError:
+        # a modulus too large to square: write large points p as 1/a; with h(x) = sqrt(1 + |x|^2),
+        # chordal(1/a, 1/b) = |a - b| / (h(a) h(b)) and chordal(1/a, w) = |1 - a w| / (h(a) h(w))
+        big = [cmath.isinf(p) or max(abs(p.real), abs(p.imag)) >= 1 for p in (z, w)]
+        a, b = (0j if cmath.isinf(p) else 1 / p if flip else p for p, flip in zip((z, w), big))
+        gap = abs(a - b) if big[0] == big[1] else abs(1 - a * b)
+        return gap / (math.sqrt(1.0 + abs(a) ** 2) * math.sqrt(1.0 + abs(b) ** 2))
 
 
 @dataclass(frozen=True)
@@ -88,8 +96,7 @@ def specialize(phi: RationalMapK, t0: complex) -> ComplexMap:
         raise CoefficientPole("specialisation needs t != 0")
     if abs(t0) >= 1:
         raise CoefficientPole("specialisation needs |t| < 1")
-    num = []
-    den = []
+    num, den = [], []
     for coeff, out in ((phi.num, num), (phi.den, den)):
         for c in coeff:
             try:
@@ -161,8 +168,7 @@ def _div(ar, ai, br, bi):
 def _horner(cr, ci, zr, zi):
     """Rows of coefficients (constant term first) evaluated at one z per row."""
     import numpy as np
-    accr = np.zeros_like(zr)
-    acci = np.zeros_like(zr)
+    accr, acci = np.zeros_like(zr), np.zeros_like(zr)
     for k in range(cr.shape[1] - 1, -1, -1):
         pr, pi = _mul(accr, acci, zr, zi)
         accr = pr + cr[:, k]
@@ -171,9 +177,7 @@ def _horner(cr, ci, zr, zi):
 
 
 def _join(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    import numpy as np
-    out = np.empty(re.shape, dtype=complex)
-    out.real = re
+    out = re.astype(complex)
     out.imag = im
     return out
 
@@ -215,8 +219,7 @@ def _aberth(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for k in range(1, e):
         radius = np.where(am[:, k] > radius, am[:, k], radius)
     radius = 1.0 + radius
-    zr = np.empty((m, e))
-    zi = np.empty((m, e))
+    zr, zi = np.empty((m, e)), np.empty((m, e))
     for k in range(e):
         s = cmath.exp(2j * math.pi * (k / e) + 0.4j)
         zr[:, k] = radius * s.real - 0.0 * s.imag
@@ -224,8 +227,7 @@ def _aberth(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     steps = np.arange(1.0, e + 1.0)
     dr, di = _mul(mr[:, 1:], mi[:, 1:], steps, 0.0)
 
-    roots_r = np.empty((m, e))
-    roots_i = np.empty((m, e))
+    roots_r, roots_i = np.empty((m, e)), np.empty((m, e))
     live = np.arange(m)
     for _ in range(ABERTH_MAX_ITER):
         pending = np.zeros(live.size, dtype=bool)
@@ -237,8 +239,7 @@ def _aberth(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             qr, qi = _horner(dr, di, z_r, z_i)
             flat = (qr == 0) & (qi == 0)
             nr, ni = _div(pr, pi, qr, qi)
-            rr = np.zeros_like(z_r)
-            ri = np.zeros_like(z_r)
+            rr, ri = np.zeros_like(z_r), np.zeros_like(z_r)
             for k in range(e):
                 if k == j:
                     continue
@@ -270,11 +271,10 @@ def _aberth(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _join(roots_r, roots_i), failed
 
 
-def _quadratic(c: np.ndarray) -> np.ndarray:
-    """Both roots of each row c0 + c1 z + c2 z^2, by the stable closed form."""
+def _quadratic(c0: np.ndarray, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """Both roots of each row c0 + c1 z + c2 z^2 of complex columns, by the stable closed form."""
     import numpy as np
-    p = c[:, 1] / c[:, 2]
-    q = c[:, 0] / c[:, 2]
+    p, q = c1 / c2, c0 / c2
     s = np.sqrt(p * p / 4 - q)
     s = np.where(p.real * s.real + p.imag * s.imag < 0, -s, s)
     r1 = -(p / 2 + s)
@@ -303,44 +303,58 @@ def aberth_roots(coeffs: list[complex]) -> list[complex]:
     return roots[0].tolist()
 
 
+def _solve(cr: np.ndarray, ci: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The (m, e) roots of the rows sum_k (cr[k] + i ci[k]) z^k, from (e + 1, m) float
+    arrays, and the mask of rows where Aberth iteration failed (None for e < 3)."""
+    if len(cr) == 2:
+        return _join(*_div(-cr[0], -ci[0], cr[1], ci[1]))[:, None], None
+    c = _join(cr, ci)
+    if len(cr) == 3:
+        return _quadratic(*c), None
+    return _aberth(c.T)
+
+
 def _preimages(num: np.ndarray, den: np.ndarray, ws: np.ndarray, level: int) -> np.ndarray:
     """The d preimages of every w in ws, with multiplicity and in the order of
-    ws; preimages at infinity are padded in where leading coefficients vanish."""
+    ws; preimages at infinity are padded in where leading coefficients vanish.
+    Coefficient k of the rows num - w den is row k of contiguous (d + 1, m) float
+    arrays.  A level where every row keeps degree d is solved straight from them;
+    otherwise rows are gathered by effective degree."""
     import numpy as np
     d = num.size - 1
-    wr, wi = ws.real[:, None], ws.imag[:, None]
+    wr, wi = ws.real.copy(), ws.imag.copy()
+    br, bi = den.real[:, None], den.imag[:, None]
+    pr, pi = _mul(wr, wi, br, bi)
+    cr, ci = num.real[:, None] - pr, num.imag[:, None] - pi
     at_inf = np.isinf(wr) | np.isinf(wi)
-    pr, pi = _mul(wr, wi, den.real, den.imag)
-    rr = np.where(at_inf, den.real, num.real - pr)
-    ri = np.where(at_inf, den.imag, num.imag - pi)
-    size = np.hypot(rr, ri)
-    top = size[:, 0]
+    if at_inf.any():
+        cr, ci = np.where(at_inf, br, cr), np.where(at_inf, bi, ci)
+    size = np.hypot(cr, ci)
+    top = size[0]
     for k in range(1, d + 1):
-        top = np.where(size[:, k] > top, size[:, k], top)
+        top = np.where(size[k] > top, size[k], top)
+    if d and not (size[d] <= _LEADING_CUTOFF * top).any():  # a constant map has no roots
+        roots, failed = _solve(cr, ci)
+        if failed is not None and failed.any():
+            raise RootFindingFailed(level, complex(ws[np.argmax(failed)]))
+        return roots.ravel()
     # effective degree: the highest coefficient above the cutoff
     eff = np.zeros(ws.size, dtype=int)
     for k in range(1, d + 1):
-        eff = np.where(size[:, k] <= _LEADING_CUTOFF * top, eff, k)
+        eff = np.where(size[k] <= _LEADING_CUTOFF * top, eff, k)
     failed = top == 0.0
-    out_r = np.full((ws.size, d), math.inf)
-    out_i = np.zeros((ws.size, d))
+    out = np.full((ws.size, d), INF_C)
     for e in range(1, d + 1):
         rows = np.flatnonzero(eff == e)
         if rows.size == 0:
             continue
-        cr, ci = rr[rows, : e + 1], ri[rows, : e + 1]
-        if e == 1:
-            roots = _join(*_div(-cr[:, 0], -ci[:, 0], cr[:, 1], ci[:, 1]))[:, None]
-        elif e == 2:
-            roots = _quadratic(_join(cr, ci))
-        else:
-            roots, bad = _aberth(_join(cr, ci))
+        roots, bad = _solve(cr[: e + 1, rows], ci[: e + 1, rows])
+        if bad is not None:
             failed[rows[bad]] = True
-        out_r[rows, :e] = roots.real
-        out_i[rows, :e] = roots.imag
+        out[rows, :e] = roots
     if failed.any():
         raise RootFindingFailed(level, complex(ws[np.argmax(failed)]))
-    return _join(out_r, out_i).ravel()
+    return out.ravel()
 
 
 def pullback_sample(gmap: ComplexMap, z0: complex, n: int) -> np.ndarray:
@@ -368,8 +382,8 @@ def _ball_masks(points: np.ndarray, targets: list[complex], eps: float) -> np.nd
     The chordal value is replayed on arrays: |z| as the hypot of the parts,
     then sqrt(1 + |z|^2), with the cases at infinity.  CPython squares with
     libm pow, which can differ from a product in the last bit, so values
-    within a relative 1e-12 of eps, and finite points too large to square,
-    are decided by chordal itself.
+    within a relative 1e-12 of eps, and finite points or targets too large
+    to square, are decided by chordal itself.
     """
     import numpy as np
     pr, pi = points.real, points.imag
@@ -383,7 +397,11 @@ def _ball_masks(points: np.ndarray, targets: list[complex], eps: float) -> np.nd
             if cmath.isinf(tg):
                 dist = np.where(p_inf, 0.0, 1.0 / sp)
             else:
-                st = math.sqrt(1.0 + abs(tg) ** 2)
+                try:
+                    st = math.sqrt(1.0 + abs(tg) ** 2)
+                except OverflowError:  # a target too large to square
+                    masks[k] = [chordal(p, tg) <= eps for p in points.tolist()]
+                    continue
                 dist = np.where(p_inf, 1.0 / st, np.hypot(pr - tg.real, pi - tg.imag) / (sp * st))
             masks[k] = dist <= eps
             for i in np.flatnonzero((np.abs(dist - eps) <= 1e-12 * eps) | huge):
@@ -416,7 +434,10 @@ def _class_targets(cls) -> list[complex]:
     if isinstance(cls, InfinityClass):
         return [INF_C]
     if isinstance(cls, FiniteClass):
-        return [complex(cls.value)]
+        try:
+            return [complex(cls.value)]
+        except OverflowError:
+            raise IllConditioned(f"hypothesis value {cls.value} leaves the float range") from None
     if isinstance(cls, FactorClass):
         return aberth_roots([complex(c) for c in cls.poly.coeff_list()])
     raise TypeError(f"cannot place class {cls!r} in the complex plane")

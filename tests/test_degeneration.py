@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 import random
 
@@ -34,6 +35,7 @@ from nadyn.degeneration import (
     SAMPLE_ANCHOR,
     _above_bound,
     _ball_masks,
+    _preimages,
     _sample_with_reanchor,
     aberth_roots,
     auto_hypothesis,
@@ -174,6 +176,24 @@ def test_chordal_metric():
     assert abs(chordal(0j, 1 + 0j) - 1 / cmath.sqrt(2).real) < 1e-15
     # the 0.1-ball around infinity is |z| > sqrt(99) ~ 9.95
     assert chordal(complex(9.9, 0), INF_C) > 0.1 > chordal(complex(10, 0), INF_C)
+    # moduli past 1.34e154 cannot be squared; the inversion z -> 1/z is an
+    # isometry, and a point beyond 1e154 is at distance 1 from one within
+    # 1e-154 of 0 to the last bit
+    huge = complex(1.5e308, 1.5e308)
+    assert chordal(1e200 + 0j, 0j) == chordal(0j, 1e200 + 0j) == 1.0
+    assert chordal(1e200 + 0j, INF_C) == chordal(INF_C, 1e200 + 0j) == 1e-200
+    assert chordal(1e200 + 0j, 2e200 + 0j) == chordal(1e-200 + 0j, 5e-201 + 0j)
+    assert chordal(1e200 + 0j, -1e-200 + 0j) == chordal(huge, 5e-324 + 0j) == 1.0
+    assert chordal(huge, huge) == 0.0 and 0 <= chordal(huge, -huge) < 1e-300
+    assert chordal(1e160 + 0j, 3 + 4j) == pytest.approx(1 / math.sqrt(26), rel=1e-15)
+
+
+def test_ball_masks_equal_chordal_for_targets_too_large_to_square():
+    points = np.array([INF_C, 0j, 1e3 + 0j, 1e200 + 0j, 1e201 + 0j, -1e200 + 0j, complex(math.nan, 0.0)])
+    for tg in (1e200 + 0j, -1e300j):
+        for eps in (0.1, 1e-200, 1e-201):
+            masks = _ball_masks(points, [tg, INF_C], eps)
+            assert masks.tolist() == [[chordal(p, t) <= eps for p in points.tolist()] for t in (tg, INF_C)]
 
 
 def test_degeneration_report_rejects_good_reduction():
@@ -369,12 +389,71 @@ def test_batched_pullback_truncation_and_double_root():
     _assert_same_multiset(pts, _oracle_pullback(g, 0j, 2))
 
 
+def _digest_cases():
+    rng = random.Random(86)
+    for d, n in ((1, 6), (2, 8), (3, 5), (4, 4)):
+        yield f"d{d}", ComplexMap(_random_coeffs(rng, d + 1), _random_coeffs(rng, d + 1)), 1 + 1j / 3, n
+        # a denominator of lower degree: a pole at infinity
+        yield f"d{d} pole", ComplexMap(_random_coeffs(rng, d + 1), _random_coeffs(rng, d) + (0j,)), 1 + 1j / 3, n
+    for d in (2, 3, 4):
+        g = ComplexMap((0.5 + 0j,) * d + (2 + 0j,), (1j,) + (0j,) * (d - 1) + (1 + 0j,))
+        yield f"d{d} from 2", g, 2 + 0j, 3
+        yield f"d{d} polynomial", ComplexMap(g.num, (1 + 0j,) + (0j,) * d), INF_C, 2
+    # infinity is fixed and simple: from level 2 on, the row of infinity is
+    # truncated and every other row of the level keeps its degree
+    for d in (2, 3):
+        g = ComplexMap(_random_coeffs(rng, d + 1), _random_coeffs(rng, d) + (0j,))
+        yield f"d{d} mixed", g, INF_C, 4
+    yield "double root", ComplexMap((0j, 1 + 0j, -2 + 0j, 1 + 0j), (1 + 0j, 0j, 0j, 0j)), 0j, 3
+    yield "(t*z^2+1)/t", specialize(TZ21T, 1e-3), SAMPLE_ANCHOR, 12
+
+
+# SHA-256 prefixes of pullback_sample(...).tobytes(), recorded from the
+# sampler that solved every level on gathered (rows, d + 1) arrays
+_SAMPLE_DIGESTS = {
+    "d1": "c2f47409d216f53e",
+    "d1 pole": "0e45233b44bd1870",
+    "d2": "d4015d2975f8e3fa",
+    "d2 pole": "759d5ea023f246aa",
+    "d3": "1ec071c09cc92434",
+    "d3 pole": "1edef4fdbbd4a647",
+    "d4": "ea3af8aeee67711c",
+    "d4 pole": "744900ac9482119a",
+    "d2 from 2": "da03e515746f1805",
+    "d2 polynomial": "a94c2110d5ea2cb5",
+    "d3 from 2": "ac029da0858a404c",
+    "d3 polynomial": "c78586a0e0077286",
+    "d4 from 2": "2cd79d6bc6a2c092",
+    "d4 polynomial": "4212d7ba31026aed",
+    "d2 mixed": "a2ae9c8495b5bd69",
+    "d3 mixed": "1d33ef060fc957c9",
+    "double root": "b61c6702065f7838",
+    "(t*z^2+1)/t": "644dfb25b9f0db91",
+}
+
+
+def test_pullback_samples_are_bit_stable():
+    # the oracle comparisons allow 1e-9, so they miss a last-bit or an
+    # ordering change; these digests see both
+    digests = {
+        name: hashlib.sha256(pullback_sample(g, z0, n).tobytes()).hexdigest()[:16]
+        for name, g, z0, n in _digest_cases()
+    }
+    assert digests == _SAMPLE_DIGESTS
+
+
 def test_pullback_all_zero_row_fails_with_level_and_target():
     # num = 2 den, so the preimage row of w = 2 vanishes identically
     g = ComplexMap((2 + 0j, 0j, 2 + 0j), (1 + 0j, 0j, 1 + 0j))
     with pytest.raises(RootFindingFailed) as err:
         pullback_sample(g, 2 + 0j, 1)
     assert (err.value.level, err.value.target) == (1, 2 + 0j)
+    # in a batch the rows of 1 and 3 keep their degree while those of 2
+    # have none: the error names the level and the first failing target
+    num, den = np.array(g.num), np.array(g.den)
+    with pytest.raises(RootFindingFailed) as err:
+        _preimages(num, den, np.array([1 + 0j, 2 + 0j, 3 + 0j, 2 + 0j]), 3)
+    assert (err.value.level, err.value.target) == (3, 2 + 0j)
 
 
 def test_reanchor_samples_at_the_next_anchor_and_raises_the_last_error(monkeypatch):

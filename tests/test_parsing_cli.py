@@ -721,6 +721,29 @@ def test_cli_degcheck_float_range_is_ill_conditioned(capsys, phi, t_arg, message
     assert json.loads(out) == {"error": message, "type": "IllConditioned"}
 
 
+def test_cli_degcheck_hypothesis_value_past_the_float_range_is_ill_conditioned(capsys):
+    hypothesis = json.dumps([{"class": "finite", "value": _BIG, "mass": "1"}])
+    code, out, err = run_cli(
+        capsys, "degcheck", "--map", "z^2+1/t", "--t", "1e-3", "--n", "4", "--hypothesis", hypothesis
+    )
+    assert (code, err) == (2, "")
+    assert json.loads(out) == {"error": f"hypothesis value {_BIG} leaves the float range", "type": "IllConditioned"}
+
+
+@pytest.mark.parametrize("value", ["1e200", "-1e300"])
+def test_cli_degcheck_hypothesis_value_too_large_to_square(capsys, value):
+    # past 1.34e154 the chordal distances to the target cannot square its
+    # modulus; the ball of radius 0.1 around it is then the ball around
+    # infinity, up to points of modulus near 10
+    hypothesis = json.dumps([{"class": "finite", "value": value, "mass": "1"}])
+    code, out, err = run_cli(
+        capsys, "degcheck", "--map", "z^2+1/t", "--t", "1e-3", "--n", "4", "--hypothesis", hypothesis
+    )
+    assert (code, err) == (0, "")
+    (row,) = json.loads(out)["per_t"][0]["masses"]
+    assert (row["sampled"], row["targets"]) == ("1", [f"{float(value):g}+0j"])
+
+
 _DEGCHECK_GOLDEN = json.loads((Path(__file__).parent / "data" / "degcheck_golden.json").read_text())
 
 
