@@ -44,7 +44,6 @@ from .berkspace import (
     CLASSICAL_INF,
     Direction,
     GAUSS,
-    Mobius,
     TowardClass,
     TypeIIPoint,
     chart,

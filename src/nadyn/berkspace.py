@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import OutOfRange, SamePoint
+from .redux import RationalMapK, chart_lift
 from .respoly import FiniteClass, InfinityClass, INFINITY
-from .scalars import KScalar, K_ONE, K_ZERO
+from .scalars import KScalar, K_ZERO
 
 
 class ClassicalInfinity:
@@ -47,32 +48,6 @@ GAUSS = TypeIIPoint(K_ZERO, Fraction(0))
 
 
 @dataclass(frozen=True)
-class Mobius:
-    """Invertible 2x2 matrix over K acting as w -> (a*w + b)/(c*w + d)."""
-
-    a: KScalar
-    b: KScalar
-    c: KScalar
-    d: KScalar
-
-    def __post_init__(self):
-        if (self.a * self.d - self.b * self.c).is_zero:
-            raise ValueError("Mobius matrix must have nonzero determinant")
-
-    def inverse(self) -> "Mobius":
-        # projective inverse; no division by the determinant needed
-        return Mobius(self.d, -self.b, -self.c, self.a)
-
-    def __matmul__(self, other: "Mobius") -> "Mobius":
-        return Mobius(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-
-@dataclass(frozen=True)
 class TowardClass:
     """Symbolic direction class toward a concrete target, resolved on demand."""
 
@@ -85,9 +60,9 @@ class Direction:
     cls: object
 
 
-def chart(point: TypeIIPoint) -> Mobius:
-    """Canonical chart [[t^s, a], [0, 1]] sending the Gauss point to the point."""
-    return Mobius(KScalar.t_power(point.exponent), point.center, K_ZERO, K_ONE)
+def chart(point: TypeIIPoint) -> RationalMapK:
+    """Canonical chart w -> t^s*w + a, the degree-1 map sending the Gauss point to the point."""
+    return RationalMapK(chart_lift(point))
 
 
 def _join_exponent(p1: TypeIIPoint, p2: TypeIIPoint) -> Fraction:

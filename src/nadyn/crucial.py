@@ -32,7 +32,6 @@ from math import floor, lcm
 from .berkspace import (
     Direction,
     GAUSS,
-    Mobius,
     TowardClass,
     TypeIIPoint,
     direction_toward,
@@ -60,7 +59,6 @@ from .redux import (
     compose_lifts,
     conjugate_lift,
     intrinsic_data,
-    mobius_lift,
     ord_res_of_lift,
     ray,
     reduce_lift,
@@ -94,9 +92,9 @@ class MinLocusResult:
     zero_slope_classes: tuple[object, ...]
 
 
-def ord_res_for_chart(phi: RationalMapK, m: Mobius) -> Fraction:
-    """ordRes of the conjugate m^(-1) . phi . m, in t-units."""
-    return ord_res_of_lift(conjugate_lift(mobius_lift(m), phi.lift))
+def ord_res_for_chart(phi: RationalMapK, m: RationalMapK) -> Fraction:
+    """ordRes of the conjugate m^(-1) . phi . m by a degree-1 map m, in t-units."""
+    return ord_res_of_lift(conjugate_lift(m.lift, phi.lift))
 
 
 def _rise(phi: RationalMapK, point: TypeIIPoint) -> Fraction:

@@ -57,9 +57,10 @@ def chordal(z: complex, w: complex) -> float:
         return abs(z - w) / (math.sqrt(1.0 + abs(z) ** 2) * math.sqrt(1.0 + abs(w) ** 2))
     except OverflowError:
         # a modulus too large to square: write large points p as 1/a; with h(x) = sqrt(1 + |x|^2),
-        # chordal(1/a, 1/b) = |a - b| / (h(a) h(b)) and chordal(1/a, w) = |1 - a w| / (h(a) h(w))
+        # chordal(1/a, 1/b) = |a - b| / (h(a) h(b)) and chordal(1/a, w) = |1 - a w| / (h(a) h(w));
+        # 1 / p is 0 when both parts of p are near the float maximum, and 0.5 / (0.5 p) is not
         big = [cmath.isinf(p) or max(abs(p.real), abs(p.imag)) >= 1 for p in (z, w)]
-        a, b = (0j if cmath.isinf(p) else 1 / p if flip else p for p, flip in zip((z, w), big))
+        a, b = (0j if cmath.isinf(p) else (1 / p or 0.5 / (0.5 * p)) if flip else p for p, flip in zip((z, w), big))
         gap = abs(a - b) if big[0] == big[1] else abs(1 - a * b)
         return gap / (math.sqrt(1.0 + abs(a) ** 2) * math.sqrt(1.0 + abs(b) ** 2))
 

@@ -34,10 +34,6 @@ class DirectionMeasure:
     atoms: tuple[tuple[object, Fraction], ...]
     point_mass: Fraction = Fraction(0)
 
-    @property
-    def total(self) -> Fraction:
-        return sum((m for _, m in self.atoms), self.point_mass)
-
 
 @dataclass(frozen=True)
 class ConvergenceReport:

@@ -22,8 +22,8 @@ _ONE = [{0: 1}]  # 1 as a polynomial in z
 
 
 class Lift(NamedTuple):
-    """Coefficients num[i], den[i] in Q[u], t = u^level, of one map or Mobius
-    matrix up to a common scalar.  A map's stored lift is _shift_out output:
+    """Coefficients num[i], den[i] in Q[u], t = u^level, of one map (a Mobius
+    map has degree 1) up to a common scalar.  A stored lift is _shift_out output:
     coefficients in Z[u], minimal valuation 0, integer content 1."""
 
     level: int

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from .berkspace import GAUSS, TowardClass, TypeIIPoint
 from .errors import DegenerateMap, DegreeTooHigh, LevelCapExceeded, OutputTooLarge, ParseError, PowerTooLarge
@@ -326,7 +326,7 @@ def parse_point(text: str) -> TypeIIPoint:
     if center is None or exponent is None:
         raise ParseError("point literal needs a=<scalar>;s=<rational>")
     cap = level_cap()
-    needed = exponent.denominator * center.level // gcd(exponent.denominator, center.level)
+    needed = lcm(exponent.denominator, center._canonical()[2])  # as written, before truncation
     if needed > cap:
         raise LevelCapExceeded(f"point needs level {_level_str(needed)}, cap is {cap}")
     return TypeIIPoint(center, exponent)

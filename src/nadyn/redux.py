@@ -27,7 +27,6 @@ from functools import cached_property, lru_cache
 from math import lcm
 from typing import NamedTuple
 
-from .berkspace import Mobius, TypeIIPoint
 from .errors import AmbiguousClass, DegenerateMap, DegreeTooLow, IterationCapExceeded
 from .lifts import Lift, _at_level, _shift_out, compose_lifts, taylor_shift
 from .polys import QPoly, qdiv
@@ -42,6 +41,7 @@ from .respoly import (
     squarefree_decomposition,
 )
 from .scalars import KScalar
+# nadyn.berkspace imports this module, so its TypeIIPoint is named in annotations only
 
 ITERATION_CAP = 4096
 
@@ -209,16 +209,11 @@ def _lift(num: tuple[KScalar, ...], den: tuple[KScalar, ...]) -> Lift:
     return _shift_out(level, polys[len(den) :], polys[: len(den)])
 
 
-def mobius_lift(m: Mobius) -> Lift:
-    """The Mobius map w -> (a*w + b)/(c*w + d) as a degree-1 lift."""
-    return _lift((m.b, m.a), (m.d, m.c))
-
-
 def chart_lift(point: TypeIIPoint) -> Lift:
     """Lift of the canonical chart w -> t^s*w + a, built from (t^s, a).
 
     The centre a is a Laurent polynomial u^(-k) * A(u), so clearing needs
-    only a power of u; the result equals mobius_lift(chart(point)).
+    only a power of u.
     """
     a = point.center
     level = lcm(a.level, point.exponent.denominator)
@@ -231,7 +226,9 @@ def chart_lift(point: TypeIIPoint) -> Lift:
 
 
 def _inverse_lift(m: Lift) -> Lift:
-    # projective inverse (d*w - b)/(-c*w + a)
+    # projective inverse (d*w - b)/(-c*w + a) of w -> (a*w + b)/(c*w + d)
+    if len(m.num) != 2:
+        raise ValueError("a Mobius map has degree 1")
     (b, a), (d, c) = m.num, m.den
     return Lift(m.level, (-b, d), (a, -c))
 
@@ -330,19 +327,20 @@ def iterate(phi: RationalMapK, n: int) -> RationalMapK:
     return phi if n == 1 else RationalMapK(lift)
 
 
-def precompose(phi: RationalMapK, m: Mobius) -> RationalMapK:
-    """phi after the Mobius map (substitution on the source side)."""
-    return RationalMapK(compose_lifts(phi.lift, mobius_lift(m)))
+def precompose(phi: RationalMapK, m: RationalMapK) -> RationalMapK:
+    """phi after the degree-1 map m (substitution on the source side)."""
+    return compose(phi, m)
 
 
-def postcompose(m: Mobius, phi: RationalMapK) -> RationalMapK:
-    """The Mobius map after phi (linear combination on the value side)."""
-    return RationalMapK(compose_lifts(mobius_lift(m), phi.lift))
+def postcompose(m: RationalMapK, phi: RationalMapK) -> RationalMapK:
+    """The degree-1 map m after phi (linear combination on the value side)."""
+    return compose(m, phi)
 
 
-def conjugate(m: Mobius, phi: RationalMapK) -> RationalMapK:
-    """Exact coefficients of m^(-1) . phi . m; the degree is preserved."""
-    return RationalMapK(conjugate_lift(mobius_lift(m), phi.lift))
+def conjugate(m: RationalMapK, phi: RationalMapK) -> RationalMapK:
+    """Exact coefficients of m^(-1) . phi . m for a degree-1 map m; the
+    degree is preserved."""
+    return RationalMapK(conjugate_lift(m.lift, phi.lift))
 
 
 @dataclass(frozen=True)

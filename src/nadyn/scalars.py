@@ -205,24 +205,25 @@ class KScalar:
         The result is a Laurent polynomial in u; this is what makes type II
         centres canonical.  A Laurent polynomial keeps its own terms below
         the bound; any other scalar expands as a series, of at most
-        MAX_SERIES_TERMS coefficients.
+        MAX_SERIES_TERMS coefficients at its minimal level, and the result
+        keeps the stored level.
         """
         if self.is_zero:
             return self
         bound = Fraction(bound)
-        n = self.level
-        a = self.den.val
-        if len(self.den.terms) == 1:
+        num, den, n = self._canonical()
+        a = den.val
+        if len(den.terms) == 1:
             # the denominator is the monic monomial u^a
-            terms = [(e - a, c) for e, c in self.num.terms if e - a < bound * n]
+            terms = [(e - a, c) for e, c in num.terms if e - a < bound * n]
         else:
-            shift = self.num.val - a
+            shift = num.val - a
             # series coefficients c_j of (num/u^val) / (den/u^a), exponents shift+j
             count = max(0, ceil(bound * n - shift))
             if count > MAX_SERIES_TERMS:
                 raise SeriesCapExceeded(f"centre {self.to_str()} needs over {MAX_SERIES_TERMS} series coefficients")
-            numt = self.num.shifted(-self.num.val)
-            dent = self.den.shifted(-a)
+            numt = num.shifted(-num.val)
+            dent = den.shifted(-a)
             d0 = dent.coeff(0)
             coeffs: list[Fraction] = []
             for j in range(count):
@@ -237,11 +238,9 @@ class KScalar:
             terms = [(shift + j, c) for j, c in enumerate(coeffs) if c]
         if not terms:
             return KScalar.zero()
-        low = min(e for e, _ in terms)
-        if low >= 0:
-            return KScalar(QPoly(terms), QPoly.one(), n)
+        low = min(0, min(e for e, _ in terms))
         poly = QPoly((e - low, c) for e, c in terms)
-        return KScalar(poly, QPoly.monomial(-low), n)
+        return KScalar(poly, QPoly.monomial(-low), n).with_level(self.level)
 
     # -- numerics ------------------------------------------------------------
 

@@ -9,7 +9,6 @@ from nadyn import (
     DegenerateMap,
     KScalar,
     LevelCapExceeded,
-    Mobius,
     QPoly,
     TypeIIPoint,
     parse_map,
@@ -116,13 +115,29 @@ def rand_laurent_point(rng: random.Random) -> TypeIIPoint:
     return TypeIIPoint(center, Fraction(rng.randint(-12, 12), rng.randint(1, 6)))
 
 
-def rand_unit_mobius(rng: random.Random) -> Mobius:
+def mobius(a: KScalar, b: KScalar, c: KScalar, d: KScalar):
+    """The degree-1 map w -> (a*w + b)/(c*w + d), built from scalars by
+    clearing their denominators (the make_map route)."""
+    return make_map((b, a), (d, c))
+
+
+def chart_by_scalars(point: TypeIIPoint):
+    """The canonical chart w -> t^s*w + a of the point, built from scalars."""
+    return mobius(KScalar.t_power(point.exponent), point.center, KScalar.zero(), KScalar.one())
+
+
+def rand_unit_mobius(rng: random.Random):
     while True:
         entries = [rand_integral_scalar(rng) if rng.random() < 0.8 else KScalar.zero() for _ in range(4)]
         a, b, c, d = entries
         det = a * d - b * c
         if not det.is_zero and det.ord() == 0:
-            return Mobius(a, b, c, d)
+            return mobius(a, b, c, d)
+
+
+def measure_total(measure) -> Fraction:
+    """Total mass of a DirectionMeasure: its atoms plus the point mass."""
+    return sum((m for _, m in measure.atoms), measure.point_mass)
 
 
 def count_calls(monkeypatch, name: str, *modules) -> Counter:

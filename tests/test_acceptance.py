@@ -22,6 +22,7 @@ from nadyn import (
     Verdict,
     chart,
     chordal,
+    compose,
     depth_sequence,
     hyp_res,
     hyp_res_direct,
@@ -231,7 +232,7 @@ def test_criterion_7d_pgl2_invariance():
             point = rand_point(rng)
             base = chart(point)
             unit = rand_unit_mobius(rng)
-            assert ord_res_for_chart(phi, base @ unit) == ord_res(phi, point)
+            assert ord_res_for_chart(phi, compose(base, unit)) == ord_res(phi, point)
     _report("7d (PGL(2, K°) invariance, 20 unit conjugations per map)")
 
 

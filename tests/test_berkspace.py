@@ -25,12 +25,12 @@ from conftest import rand_point, rand_scalar
 
 def test_chart_examples():
     m = chart(GAUSS)
-    assert m.a == KScalar.one() and m.b == KScalar.zero()
+    assert m.num[1] == KScalar.one() and m.num[0] == KScalar.zero()
     m = chart(parse_point("a=0;s=-1"))
-    assert m.a == KScalar.t_power(-1)
+    assert m.num[1] == KScalar.t_power(-1)
     m = chart(parse_point("a=0;s=-1/2"))
-    assert m.a == KScalar.t_power(Fraction(-1, 2))
-    assert m.a.level == 2
+    assert m.num[1] == KScalar.t_power(Fraction(-1, 2))
+    assert m.num[1].level == 2
 
 
 def test_rho_examples():

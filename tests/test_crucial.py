@@ -229,7 +229,7 @@ def test_pgl2_integral_invariance(corpus):
             point = rand_point(rng)
             m = chart(point)
             u = rand_unit_mobius(rng)
-            assert ord_res_for_chart(phi, m @ u) == ord_res(phi, point)
+            assert ord_res_for_chart(phi, compose(m, u)) == ord_res(phi, point)
 
 
 def test_convexity_at_most_one_negative_direction():

@@ -188,6 +188,16 @@ def test_chordal_metric():
     assert chordal(1e160 + 0j, 3 + 4j) == pytest.approx(1 / math.sqrt(26), rel=1e-15)
 
 
+def test_chordal_is_subnormal_not_zero_near_the_float_maximum():
+    # 1 / p is 0 in CPython when both parts of p are near the float maximum;
+    # the distances are subnormal, here against a 50-digit mpmath reference
+    p = complex(1.7e308, 1.7e308)
+    to_infinity = 4.1594516540385149990816419141920157240910118405479e-309
+    to_antipode = 8.3189033080770299981632838283840314481820236810958e-309
+    assert chordal(p, INF_C) == chordal(INF_C, p) == pytest.approx(to_infinity, rel=1e-13, abs=0)
+    assert chordal(p, -p) == chordal(-p, p) == pytest.approx(to_antipode, rel=1e-13, abs=0)
+
+
 def test_ball_masks_equal_chordal_for_targets_too_large_to_square():
     points = np.array([INF_C, 0j, 1e3 + 0j, 1e200 + 0j, 1e201 + 0j, -1e200 + 0j, complex(math.nan, 0.0)])
     for tg in (1e200 + 0j, -1e300j):

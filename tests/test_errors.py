@@ -73,23 +73,38 @@ def _public_definitions(tree: ast.Module):
             yield node.name, node
 
 
+def _public_methods(tree: ast.Module):
+    """(Class.name, node) of each public method or property of a public
+    top-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for d in node.body:
+                if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef)) and not d.name.startswith("_"):
+                    yield f"{node.name}.{d.name}", d
+
+
 def _unreferenced(definitions) -> list[str]:
     """module.name of each definition that nothing in src/nadyn references;
     a reference from inside the definition's own body does not count, and an
-    import into nadyn/__init__ does."""
+    import into nadyn/__init__ does.  A method (Class.name) is referenced by
+    attribute only."""
     trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in SRC.glob("*.py")}
     refs = {stem: _references(tree) for stem, tree in trees.items()}
     unused = []
     for stem, tree in trees.items():
-        for name, node in definitions(tree):
+        for qualname, node in definitions(tree):
+            name = qualname.rsplit(".", 1)[-1]
             inside = {id(n) for n in ast.walk(node)}
-            kinds = {"attr", f"import {stem}"}
+            method = name != qualname
+            kinds = {"attr"} if method else {"attr", f"import {stem}"}
             if not any(
-                ref_name == name and ref_id not in inside and (kind in kinds or (kind == "name" and other == stem))
+                ref_name == name
+                and ref_id not in inside
+                and (kind in kinds or (kind == "name" and other == stem and not method))
                 for other, found in refs.items()
                 for kind, ref_name, ref_id in found
             ):
-                unused.append(f"{stem}.{name}")
+                unused.append(f"{stem}.{qualname}")
     return sorted(unused)
 
 
@@ -107,3 +122,9 @@ def test_every_public_helper_is_used_or_exported():
     # a public function or class that neither the package nor nadyn/__init__
     # uses is a helper for tests; it belongs in tests/conftest.py
     assert _unreferenced(_public_definitions) == sorted(TRACED_ONLY)
+
+
+def test_every_public_method_is_used_in_the_package():
+    # a public method or property that nothing in the package calls outside
+    # its own body is a helper for tests; it belongs in tests/conftest.py
+    assert _unreferenced(_public_methods) == []

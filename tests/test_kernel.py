@@ -24,7 +24,7 @@ from nadyn.polys import (
     rational_roots,
     squarefree_parts,
 )
-from nadyn.redux import _sylvester_det, chart_lift, compose_lifts, conjugate_lift, mobius_lift, ray
+from nadyn.redux import _sylvester_det, chart_lift, compose_lifts, conjugate_lift, ray
 from conftest import rand_laurent_point, rand_map, rand_unit_mobius
 
 
@@ -312,7 +312,7 @@ def test_lifts_are_primitive_over_z():
         lift = parse_map(text).lift
         _assert_integer_primitive(lift)
         _assert_integer_primitive(compose_lifts(lift, lift))
-        m = mobius_lift(rand_unit_mobius(rng))
+        m = rand_unit_mobius(rng).lift
         _assert_integer_primitive(m)
         _assert_integer_primitive(conjugate_lift(m, lift))
 

@@ -129,6 +129,22 @@ def test_cli_map_level_cap_exits_2(capsys):
     assert json.loads(out) == {"error": "map needs level 65, cap is 64", "type": "LevelCapExceeded"}
 
 
+@pytest.mark.parametrize(
+    "written, plain",
+    [
+        # the series cap counts terms at the centre's minimal level
+        ("a=1/(1+t^(1/64)*t^(63/64));s=5", "a=1/(1+t);s=5"),
+        # the point level cap reads the centre's minimal level
+        ("a=t^(1/3)*t^(2/3);s=1/64", "a=t;s=1/64"),
+    ],
+)
+def test_cli_point_caps_do_not_depend_on_how_the_centre_is_written(capsys, written, plain):
+    answers = [run_cli(capsys, "reduce", "--map", "z^2+t", "--point", point) for point in (written, plain)]
+    assert answers[0] == answers[1]
+    code, out, err = answers[0]
+    assert (code, err) == (0, "") and "error" not in json.loads(out)
+
+
 def test_parse_direction_examples():
     assert parse_direction_class("inf") == INFINITY
     assert parse_direction_class("res=-3/2") == FiniteClass(Fraction(-3, 2))

@@ -14,7 +14,6 @@ from nadyn import (
     INFINITY,
     IterationCapExceeded,
     KScalar,
-    Mobius,
     TypeIIPoint,
     chart,
     compose,
@@ -40,11 +39,20 @@ from nadyn.redux import (
     chart_lift,
     conjugate_lift,
     make_map,
-    mobius_lift,
     reduce_lift,
     sylvester_resultant,
 )
-from conftest import clear_caches, minimal_lift, rand_laurent_point, rand_map, rand_point, rand_unit_mobius
+from conftest import (
+    CORPUS_SOURCES,
+    chart_by_scalars,
+    clear_caches,
+    minimal_lift,
+    mobius,
+    rand_laurent_point,
+    rand_map,
+    rand_point,
+    rand_unit_mobius,
+)
 
 Z2 = parse_map("z^2")
 TZ2 = parse_map("t*z^2")
@@ -83,12 +91,28 @@ def test_iterate_cap():
 
 
 def test_conjugate_examples():
-    m = Mobius(KScalar.t_power(-1), scal(0), scal(0), scal(1))
+    m = mobius(KScalar.t_power(-1), scal(0), scal(0), scal(1))
     assert conjugate(m, TZ2) == Z2
-    ident = Mobius(scal(1), scal(0), scal(0), scal(1))
+    ident = mobius(scal(1), scal(0), scal(0), scal(1))
     assert conjugate(ident, Z2TZ) == Z2TZ
-    mu = Mobius(KScalar.t_power(Fraction(1, 2)), scal(0), scal(0), scal(1))
+    mu = mobius(KScalar.t_power(Fraction(1, 2)), scal(0), scal(0), scal(1))
     assert conjugate(mu, Z2TZ) == parse_map("(z^2-1)/z")
+
+
+def test_a_mobius_map_can_be_written_in_the_map_grammar():
+    m = parse_map("t*z + 1")
+    assert m == mobius(KScalar.t_power(1), scal(1), scal(0), scal(1))
+    for text in CORPUS_SOURCES:
+        phi = parse_map(text)
+        assert conjugate(m, phi) == conjugate(mobius(KScalar.t_power(1), scal(1), scal(0), scal(1)), phi)
+
+
+def test_conjugating_by_a_map_of_degree_other_than_1_is_refused():
+    m = parse_map("z^2 + t")
+    with pytest.raises(ValueError, match="a Mobius map has degree 1"):
+        conjugate(m, TZ2)
+    with pytest.raises(ValueError, match="a Mobius map has degree 1"):
+        ord_res_for_chart(TZ2, m)
 
 
 def test_conjugate_preserves_degree_and_resultant_nonzero():
@@ -217,7 +241,7 @@ def test_chart_invariance_of_reduction_shape():
             point = rand_point(rng)
             m = chart(point)
             u = rand_unit_mobius(rng)
-            assert shape(phi, m) == shape(phi, m @ u)
+            assert shape(phi, m) == shape(phi, compose(m, u))
 
 
 def test_iteration_consistency_of_total_invariance():
@@ -251,17 +275,18 @@ def _reference_reduction(phi, m):
     """Residues of m^(-1) . phi . m by scalar arithmetic: conjugate, divide by
     the pivot, scale by the minimal t-power, reduce each coefficient."""
     d = phi.degree
+    (m_b, m_a), (m_d, m_c) = m.num, m.den
     num, den = [KScalar.zero()] * (d + 1), [KScalar.zero()] * (d + 1)
     for i in range(d + 1):
         blend = [KScalar.one()]
         for k in range(d):
-            blend = _kz_mul(blend, [m.b, m.a] if k < i else [m.d, m.c])
+            blend = _kz_mul(blend, [m_b, m_a] if k < i else [m_d, m_c])
         num = [x + phi.num[i] * y for x, y in zip(num, blend)]
         den = [x + phi.den[i] * y for x, y in zip(den, blend)]
-    inv = m.inverse()
+    # m^(-1) = (d*w - b)/(-c*w + a), read projectively from the pivot-normalised view of m
     num, den = (
-        [inv.a * x + inv.b * y for x, y in zip(num, den)],
-        [inv.c * x + inv.d * y for x, y in zip(num, den)],
+        [m_d * x - m_b * y for x, y in zip(num, den)],
+        [m_a * y - m_c * x for x, y in zip(num, den)],
     )
     pivot = next(c for c in den + num if not c.is_zero)
     coeffs = [c / pivot for c in num + den]
@@ -306,7 +331,7 @@ def test_lift_route_matches_scalar_route_and_ignores_the_representative():
         if k < 6:
             # ordRes does not see a unit matrix after the chart (on a few maps
             # only: with a unit matrix the Sylvester determinants get large)
-            assert ord_res_for_chart(_rescaled(phi, rng.choice(factors)), m @ u) == ordres
+            assert ord_res_for_chart(_rescaled(phi, rng.choice(factors)), compose(m, u)) == ordres
         rescaled = [_rescaled(phi, factor) for factor in factors]
         for psi in rescaled:
             assert psi.lift != phi.lift
@@ -326,7 +351,10 @@ def test_chart_lift_is_the_lift_of_the_chart():
     rng = random.Random(57)
     points = [GAUSS, TypeIIPoint(KScalar.t_power(-1), 0), TypeIIPoint(KScalar.t_power(-3), Fraction(-5, 2))]
     for point in points + [rand_point(rng) for _ in range(40)]:
-        assert chart_lift(point) == mobius_lift(chart(point))
+        assert chart_lift(point) == chart_by_scalars(point).lift == chart(point).lift
+        m = chart(point)
+        assert m.degree == 1
+        assert (m.num, m.den) == ((point.center, KScalar.t_power(point.exponent)), (KScalar.one(), KScalar.zero()))
 
 
 @pytest.mark.parametrize(
@@ -359,7 +387,7 @@ def test_ray_reduction_matches_the_mobius_route(seed):
     rng = random.Random(seed)
     phi = rand_map(rng, degree=rng.choice([2, 3]))
     point = rand_laurent_point(rng)
-    expected = reduce_lift(conjugate_lift(mobius_lift(chart(point)), phi.lift))
+    expected = reduce_lift(conjugate_lift(chart_by_scalars(point).lift, phi.lift))
     assert reduction_at(phi, point) == expected
 
 
