@@ -35,7 +35,7 @@ from .errors import (
 from .scalars import KScalar
 from .respoly import FactorClass, FiniteClass, InfinityClass
 from .redux import RationalMapK, _sylvester_rows
-from .equidist import DirectionMeasure, depth_sequence, predicted_limit, totally_invariant
+from .equidist import DirectionMeasure, level_measures, predicted_limit, totally_invariant
 
 INF_C = complex(math.inf, 0.0)
 
@@ -448,9 +448,9 @@ def auto_hypothesis(phi: RationalMapK) -> DirectionMeasure:
     """Predicted direction measure at the Gauss point.
 
     The exact Dirac prediction is used when available; otherwise the level-2
-    measure of the depth sequence stands in for the limit.
+    depth measure stands in for the limit.
     """
-    return predicted_limit(phi, GAUSS) or depth_sequence(phi, GAUSS, 2).measures[-1]
+    return predicted_limit(phi, GAUSS) or level_measures(phi, GAUSS, 2)[-1]
 
 
 def degeneration_report(

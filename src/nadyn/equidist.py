@@ -15,7 +15,7 @@ from fractions import Fraction
 from .berkspace import TypeIIPoint, direction_toward
 from .errors import TotallyInvariantPoint
 from .polys import QPoly, coprime_basis
-from .respoly import FiniteClass, InfinityClass, class_degree, sorted_classes
+from .respoly import FactorClass, FiniteClass, InfinityClass, class_degree, sorted_classes
 from .redux import (
     RationalMapK,
     chart_conjugate_lift,
@@ -56,8 +56,8 @@ def _measure_from_intrinsic(info, d: int, n: int) -> DirectionMeasure:
     return DirectionMeasure(tuple(atoms), point_mass)
 
 
-def depth_sequence(phi: RationalMapK, point: TypeIIPoint, n_max: int = 4) -> ConvergenceReport:
-    """Depth measures of the first n_max iterates at the point, with TV steps.
+def level_measures(phi: RationalMapK, point: TypeIIPoint, n_max: int) -> list[DirectionMeasure]:
+    """Depth measures of the first n_max iterates at the point.
 
     The chart conjugate psi of phi is lifted once; the n-th iterate of phi at
     the point is the n-th iterate of psi at the Gauss point, and each level
@@ -79,6 +79,12 @@ def depth_sequence(phi: RationalMapK, point: TypeIIPoint, n_max: int = 4) -> Con
     for n in range(2, n_max + 1):
         current = compose_lifts(base, current)
         measures.append(_measure_from_intrinsic(reduce_lift(current), d, n))
+    return measures
+
+
+def depth_sequence(phi: RationalMapK, point: TypeIIPoint, n_max: int = 4) -> ConvergenceReport:
+    """Depth measures of the first n_max iterates at the point, with TV steps."""
+    measures = level_measures(phi, point, n_max)
     tv_steps = tuple(
         tv_distance(measures[k], measures[k + 1]) for k in range(len(measures) - 1)
     )
@@ -115,15 +121,6 @@ def _class_poly(cls) -> QPoly:
     return QPoly.from_coeffs([-cls.value, 1]) if isinstance(cls, FiniteClass) else cls.poly
 
 
-def _finite_atoms(measure: DirectionMeasure) -> list[tuple[object, Fraction, QPoly]]:
-    """(class, mass, class polynomial) for every atom off infinity."""
-    return [
-        (cls, mass, _class_poly(cls))
-        for cls, mass in measure.atoms
-        if not isinstance(cls, InfinityClass)
-    ]
-
-
 def _mass_on(atoms: list[tuple[object, Fraction, QPoly]], q: QPoly) -> Fraction:
     """Mass on the roots of a basis polynomial; an atom's mass is equal per root."""
     total = Fraction(0)
@@ -136,14 +133,25 @@ def _mass_on(atoms: list[tuple[object, Fraction, QPoly]], q: QPoly) -> Fraction:
     return total
 
 
-def _mass_on_infinity(measure: DirectionMeasure) -> Fraction:
-    return sum((mass for cls, mass in measure.atoms if isinstance(cls, InfinityClass)), Fraction(0))
-
-
 def tv_distance(m1: DirectionMeasure, m2: DirectionMeasure) -> Fraction:
-    """Exact total variation distance over the common class refinement."""
-    atoms1, atoms2 = _finite_atoms(m1), _finite_atoms(m2)
-    spread = abs(m1.point_mass - m2.point_mass) + abs(_mass_on_infinity(m1) - _mass_on_infinity(m2))
-    for q in coprime_basis([p for _, _, p in atoms1 + atoms2]):
-        spread += abs(_mass_on(atoms1, q) - _mass_on(atoms2, q))
-    return spread / 2
+    """Exact total variation distance over the common class refinement.
+
+    Infinity, and a rational value that no factor class of either measure
+    has as a root, compare by key; only the other atoms are refined over a
+    coprime basis of their class polynomials.
+    """
+    factors = [cls.poly for m in (m1, m2) for cls, _ in m.atoms if isinstance(cls, FactorClass)]
+    keyed, refined = ({}, {}), ([], [])
+    for measure, mass_of, rest in zip((m1, m2), keyed, refined):
+        for cls, mass in measure.atoms:
+            apart = isinstance(cls, FiniteClass) and all(p.eval(cls.value) for p in factors)
+            if apart or isinstance(cls, InfinityClass):
+                mass_of[cls] = mass_of[cls] + mass if cls in mass_of else mass
+            else:
+                rest.append((cls, mass, _class_poly(cls)))
+    spread = abs(m1.point_mass - m2.point_mass)
+    for cls in keyed[0].keys() | keyed[1].keys():
+        spread += abs(keyed[0].get(cls, 0) - keyed[1].get(cls, 0))
+    for q in coprime_basis([p for _, _, p in refined[0] + refined[1]]):
+        spread += abs(_mass_on(refined[0], q) - _mass_on(refined[1], q))
+    return Fraction(spread, 2)

@@ -5,13 +5,14 @@ composition (so conjugation, iteration and the probes of crucial), the
 Taylor shift of redux.ray, level changes and _shift_out.  A polynomial in z
 is a list of dicts, one per power of z, from powers of u to ints, so u stays
 sparse (a chart at s = 10^70 puts u^(10^70) into a lift); a finished Lift's
-entries are QPolys, rebuilt by _shift_out when it divides out u^k or a content.
+entries are QPolys, built once for a parsed map (parsed_lift) and rebuilt by
+_shift_out when it divides out u^k or a content.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import LevelCapExceeded
@@ -52,11 +53,11 @@ def _addmul(acc: list, p: list, q: list) -> list:
 
 
 def _mul(p: list, q: list) -> list:
-    if len(q) == 1 and len(q[0]) == 1:
+    if len(q[-1]) == 1 and (len(q) == 1 or not any(q[:-1])):
         p, q = q, p
-    if len(p) == 1 and len(p[0]) == 1:  # a monomial c * u^e scales and shifts
-        ((e, c),) = p[0].items()
-        return [{e + e2: c * c2 for e2, c2 in x.items()} for x in q]
+    if len(p[-1]) == 1 and (len(p) == 1 or not any(p[:-1])):  # c * u^e * z^i scales and shifts
+        ((e, c),) = p[-1].items()
+        return [{} for _ in p[1:]] + [{e + e2: c * c2 for e2, c2 in x.items()} for x in q]
     return _addmul([], p, q)
 
 
@@ -173,10 +174,24 @@ def z_degree(value: tuple) -> int:
     return max(len(value[1]), len(value[2])) - 1
 
 
+def monomial(value: tuple) -> tuple | None:
+    """(c, e, i, g, f) when the value is c*u^e*z^i / (g*u^f), else None."""
+    _, num, den = value
+    top, bottom = num[-1], den[0]
+    if len(top) == 1 == len(bottom) == len(den) and (len(num) == 1 or not any(num[:-1])):
+        (e,), (f,) = top, bottom
+        return top[e], e, len(num) - 1, bottom[f], f
+    return None
+
+
 def add(a: tuple, b: tuple) -> tuple:
     level, an, ad, bn, bd = _common(a, b)
-    if ad == bd:
-        return level, _trim(_addmul([dict(x) for x in an], bn, _ONE)), ad
+    if ad == bd:  # the numerators merge per power of z
+        num = [dict(x) for x in an] + [{} for _ in bn[len(an) :]]
+        for x, y in zip(num, bn):
+            for e, c in y.items():
+                x[e] = x.get(e, 0) + c
+        return level, _trim(num), ad
     return level, _trim(_addmul(_mul(an, bd), bn, ad)), _trim(_mul(ad, bd))
 
 
@@ -185,13 +200,21 @@ def neg(a: tuple) -> tuple:
 
 
 def mul(a: tuple, b: tuple) -> tuple:
+    x = a[0] == b[0] and monomial(a)
+    y = x and monomial(b)
+    if y:  # two monomials at one level: the product term by term
+        num = [{} for _ in range(x[2] + y[2])] + [{x[1] + y[1]: x[0] * y[0]}]
+        return a[0], num, [{x[4] + y[4]: x[3] * y[3]}]
     level, an, ad, bn, bd = _common(a, b)
     return level, _trim(_mul(an, bn)), _trim(_mul(ad, bd))
 
 
 def power(base: tuple, n: int) -> tuple:
-    """base^n by repeated squaring."""
-    result = (1, _ONE, _ONE)
+    """base^n: a monomial term by term, anything else by repeated squaring."""
+    m = n and monomial(base)
+    if m:
+        return base[0], [{} for _ in range(m[2] * n)] + [{m[1] * n: m[0] ** n}], [{m[4] * n: m[3] ** n}]
+    result = (1, [{0: 1}], [{0: 1}])
     while n:
         if n & 1:
             result = mul(result, base)
@@ -205,6 +228,20 @@ def t_power(q: Fraction) -> tuple:
     """The scalar t^q."""
     e = q.numerator
     return q.denominator, [{max(e, 0): 1}], [{max(-e, 0): 1}]
+
+
+def parsed_lift(value: tuple) -> Lift:
+    """The stored lift of a parsed value, each QPoly built once: the common
+    power of u and the integer content divided out, and the level and every
+    exponent divided by their gcd, so the lift sits at its smallest level."""
+    level, *parts = value
+    parts = [p + [{}] * (z_degree(value) + 1 - len(p)) for p in parts]
+    entries = [x for p in parts for x in p if x]
+    k = min(map(min, entries))
+    g = gcd(*[c for x in entries for c in x.values()])
+    h = gcd(level, *[e - k for x in entries for e in x])
+    terms = [[tuple(sorted([((e - k) // h, c // g) for e, c in x.items()])) for x in p] for p in parts]
+    return Lift(level // h, *(tuple(map(QPoly._of_terms, p)) for p in terms))
 
 
 def frozen(value: tuple) -> tuple[tuple[QPoly, ...], tuple[QPoly, ...]]:

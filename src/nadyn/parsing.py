@@ -4,16 +4,17 @@ Scalars are rational expressions in t (integer powers, or rational powers of
 the bare t for fractional radii); maps are rational expressions in z with
 scalar coefficients.  Printing and parsing round-trip: parse(print(x)) == x.
 
-An expression is parsed straight into a lift over Z[u], t = u^N, in the int
-form and with the sums and products of nadyn.lifts (no GCD, no scalar field
-operation); parse_map brings it to _shift_out form, checks N against
-NADYN_LEVEL_CAP and leaves validation to redux.map_from_lift.  Division by zero,
-including a negative power of zero, and a zero denominator in an exponent
-are ParseErrors with a position.  An expression of degree in z above
+A flat evaluator, one frame per precedence level (expr, term, and a factor
+that reads signs, an atom and its exponent), parses an expression straight
+into a lift over Z[u], t = u^N, with the int-form sums and products of
+nadyn.lifts, which multiply and raise monomials directly.  parse_map builds
+the stored lift in one pass at its smallest level, checks that level against
+NADYN_LEVEL_CAP and leaves validation to redux.map_from_lift.  Division by
+zero, including a negative power of zero, and a zero denominator in an
+exponent are ParseErrors with a position.  A degree in z above
 MAX_MAP_DEGREE is a DegreeTooHigh as soon as a product or sum reaches it,
-before the Sylvester check, whose cost grows as the cube of the degree.  An
-integer power is computed by repeated squaring once its result is known to
-stay under the degree and size caps.
+before the Sylvester check, whose cost grows as the cube of the degree; an
+integer power is computed once it is known to stay under the size caps.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .errors import DegenerateMap, DegreeTooHigh, LevelCapExceeded, OutputTooLar
 from .polys import QPoly, num_str, power_str, qdiv, sum_str
 from .respoly import FactorClass, FiniteClass, InfinityClass, INFINITY
 from . import lifts
-from .lifts import _shift_out, frozen, neg as _neg, t_power as _t_power, z_degree
+from .lifts import frozen, neg as _neg, parsed_lift, t_power as _t_power, z_degree
 from .redux import RationalMapK, map_from_lift
 from .scalars import KScalar, K_ONE, level_cap
 
@@ -54,26 +55,24 @@ _LITERAL_BOUND = 10**MAX_LITERAL_DIGITS
 # the exponent of a decimal rational literal, after its E
 _EXPONENT_RE = re.compile(r"[-+]?(\d+(?:_\d+)*)")
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_]+)|([-+*/^()])|(\S))")
+_TOKEN_RE = re.compile(r"(\s*)(?:(\d+)|([A-Za-z_]+)|([-+*/^()])|(\S))")
 
 
 def _tokenize(text: str):
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        digits, name, op, other = m.groups()
-        if digits:
+    tokens, pos = [], 0
+    for space, digits, name, op, other in _TOKEN_RE.findall(text):
+        pos += len(space)  # a token's position skips the whitespace before it
+        if op:
+            tokens.append(("op", op, pos))
+        elif digits:
             if len(digits) > MAX_LITERAL_DIGITS:
-                raise ParseError(
-                    f"integer literal of {len(digits)} digits exceeds {MAX_LITERAL_DIGITS} digits",
-                    m.start(1),
-                )
-            tokens.append(("int", int(digits), m.start(1)))
+                raise ParseError(f"integer literal of {len(digits)} digits exceeds {MAX_LITERAL_DIGITS} digits", pos)
+            tokens.append(("int", int(digits), pos))
         elif name:
-            tokens.append(("name", name, m.start(2)))
-        elif op:
-            tokens.append(("op", op, m.start(3)))
+            tokens.append(("name", name, pos))
         else:
-            raise ParseError(f"unexpected character {other!r}", m.start(4))
+            raise ParseError(f"unexpected character {other!r}", pos)
+        pos += len(op or digits or name)
     tokens.append(("end", None, len(text)))
     return tokens
 
@@ -89,10 +88,6 @@ def _capped(value: tuple) -> tuple:
     return value
 
 
-def _add(a: tuple, b: tuple) -> tuple:
-    return _capped(lifts.add(a, b))
-
-
 def _mul(a: tuple, b: tuple) -> tuple:
     return _capped(lifts.mul(a, b))
 
@@ -104,11 +99,6 @@ def _inverse(value: tuple, pos: int) -> tuple:
     return level, den, num
 
 
-def _span(part: list) -> int:
-    exponents = [e for x in part for e in x]
-    return max(exponents) - min(exponents) if exponents else 0
-
-
 def _power(base: tuple, n: int) -> tuple:
     """base^n, once the caps are checked before any product."""
     degree = z_degree(base)
@@ -116,9 +106,12 @@ def _power(base: tuple, n: int) -> tuple:
         # the degree that n successive products would reach first
         first = (MAX_MAP_DEGREE // degree + 1) * degree
         raise DegreeTooHigh(f"expression reaches degree {first} in z, cap is {MAX_MAP_DEGREE}")
-    # num and den are raised separately: each one's span in u counts
-    span = max(_span(base[1]), _span(base[2]))
-    bits = max(abs(c).bit_length() for part in base[1:] for x in part for c in x.values())
+    mono = lifts.monomial(base)
+    if mono:  # the numbers the scans below give, read off c*u^e*z^i / (g*u^f)
+        span, bits = 0, max(mono[0].bit_length(), mono[3].bit_length())
+    else:  # num and den are raised separately: each one's span in u counts
+        span = max(max(es) - min(es) if es else 0 for es in ([e for x in p for e in x] for p in base[1:]))
+        bits = max(abs(c).bit_length() for part in base[1:] for x in part for c in x.values())
     if n * span * (n * degree + 1) > MAX_POWER_TERMS or n * bits > MAX_POWER_BITS:
         raise PowerTooLarge(
             f"power ^{n} exceeds the caps of {MAX_POWER_TERMS} terms"
@@ -129,13 +122,9 @@ def _power(base: tuple, n: int) -> tuple:
 
 class _Parser:
     def __init__(self, text: str, allow_z: bool):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
         self.allow_z = allow_z
-
-    def peek(self):
-        return self.tokens[self.i]
 
     def advance(self):
         tok = self.tokens[self.i]
@@ -143,71 +132,86 @@ class _Parser:
         return tok
 
     def expect_op(self, symbol):
-        kind, value, pos = self.peek()
+        kind, value, pos = self.advance()
         if kind != "op" or value != symbol:
             raise ParseError(f"expected {symbol!r}", pos)
-        self.advance()
 
     def parse(self) -> tuple:
         value = self.expr()
-        kind, _, pos = self.peek()
+        kind, _, pos = self.tokens[self.i]
         if kind != "end":
             raise ParseError("trailing input", pos)
         return value
 
     def expr(self) -> tuple:
+        tokens = self.tokens
         value = self.term()
         while True:
-            kind, op, _ = self.peek()
-            if kind == "op" and op in "+-":
-                self.advance()
-                rhs = self.term()
-                value = _add(value, rhs if op == "+" else _neg(rhs))
-            else:
+            kind, op, _ = tokens[self.i]
+            if kind != "op" or op not in "+-":
                 return value
+            self.i += 1
+            rhs = self.term()
+            value = _capped(lifts.add(value, rhs if op == "+" else _neg(rhs)))
 
     def term(self) -> tuple:
+        tokens = self.tokens
         value = self.factor()
         while True:
-            kind, op, pos = self.peek()
-            if kind == "op" and op in "*/":
-                self.advance()
-                rhs = self.factor()
-                value = _mul(value, rhs if op == "*" else _inverse(rhs, pos))
-            else:
+            kind, op, pos = tokens[self.i]
+            if kind != "op" or op not in "*/":
                 return value
+            self.i += 1
+            rhs = self.factor()
+            value = _mul(value, rhs if op == "*" else _inverse(rhs, pos))
 
     def factor(self) -> tuple:
-        kind, op, _ = self.peek()
-        if kind == "op" and op in "+-":
-            self.advance()
-            value = self.factor()
-            return _neg(value) if op == "-" else value
-        return self.power()
-
-    def power(self) -> tuple:
-        base = self.atom()
-        kind, op, pos = self.peek()
-        if kind != "op" or op != "^":
-            return base
-        self.advance()
-        exponent = self._exponent()
-        if exponent.denominator == 1:
-            n = exponent.numerator
-            if n < 0:
-                base, n = _inverse(base, pos), -n
-            return _power(base, n)
-        # fractional exponents only on exact powers of t: c*u^a / (c*u^b)
-        if z_degree(base):
-            raise ParseError("fractional exponent on a non-scalar base", pos)
-        level, (num,), (den,) = base
-        if len(num) != 1 or list(num.values()) != list(den.values()):
-            raise ParseError("fractional exponent needs a bare power of t", pos)
-        (a,), (b,) = num, den
-        return _t_power(Fraction(a - b, level) * exponent)
+        """Signs, an atom and an optional ^exponent; a sign applies after
+        the power, so -z^2 is -(z^2)."""
+        tokens = self.tokens
+        negate = False
+        kind, value, pos = tokens[self.i]
+        while kind == "op" and value in "+-":
+            negate ^= value == "-"
+            self.i += 1
+            kind, value, pos = tokens[self.i]
+        self.i += 1
+        if kind == "int":
+            base = 1, [{0: value} if value else {}], [{0: 1}]
+        elif kind == "name" and value == "t":
+            base = 1, [{1: 1}], [{0: 1}]
+        elif kind == "name" and value == "z":
+            if not self.allow_z:
+                raise ParseError("the variable z is not allowed here", pos)
+            base = 1, [{}, {0: 1}], [{0: 1}]
+        elif kind == "name":
+            raise ParseError(f"unknown name {value!r}", pos)
+        elif kind == "op" and value == "(":
+            base = self.expr()
+            self.expect_op(")")
+        else:
+            raise ParseError("expected a value", pos)
+        kind, op, pos = tokens[self.i]
+        if kind == "op" and op == "^":
+            self.i += 1
+            exponent = self._exponent()
+            if exponent.denominator == 1:
+                n = exponent.numerator
+                if n < 0:
+                    base, n = _inverse(base, pos), -n
+                base = _power(base, n)
+            else:
+                # fractional exponents only on exact powers of t: c*u^a / (c*u^b)
+                if z_degree(base):
+                    raise ParseError("fractional exponent on a non-scalar base", pos)
+                m = lifts.monomial(base)
+                if not m or m[0] != m[3]:
+                    raise ParseError("fractional exponent needs a bare power of t", pos)
+                base = _t_power(Fraction(m[1] - m[4], base[0]) * exponent)
+        return _neg(base) if negate else base
 
     def _sign(self) -> int:
-        kind, value, _ = self.peek()
+        kind, value, _ = self.tokens[self.i]
         if kind == "op" and value in "+-":
             self.advance()
             return -1 if value == "-" else 1
@@ -229,7 +233,7 @@ class _Parser:
         kind, numerator, pos = self.advance()
         if kind != "int":
             raise ParseError("expected a rational exponent", pos)
-        kind, value, _ = self.peek()
+        kind, value, _ = self.tokens[self.i]
         if kind != "op" or value != "/":
             return Fraction(sign * numerator)
         self.advance()
@@ -239,24 +243,6 @@ class _Parser:
         if value == 0:
             raise ParseError("zero denominator in an exponent", pos)
         return Fraction(sign * numerator, value)
-
-    def atom(self) -> tuple:
-        kind, value, pos = self.advance()
-        if kind == "int":
-            return 1, [{0: value} if value else {}], [{0: 1}]
-        if kind == "name":
-            if value == "t":
-                return 1, [{1: 1}], [{0: 1}]
-            if value == "z":
-                if not self.allow_z:
-                    raise ParseError("the variable z is not allowed here", pos)
-                return 1, [{}, {0: 1}], [{0: 1}]
-            raise ParseError(f"unknown name {value!r}", pos)
-        if kind == "op" and value == "(":
-            inner = self.expr()
-            self.expect_op(")")
-            return inner
-        raise ParseError("expected a value", pos)
 
 
 def _level_str(level: int) -> str:
@@ -278,10 +264,11 @@ def parse_map(text: str) -> RationalMapK:
     value = _Parser(text, allow_z=True).parse()
     if not z_degree(value):
         raise DegenerateMap("expression does not depend on z")
+    lift = parsed_lift(value)
     cap = level_cap()
-    if value[0] > cap:
-        raise LevelCapExceeded(f"map needs level {_level_str(value[0])}, cap is {cap}")
-    return map_from_lift(_shift_out(value[0], *frozen(value)))
+    if lift.level > cap:
+        raise LevelCapExceeded(f"map needs level {_level_str(lift.level)}, cap is {cap}")
+    return map_from_lift(lift)
 
 
 def parse_rational(text: str) -> Fraction:

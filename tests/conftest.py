@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -7,14 +8,23 @@ import pytest
 
 from nadyn import (
     DegenerateMap,
+    DegreeTooHigh,
     KScalar,
     LevelCapExceeded,
+    ParseError,
+    PowerTooLarge,
     QPoly,
     TypeIIPoint,
     parse_map,
     parse_point,
 )
+from nadyn import lifts
+from nadyn.equidist import _class_poly, _mass_on
+from nadyn.lifts import neg, t_power, z_degree
+from nadyn.parsing import MAX_LITERAL_DIGITS, MAX_MAP_DEGREE, MAX_POWER_BITS, MAX_POWER_TERMS, _capped, _inverse
+from nadyn.polys import coprime_basis
 from nadyn.redux import make_map
+from nadyn.respoly import InfinityClass
 from nadyn.scalars import level_cap
 
 CORPUS_SOURCES = ["z^2", "t*z^2", "(t*z^2+1)/t", "(z^2-t)/z", "z^2+t"]
@@ -174,3 +184,226 @@ def clear_caches() -> None:
 def descent_points(locus) -> set:
     """The points a descent reduces at: the start of every step and the minimizer."""
     return {locus.minimizer, *(point for point, _, _ in locus.trail)}
+
+
+def reference_tv_distance(m1, m2) -> Fraction:
+    """Total variation distance as tv_distance computed it before it compared
+    rational atoms by key: every atom off infinity, finite ones included,
+    goes through one coprime basis of the class polynomials."""
+
+    def finite_atoms(measure):
+        return [(cls, mass, _class_poly(cls)) for cls, mass in measure.atoms if not isinstance(cls, InfinityClass)]
+
+    def at_infinity(measure):
+        return sum((mass for cls, mass in measure.atoms if isinstance(cls, InfinityClass)), Fraction(0))
+
+    atoms1, atoms2 = finite_atoms(m1), finite_atoms(m2)
+    spread = abs(m1.point_mass - m2.point_mass) + abs(at_infinity(m1) - at_infinity(m2))
+    for q in coprime_basis([p for _, _, p in atoms1 + atoms2]):
+        spread += abs(_mass_on(atoms1, q) - _mass_on(atoms2, q))
+    return spread / 2
+
+
+# -- the recursive-descent parser that nadyn.parsing replaced with its flat
+# evaluator, kept as the oracle of the differential test.  It runs on the
+# generic product route of nadyn.lifts (_common, _addmul, _trim), so it
+# checks the direct monomial products and the numerator merge as well, and
+# its power caps scan every coefficient.
+
+_REF_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_]+)|([-+*/^()])|(\S))")
+
+
+def _ref_tokenize(text: str):
+    tokens = []
+    for m in _REF_TOKEN_RE.finditer(text):
+        digits, name, op, other = m.groups()
+        if digits:
+            if len(digits) > MAX_LITERAL_DIGITS:
+                raise ParseError(
+                    f"integer literal of {len(digits)} digits exceeds {MAX_LITERAL_DIGITS} digits",
+                    m.start(1),
+                )
+            tokens.append(("int", int(digits), m.start(1)))
+        elif name:
+            tokens.append(("name", name, m.start(2)))
+        elif op:
+            tokens.append(("op", op, m.start(3)))
+        else:
+            raise ParseError(f"unexpected character {other!r}", m.start(4))
+    tokens.append(("end", None, len(text)))
+    return tokens
+
+
+def _ref_add(a: tuple, b: tuple) -> tuple:
+    level, an, ad, bn, bd = lifts._common(a, b)
+    if ad == bd:
+        return level, lifts._trim(lifts._addmul([dict(x) for x in an], bn, [{0: 1}])), ad
+    num = lifts._addmul(lifts._addmul([], an, bd), bn, ad)
+    return level, lifts._trim(num), lifts._trim(lifts._addmul([], ad, bd))
+
+
+def _ref_mul(a: tuple, b: tuple) -> tuple:
+    level, an, ad, bn, bd = lifts._common(a, b)
+    return level, lifts._trim(lifts._addmul([], an, bn)), lifts._trim(lifts._addmul([], ad, bd))
+
+
+def _ref_span(part: list) -> int:
+    exponents = [e for x in part for e in x]
+    return max(exponents) - min(exponents) if exponents else 0
+
+
+def _ref_power(base: tuple, n: int) -> tuple:
+    degree = z_degree(base)
+    if degree and n * degree > MAX_MAP_DEGREE:
+        first = (MAX_MAP_DEGREE // degree + 1) * degree
+        raise DegreeTooHigh(f"expression reaches degree {first} in z, cap is {MAX_MAP_DEGREE}")
+    span = max(_ref_span(base[1]), _ref_span(base[2]))
+    bits = max(abs(c).bit_length() for part in base[1:] for x in part for c in x.values())
+    if n * span * (n * degree + 1) > MAX_POWER_TERMS or n * bits > MAX_POWER_BITS:
+        raise PowerTooLarge(
+            f"power ^{n} exceeds the caps of {MAX_POWER_TERMS} terms"
+            f" and {MAX_POWER_BITS} coefficient bits"
+        )
+    result = (1, [{0: 1}], [{0: 1}])
+    while n:
+        if n & 1:
+            result = _ref_mul(result, base)
+        n >>= 1
+        if n:
+            base = _ref_mul(base, base)
+    return result
+
+
+class _ReferenceParser:
+    def __init__(self, text: str, allow_z: bool):
+        self.tokens = _ref_tokenize(text)
+        self.i = 0
+        self.allow_z = allow_z
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def advance(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect_op(self, symbol):
+        kind, value, pos = self.peek()
+        if kind != "op" or value != symbol:
+            raise ParseError(f"expected {symbol!r}", pos)
+        self.advance()
+
+    def parse(self) -> tuple:
+        value = self.expr()
+        kind, _, pos = self.peek()
+        if kind != "end":
+            raise ParseError("trailing input", pos)
+        return value
+
+    def expr(self) -> tuple:
+        value = self.term()
+        while True:
+            kind, op, _ = self.peek()
+            if kind == "op" and op in "+-":
+                self.advance()
+                rhs = self.term()
+                value = _capped(_ref_add(value, rhs if op == "+" else neg(rhs)))
+            else:
+                return value
+
+    def term(self) -> tuple:
+        value = self.factor()
+        while True:
+            kind, op, pos = self.peek()
+            if kind == "op" and op in "*/":
+                self.advance()
+                rhs = self.factor()
+                value = _capped(_ref_mul(value, rhs if op == "*" else _inverse(rhs, pos)))
+            else:
+                return value
+
+    def factor(self) -> tuple:
+        kind, op, _ = self.peek()
+        if kind == "op" and op in "+-":
+            self.advance()
+            value = self.factor()
+            return neg(value) if op == "-" else value
+        return self.power()
+
+    def power(self) -> tuple:
+        base = self.atom()
+        kind, op, pos = self.peek()
+        if kind != "op" or op != "^":
+            return base
+        self.advance()
+        exponent = self._exponent()
+        if exponent.denominator == 1:
+            n = exponent.numerator
+            if n < 0:
+                base, n = _inverse(base, pos), -n
+            return _ref_power(base, n)
+        if z_degree(base):
+            raise ParseError("fractional exponent on a non-scalar base", pos)
+        level, (num,), (den,) = base
+        if len(num) != 1 or list(num.values()) != list(den.values()):
+            raise ParseError("fractional exponent needs a bare power of t", pos)
+        (a,), (b,) = num, den
+        return t_power(Fraction(a - b, level) * exponent)
+
+    def _sign(self) -> int:
+        kind, value, _ = self.peek()
+        if kind == "op" and value in "+-":
+            self.advance()
+            return -1 if value == "-" else 1
+        return 1
+
+    def _exponent(self) -> Fraction:
+        sign = self._sign()
+        kind, value, pos = self.advance()
+        if kind == "int":
+            return Fraction(sign * value)
+        if kind == "op" and value == "(":
+            inner = self._signed_rational()
+            self.expect_op(")")
+            return sign * inner
+        raise ParseError("expected an integer or parenthesised exponent", pos)
+
+    def _signed_rational(self) -> Fraction:
+        sign = self._sign()
+        kind, numerator, pos = self.advance()
+        if kind != "int":
+            raise ParseError("expected a rational exponent", pos)
+        kind, value, _ = self.peek()
+        if kind != "op" or value != "/":
+            return Fraction(sign * numerator)
+        self.advance()
+        kind, value, pos = self.advance()
+        if kind != "int":
+            raise ParseError("expected a denominator", pos)
+        if value == 0:
+            raise ParseError("zero denominator in an exponent", pos)
+        return Fraction(sign * numerator, value)
+
+    def atom(self) -> tuple:
+        kind, value, pos = self.advance()
+        if kind == "int":
+            return 1, [{0: value} if value else {}], [{0: 1}]
+        if kind == "name":
+            if value == "t":
+                return 1, [{1: 1}], [{0: 1}]
+            if value == "z":
+                if not self.allow_z:
+                    raise ParseError("the variable z is not allowed here", pos)
+                return 1, [{}, {0: 1}], [{0: 1}]
+            raise ParseError(f"unknown name {value!r}", pos)
+        if kind == "op" and value == "(":
+            inner = self.expr()
+            self.expect_op(")")
+            return inner
+        raise ParseError("expected a value", pos)
+
+
+def reference_parse(text: str, allow_z: bool) -> tuple:
+    """The parsed value (level, num, den) as the recursive-descent parser gave it."""
+    return _ReferenceParser(text, allow_z).parse()

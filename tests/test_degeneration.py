@@ -240,10 +240,11 @@ def test_symmetric_masses():
 
 
 def test_degeneration_report_reduces_each_point_once(monkeypatch):
-    # TZ2 has a Dirac prediction; TZ21T falls back to the depth sequence,
-    # whose reductions at the Gauss point and descent are cache hits
+    # TZ2 has a Dirac prediction; TZ21T falls back to the level-2 depth
+    # measure, whose reduction at the Gauss point is a cache hit and which
+    # descends no second time
     loci = count_calls(monkeypatch, "min_locus", nadyn.equidist)
-    for phi, expected_loci in ((TZ2, 1), (TZ21T, 2)):
+    for phi, expected_loci in ((TZ2, 1), (TZ21T, 1)):
         clear_caches()
         loci.clear()
         degeneration_report(phi, [1e-3], 3)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nadyn import (
     DirectionMeasure,
@@ -24,7 +25,15 @@ from nadyn import (
 import nadyn.crucial
 import nadyn.equidist
 import nadyn.redux
-from conftest import clear_caches, count_calls, descent_points, measure_total, rand_map, rand_point
+from conftest import (
+    clear_caches,
+    count_calls,
+    descent_points,
+    measure_total,
+    rand_map,
+    rand_point,
+    reference_tv_distance,
+)
 
 Z2 = parse_map("z^2")
 TZ2 = parse_map("t*z^2")
@@ -101,6 +110,29 @@ def test_tv_distance_refines_factor_classes():
         ((FiniteClass(Fraction(0)), Fraction(1)),)
     )
     assert tv_distance(m1, m3) == Fraction(1, 2)
+
+
+# finite values, infinity and factor classes; z^2 - z and z^2 - 1 have
+# rational roots, so a finite atom can sit inside a factor class
+_TV_CLASSES = st.sampled_from(
+    [INFINITY]
+    + [FiniteClass(Fraction(v)) for v in (0, 1, -1, Fraction(1, 2), 2)]
+    + [FactorClass(QPoly.from_coeffs(c)) for c in ([0, -1, 1], [-1, 0, 1], [1, 0, 1], [-2, 0, 1], [1, 1, 1])]
+)
+_TV_MEASURES = st.builds(
+    lambda atoms, point_mass: DirectionMeasure(tuple(atoms), point_mass),
+    st.lists(st.tuples(_TV_CLASSES, st.fractions(0, 1, max_denominator=12)), max_size=5),
+    st.fractions(0, 1, max_denominator=6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(m1=_TV_MEASURES, m2=_TV_MEASURES)
+def test_tv_distance_matches_the_coprime_basis_route(m1, m2):
+    # rational atoms compare by key unless a factor class has them as a root
+    distance = tv_distance(m1, m2)
+    assert type(distance) is Fraction
+    assert distance == reference_tv_distance(m1, m2)
 
 
 def test_mass_bookkeeping_random():

@@ -128,3 +128,13 @@ def test_every_public_method_is_used_in_the_package():
     # a public method or property that nothing in the package calls outside
     # its own body is a helper for tests; it belongs in tests/conftest.py
     assert _unreferenced(_public_methods) == []
+
+
+# ROADMAP aim 2 holds src/nadyn to a line budget; this is the one place the
+# number lives, so a change that outgrows it has to make room first
+LINE_BUDGET = 4053
+
+
+def test_package_stays_within_its_line_budget():
+    lines = sum(len(path.read_text().splitlines()) for path in SRC.glob("*.py"))
+    assert lines <= LINE_BUDGET, f"src/nadyn/*.py has {lines} lines; the budget is {LINE_BUDGET}"

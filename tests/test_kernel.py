@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from nadyn import KScalar, TypeIIPoint, parse_map
 from nadyn import lifts
-from nadyn.lifts import Lift, _at_level, _common_level, frozen
+from nadyn.lifts import Lift, _at_level, _common_level, frozen, parsed_lift
 from nadyn.polys import (
     QPoly,
     _primitive_gcd,
@@ -467,6 +467,26 @@ def test_lift_kernel_matches_the_qpoly_route(seed, levels, big):
     assert _same_value(lifts.neg(ea), Lift(va.level, tuple(-p for p in va.num), va.den))
     n = rng.randint(0, 3)
     assert _same_value(lifts.power(ea, n), _ref_power(va, n))
+    # the one-pass stored lift is the shift-out lift at its smallest level
+    stored = parsed_lift(ea)
+    assert _at_level(stored, ea[0]) == _ref_shift_out(ea[0], *frozen(ea))
+    assert gcd(stored.level, *(e for p in stored.num + stored.den for e, _ in p.terms)) == 1
+    _assert_int_entries(stored)
+
+
+def test_monomial_products_match_the_generic_route_in_fresh_dicts():
+    a = (2, [{}, {3: -5}], [{1: 7}])  # -5*u^3*z / (7*u) at level 2
+    b = (2, [{}, {}, {1: 2}], [{0: -3}])
+
+    def generic(x, y):
+        return x[0], *(lifts._trim(lifts._addmul([], p, q)) for p, q in zip(x[1:], y[1:]))
+
+    cases = [(lifts.mul(a, b), generic(a, b)), (lifts.power(a, 3), generic(generic(a, a), a)), (lifts.power(b, 1), b)]
+    inputs = {id(x) for v in (a, b) for part in v[1:] for x in part}
+    for value, expected in cases:
+        assert value == expected
+        entries = [id(x) for part in value[1:] for x in part]
+        assert len(set(entries)) == len(entries) and not inputs & set(entries)
 
 
 def test_compose_stays_sparse_on_huge_exponents():

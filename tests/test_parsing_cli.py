@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -32,8 +33,9 @@ from nadyn import (
     point_str,
 )
 from nadyn.cli import build_parser, main
+from nadyn.lifts import frozen
 from nadyn.parsing import MAX_LITERAL_DIGITS, MAX_MAP_DEGREE, _Parser, _mul, _power, parse_rational
-from conftest import CORPUS_SOURCES, clear_caches
+from conftest import CORPUS_SOURCES, clear_caches, reference_parse
 
 
 def test_parse_map_examples():
@@ -71,6 +73,21 @@ def test_parse_map_level_cap():
     assert parse_map("z^2 + t^(1/64)*z").lift.level == 64
     with pytest.raises(LevelCapExceeded):
         parse_map("z^2 + t^(1/65)*z")
+
+
+def test_parse_map_stores_the_lift_at_its_smallest_level():
+    # t^(1/2)*t^(1/2) is t: the written level 2 is not the map's level
+    assert parse_map("z^2+t^(1/2)*t^(1/2)").lift == parse_map("z^2+t").lift
+    assert parse_map("z^2+t^(1/2)*t^(1/2)").lift.level == 1
+    assert parse_map("z^2 + t^(2/6)*z").lift.level == 3
+    with pytest.raises(LevelCapExceeded, match=r"^map needs level 128, cap is 64$"):
+        parse_map("z^2+t^(1/128)")
+
+
+def test_cli_map_level_cap_reads_the_smallest_level(capsys):
+    written = run_cli(capsys, "reduce", "--map", "z^2+t^(1/128)*t^(127/128)")
+    assert written == run_cli(capsys, "reduce", "--map", "z^2+t")
+    assert written[0] == 0 and "error" not in json.loads(written[1])
 
 
 @pytest.mark.parametrize(
@@ -550,6 +567,72 @@ def test_power_by_squaring_equals_repeated_products():
         for _ in range(n):
             product = _mul(product, base)
         assert _power(base, n) == product, text
+
+
+_DIFF_ATOMS = st.sampled_from(["0", "1", "2", "3", "12", "t", "z"])
+# bases that are a bare power of t, so a fractional exponent applies
+_DIFF_T_POWERS = st.sampled_from(["t", "(t)", "(2*t)/2", "(1/t)", "(t^2)", "(3*t^3/3)"])
+
+
+@st.composite
+def _grammar_expression(draw, depth=0):
+    """An expression of the documented grammar, parentheses nested up to depth 4."""
+    kinds = ["atom", "sign", "binary", "paren", "power", "root"] if depth < 4 else ["atom"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "atom":
+        return draw(_DIFF_ATOMS)
+    if kind == "sign":
+        return draw(st.sampled_from(["-", "+", "- "])) + draw(_grammar_expression(depth + 1))
+    if kind == "binary":
+        op = draw(st.sampled_from(["+", " - ", "*", "/", " * "]))
+        return f"{draw(_grammar_expression(depth + 1))}{op}{draw(_grammar_expression(depth + 1))}"
+    if kind == "paren":
+        return f"({draw(_grammar_expression(depth + 1))})"
+    if kind == "power":
+        base = draw(st.one_of(_DIFF_ATOMS, _grammar_expression(depth + 1).map(lambda e: f"({e})")))
+        return f"{base}^{draw(st.integers(-3, 4))}"
+    p, q = draw(st.integers(-4, 4)), draw(st.sampled_from([1, 2, 3, 4, 1, 2, 3, 0]))
+    return f"{draw(_DIFF_T_POWERS)}^({p}/{q})"
+
+
+@st.composite
+def _differential_input(draw):
+    """A grammar expression, sometimes broken: a dropped token, a stray
+    character, a division by zero or a power past the degree or size caps."""
+    text = draw(_grammar_expression())
+    broken = draw(st.sampled_from(["none", "none", "drop", "stray", "zero", "degree", "power"]))
+    if broken == "drop":
+        tokens = re.findall(r"\d+|[A-Za-z_]+|\S", text)
+        i = draw(st.integers(0, len(tokens) - 1))
+        text = " ".join(tokens[:i] + tokens[i + 1 :])
+    elif broken == "stray":
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(st.sampled_from(["$", "#", ".", "é", "!"])) + text[i:]
+    elif broken == "zero":
+        text = draw(st.sampled_from([f"{text}/0", f"({text})/(t-t)", f"{text}*0^-1"]))
+    elif broken == "degree":
+        text = f"{text} + z^40"
+    elif broken == "power":
+        text = f"{text}*t^401"
+    return text
+
+
+def _parse_outcome(parse, text: str, allow_z: bool):
+    """(level, frozen value) of a parse, or the type and message of its error."""
+    try:
+        value = parse(text, allow_z)
+    except (ParseError, DegreeTooHigh, PowerTooLarge) as exc:
+        return type(exc), str(exc)
+    return value[0], frozen(value)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_differential_input(), allow_z=st.booleans())
+def test_flat_evaluator_matches_the_recursive_descent_parser(text, allow_z):
+    # the replaced parser, on the generic product route, is the oracle: the same
+    # value, or the same error with the same message and position
+    expected = _parse_outcome(reference_parse, text, allow_z)
+    assert _parse_outcome(lambda t, z: _Parser(t, z).parse(), text, allow_z) == expected
 
 
 def test_power_caps():
