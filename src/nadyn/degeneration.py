@@ -117,8 +117,8 @@ def specialize(phi: RationalMapK, t0: complex) -> ComplexMap:
 
 def _vanishes(c: KScalar, t0: complex, value: complex) -> bool:
     """Whether the denominator of c vanishes at u0 = t0^(1/level); value is
-    its float value there.  Exact for real t0 at minimal level 1."""
-    _, den, level = c._canonical()
+    its float value there.  Exact for real t0 at (smallest) level 1."""
+    den, level = c.den, c.level
     if level == 1 and t0.imag == 0:
         return den.eval(Fraction(t0.real)) == 0
     u0 = abs(t0) if level == 1 else abs(t0) ** (1.0 / level)
@@ -460,7 +460,9 @@ def degeneration_report(
     hypothesis: DirectionMeasure | None = None,
     eps: float = 0.1,
 ) -> DegenerationReport:
-    """Sample the maximal entropy measures and compare with the prediction."""
+    """Sample the maximal entropy measures and compare with the prediction.
+    Unlike atom_estimate, targets closer than 2 * eps are not refused: a
+    sample point inside two balls counts toward both atoms."""
     if n < 1:
         raise ValueError("at least one pullback level is needed")
     if eps <= 0:

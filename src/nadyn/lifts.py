@@ -131,10 +131,10 @@ def taylor_shift(lift: Lift, a: KScalar) -> tuple[Lift, int]:
     level divides the lift's, and k.  Its entries are the coefficients of
     the sums of B^(d-i) (B P_i - A Q_i) (Bz + A)^i and B^(d+1-i) Q_i (Bz + A)^i,
     so all the work stays in Z[u]."""
-    a = a.with_level(lift.level)
-    k = a.den.val  # a.den is the monic monomial u^k
-    scale = lcm(*(c.denominator for _, c in a.num.terms))
-    big_a = {e: int(c * scale) for e, c in a.num.terms}
+    a_num, a_den = a.at_level(lift.level)
+    k = a_den.val  # a_den is the monic monomial u^k
+    scale = lcm(*(c.denominator for _, c in a_num.terms))
+    big_a = {e: int(c * scale) for e, c in a_num.terms}
     d = len(lift.num) - 1
 
     def times_b(x: dict, m: int) -> dict:

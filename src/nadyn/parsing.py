@@ -313,7 +313,7 @@ def parse_point(text: str) -> TypeIIPoint:
     if center is None or exponent is None:
         raise ParseError("point literal needs a=<scalar>;s=<rational>")
     cap = level_cap()
-    needed = lcm(exponent.denominator, center._canonical()[2])  # as written, before truncation
+    needed = lcm(exponent.denominator, center.level)  # the centre's smallest level, before truncation
     if needed > cap:
         raise LevelCapExceeded(f"point needs level {_level_str(needed)}, cap is {cap}")
     return TypeIIPoint(center, exponent)

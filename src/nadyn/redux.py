@@ -136,12 +136,12 @@ def _sylvester_det(den: tuple[QPoly, ...], num: tuple[QPoly, ...]) -> QPoly:
 
 def _cleared_vector(coeffs: tuple[KScalar, ...], level: int):
     """Common-denominator form: polynomial entries and the common denominator."""
-    coeffs = [c.with_level(level) for c in coeffs]
+    pairs = [c.at_level(level) for c in coeffs]
     common = QPoly.one()
-    for c in coeffs:
-        if c.den != common:
-            common = common * c.den.exact_div(common.gcd(c.den))
-    return [c.num * common.exact_div(c.den) for c in coeffs], common
+    for _, den in pairs:
+        if den != common:
+            common = common * den.exact_div(common.gcd(den))
+    return [num * common.exact_div(den) for num, den in pairs], common
 
 
 def sylvester_resultant(den: tuple[KScalar, ...], num: tuple[KScalar, ...]) -> KScalar:
@@ -218,10 +218,10 @@ def chart_lift(point: TypeIIPoint) -> Lift:
     a = point.center
     level = lcm(a.level, point.exponent.denominator)
     e = int(point.exponent * level)
-    a = a.with_level(level)
-    k = a.den.degree  # a.den is the monic monomial u^k
+    a_num, a_den = a.at_level(level)
+    k = a_den.degree  # a_den is the monic monomial u^k
     m = max(k, -e)
-    num = (a.num.shifted(m - k), QPoly.monomial(e + m))
+    num = (a_num.shifted(m - k), QPoly.monomial(e + m))
     return _shift_out(level, num, (QPoly.monomial(m), QPoly.zero()))
 
 

@@ -1,7 +1,7 @@
 """Exact arithmetic in K = Q(t^(1/N)) with the t-adic valuation.
 
 A scalar is a reduced fraction num/den of polynomials in the uniformizer u,
-together with a level N meaning t = u^N.  All valuations (``ord``) are
+together with its smallest level N, t = u^N.  All valuations (``ord``) are
 reported in t-units, so they are rationals with denominator dividing N.
 The absolute value |x| = r^ord(x) is never materialised; everything is kept
 in ord units.
@@ -52,7 +52,8 @@ RES_INF = ResidueInfinity()
 
 
 class KScalar:
-    """Element of Q(t^(1/N)), reduced, with monic denominator."""
+    """Element of Q(t^(1/N)), reduced, with monic denominator, stored at its
+    smallest level N (zero at level 1), so equal scalars have equal fields."""
 
     __slots__ = ("num", "den", "level")
 
@@ -78,8 +79,16 @@ class KScalar:
                 inv = qdiv(1, lead)
                 num = num.scale(inv)
                 den = den.scale(inv)
+            if level > 1:
+                # the smallest level: divide the level and every exponent by their gcd
+                g = _int_gcd(level, *(e for e, _ in num.terms), *(e for e, _ in den.terms))
+                if g > 1:
+                    num = QPoly._of_terms(tuple((e // g, c) for e, c in num.terms))
+                    den = QPoly._of_terms(tuple((e // g, c) for e, c in den.terms))
+                    level //= g
         else:
             den = QPoly.one()
+            level = 1
         self.num = num
         self.den = den
         self.level = level
@@ -114,45 +123,31 @@ class KScalar:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
-    def _canonical(self):
-        """Minimal-level normal form, for equality and hashing."""
-        g = self.level
-        for e, _ in self.num.terms:
-            g = _int_gcd(g, e)
-        for e, _ in self.den.terms:
-            g = _int_gcd(g, e)
-        if g <= 1:
-            return (self.num, self.den, self.level)
-        num = QPoly((e // g, c) for e, c in self.num.terms)
-        den = QPoly((e // g, c) for e, c in self.den.terms)
-        return (num, den, self.level // g)
-
-    def with_level(self, target: int) -> "KScalar":
-        """Re-express at a level that the current one divides."""
+    def at_level(self, target: int) -> tuple[QPoly, QPoly]:
+        """num and den read at a level that the stored one divides."""
         if target == self.level:
-            return self
+            return self.num, self.den
         if target % self.level:
             raise ValueError(f"level {target} is not a multiple of {self.level}")
         if target > HARD_LEVEL_CAP:
             raise LevelCapExceeded(f"internal level {target} exceeds hard cap")
         m = target // self.level
-        out = object.__new__(KScalar)
-        out.num, out.den, out.level = self.num.stretched(m), self.den.stretched(m), target
-        return out
+        return self.num.stretched(m), self.den.stretched(m)
 
     def _unify(self, other: "KScalar"):
+        """(num, den) of both scalars at their least common level, and that level."""
         if self.level == other.level:
-            return self, other
-        lcm = self.level * other.level // _int_gcd(self.level, other.level)
-        return self.with_level(lcm), other.with_level(lcm)
+            return self.num, self.den, other.num, other.den, self.level
+        level = self.level * other.level // _int_gcd(self.level, other.level)
+        return (*self.at_level(level), *other.at_level(level), level)
 
     def __eq__(self, other):
         if not isinstance(other, KScalar):
             return NotImplemented
-        return self._canonical() == other._canonical()
+        return self.num == other.num and self.den == other.den and self.level == other.level
 
     def __hash__(self):
-        return hash(self._canonical())
+        return hash((self.num, self.den, self.level))
 
     def __repr__(self):
         return f"KScalar({self.to_str()})"
@@ -160,27 +155,28 @@ class KScalar:
     # -- field operations ----------------------------------------------------
 
     def __add__(self, other: "KScalar") -> "KScalar":
-        a, b = self._unify(other)
-        return KScalar(a.num * b.den + b.num * a.den, a.den * b.den, a.level)
+        an, ad, bn, bd, n = self._unify(other)
+        return KScalar(an * bd + bn * ad, ad * bd, n)
 
     def __sub__(self, other: "KScalar") -> "KScalar":
-        a, b = self._unify(other)
-        return KScalar(a.num * b.den - b.num * a.den, a.den * b.den, a.level)
+        an, ad, bn, bd, n = self._unify(other)
+        return KScalar(an * bd - bn * ad, ad * bd, n)
 
     def __neg__(self) -> "KScalar":
+        # negation keeps the exponents, so the stored level stays minimal
         out = object.__new__(KScalar)
         out.num, out.den, out.level = -self.num, self.den, self.level
         return out
 
     def __mul__(self, other: "KScalar") -> "KScalar":
-        a, b = self._unify(other)
-        return KScalar(a.num * b.num, a.den * b.den, a.level)
+        an, ad, bn, bd, n = self._unify(other)
+        return KScalar(an * bn, ad * bd, n)
 
     def __truediv__(self, other: "KScalar") -> "KScalar":
         if other.is_zero:
             raise ZeroDivisionError("scalar division by zero")
-        a, b = self._unify(other)
-        return KScalar(a.num * b.den, a.den * b.num, a.level)
+        an, ad, bn, bd, n = self._unify(other)
+        return KScalar(an * bd, ad * bn, n)
 
     # -- valuation and residue ---------------------------------------------
 
@@ -205,13 +201,13 @@ class KScalar:
         The result is a Laurent polynomial in u; this is what makes type II
         centres canonical.  A Laurent polynomial keeps its own terms below
         the bound; any other scalar expands as a series, of at most
-        MAX_SERIES_TERMS coefficients at its minimal level, and the result
-        keeps the stored level.
+        MAX_SERIES_TERMS coefficients at its stored level, and the result is
+        stored at its own smallest level.
         """
         if self.is_zero:
             return self
         bound = Fraction(bound)
-        num, den, n = self._canonical()
+        num, den, n = self.num, self.den, self.level
         a = den.val
         if len(den.terms) == 1:
             # the denominator is the monic monomial u^a
@@ -240,25 +236,23 @@ class KScalar:
             return KScalar.zero()
         low = min(0, min(e for e, _ in terms))
         poly = QPoly((e - low, c) for e, c in terms)
-        return KScalar(poly, QPoly.monomial(-low), n).with_level(self.level)
+        return KScalar(poly, QPoly.monomial(-low), n)
 
     # -- numerics ------------------------------------------------------------
 
     def eval_parts(self, t0: complex) -> tuple[complex, complex]:
-        """Numerator and denominator of the minimal-level form evaluated at
-        t = t0 (principal branch), so the stored level does not matter."""
-        num, den, level = self._canonical()
-        u0 = complex(t0) if level == 1 else complex(t0) ** (1.0 / level)
-        return num.eval_complex(u0), den.eval_complex(u0)
+        """Numerator and denominator evaluated at u0 = t0^(1/level)
+        (principal branch); the stored level is the smallest one."""
+        u0 = complex(t0) if self.level == 1 else complex(t0) ** (1.0 / self.level)
+        return self.num.eval_complex(u0), self.den.eval_complex(u0)
 
     # -- printing ------------------------------------------------------------
 
     def to_str(self) -> str:
-        num, den, lvl = self._canonical()
-        num_s = _laurent_str(num, lvl)
-        if den.degree == 0 and den.coeff(0) == 1:
+        num_s = _laurent_str(self.num, self.level)
+        if self.den.degree == 0 and self.den.coeff(0) == 1:
             return num_s
-        den_s = _laurent_str(den, lvl)
+        den_s = _laurent_str(self.den, self.level)
         if " " in num_s:
             num_s = f"({num_s})"
         if " " in den_s or "*" in den_s:

@@ -10,7 +10,6 @@ from nadyn import (
     DegenerateMap,
     DegreeTooHigh,
     KScalar,
-    LevelCapExceeded,
     ParseError,
     PowerTooLarge,
     QPoly,
@@ -25,7 +24,6 @@ from nadyn.parsing import MAX_LITERAL_DIGITS, MAX_MAP_DEGREE, MAX_POWER_BITS, MA
 from nadyn.polys import coprime_basis
 from nadyn.redux import make_map
 from nadyn.respoly import InfinityClass
-from nadyn.scalars import level_cap
 
 CORPUS_SOURCES = ["z^2", "t*z^2", "(t*z^2+1)/t", "(z^2-t)/z", "z^2+t"]
 POINT_SOURCES = ["gauss", "a=0;s=1/2", "a=0;s=-1/2", "a=0;s=1", "a=0;s=-1", "a=1;s=1"]
@@ -64,18 +62,6 @@ def rand_scalar(rng: random.Random, min_exp=-2, max_exp=3, allow_zero=False) -> 
 
 def rand_integral_scalar(rng: random.Random) -> KScalar:
     return rand_scalar(rng, min_exp=0, max_exp=3)
-
-
-def base_change(x: KScalar, m: int) -> KScalar:
-    """Replace the uniformizer u by a root of order m: level N -> N*m, held
-    to the user-facing level cap."""
-    if m < 1:
-        raise ValueError("base change order must be a positive integer")
-    target = x.level * m
-    cap = level_cap()
-    if target > cap:
-        raise LevelCapExceeded(f"level {target} exceeds cap {cap}")
-    return x.with_level(target)
 
 
 def minimal_lift(phi) -> tuple[tuple[KScalar, ...], tuple[KScalar, ...]]:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nadyn.cli  # noqa: F401  (loads every module the benchmark loads)
-from nadyn import DegreeTooLow, GAUSS, intrinsic_data, min_locus, parse_map, reduction_at
+from nadyn import DegreeTooLow, GAUSS, intrinsic_data, min_locus, parse_map, parse_point, reduction_at
 from nadyn.crucial import _descent
 from nadyn.redux import _reduction, chart_conjugate_lift, ray, reduce_lift
 from conftest import clear_caches, rand_laurent_point, rand_map, swept_caches
@@ -57,3 +57,15 @@ def test_min_locus_is_the_same_after_cache_clear(seed):
     clear_caches()
     again = min_locus(phi, start)
     assert again == first and again is not first
+
+
+def test_a_cached_ray_does_not_depend_on_how_an_equal_point_was_written():
+    lift = parse_map("(t*z^2+1)/t").lift
+    plain, finer = parse_point("a=t;s=2"), parse_point("a=t^(1/2)*t^(1/2);s=2")
+    clear_caches()
+    fresh, fresh_ray = chart_conjugate_lift(lift, plain), ray(lift, plain.center)
+    assert fresh.level == 1
+    clear_caches()
+    chart_conjugate_lift(lift, finer)
+    assert chart_conjugate_lift(lift, plain) == fresh
+    assert ray(lift, plain.center) == fresh_ray

@@ -356,11 +356,11 @@ def _ref_compose(outer: Lift, inner: Lift) -> Lift:
 def _ref_ray_lift(lift: Lift, center: KScalar) -> Lift:
     """The Taylor shift of the lift at the centre A/B, scaled by powers of B."""
     level = lcm(lift.level, center.level)
-    lift, a = _at_level(lift, level), center.with_level(level)
+    lift, (a_num, a_den) = _at_level(lift, level), center.at_level(level)
     d = len(lift.num) - 1
-    k = a.den.val
-    scale = lcm(*(Fraction(c).denominator for _, c in a.num.terms))
-    big_a = a.num.scale(scale)
+    k = a_den.val
+    scale = lcm(*(Fraction(c).denominator for _, c in a_num.terms))
+    big_a = a_num.scale(scale)
 
     def times_b(p, m):
         return p.scale(scale**m).shifted(k * m)

@@ -299,10 +299,10 @@ def _rescaled(phi, factor):
     """The same projective map stored as another lift: phi's lift times a
     polynomial factor in t, brought to _shift_out form."""
     lift = phi.lift
-    f = factor.with_level(lift.level)
-    assert f.den == QPoly.one()
-    num = [p * f.num for p in lift.num]
-    den = [p * f.num for p in lift.den]
+    f_num, f_den = factor.at_level(lift.level)
+    assert f_den == QPoly.one()
+    num = [p * f_num for p in lift.num]
+    den = [p * f_num for p in lift.den]
     return RationalMapK(_shift_out(lift.level, num, den))
 
 

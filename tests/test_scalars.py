@@ -1,20 +1,36 @@
 import random
 from fractions import Fraction
-from math import inf
+from math import gcd, inf
 
 import pytest
 
 from nadyn import (
     KScalar,
-    LevelCapExceeded,
+    QPoly,
     RES_INF,
     SeriesCapExceeded,
     ord_of,
+    parse_map,
+    parse_point,
     parse_scalar,
     residue,
 )
 from nadyn.scalars import MAX_SERIES_TERMS
-from conftest import base_change, rand_integral_scalar, rand_scalar
+from conftest import rand_integral_scalar, rand_scalar
+
+
+def _finer(x: KScalar, m: int) -> KScalar:
+    """x rebuilt through the constructor at m times its level."""
+    n = x.level * m
+    return KScalar(*x.at_level(n), n)
+
+
+def _fields(x: KScalar):
+    return x.num, x.den, x.level
+
+
+def _level_is_minimal(x: KScalar) -> bool:
+    return gcd(x.level, *(e for e, _ in x.num.terms + x.den.terms)) == 1
 
 
 def test_ord_examples():
@@ -40,24 +56,46 @@ def test_residue_of_strictly_positive_ord():
     assert residue(parse_scalar("t^2 + t^5")) == 0
 
 
-def test_base_change_examples():
-    x = base_change(KScalar.t_power(1), 2)
-    assert x.level == 2
+def test_finer_level_constructor_examples():
+    x = _finer(KScalar.t_power(1), 2)
     assert ord_of(x) == 1
-    y = base_change(parse_scalar("1 + t"), 3)
-    assert y.level == 3
+    y = _finer(parse_scalar("1 + t"), 3)
     assert y == parse_scalar("1 + t")
 
 
-def test_base_change_cap():
-    with pytest.raises(LevelCapExceeded):
-        base_change(KScalar.t_power(1), 128)
+def test_every_scalar_is_stored_at_its_smallest_level():
+    assert parse_scalar("t^(1/2)*t^(1/2)").level == 1
+    assert parse_point("a=0*t^(1/60);s=7/2").center.level == 1
+    x = parse_scalar("1+t^(1/3)")
+    assert (x + -x).level == 1
+    assert _fields(KScalar(QPoly.monomial(4), QPoly.monomial(2), 6)) == _fields(KScalar.t_power(Fraction(1, 3)))
 
 
-def test_base_change_cap_env_override(monkeypatch):
-    monkeypatch.setenv("NADYN_LEVEL_CAP", "256")
-    x = base_change(KScalar.t_power(1), 128)
-    assert x.level == 128
+def test_negation_keeps_the_smallest_level():
+    x = parse_scalar("1+t^(1/3)")
+    assert _fields(-x) == _fields(KScalar(-x.num, x.den, 3))
+    assert _fields(-parse_scalar("t^(1/2)*t^(1/2)")) == _fields(KScalar.from_rational(-1) * KScalar.t_power(1))
+
+
+def test_results_stay_at_their_smallest_level():
+    rng = random.Random(17)
+
+    def rand_root_scalar():
+        # a Laurent polynomial in t times a fractional power of t, plus another
+        n = rng.choice([1, 2, 3, 4, 6])
+        power = KScalar.t_power(Fraction(rng.randint(-3, 3), n))
+        return rand_scalar(rng) * power + rand_scalar(rng, allow_zero=True)
+
+    for _ in range(150):
+        x, y = rand_root_scalar(), rand_root_scalar()
+        results = [x + y, x - y, x * y, x / y, -x, x + -x, (x + y) - y]
+        results += [x.truncated_below(Fraction(rng.randint(-6, 12), rng.choice([1, 2, 3]))) for _ in range(2)]
+        assert all(_level_is_minimal(r) for r in results)
+        for r in results:
+            for m in (2, 3):
+                again = _finer(r, m)
+                assert _fields(again) == _fields(r)
+                assert hash(again) == hash(r)
 
 
 def test_ultrametric_inequality():
@@ -89,20 +127,20 @@ def test_residue_is_ring_morphism_on_integers():
         assert residue(x * y) == residue(x) * residue(y)
 
 
-def test_base_change_commutes_with_arithmetic():
+def test_finer_level_constructor_commutes_with_arithmetic():
     rng = random.Random(14)
     for _ in range(200):
         x = rand_scalar(rng)
         y = rand_scalar(rng)
-        assert base_change(x + y, 2) == base_change(x, 2) + base_change(y, 2)
-        assert base_change(x * y, 3) == base_change(x, 3) * base_change(y, 3)
-        assert ord_of(base_change(x, 2)) == ord_of(x)
+        assert _finer(x + y, 2) == _finer(x, 2) + _finer(y, 2)
+        assert _finer(x * y, 3) == _finer(x, 3) * _finer(y, 3)
+        assert ord_of(_finer(x, 2)) == ord_of(x)
 
 
 def test_equality_is_level_independent():
     x = parse_scalar("1 + t")
-    assert base_change(x, 4) == x
-    assert hash(base_change(x, 4)) == hash(x)
+    assert _finer(x, 4) == x
+    assert hash(_finer(x, 4)) == hash(x)
 
 
 def test_field_axioms_spot():
@@ -142,3 +180,9 @@ def test_scalar_printing_round_trip():
     assert parse_scalar(KScalar.t_power(Fraction(-1, 2)).to_str()) == KScalar.t_power(
         Fraction(-1, 2)
     )
+
+
+def test_reprs_print_the_smallest_level():
+    assert repr(parse_point("a=t^(1/2)*t^(1/2);s=2")) == "TypeIIPoint(a=t, s=2)"
+    assert repr(parse_scalar("t^(1/2)*t^(1/2) + t^(2/6)")) == "KScalar(t + t^(1/3))"
+    assert repr(parse_map("(t^(1/2)*t^(1/2)*z^2+1)/t")) == "RationalMapK(z^2 + (1/t))"
