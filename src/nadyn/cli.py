@@ -252,23 +252,17 @@ def _positive_float(text: str) -> float:
 def _cmd_degcheck(args, phi, _) -> dict:
     t_values = _parse_t_values(args.t)
     hypothesis = None if args.hypothesis == "auto" else _parse_hypothesis(args.hypothesis)
-    report = degeneration_report(
-        phi, t_values, args.n, hypothesis=hypothesis, eps=args.eps
-    )
-    per_t = []
-    for entry in report.sampled:
-        rows = []
-        for row in entry["rows"]:
-            rows.append(
-                {
-                    **class_json(row["cls"]),
-                    "predicted": _fmt_float(float(row["predicted"])),
-                    "sampled": _fmt_float(row["sampled"]),
-                    "per_target": [_fmt_float(m) for m in row["per_target"]],
-                    "targets": [_fmt_complex(tg) for tg in row["targets"]],
-                }
-            )
-        per_t.append({"t": _fmt_complex(entry["t"]), "masses": rows})
+    report = degeneration_report(phi, t_values, args.n, hypothesis=hypothesis, eps=args.eps)
+    per_t = [{"t": _fmt_complex(entry["t"]), "masses": [
+        {
+            **class_json(row["cls"]),
+            "predicted": _fmt_float(float(row["predicted"])),
+            "sampled": _fmt_float(row["sampled"]),
+            "per_target": [_fmt_float(m) for m in row["per_target"]],
+            "targets": [_fmt_complex(tg) for tg in row["targets"]],
+        }
+        for row in entry["rows"]
+    ]} for entry in report.sampled]
     return {
         "t": [_fmt_complex(t) for t in report.t_values],
         "per_t": per_t,

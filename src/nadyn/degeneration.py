@@ -6,13 +6,15 @@ the sampled atom masses are compared with the non-archimedean prediction.
 Distances on the complex projective line are chordal with diameter 1, so the
 ball of radius 0.1 around infinity is {|z| > sqrt(99)}.
 
-Sampling is level-batched: the d^(k-1) targets of level k are solved as one
-numpy batch on contiguous coefficient columns (gathered by degree only where
-a leading coefficient vanishes), linear rows directly, quadratic rows by the
-stable closed form, higher degrees by Aberth iteration across all rows.  Ball
-hits are counted with array masks; chordal is total on finite floats.  A
-report needs n >= 1 levels and eps > 0; a sample past SAMPLE_CAP points raises
-SampleCapExceeded.  Each function that uses numpy imports it itself, so the
+Sampling is level-batched: the d^(k-1) targets of level k of every t in a
+batch are solved as one numpy batch on contiguous coefficient columns
+(gathered by degree only where a leading coefficient vanishes), linear rows
+directly, quadratic rows by the stable closed form, higher degrees by Aberth
+iteration across all rows; each root is bit-identical to the one found for
+that t alone.  A report samples its t-values in order, in batches of at most
+SAMPLE_CAP points.  Ball hits are counted with array masks; chordal is total
+on finite floats.  A report needs n >= 1 levels and eps > 0; a sample past
+SAMPLE_CAP points raises SampleCapExceeded.  Each function that uses numpy imports it itself, so the
 exact solver, which imports this module, never loads numpy.
 """
 
@@ -27,6 +29,7 @@ from .berkspace import GAUSS
 from .errors import (
     CoefficientPole,
     IllConditioned,
+    NadynError,
     RootFindingFailed,
     SampleCapExceeded,
     TargetsOverlap,
@@ -97,12 +100,14 @@ def specialize(phi: RationalMapK, t0: complex) -> ComplexMap:
         raise CoefficientPole("specialisation needs t != 0")
     if abs(t0) >= 1:
         raise CoefficientPole("specialisation needs |t| < 1")
-    num, den = [], []
+    num, den, poles = [], [], {}  # (c.den, c.level) -> whether it vanishes at t0
     for coeff, out in ((phi.num, num), (phi.den, den)):
         for c in coeff:
             try:
                 n_val, d_val = c.eval_parts(t0)
-                if _vanishes(c, t0, d_val):
+                if (c.den, c.level) not in poles:
+                    poles[c.den, c.level] = _vanishes(c, t0, d_val)
+                if poles[c.den, c.level]:
                     raise CoefficientPole(f"coefficient {c.to_str()} has a pole at t = {t0}")
                 value = n_val / d_val
             except (OverflowError, ZeroDivisionError):
@@ -316,20 +321,23 @@ def _solve(cr: np.ndarray, ci: np.ndarray) -> tuple[np.ndarray, np.ndarray | Non
 
 
 def _preimages(num: np.ndarray, den: np.ndarray, ws: np.ndarray, level: int) -> np.ndarray:
-    """The d preimages of every w in ws, with multiplicity and in the order of
-    ws; preimages at infinity are padded in where leading coefficients vanish.
-    Coefficient k of the rows num - w den is row k of contiguous (d + 1, m) float
-    arrays.  A level where every row keeps degree d is solved straight from them;
+    """The d preimages of every w in ws under G maps, with multiplicity and in
+    the order of ws, map by map; preimages at infinity are padded in where
+    leading coefficients vanish.  Map g is column g of the (d + 1, G) arrays num
+    and den, and its targets are row g of the (G, m) array ws.  Coefficient k
+    of the rows num - w den is row k of contiguous (d + 1, G m) float arrays.
+    A level where every row keeps degree d is solved straight from them;
     otherwise rows are gathered by effective degree."""
     import numpy as np
-    d = num.size - 1
-    wr, wi = ws.real.copy(), ws.imag.copy()
-    br, bi = den.real[:, None], den.imag[:, None]
+    d = num.shape[0] - 1
+    wr, wi = ws.real, ws.imag
+    br, bi = den.real[:, :, None], den.imag[:, :, None]
     pr, pi = _mul(wr, wi, br, bi)
-    cr, ci = num.real[:, None] - pr, num.imag[:, None] - pi
+    cr, ci = num.real[:, :, None] - pr, num.imag[:, :, None] - pi
     at_inf = np.isinf(wr) | np.isinf(wi)
     if at_inf.any():
         cr, ci = np.where(at_inf, br, cr), np.where(at_inf, bi, ci)
+    cr, ci, ws = cr.reshape(d + 1, -1), ci.reshape(d + 1, -1), ws.ravel()
     size = np.hypot(cr, ci)
     top = size[0]
     for k in range(1, d + 1):
@@ -358,23 +366,43 @@ def _preimages(num: np.ndarray, den: np.ndarray, ws: np.ndarray, level: int) -> 
     return out.ravel()
 
 
+def _pullback(gmaps: list[ComplexMap], z0: complex, n: int) -> np.ndarray:
+    """Row g holds the d^n n-th preimages of z0 under gmaps[g], as for
+    pullback_sample; the maps share a degree d, and each level is solved as
+    one batch for all of them."""
+    import numpy as np
+    d = gmaps[0].degree
+    if d ** min(n, SAMPLE_CAP.bit_length()) > SAMPLE_CAP:  # for d >= 2, d^17 > SAMPLE_CAP = 2^16
+        raise SampleCapExceeded(f"sample size {d}^{n} exceeds cap {SAMPLE_CAP}")
+    # C order, so that the (d + 1, G, m) rows of each level reshape without a copy
+    num, den = np.array([(g.num, g.den) for g in gmaps], dtype=complex).transpose(1, 2, 0).copy()
+    points = np.full((len(gmaps), 1), complex(z0))
+    with np.errstate(all="ignore"):
+        for level in range(1, n + 1):
+            points = _preimages(num, den, points, level).reshape(len(gmaps), -1)
+    return points
+
+
 def pullback_sample(gmap: ComplexMap, z0: complex, n: int) -> np.ndarray:
     """The multiset of d^n n-th preimages of z0 under the map, as a 1-D
     complex array; each level is solved as one batch."""
+    return _pullback([gmap], z0, n)[0]
+
+
+def _sample_with_reanchor(gmaps: list[ComplexMap], n: int, k: int = 0) -> np.ndarray:
+    """_pullback from the k-th of four anchors.  Exceptional-orbit collisions
+    show up as root-finding failures: a failing batch is redone map by map, so
+    one map's failure never moves another's sample, and a failing map moves on
+    to the next anchor; at the last one, its error is raised."""
     import numpy as np
-    d = gmap.degree
-    size = 1
-    for _ in range(n):
-        size *= d
-        if size > SAMPLE_CAP:
-            raise SampleCapExceeded(f"sample size {d}^{n} exceeds cap {SAMPLE_CAP}")
-    num = np.array(gmap.num, dtype=complex)
-    den = np.array(gmap.den, dtype=complex)
-    points = np.array([complex(z0)])
-    with np.errstate(all="ignore"):
-        for level in range(1, n + 1):
-            points = _preimages(num, den, points, level)
-    return points
+    try:
+        return _pullback(gmaps, SAMPLE_ANCHOR * (1 + k * 1e-3) + k * 1e-3j, n)
+    except RootFindingFailed:
+        if len(gmaps) == 1 and k == 3:
+            raise
+    if len(gmaps) > 1:
+        return np.concatenate([_sample_with_reanchor([g], n) for g in gmaps])
+    return _sample_with_reanchor(gmaps, n, k + 1)
 
 
 def _ball_masks(points: np.ndarray, targets: list[complex], eps: float) -> np.ndarray:
@@ -479,46 +507,30 @@ def degeneration_report(
         raise ValueError("at least one parameter value is needed")
     atoms = [(cls, mass) for cls, mass in hypothesis.atoms]
     atom_targets = [_class_targets(cls) for cls, _ in atoms]
+    gmaps, failure = [], None  # a t-value's specialisation error waits until those before it are sampled
+    try:  # extend keeps the maps it appended before the raise
+        gmaps.extend(specialize(phi, t0) for t0 in t_values)
+    except NadynError as exc:
+        failure = exc
+    # batches of at most SAMPLE_CAP points, as in _pullback's cap check
+    step = max(1, SAMPLE_CAP // phi.degree ** min(n, SAMPLE_CAP.bit_length()))
     per_t = []
-    for t0 in t_values:
-        gmap = specialize(phi, t0)
-        points = _sample_with_reanchor(gmap, n)
-        rows = []
-        for (cls, mass), targets in zip(atoms, atom_targets):
-            masks = _ball_masks(points, targets, eps)
-            union_hits = int(masks.any(axis=0).sum())
-            per_target = [int(h) / points.size for h in masks.sum(axis=1)]
-            rows.append(
-                {
-                    "cls": cls,
-                    "predicted": mass,
-                    "sampled": union_hits / points.size,
-                    "per_target": per_target,
-                    "targets": targets,
-                }
-            )
-        per_t.append({"t": t0, "rows": rows})
-    smallest = min(range(len(t_values)), key=lambda i: abs(t_values[i]))
-    max_disc = max(
-        (abs(row["sampled"] - float(row["predicted"])) for row in per_t[smallest]["rows"]),
-        default=0.0,
-    )
-    return DegenerationReport(
-        t_values=t_values,
-        predicted=tuple(atoms),
-        sampled=tuple(per_t),
-        max_discrepancy=max_disc,
-    )
-
-
-def _sample_with_reanchor(gmap: ComplexMap, n: int) -> np.ndarray:
-    # exceptional-orbit collisions show up as root-finding failures; retry
-    # from a deterministic sequence of perturbed anchors
-    last = None
-    for k in range(4):
-        anchor = SAMPLE_ANCHOR * (1 + k * 1e-3) + k * 1e-3j
-        try:
-            return pullback_sample(gmap, anchor, n)
-        except RootFindingFailed as exc:
-            last = exc
-    raise last
+    for start in range(0, len(gmaps), step):
+        points = _sample_with_reanchor(gmaps[start : start + step], n)
+        size = points.shape[1]
+        counts = []
+        for targets in atom_targets:
+            masks = _ball_masks(points.ravel(), targets, eps).reshape(len(targets), *points.shape)
+            counts.append((masks.any(axis=0).sum(axis=1), masks.sum(axis=2)))
+        for g, t0 in enumerate(t_values[start : start + len(points)]):
+            rows = [
+                {"cls": cls, "predicted": mass, "sampled": int(union[g]) / size,
+                 "per_target": [int(h) / size for h in hits[:, g]], "targets": targets}
+                for (cls, mass), targets, (union, hits) in zip(atoms, atom_targets, counts)
+            ]
+            per_t.append({"t": t0, "rows": rows})
+    if failure is not None:
+        raise failure
+    closest = min(per_t, key=lambda entry: abs(entry["t"]))["rows"]
+    max_disc = max((abs(row["sampled"] - float(row["predicted"])) for row in closest), default=0.0)
+    return DegenerationReport(t_values, tuple(atoms), tuple(per_t), max_disc)

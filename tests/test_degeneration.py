@@ -33,9 +33,11 @@ import nadyn.redux
 from nadyn.degeneration import (
     ABERTH_TOL,
     SAMPLE_ANCHOR,
+    SAMPLE_CAP,
     _above_bound,
     _ball_masks,
     _preimages,
+    _pullback,
     _sample_with_reanchor,
     aberth_roots,
     auto_hypothesis,
@@ -90,6 +92,10 @@ def test_specialize_checks_poles_at_the_uniformizer():
     assert g.num == (16 / 3, 0, 1) and g.den == (1, 0, 0)
     with pytest.raises(CoefficientPole):
         specialize(parse_map("z^2 + 1/(t^(1/2) - 1/4)"), 0.0625)
+    # one denominator polynomial, u - 1/4, at levels 2 and 1: at t = 1/4 it
+    # vanishes only as t - 1/4, so the pole check is per level
+    with pytest.raises(CoefficientPole, match=r"^coefficient 1/\(t - 1/4\) has a pole"):
+        specialize(parse_map("z^2 + z/(t - 1/4) + 1/(t^(1/2) - 1/4)"), 0.25)
 
 
 def test_specialize_ill_conditioned():
@@ -257,7 +263,11 @@ def test_degeneration_report_reduces_each_point_once(monkeypatch):
 
 
 def test_degeneration_report_descends_before_sampling(monkeypatch):
-    samples = count_calls(monkeypatch, "pullback_sample", nadyn.degeneration)
+    samples = count_calls(monkeypatch, "_pullback", nadyn.degeneration)
+    degeneration_report(TZ21T, [1e-3, 1e-4], 3)
+    assert samples == {"nadyn.degeneration": 1}  # one batch for both t-values
+    samples.clear()
+    clear_caches()
 
     def failing_locus(phi):
         raise NeedsExtension("descending direction is irrational")
@@ -461,38 +471,105 @@ def test_pullback_all_zero_row_fails_with_level_and_target():
     assert (err.value.level, err.value.target) == (1, 2 + 0j)
     # in a batch the rows of 1 and 3 keep their degree while those of 2
     # have none: the error names the level and the first failing target
-    num, den = np.array(g.num), np.array(g.den)
+    num, den = np.array([g.num]).T, np.array([g.den]).T
     with pytest.raises(RootFindingFailed) as err:
-        _preimages(num, den, np.array([1 + 0j, 2 + 0j, 3 + 0j, 2 + 0j]), 3)
+        _preimages(num, den, np.array([[1 + 0j, 2 + 0j, 3 + 0j, 2 + 0j]]), 3)
     assert (err.value.level, err.value.target) == (3, 2 + 0j)
 
 
 def test_reanchor_samples_at_the_next_anchor_and_raises_the_last_error(monkeypatch):
     gmap = specialize(TZ21T, 1e-3)
-    real = nadyn.degeneration.pullback_sample
+    real = nadyn.degeneration._pullback
     anchors = []
 
-    def first_fails(g, anchor, n):
+    def first_fails(gmaps, anchor, n):
         anchors.append(anchor)
         if len(anchors) == 1:
             raise RootFindingFailed(0, anchor)
-        return real(g, anchor, n)
+        return real(gmaps, anchor, n)
 
-    monkeypatch.setattr(nadyn.degeneration, "pullback_sample", first_fails)
-    sample = _sample_with_reanchor(gmap, 3)
+    monkeypatch.setattr(nadyn.degeneration, "_pullback", first_fails)
+    sample = _sample_with_reanchor([gmap], 3)
     assert anchors == [SAMPLE_ANCHOR, SAMPLE_ANCHOR * (1 + 1e-3) + 1e-3j]
-    assert sample.tolist() == real(gmap, anchors[1], 3).tolist()
+    assert sample.tolist() == real([gmap], anchors[1], 3).tolist()
 
     errors = []
 
-    def all_fail(g, anchor, n):
+    def all_fail(gmaps, anchor, n):
         errors.append(RootFindingFailed(len(errors), anchor))
         raise errors[-1]
 
-    monkeypatch.setattr(nadyn.degeneration, "pullback_sample", all_fail)
+    monkeypatch.setattr(nadyn.degeneration, "_pullback", all_fail)
     with pytest.raises(RootFindingFailed) as err:
-        _sample_with_reanchor(gmap, 3)
+        _sample_with_reanchor([gmap], 3)
     assert len(errors) == 4 and err.value is errors[-1]
+
+
+def test_batched_maps_sample_bitwise_as_each_map_alone():
+    rng = random.Random(87)
+    for d, n in ((1, 6), (2, 6), (3, 4), (4, 3)):
+        for size in range(1, 6):
+            gmaps = []
+            for i in range(size):
+                den = _random_coeffs(rng, d + 1)
+                # every other map has a pole at infinity: from infinity its rows
+                # are gathered by effective degree, those of the others are not
+                gmaps.append(ComplexMap(_random_coeffs(rng, d + 1), den[:d] + (0j,) if i % 2 else den))
+            for z0 in (1 + 1j / 3, INF_C):
+                batch = _pullback(gmaps, z0, n)
+                assert batch.shape == (size, d**n)
+                for row, g in zip(batch, gmaps):
+                    assert row.tobytes() == pullback_sample(g, z0, n).tobytes()
+
+
+def test_a_failing_map_is_redone_alone_and_moves_no_other_sample():
+    rng = random.Random(88)
+    others = [ComplexMap(_random_coeffs(rng, 3), _random_coeffs(rng, 3)) for _ in range(2)]
+    # num = SAMPLE_ANCHOR den, so the first preimage row of the anchor vanishes identically
+    bad = ComplexMap((SAMPLE_ANCHOR, 0j, SAMPLE_ANCHOR), (1 + 0j, 0j, 1 + 0j))
+    batch = [others[0], bad, others[1]]
+    with pytest.raises(RootFindingFailed) as alone:
+        pullback_sample(bad, SAMPLE_ANCHOR, 4)
+    with pytest.raises(RootFindingFailed) as err:
+        _pullback(batch, SAMPLE_ANCHOR, 4)
+    assert (err.value.level, err.value.target) == (alone.value.level, alone.value.target) == (1, SAMPLE_ANCHOR)
+    rows = _sample_with_reanchor(batch, 4)
+    for row, g in zip(rows[::2], others):
+        assert row.tobytes() == pullback_sample(g, SAMPLE_ANCHOR, 4).tobytes()
+    assert rows[1].tobytes() == pullback_sample(bad, SAMPLE_ANCHOR * (1 + 1e-3) + 1e-3j, 4).tobytes()
+
+
+def test_report_raises_a_sampling_failure_before_a_later_pole(monkeypatch):
+    # t = 0 cannot be specialised; the t-value before it is sampled first and
+    # fails at all four anchors
+    errors = []
+
+    def all_fail(gmaps, anchor, n):
+        errors.append(RootFindingFailed(1, anchor))
+        raise errors[-1]
+
+    monkeypatch.setattr(nadyn.degeneration, "_pullback", all_fail)
+    with pytest.raises(RootFindingFailed) as err:
+        degeneration_report(TZ21T, [1e-3, 0], 3)
+    assert len(errors) == 4 and err.value is errors[-1]
+    with pytest.raises(CoefficientPole):
+        degeneration_report(TZ21T, [0, 1e-3], 3)
+    assert len(errors) == 4
+
+
+def test_report_samples_at_most_the_cap_per_batch(monkeypatch):
+    sizes = []
+    real = nadyn.degeneration._pullback
+
+    def counted(gmaps, z0, n):
+        sizes.append(len(gmaps) * gmaps[0].degree ** n)
+        return real(gmaps, z0, n)
+
+    monkeypatch.setattr(nadyn.degeneration, "_pullback", counted)
+    t_values = [(k + 1) * 1e-4 for k in range(40)]
+    report = degeneration_report(TZ21T, t_values, 14)
+    assert [entry["t"] for entry in report.sampled] == t_values
+    assert max(sizes) <= SAMPLE_CAP and sum(sizes) == 40 * 2**14
 
 
 def test_aberth_roots_past_the_sweep_cap_is_typed(monkeypatch):

@@ -776,6 +776,19 @@ def test_cli_degcheck_sample_cap_exits_2(capsys, n):
 
 
 @pytest.mark.parametrize(
+    "t_arg, expected",
+    [
+        # the t-values before a pole are sampled first, and 2^17 points exceed the cap
+        ("1e-3,0", {"error": "sample size 2^17 exceeds cap 65536", "type": "SampleCapExceeded"}),
+        ("0,1e-3", {"error": "specialisation needs t != 0", "type": "CoefficientPole"}),
+    ],
+)
+def test_cli_degcheck_samples_the_t_values_before_a_pole(capsys, t_arg, expected):
+    code, out, _ = run_cli(capsys, "degcheck", "--map", "t*z^2", "--t", t_arg, "--n", "17")
+    assert (code, json.loads(out)) == (2, expected)
+
+
+@pytest.mark.parametrize(
     "hypothesis",
     [
         "1",
