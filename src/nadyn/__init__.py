@@ -15,7 +15,6 @@ from .errors import (
     IterationCapExceeded,
     LevelCapExceeded,
     NadynError,
-    NeedsExtension,
     OutputTooLarge,
     OutOfRange,
     ParseError,
@@ -28,7 +27,7 @@ from .errors import (
     TotallyInvariantPoint,
 )
 from .polys import QPoly, rational_roots
-from .scalars import KScalar, RES_INF, T, ord_of, residue
+from .scalars import KScalar, RES_INF, T
 from .respoly import (
     DepthDivisor,
     FactorClass,
@@ -42,9 +41,7 @@ from .respoly import (
 )
 from .berkspace import (
     CLASSICAL_INF,
-    Direction,
     GAUSS,
-    TowardClass,
     TypeIIPoint,
     chart,
     direction_toward,

@@ -47,19 +47,6 @@ class TypeIIPoint:
 GAUSS = TypeIIPoint(K_ZERO, Fraction(0))
 
 
-@dataclass(frozen=True)
-class TowardClass:
-    """Symbolic direction class toward a concrete target, resolved on demand."""
-
-    target: object  # TypeIIPoint, KScalar, or CLASSICAL_INF
-
-
-@dataclass(frozen=True)
-class Direction:
-    at: TypeIIPoint
-    cls: object
-
-
 def chart(point: TypeIIPoint) -> RationalMapK:
     """Canonical chart w -> t^s*w + a, the degree-1 map sending the Gauss point to the point."""
     return RationalMapK(chart_lift(point))
@@ -94,27 +81,28 @@ def path_point(start: TypeIIPoint, end: TypeIIPoint, tau) -> TypeIIPoint:
     return TypeIIPoint(end.center, m + (tau - up))
 
 
-def direction_toward(point: TypeIIPoint, target) -> Direction:
-    """Direction at the point containing the target, in the canonical chart.
+def direction_toward(point: TypeIIPoint, target):
+    """The class of the direction at the point containing the target, in
+    the canonical chart: a direction at a type II point is its class.
 
     The target may be a type II point, a classical point of K, or the
     classical infinity.
     """
     if target is CLASSICAL_INF:
-        return Direction(point, INFINITY)
+        return INFINITY
     if isinstance(target, TypeIIPoint):
         if target == point:
             raise SamePoint("no direction from a point toward itself")
         if target.exponent <= point.exponent:
-            return Direction(point, INFINITY)
+            return INFINITY
         target = target.center
     elif not isinstance(target, KScalar):
         raise TypeError(f"unsupported target {target!r}")
     centre_gap = target - point.center
     if centre_gap.ord() < point.exponent:
-        return Direction(point, INFINITY)
+        return INFINITY
     value = (centre_gap / KScalar.t_power(point.exponent)).residue()
-    return Direction(point, FiniteClass(value))
+    return FiniteClass(value)
 
 
 def step_into(point: TypeIIPoint, cls, h: Fraction) -> TypeIIPoint:

@@ -17,7 +17,6 @@ import json
 import math
 import sys
 
-from .berkspace import Direction
 from .errors import IrrationalDirection, NadynError, ParseError
 from .respoly import sorted_classes
 from .redux import intrinsic_data, reduction_at
@@ -88,11 +87,11 @@ def _measure_json(measure) -> dict:
 
 def _slope_json(phi, point, report) -> dict:
     try:
-        measured = slope_measured(phi, point, report.direction)
+        measured = slope_measured(phi, point, report.cls)
     except IrrationalDirection:
         measured = None
     return {
-        **class_json(report.direction.cls),
+        **class_json(report.cls),
         "dep": report.dep,
         "fixed": report.fixed,
         "rhs": frac_str(report.rhs),
@@ -157,8 +156,7 @@ def _cmd_hypres(args, phi, point) -> dict:
 
 def _cmd_slope(args, phi, point) -> dict:
     if args.direction is not None:
-        direction = Direction(point, parse_direction_class(args.direction))
-        return _slope_json(phi, point, slope_rhs(phi, point, direction))
+        return _slope_json(phi, point, slope_rhs(phi, point, parse_direction_class(args.direction, point)))
     return {"slopes": [_slope_json(phi, point, report) for report in _slope_table(phi, point)]}
 
 

@@ -29,16 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import floor, lcm
 
-from .berkspace import (
-    Direction,
-    GAUSS,
-    TowardClass,
-    TypeIIPoint,
-    direction_toward,
-    path_point,
-    rho,
-    step_into,
-)
+from .berkspace import GAUSS, TypeIIPoint, direction_toward, path_point, rho, step_into
 from .errors import BreakpointUnresolved, DegreeTooLow, IrrationalDirection
 from .polys import QPoly, simplest_in
 from .respoly import (
@@ -76,7 +67,7 @@ class Verdict(enum.Enum):
 
 @dataclass(frozen=True)
 class SlopeReport:
-    direction: Direction
+    cls: object
     dep: int
     fixed: bool
     rhs: Fraction
@@ -125,24 +116,12 @@ def _rhs_value(d: int, dep: int, fixed: bool) -> Fraction:
     return (bonus - dep) / (d - 1)
 
 
-def _class_at(point: TypeIIPoint, direction: Direction):
-    """The class of a direction based at the point, a toward-class resolved."""
-    if direction.at != point:
-        raise ValueError("direction is based at a different point")
-    cls = direction.cls
-    if isinstance(cls, TowardClass):
-        return direction_toward(point, cls.target).cls
-    return cls
-
-
-def slope_rhs(phi: RationalMapK, point: TypeIIPoint, direction: Direction) -> SlopeReport:
-    """Reduction-theoretic slope of hypRes along a direction; the report
-    carries the direction with a toward-class resolved to its class."""
-    cls = _class_at(point, direction)
+def slope_rhs(phi: RationalMapK, point: TypeIIPoint, cls) -> SlopeReport:
+    """Reduction-theoretic slope of hypRes along the direction class cls at the point."""
     info = intrinsic_data(phi, point)
     dep = depth_at(info.depths, cls)
     fixed = _fixes_class(info, cls)
-    return SlopeReport(Direction(point, cls), dep, fixed, _rhs_value(phi.degree, dep, fixed))
+    return SlopeReport(cls, dep, fixed, _rhs_value(phi.degree, dep, fixed))
 
 
 # classes the slope table lists even when they carry no depth
@@ -157,10 +136,7 @@ def _slope_table(phi: RationalMapK, point: TypeIIPoint) -> list[SlopeReport]:
     listed = [cls for cls, _, _ in rows]
     rows += [(cls, 0, _fixes_class(info, cls)) for cls in _SLOPE_TABLE_EXTRAS if cls not in listed]
     d = phi.degree
-    return [
-        SlopeReport(Direction(point, cls), dep, fixed, _rhs_value(d, dep, fixed))
-        for cls, dep, fixed in rows
-    ]
+    return [SlopeReport(cls, dep, fixed, _rhs_value(d, dep, fixed)) for cls, dep, fixed in rows]
 
 
 def _ray_slope(phi: RationalMapK, point: TypeIIPoint, cls) -> tuple[Fraction, list[Fraction]]:
@@ -186,11 +162,9 @@ def _ray_slope(phi: RationalMapK, point: TypeIIPoint, cls) -> tuple[Fraction, li
     return Fraction(sign * (d + 1) - 2 * m0, 2 * (d - 1)), kinks
 
 
-def slope_measured(phi: RationalMapK, point: TypeIIPoint, direction: Direction) -> Fraction:
-    """One-sided derivative of hypRes along the direction, read off the closed
-    form on the ray; as in slope_rhs, the direction must be based at the
-    point and a toward-class is resolved to its class first."""
-    cls = _class_at(point, direction)
+def slope_measured(phi: RationalMapK, point: TypeIIPoint, cls) -> Fraction:
+    """One-sided derivative of hypRes along the direction class cls at the
+    point, read off the closed form on the ray."""
     if isinstance(cls, FactorClass):
         raise IrrationalDirection("measured slopes need a rational direction")
     if not isinstance(cls, (FiniteClass, InfinityClass)):
@@ -319,11 +293,11 @@ def hyp_res_direct(phi: RationalMapK, point: TypeIIPoint) -> Fraction:
     d = phi.degree
     total = rho(GAUSS, point)
     dmax = _denominator_bound(phi, point)
-    toward_gauss = direction_toward(point, GAUSS).cls
+    toward_gauss = direction_toward(point, GAUSS)
 
     def mass(tau: Fraction) -> int:
         probe = path_point(GAUSS, point, tau)
-        return _gauss_mass(phi, probe, direction_toward(probe, point).cls)
+        return _gauss_mass(phi, probe, direction_toward(probe, point))
 
     # left limit at the far end: total mass minus the mass toward the
     # Gauss point, all measured through the chart of the endpoint
@@ -342,7 +316,7 @@ def hyp_res_direct(phi: RationalMapK, point: TypeIIPoint) -> Fraction:
         def before_wedge(tau: Fraction) -> int:
             probe = path_point(GAUSS, point, tau)
             red = reduce_lift(compose_lifts(_inverse_lift(chart_lift(probe)), phi_m))
-            return int(not red.fixes_point and red.image_class == direction_toward(probe, point).cls)
+            return int(not red.fixes_point and red.image_class == direction_toward(probe, point))
 
         wedge = _step_integral(before_wedge, total, before_wedge(Fraction(0)), 0, dmax)
     return total / 2 + (total - wedge - integral) / (d - 1)

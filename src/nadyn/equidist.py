@@ -113,8 +113,7 @@ def predicted_limit(phi: RationalMapK, point: TypeIIPoint) -> DirectionMeasure |
     minimizer = min_locus(phi).minimizer
     if not totally_invariant(phi, minimizer):
         return None
-    cls = direction_toward(point, minimizer).cls
-    return DirectionMeasure(((cls, Fraction(1)),))
+    return DirectionMeasure(((direction_toward(point, minimizer), Fraction(1)),))
 
 
 def _class_poly(cls) -> QPoly:

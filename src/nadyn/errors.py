@@ -63,14 +63,6 @@ class BreakpointUnresolved(NadynError):
     """A piecewise breakpoint could not be snapped to a bounded rational."""
 
 
-class NeedsExtension(NadynError):
-    """Descent direction is an irrational class; not resolved over Q.
-
-    The slope formula rules such a direction out (see crucial.min_locus), so
-    the solver does not raise it; the type stays for callers that name it.
-    """
-
-
 class TotallyInvariantPoint(NadynError):
     """The point is totally invariant, so no nontrivial sequence exists."""
 

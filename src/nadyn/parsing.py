@@ -23,7 +23,7 @@ import re
 from fractions import Fraction
 from math import lcm
 
-from .berkspace import GAUSS, TowardClass, TypeIIPoint
+from .berkspace import GAUSS, TypeIIPoint, direction_toward
 from .errors import DegenerateMap, DegreeTooHigh, LevelCapExceeded, OutputTooLarge, ParseError, PowerTooLarge
 from .polys import QPoly, num_str, power_str, qdiv, sum_str
 from .respoly import FactorClass, FiniteClass, InfinityClass, INFINITY
@@ -319,7 +319,9 @@ def parse_point(text: str) -> TypeIIPoint:
     return TypeIIPoint(center, exponent)
 
 
-def parse_direction_class(text: str):
+def parse_direction_class(text: str, at: TypeIIPoint):
+    """The class that a direction literal names at the base point at; a
+    toward:<point> literal is resolved there."""
     text = text.strip()
     if text == "inf":
         return INFINITY
@@ -336,7 +338,7 @@ def parse_direction_class(text: str):
             return FiniteClass(-poly.coeff(0))
         return FactorClass(poly)
     if text.startswith("toward:"):
-        return TowardClass(parse_point(text[7:]))
+        return direction_toward(at, parse_point(text[7:]))
     raise ParseError(f"unknown direction literal {text!r}")
 
 
@@ -397,8 +399,6 @@ def class_str(cls) -> str:
         return f"res={num_str(cls.value)}"
     if isinstance(cls, FactorClass):
         return f"factor={cls.poly.to_str('z')}"
-    if isinstance(cls, TowardClass):
-        return f"toward:{point_str(cls.target)}"
     raise TypeError(f"cannot print class {cls!r}")
 
 
@@ -419,7 +419,7 @@ def class_from_json(obj: dict):
     if kind == "finite" and isinstance(obj["value"], str):
         return FiniteClass(parse_rational(obj["value"]))
     if kind == "factor" and isinstance(obj["poly"], str):
-        return parse_direction_class(f"factor={obj['poly']}")
+        return parse_direction_class(f"factor={obj['poly']}", GAUSS)
     if kind in ("finite", "factor"):
         raise TypeError(f"a {kind} class needs its field as a string")
     raise ParseError(f"unknown class kind {kind!r}")

@@ -267,13 +267,3 @@ def _laurent_str(p: QPoly, level: int) -> str:
 T = KScalar.t_power(1)
 K_ZERO = KScalar.zero()
 K_ONE = KScalar.one()
-
-
-def ord_of(x: KScalar):
-    """t-adic valuation of x in t-units (ord(0) = +inf)."""
-    return x.ord()
-
-
-def residue(x: KScalar):
-    """Reduction of x modulo the maximal ideal, valued in Q union {inf}."""
-    return x.residue()

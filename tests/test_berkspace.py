@@ -18,9 +18,10 @@ from nadyn import (
     parse_scalar,
     path_point,
     rho,
+    step_into,
     wedge,
 )
-from conftest import rand_point, rand_scalar
+from conftest import rand_laurent_point, rand_point, rand_scalar
 
 
 def test_chart_examples():
@@ -109,14 +110,24 @@ def test_path_point_triangle_additivity():
 
 
 def test_direction_toward_examples():
-    assert direction_toward(GAUSS, KScalar.zero()).cls == FiniteClass(Fraction(0))
-    assert direction_toward(GAUSS, parse_point("a=0;s=-1")).cls == INFINITY
+    assert direction_toward(GAUSS, KScalar.zero()) == FiniteClass(Fraction(0))
+    assert direction_toward(GAUSS, parse_point("a=0;s=-1")) == INFINITY
     # from the bigger disk, the Gauss point sits in the residue-zero direction
-    assert direction_toward(parse_point("a=0;s=-1"), GAUSS).cls == FiniteClass(
-        Fraction(0)
-    )
-    assert direction_toward(GAUSS, CLASSICAL_INF).cls == INFINITY
-    assert direction_toward(GAUSS, parse_scalar("2 + t")).cls == FiniteClass(Fraction(2))
+    assert direction_toward(parse_point("a=0;s=-1"), GAUSS) == FiniteClass(Fraction(0))
+    assert direction_toward(GAUSS, CLASSICAL_INF) == INFINITY
+    assert direction_toward(GAUSS, parse_scalar("2 + t")) == FiniteClass(Fraction(2))
+
+
+def test_direction_toward_returns_the_class_stepped_into():
+    # a direction at a point is its class: stepping any distance h > 0 along
+    # a rational class lands in that class, whatever the centre looks like
+    rng = random.Random(46)
+    for k in range(400):
+        point = rand_point(rng) if k % 2 else rand_laurent_point(rng)
+        value = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        cls = INFINITY if rng.random() < 0.25 else FiniteClass(value)
+        h = Fraction(rng.randint(1, 12), rng.randint(1, 6))
+        assert direction_toward(point, step_into(point, cls, h)) == cls
 
 
 def test_direction_toward_same_point():
@@ -135,6 +146,6 @@ def test_direction_separates_path():
         mid = path_point(p1, p2, Fraction(total, 2))
         if mid in (p1, p2):
             continue
-        d1 = direction_toward(mid, p1).cls
-        d2 = direction_toward(mid, p2).cls
+        d1 = direction_toward(mid, p1)
+        d2 = direction_toward(mid, p2)
         assert d1 != d2

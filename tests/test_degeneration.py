@@ -12,7 +12,7 @@ from nadyn import (
     GAUSS,
     IllConditioned,
     INF_C,
-    NeedsExtension,
+    NadynError,
     RootFindingFailed,
     SampleCapExceeded,
     TargetsOverlap,
@@ -269,13 +269,16 @@ def test_degeneration_report_descends_before_sampling(monkeypatch):
     samples.clear()
     clear_caches()
 
+    class LocusFailed(NadynError):
+        pass
+
     def failing_locus(phi):
-        raise NeedsExtension("descending direction is irrational")
+        raise LocusFailed("descending direction is irrational")
 
     monkeypatch.setattr(nadyn.equidist, "min_locus", failing_locus)
     with pytest.raises(TotallyInvariantPoint):
         degeneration_report(Z2, [1e-3], 3)
-    with pytest.raises(NeedsExtension):
+    with pytest.raises(LocusFailed):
         degeneration_report(TZ21T, [1e-3], 3)
     assert not samples
 
@@ -475,6 +478,34 @@ def test_pullback_all_zero_row_fails_with_level_and_target():
     with pytest.raises(RootFindingFailed) as err:
         _preimages(num, den, np.array([[1 + 0j, 2 + 0j, 3 + 0j, 2 + 0j]]), 3)
     assert (err.value.level, err.value.target) == (3, 2 + 0j)
+
+
+def test_straight_path_failure_names_the_level_and_the_first_failing_target(monkeypatch):
+    # every row of these cubics keeps degree 3, so Aberth failures are
+    # raised from the straight path rather than the effective-degree gather
+    monkeypatch.setattr(nadyn.degeneration, "ABERTH_MAX_ITER", 1)
+    with pytest.raises(RootFindingFailed) as err:
+        pullback_sample(specialize(parse_map("(z^3+t)/t"), 1e-2), SAMPLE_ANCHOR, 1)
+    assert (err.value.level, err.value.target) == (1, SAMPLE_ANCHOR)
+
+    # at five sweeps both maps solve level 1, and of the six level-2 targets
+    # only the last of the second map fails when solved alone
+    monkeypatch.setattr(nadyn.degeneration, "ABERTH_MAX_ITER", 5)
+    gmaps = [specialize(parse_map(src), 0.1) for src in ("(z^3+t)/t", "(z^3+t*z+t)/t")]
+    level_one = _pullback(gmaps, SAMPLE_ANCHOR, 1)
+
+    def fails_alone(gmap, w):
+        try:
+            _pullback([gmap], w, 1)
+        except RootFindingFailed:
+            return True
+        return False
+
+    alone = [[fails_alone(g, w) for w in row] for g, row in zip(gmaps, level_one)]
+    assert alone == [[False, False, False], [False, False, True]]
+    with pytest.raises(RootFindingFailed) as err:
+        _pullback(gmaps, SAMPLE_ANCHOR, 2)
+    assert (err.value.level, err.value.target) == (2, level_one[1, 2])
 
 
 def test_reanchor_samples_at_the_next_anchor_and_raises_the_last_error(monkeypatch):

@@ -11,7 +11,7 @@ from nadyn import (
     GAUSS,
     INFINITY,
     IterationCapExceeded,
-    NeedsExtension,
+    NadynError,
     QPoly,
     TotallyInvariantPoint,
     depth_sequence,
@@ -222,13 +222,16 @@ def test_depth_sequence_descends_after_the_measures(monkeypatch):
     levels = count_calls(monkeypatch, "reduce_lift", nadyn.equidist)
     seen = []
 
+    class LocusFailed(NadynError):
+        pass
+
     def failing_locus(phi):
         seen.append(levels["nadyn.equidist"])
-        raise NeedsExtension("descending direction is irrational")
+        raise LocusFailed("descending direction is irrational")
 
     monkeypatch.setattr(nadyn.equidist, "min_locus", failing_locus)
-    with pytest.raises(NeedsExtension):
+    with pytest.raises(LocusFailed):
         depth_sequence(TZ21T, GAUSS, 3)
     assert seen == [2]  # levels 2 and 3 were reduced first
-    with pytest.raises(NeedsExtension):
+    with pytest.raises(LocusFailed):
         predicted_limit(TZ21T, GAUSS)

@@ -8,8 +8,7 @@ from nadyn.errors import NadynError
 
 SRC = Path(nadyn.__file__).parent
 
-# NeedsExtension is kept for callers that name it; its docstring says why.
-UNRAISED_ON_PURPOSE = {"NadynError", "NeedsExtension"}
+UNRAISED_ON_PURPOSE = {"NadynError"}
 
 
 def _raised_names() -> set[str]:

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 import nadyn.redux
 from nadyn import (
     DegenerateMap,
-    Direction,
     FiniteClass,
     GAUSS,
     INFINITY,
@@ -24,7 +23,6 @@ from nadyn import (
     intrinsic_data,
     iterate,
     min_locus,
-    ord_of,
     ord_res,
     ord_res_for_chart,
     parse_map,
@@ -127,9 +125,9 @@ def test_conjugate_preserves_degree_and_resultant_nonzero():
 
 def test_minimal_lift_examples():
     num, den = minimal_lift(TZ2)
-    assert min(ord_of(c) for c in num + den if not c.is_zero) == 0
+    assert min(c.ord() for c in num + den if not c.is_zero) == 0
     num, den = minimal_lift(TZ21T)
-    assert [ord_of(c) for c in num] == [0, float("inf"), 1]
+    assert [c.ord() for c in num] == [0, float("inf"), 1]
     # common content is removed
     scaled = make_map(
         [c * KScalar.t_power(2) for c in TZ2.num],
@@ -145,7 +143,7 @@ def test_minimal_lift_property():
     for _ in range(200):
         phi = rand_map(rng)
         num, den = minimal_lift(phi)
-        ords = [ord_of(c) for c in num + den if not c.is_zero]
+        ords = [c.ord() for c in num + den if not c.is_zero]
         assert min(ords) == 0
 
 
@@ -198,17 +196,17 @@ def test_intrinsic_data_examples():
 
 
 def test_slope_rhs_depth_examples():
-    assert slope_rhs(TZ2, GAUSS, Direction(GAUSS, INFINITY)).dep == 2
-    assert slope_rhs(TZ2, GAUSS, Direction(GAUSS, FiniteClass(Fraction(5)))).dep == 0
-    assert slope_rhs(Z2TZ, GAUSS, Direction(GAUSS, FiniteClass(Fraction(0)))).dep == 1
+    assert slope_rhs(TZ2, GAUSS, INFINITY).dep == 2
+    assert slope_rhs(TZ2, GAUSS, FiniteClass(Fraction(5))).dep == 0
+    assert slope_rhs(Z2TZ, GAUSS, FiniteClass(Fraction(0))).dep == 1
 
 
 def test_slope_rhs_fixed_examples():
-    assert slope_rhs(Z2TZ, GAUSS, Direction(GAUSS, FiniteClass(Fraction(0)))).fixed
-    assert not slope_rhs(TZ2, GAUSS, Direction(GAUSS, INFINITY)).fixed
-    assert slope_rhs(Z2, GAUSS, Direction(GAUSS, FiniteClass(Fraction(1)))).fixed
-    assert slope_rhs(Z2, GAUSS, Direction(GAUSS, INFINITY)).fixed
-    assert not slope_rhs(Z2, GAUSS, Direction(GAUSS, FiniteClass(Fraction(2)))).fixed
+    assert slope_rhs(Z2TZ, GAUSS, FiniteClass(Fraction(0))).fixed
+    assert not slope_rhs(TZ2, GAUSS, INFINITY).fixed
+    assert slope_rhs(Z2, GAUSS, FiniteClass(Fraction(1))).fixed
+    assert slope_rhs(Z2, GAUSS, INFINITY).fixed
+    assert not slope_rhs(Z2, GAUSS, FiniteClass(Fraction(2))).fixed
 
 
 def test_mass_conservation():
@@ -327,7 +325,7 @@ def test_lift_route_matches_scalar_route_and_ignores_the_representative():
         assert info == red
         ordres = ord_res(phi, point)
         num_l, den_l = minimal_lift(conjugate(m, phi))
-        assert ordres == ord_of(sylvester_resultant(den_l, num_l))
+        assert ordres == sylvester_resultant(den_l, num_l).ord()
         if k < 6:
             # ordRes does not see a unit matrix after the chart (on a few maps
             # only: with a unit matrix the Sylvester determinants get large)

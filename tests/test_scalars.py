@@ -9,11 +9,9 @@ from nadyn import (
     QPoly,
     RES_INF,
     SeriesCapExceeded,
-    ord_of,
     parse_map,
     parse_point,
     parse_scalar,
-    residue,
 )
 from nadyn.scalars import MAX_SERIES_TERMS
 from conftest import rand_integral_scalar, rand_scalar
@@ -34,31 +32,31 @@ def _level_is_minimal(x: KScalar) -> bool:
 
 
 def test_ord_examples():
-    assert ord_of(parse_scalar("t^2 + t^3")) == 2
-    assert ord_of(parse_scalar("1/t")) == -1
-    assert ord_of(KScalar.zero()) == inf
+    assert parse_scalar("t^2 + t^3").ord() == 2
+    assert parse_scalar("1/t").ord() == -1
+    assert KScalar.zero().ord() == inf
 
 
 def test_ord_fractional_levels():
     x = KScalar.t_power(Fraction(1, 2))
     assert x.level == 2
-    assert ord_of(x) == Fraction(1, 2)
-    assert ord_of(x * x) == 1
+    assert x.ord() == Fraction(1, 2)
+    assert (x * x).ord() == 1
 
 
 def test_residue_examples():
-    assert residue(parse_scalar("1 + t")) == 1
-    assert residue(parse_scalar("1/t")) is RES_INF
-    assert residue(parse_scalar("(2*t + 3*t^2)/t")) == 2
+    assert parse_scalar("1 + t").residue() == 1
+    assert parse_scalar("1/t").residue() is RES_INF
+    assert parse_scalar("(2*t + 3*t^2)/t").residue() == 2
 
 
 def test_residue_of_strictly_positive_ord():
-    assert residue(parse_scalar("t^2 + t^5")) == 0
+    assert parse_scalar("t^2 + t^5").residue() == 0
 
 
 def test_finer_level_constructor_examples():
     x = _finer(KScalar.t_power(1), 2)
-    assert ord_of(x) == 1
+    assert x.ord() == 1
     y = _finer(parse_scalar("1 + t"), 3)
     assert y == parse_scalar("1 + t")
 
@@ -103,8 +101,8 @@ def test_ultrametric_inequality():
     for _ in range(250):
         x = rand_scalar(rng, allow_zero=True)
         y = rand_scalar(rng, allow_zero=True)
-        ox, oy = ord_of(x), ord_of(y)
-        osum = ord_of(x + y)
+        ox, oy = x.ord(), y.ord()
+        osum = (x + y).ord()
         assert osum >= min(ox, oy)
         if ox != oy:
             assert osum == min(ox, oy)
@@ -115,7 +113,7 @@ def test_ord_is_multiplicative():
     for _ in range(250):
         x = rand_scalar(rng)
         y = rand_scalar(rng)
-        assert ord_of(x * y) == ord_of(x) + ord_of(y)
+        assert (x * y).ord() == x.ord() + y.ord()
 
 
 def test_residue_is_ring_morphism_on_integers():
@@ -123,8 +121,8 @@ def test_residue_is_ring_morphism_on_integers():
     for _ in range(250):
         x = rand_integral_scalar(rng)
         y = rand_integral_scalar(rng)
-        assert residue(x + y) == residue(x) + residue(y)
-        assert residue(x * y) == residue(x) * residue(y)
+        assert (x + y).residue() == x.residue() + y.residue()
+        assert (x * y).residue() == x.residue() * y.residue()
 
 
 def test_finer_level_constructor_commutes_with_arithmetic():
@@ -134,7 +132,7 @@ def test_finer_level_constructor_commutes_with_arithmetic():
         y = rand_scalar(rng)
         assert _finer(x + y, 2) == _finer(x, 2) + _finer(y, 2)
         assert _finer(x * y, 3) == _finer(x, 3) * _finer(y, 3)
-        assert ord_of(_finer(x, 2)) == ord_of(x)
+        assert _finer(x, 2).ord() == x.ord()
 
 
 def test_equality_is_level_independent():
