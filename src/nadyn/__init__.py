@@ -23,7 +23,6 @@ from .errors import (
     SamePoint,
     SampleCapExceeded,
     SeriesCapExceeded,
-    TargetsOverlap,
     TotallyInvariantPoint,
 )
 from .polys import QPoly, rational_roots
@@ -81,11 +80,9 @@ from .equidist import (
     tv_distance,
 )
 from .degeneration import (
-    AtomEstimate,
     ComplexMap,
     DegenerationReport,
     INF_C,
-    atom_estimate,
     chordal,
     degeneration_report,
     pullback_sample,

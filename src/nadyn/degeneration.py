@@ -32,7 +32,6 @@ from .errors import (
     NadynError,
     RootFindingFailed,
     SampleCapExceeded,
-    TargetsOverlap,
     TotallyInvariantPoint,
 )
 from .scalars import KScalar
@@ -76,13 +75,6 @@ class ComplexMap:
     @property
     def degree(self) -> int:
         return len(self.num) - 1
-
-
-@dataclass(frozen=True)
-class AtomEstimate:
-    center: complex
-    radius: float
-    mass: float
 
 
 @dataclass(frozen=True)
@@ -438,27 +430,6 @@ def _ball_masks(points: np.ndarray, targets: list[complex], eps: float) -> np.nd
     return masks
 
 
-def atom_estimate(
-    points: list[complex] | np.ndarray, targets: list[complex], eps: float = 0.1
-) -> list[AtomEstimate]:
-    """Fraction of the sample within chordal eps of each target."""
-    import numpy as np
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    for i in range(len(targets)):
-        for j in range(i + 1, len(targets)):
-            if chordal(targets[i], targets[j]) < 2 * eps:
-                raise TargetsOverlap(
-                    f"targets {targets[i]} and {targets[j]} overlap at scale {eps}"
-                )
-    points = np.asarray(points, dtype=complex)
-    hits = _ball_masks(points, targets, eps).sum(axis=1)
-    return [
-        AtomEstimate(center=target, radius=eps, mass=int(h) / points.size)
-        for target, h in zip(targets, hits)
-    ]
-
-
 def _class_targets(cls) -> list[complex]:
     if isinstance(cls, InfinityClass):
         return [INF_C]
@@ -489,8 +460,8 @@ def degeneration_report(
     eps: float = 0.1,
 ) -> DegenerationReport:
     """Sample the maximal entropy measures and compare with the prediction.
-    Unlike atom_estimate, targets closer than 2 * eps are not refused: a
-    sample point inside two balls counts toward both atoms."""
+    Targets closer than 2 * eps are not refused: a sample point inside two
+    balls counts toward both atoms."""
     if n < 1:
         raise ValueError("at least one pullback level is needed")
     if eps <= 0:

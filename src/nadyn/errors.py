@@ -94,7 +94,3 @@ class SeriesCapExceeded(NadynError):
 
 class SampleCapExceeded(NadynError):
     """d^n pullback points would exceed the sample cap."""
-
-
-class TargetsOverlap(NadynError):
-    """Atom targets are not separated at the requested scale."""

@@ -149,3 +149,9 @@ def test_direction_separates_path():
         d1 = direction_toward(mid, p1)
         d2 = direction_toward(mid, p2)
         assert d1 != d2
+
+
+@pytest.mark.parametrize("h", [0, Fraction(-1, 2)])
+def test_step_into_needs_a_positive_step(h):
+    with pytest.raises(OutOfRange):
+        step_into(GAUSS, INFINITY, h)

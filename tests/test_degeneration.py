@@ -15,9 +15,7 @@ from nadyn import (
     NadynError,
     RootFindingFailed,
     SampleCapExceeded,
-    TargetsOverlap,
     TotallyInvariantPoint,
-    atom_estimate,
     chordal,
     degeneration_report,
     min_locus,
@@ -158,22 +156,17 @@ def test_pullback_preimages_of_infinity_pad_in():
 
 
 def test_atom_estimate_examples():
-    near_inf = [complex(50, k) for k in range(100)]
-    (atom,) = atom_estimate(near_inf, [INF_C], 0.1)
-    assert atom.mass == 1.0
+    near_inf = np.array([complex(50, k) for k in range(100)])
+    (mass,) = _ball_masks(near_inf, [INF_C], 0.1).mean(axis=1)
+    assert mass == 1.0
 
-    circle = [cmath.exp(2j * cmath.pi * k / 1024) for k in range(1024)]
-    (atom,) = atom_estimate(circle, [0j], 0.1)
-    assert atom.mass == 0.0
+    circle = np.array([cmath.exp(2j * cmath.pi * k / 1024) for k in range(1024)])
+    (mass,) = _ball_masks(circle, [0j], 0.1).mean(axis=1)
+    assert mass == 0.0
 
-    sym = [1 + 1j, -1 - 1j, 1.1 + 1j, -1.1 - 1j]
-    up, down = atom_estimate(sym, [1 + 1j, -1 - 1j], 0.1)
-    assert up.mass == down.mass
-
-
-def test_atom_estimate_overlap():
-    with pytest.raises(TargetsOverlap):
-        atom_estimate([0j], [0j, 0.01 + 0j], 0.1)
+    sym = np.array([1 + 1j, -1 - 1j, 1.1 + 1j, -1.1 - 1j])
+    up, down = _ball_masks(sym, [1 + 1j, -1 - 1j], 0.1).mean(axis=1)
+    assert up == down
 
 
 def test_chordal_metric():
@@ -215,6 +208,34 @@ def test_ball_masks_equal_chordal_for_targets_too_large_to_square():
 def test_degeneration_report_rejects_good_reduction():
     with pytest.raises(TotallyInvariantPoint):
         degeneration_report(Z2, [1e-3], 4)
+
+
+@pytest.mark.parametrize(
+    "t_values, n, eps, message",
+    [
+        ([1e-3], 0, 0.1, "at least one pullback level is needed"),
+        ([1e-3], 3, 0.0, "eps must be positive"),
+        ([], 3, 0.1, "at least one parameter value is needed"),
+    ],
+    ids=["n=0", "eps=0", "no t"],
+)
+def test_degeneration_report_validates_its_arguments(t_values, n, eps, message):
+    with pytest.raises(ValueError, match=message):
+        degeneration_report(TZ21T, t_values, n, eps=eps)
+
+
+def test_report_counts_a_point_in_two_balls_toward_both_atoms():
+    # the auto hypothesis has finite atoms at -2 and -7/4, closer than 2 * eps
+    phi = parse_map("((4*t + 6*t^2)*z^2 + 10*t*z + 4*t)/(2*t*z^2 + 10*t*z + (12*t + 4*t^2))")
+    t0, n, eps = 1e-2, 4, 0.1
+    rows = degeneration_report(phi, [t0], n, eps=eps).sampled[0]["rows"]
+    targets = [target for row in rows for target in row["targets"]]
+    assert targets == [-2, -1.75] and chordal(*targets) < 2 * eps
+    sample = pullback_sample(specialize(phi, t0), SAMPLE_ANCHOR, n)
+    masks = _ball_masks(sample, targets, eps)
+    assert (masks[0] & masks[1]).any()
+    for row in rows:
+        assert row["sampled"] == _ball_masks(sample, row["targets"], eps).mean()
 
 
 def test_degeneration_report_tz2():

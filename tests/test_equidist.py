@@ -25,6 +25,7 @@ from nadyn import (
 import nadyn.crucial
 import nadyn.equidist
 import nadyn.redux
+from nadyn.equidist import level_measures
 from conftest import (
     clear_caches,
     count_calls,
@@ -235,3 +236,8 @@ def test_depth_sequence_descends_after_the_measures(monkeypatch):
     assert seen == [2]  # levels 2 and 3 were reduced first
     with pytest.raises(LocusFailed):
         predicted_limit(TZ21T, GAUSS)
+
+
+def test_level_measures_need_a_level():
+    with pytest.raises(ValueError, match="n_max must be at least 1"):
+        level_measures(parse_map("(t*z^2+1)/t"), GAUSS, 0)

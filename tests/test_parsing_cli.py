@@ -789,6 +789,7 @@ def test_cli_degcheck_samples_the_t_values_before_a_pole(capsys, t_arg, expected
 @pytest.mark.parametrize(
     "hypothesis",
     [
+        "[",
         "1",
         "[1]",
         '[{"class": "inf"}]',

@@ -8,14 +8,19 @@ from nadyn import (
     BothFormsZero,
     FactorClass,
     FiniteClass,
+    GAUSS,
     HomogeneousForm,
     INFINITY,
     InfinityClass,
     QPoly,
+    class_str,
     depth_at,
+    direction_toward,
     homogeneous_gcd,
     squarefree_decomposition,
+    step_into,
 )
+from nadyn.parsing import class_json
 from nadyn.respoly import DepthDivisor, class_degree, divisor_classes
 
 
@@ -85,6 +90,23 @@ def test_depth_at_ambiguous_class():
     straddle = FactorClass(QPoly.from_coeffs([0, -1, 1]))  # z(z-1)
     with pytest.raises(AmbiguousClass):
         depth_at(divisor, straddle)
+
+
+@pytest.mark.parametrize(
+    "consume, message",
+    [
+        (lambda x: depth_at(squarefree_decomposition(X0_SQ), x), "unsupported direction class"),
+        (class_str, "cannot print class"),
+        (class_json, "cannot serialise class"),
+        (lambda x: step_into(GAUSS, x, Fraction(1)), "cannot step along class"),
+        (lambda x: direction_toward(GAUSS, x), "unsupported target"),
+    ],
+    ids=["depth_at", "class_str", "class_json", "step_into", "direction_toward"],
+)
+def test_class_consumers_refuse_a_non_class(consume, message):
+    # the text of a class is not a class (nor a target point)
+    with pytest.raises(TypeError, match=f"^{message} 'inf'$"):
+        consume("inf")
 
 
 def _random_squarefree(rng):

@@ -6,6 +6,7 @@ import pytest
 
 from nadyn import (
     KScalar,
+    LevelCapExceeded,
     QPoly,
     RES_INF,
     SeriesCapExceeded,
@@ -13,7 +14,7 @@ from nadyn import (
     parse_point,
     parse_scalar,
 )
-from nadyn.scalars import MAX_SERIES_TERMS
+from nadyn.scalars import HARD_LEVEL_CAP, MAX_SERIES_TERMS
 from conftest import rand_integral_scalar, rand_scalar
 
 
@@ -184,3 +185,11 @@ def test_reprs_print_the_smallest_level():
     assert repr(parse_point("a=t^(1/2)*t^(1/2);s=2")) == "TypeIIPoint(a=t, s=2)"
     assert repr(parse_scalar("t^(1/2)*t^(1/2) + t^(2/6)")) == "KScalar(t + t^(1/3))"
     assert repr(parse_map("(t^(1/2)*t^(1/2)*z^2+1)/t")) == "RationalMapK(z^2 + (1/t))"
+
+
+def test_at_level_reads_only_multiples_within_the_hard_cap():
+    x = parse_scalar("t^(1/2)")
+    with pytest.raises(ValueError, match="level 3 is not a multiple of 2"):
+        x.at_level(3)
+    with pytest.raises(LevelCapExceeded):
+        x.at_level(2 * HARD_LEVEL_CAP)
