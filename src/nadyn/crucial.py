@@ -11,8 +11,9 @@ v_j = ord T_j(P - aQ)(a) and w_j = ord T_j(Q)(a),
 
 an affine term minus 2d times a min of affine pieces (Rumely, "The minimal
 resultant locus", 2015).  hypRes reads the ray alone; only ordRes itself
-takes the Sylvester determinant, at the Gauss point.  Descent along the
-minimum locus steps exactly to the first breakpoint of that min.  Slopes
+takes the valuation of the Sylvester determinant at the Gauss point, by
+u-adic elimination, never the exact determinant.  Descent along the minimum
+locus steps exactly to the first breakpoint of that min.  Slopes
 along directions come from two independent routes: the reduction-theoretic
 formula (depth and fixedness of the direction) and the closed form itself,
 whose one-sided derivative along a rational class is read off the active
@@ -299,9 +300,11 @@ def hyp_res_direct(phi: RationalMapK, point: TypeIIPoint) -> Fraction:
         probe = path_point(GAUSS, point, tau)
         return _gauss_mass(phi, probe, direction_toward(probe, point))
 
-    # left limit at the far end: total mass minus the mass toward the
-    # Gauss point, all measured through the chart of the endpoint
-    v_hi = d - _gauss_mass(phi, point, toward_gauss)
+    # left limit at the far end: total mass minus the mass toward the Gauss
+    # point, both read as _gauss_mass reads them, off phi . (chart of the
+    # endpoint); the wedge probes reuse that composite
+    phi_m = compose_lifts(phi.lift, chart_lift(point))
+    v_hi = d - depth_at(reduce_lift(phi_m).depths, toward_gauss)
     integral = _step_integral(mass, total, mass(Fraction(0)), v_hi, dmax)
 
     info = intrinsic_data(phi, point)
@@ -310,9 +313,7 @@ def hyp_res_direct(phi: RationalMapK, point: TypeIIPoint) -> Fraction:
     else:
         # the image point is never constructed: the direction at a probe
         # toward it is the constant value of the reduction of phi composed
-        # with the chart of the point and the inverse chart of the probe
-        phi_m = compose_lifts(phi.lift, chart_lift(point))
-
+        # with the chart of the point (phi_m) and the inverse chart of the probe
         def before_wedge(tau: Fraction) -> int:
             probe = path_point(GAUSS, point, tau)
             red = reduce_lift(compose_lifts(_inverse_lift(chart_lift(probe)), phi_m))

@@ -6,10 +6,11 @@ valuation 0, integer content 1; a common factor in u of positive degree
 stays).  Validity means the degree-d homogeneous pair has nonzero
 resultant; map_from_lift checks it once, by the Sylvester determinant at
 one integer u modulo one prime, and only when that vanishes by the exact
-determinant.  Beyond that, the exact determinant is taken only for ordRes
-(ord_res_of_lift).  Products of lifts live in nadyn.lifts; they and the
-Bareiss determinant run on ints alone.  The parser builds lifts directly,
-and make_map clears the denominators of scalar vectors from outside.
+(Bareiss) determinant, its one use at run time.  ordRes (ord_res_of_lift)
+takes only the determinant's u-adic valuation (_sylvester_val).  Products
+of lifts live in nadyn.lifts; they, that valuation and the determinant run
+on ints alone.  The parser builds lifts directly, and make_map clears the
+denominators of scalar vectors from outside.
 Composition, conjugation, reduction and ordRes are projective invariants,
 so they run on lifts, and charts are lifted straight from (t^s, a).  The
 pivot-normalised KScalar vectors num/den are a view derived on demand, for
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import AmbiguousClass, DegenerateMap, DegreeTooLow, IterationCapExceeded
@@ -132,6 +133,54 @@ def _sylvester_rows(den, num, zero) -> list[list]:
 def _sylvester_det(den: tuple[QPoly, ...], num: tuple[QPoly, ...]) -> QPoly:
     """Determinant of the 2d x 2d Sylvester matrix of a polynomial pair."""
     return _bareiss_det(_sylvester_rows(den, num, QPoly.zero()))
+
+
+def _cross(unit: dict, a: dict, head: dict, b: dict, m: int) -> dict:
+    """unit * a - head * b modulo u^m, on exponent -> int dicts."""
+    acc: dict = {}
+    for p, q, sign in ((unit, a, 1), (head, b, -1)):
+        for e1, c1 in p.items():
+            for e2, c2 in q.items():
+                if e1 + e2 < m:
+                    acc[e1 + e2] = acc.get(e1 + e2, 0) + sign * c1 * c2
+    return {e: x for e, x in acc.items() if x}
+
+
+def _sylvester_val(den: tuple[QPoly, ...], num: tuple[QPoly, ...]) -> int:
+    """val_u of the Sylvester determinant of a pair over Z[u], without forming
+    it: elimination over Z[u]/(u^m), m = 4, 8, 16, ... (Caruso, Roe and Vaccon,
+    "p-adic stability in linear algebra", 2015).  A pivot of least valuation v
+    makes row_i <- (pivot/u^v) row_i - (head/u^v) row_k keep precision u^m, and
+    pivot/u^v is a unit, so val(det) sums the pivots' v.  det has u-degree at
+    most 2d times any entry's, so a block vanishing past that proves it zero.
+    """
+    d = len(den) - 1
+    bound, m = 2 * d * max(p.degree for p in den + num), 4
+    while True:
+        entries = [{e: c for e, c in p.terms if e < m} for p in den + num]
+        mat, total = _sylvester_rows(entries[: d + 1], entries[d + 1 :], {}), 0
+        while mat:
+            # least valuation, then fewest nonzeros in the column (least fill)
+            counts = [sum(1 for row in mat if row[j]) for j in range(len(mat))]
+            nonzero = ((min(x), counts[j], i, j) for i, row in enumerate(mat) for j, x in enumerate(row) if x)
+            best = min(nonzero, default=None)
+            if best is None:
+                break
+            v, _, k, c = best
+            total += v
+            pivot_row = mat.pop(k)
+            unit = {e - v: x for e, x in pivot_row.pop(c).items()}
+            for i, row in enumerate(mat):
+                head = {e - v: x for e, x in row.pop(c).items()}
+                if head:  # divide the new row by its integer content
+                    new = [_cross(unit, a, head, b, m) for a, b in zip(row, pivot_row)]
+                    g = gcd(*(x for p in new for x in p.values()))
+                    mat[i] = [{e: x // g for e, x in p.items()} for p in new]
+        else:
+            return total
+        if m > bound:
+            raise AssertionError("resultant vanished on a valid map")
+        m *= 2
 
 
 def _cleared_vector(coeffs: tuple[KScalar, ...], level: int):
@@ -300,10 +349,7 @@ def _normalised(lift: Lift):
 
 def ord_res_of_lift(lift: Lift) -> Fraction:
     """Valuation of the resultant of a minimal lift, in t-units."""
-    det = _sylvester_det(lift.den, lift.num)
-    if det.is_zero:
-        raise AssertionError("resultant vanished on a valid map")
-    return Fraction(det.val, lift.level)
+    return Fraction(_sylvester_val(lift.den, lift.num), lift.level)
 
 
 def check_iteration_cap(d: int, n: int) -> None:

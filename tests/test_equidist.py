@@ -120,10 +120,19 @@ _TV_CLASSES = st.sampled_from(
     + [FiniteClass(Fraction(v)) for v in (0, 1, -1, Fraction(1, 2), 2)]
     + [FactorClass(QPoly.from_coeffs(c)) for c in ([0, -1, 1], [-1, 0, 1], [1, 0, 1], [-2, 0, 1], [1, 1, 1])]
 )
+
+
+def _unit_fractions(max_denominator: int):
+    """p/q in [0, 1] with q <= max_denominator, drawn as a pair of bounded
+    ints: far cheaper to draw than st.fractions, with the same values."""
+    pairs = st.tuples(st.integers(0, max_denominator), st.integers(1, max_denominator))
+    return pairs.map(lambda pq: Fraction(pq[0] % (pq[1] + 1), pq[1]))
+
+
 _TV_MEASURES = st.builds(
     lambda atoms, point_mass: DirectionMeasure(tuple(atoms), point_mass),
-    st.lists(st.tuples(_TV_CLASSES, st.fractions(0, 1, max_denominator=12)), max_size=5),
-    st.fractions(0, 1, max_denominator=6),
+    st.lists(st.tuples(_TV_CLASSES, _unit_fractions(12)), max_size=5),
+    _unit_fractions(6),
 )
 
 

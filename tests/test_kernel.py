@@ -24,7 +24,7 @@ from nadyn.polys import (
     rational_roots,
     squarefree_parts,
 )
-from nadyn.redux import _sylvester_det, chart_lift, compose_lifts, conjugate_lift, ray
+from nadyn.redux import _sylvester_det, _sylvester_val, chart_lift, compose_lifts, conjugate_lift, ray
 from conftest import rand_laurent_point, rand_map, rand_unit_mobius
 
 
@@ -605,3 +605,9 @@ def test_sylvester_det_matches_sympy_resultant():
 
         res = sympy.Poly(sympy.resultant(zpoly(den), zpoly(num), z), u, domain="QQ")
         assert _sylvester_det(tuple(den), tuple(num)) == _from_sym(sympy, res)
+        if not res.is_zero:
+            # the valuation route works over Z[u]: clear the denominators,
+            # which scales the determinant by a constant
+            common = lcm(*(c.denominator for p in den + num for _, c in p.terms))
+            ints = [p.scale(common) for p in den + num]
+            assert _sylvester_val(tuple(ints[: d + 1]), tuple(ints[d + 1 :])) == min(e for (e,), _ in res.terms())

@@ -653,6 +653,16 @@ def test_cli_huge_power_exits_2_at_once(capsys, text):
     assert json.loads(out)["type"] == "PowerTooLarge"
 
 
+def test_cli_ordres_of_a_dense_map_is_fast(capsys):
+    # ordRes takes the valuation of the Sylvester determinant by u-adic
+    # elimination; its exact value had 3-4 s of dense Bareiss products
+    clear_caches()
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "ordres", "--map", "(z+1/(2^45+2^45*t))^8")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (0, '{"ord_res": "0/1"}\n')
+
+
 def test_cli_syntax_error_exit_1(capsys):
     code, _, err = run_cli(capsys, "ordres", "--map", "t*)z^2")
     assert code == 1

@@ -31,9 +31,12 @@ from nadyn import (
     slope_rhs,
 )
 from nadyn.polys import QPoly
+from nadyn.lifts import Lift
 from nadyn.redux import (
     RationalMapK,
     _shift_out,
+    _sylvester_det,
+    _sylvester_val,
     chart_lift,
     conjugate_lift,
     make_map,
@@ -394,6 +397,62 @@ def test_dense_coefficients_parse_fast():
     phi = parse_map("(z+1/(2^45+2^45*t))^8")
     assert phi.degree == 8
     assert time.perf_counter() - start < 1.0
+
+
+def _times_monomial(lift, c: int, k: int):
+    """The lift with every entry times c*t^k."""
+    scale = QPoly.monomial(k * lift.level, c)
+    return Lift(lift.level, tuple(p * scale for p in lift.num), tuple(p * scale for p in lift.den))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_sylvester_val_is_the_valuation_of_the_exact_determinant(seed):
+    rng = random.Random(seed)
+    lift = rand_map(rng, degree=rng.randint(2, 4)).lift
+    c = rng.choice([1, -3, 2**70 + 1])
+    lifts = [
+        lift,
+        _times_monomial(lift, c, rng.randint(0, 3)),
+        conjugate_lift(rand_unit_mobius(rng).lift, lift),
+    ]
+    for lf in lifts:
+        assert _sylvester_val(lf.den, lf.num) == _sylvester_det(lf.den, lf.num).val
+
+
+@pytest.mark.parametrize(
+    "lift",
+    [
+        # valuation 64 at degree 8: the precision u^m is raised twice
+        iterate(TZ21T, 3).lift,
+        iterate(parse_map("(z^2+t)/(1+t*z)+1/t"), 3).lift,
+        parse_map("(t^(1/3)*z^3+z+t^(2/3))/(z^2+t^(1/2))").lift,  # level 6
+    ],
+)
+def test_sylvester_val_on_deep_iterates_and_a_fine_level(lift):
+    assert _sylvester_val(lift.den, lift.num) == _sylvester_det(lift.den, lift.num).val
+
+
+def test_sylvester_val_keeps_coefficients_small():
+    # without dividing each new row by its content this took about a minute;
+    # at t = 0 the pair is z^32 + 1 over 2*z^7 + 3 with no common root, and
+    # the numerator does not vanish at infinity, so the valuation is 0
+    lift = parse_map("((1+t)*z^32+t*z^5+1)/(t*z^31+(2+t^2)*z^7+3)").lift
+    start = time.perf_counter()
+    assert _sylvester_val(lift.den, lift.num) == 0
+    assert time.perf_counter() - start < 1.0
+
+
+def test_sylvester_val_refuses_a_vanishing_determinant():
+    # (z - t^9)(z + 1) over (z - t^9)(t*z + 2): the precision doubles past
+    # the determinant's degree bound, then the zero resultant is reported
+    u = QPoly.x()
+    root = u**9
+    den = (-root, QPoly.one() - root, QPoly.one())
+    num = (root.scale(-2), QPoly.from_coeffs([2]) - root * u, u)
+    assert _sylvester_det(den, num).is_zero
+    with pytest.raises(AssertionError, match="resultant vanished"):
+        _sylvester_val(den, num)
 
 
 def test_validation_falls_back_to_the_exact_determinant(monkeypatch):
