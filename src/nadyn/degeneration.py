@@ -7,15 +7,16 @@ Distances on the complex projective line are chordal with diameter 1, so the
 ball of radius 0.1 around infinity is {|z| > sqrt(99)}.
 
 Sampling is level-batched: the d^(k-1) targets of level k of every t in a
-batch are solved as one numpy batch on contiguous coefficient columns
-(gathered by degree only where a leading coefficient vanishes), linear rows
-directly, quadratic rows by the stable closed form, higher degrees by Aberth
-iteration across all rows; each root is bit-identical to the one found for
-that t alone.  A report samples its t-values in order, in batches of at most
-SAMPLE_CAP points.  Ball hits are counted with array masks; chordal is total
-on finite floats.  A report needs n >= 1 levels and eps > 0; a sample past
-SAMPLE_CAP points raises SampleCapExceeded.  Each function that uses numpy imports it itself, so the
-exact solver, which imports this module, never loads numpy.
+batch are solved as one numpy batch on the contiguous rows of one complex
+coefficient buffer (gathered by degree only where a leading coefficient
+vanishes; squared moduli clear a level far from that cutoff, hypot decides
+near it), linear rows directly, quadratic rows by the stable closed form,
+higher degrees by Aberth iteration across all rows; each root is bit-identical
+to the one found for that t alone.  A report samples its t-values in order, in
+batches of at most SAMPLE_CAP points.  Ball hits are counted with array masks;
+chordal is total on finite floats.  A report needs n >= 1 levels and eps > 0;
+a sample past SAMPLE_CAP points raises SampleCapExceeded.  Each function that
+uses numpy imports it itself, so the exact solver never loads numpy.
 """
 
 from __future__ import annotations
@@ -164,13 +165,13 @@ def _div(ar, ai, br, bi):
 
 
 def _horner(cr, ci, zr, zi):
-    """Rows of coefficients (constant term first) evaluated at one z per row."""
+    """Columns of coefficients (constant term in row 0) evaluated at one z per column."""
     import numpy as np
     accr, acci = np.zeros_like(zr), np.zeros_like(zr)
-    for k in range(cr.shape[1] - 1, -1, -1):
+    for k in range(len(cr) - 1, -1, -1):
         pr, pi = _mul(accr, acci, zr, zi)
-        accr = pr + cr[:, k]
-        acci = pi + ci[:, k]
+        accr = pr + cr[k]
+        acci = pi + ci[k]
     return accr, acci
 
 
@@ -201,39 +202,40 @@ def _above_bound(am: np.ndarray, mz: np.ndarray, apz: np.ndarray) -> np.ndarray:
 
 
 def _aberth(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Aberth iteration on every row of an (m, e+1) coefficient array, e >= 2.
+    """Aberth iteration on every column of an (e + 1, m) coefficient array, e >= 2.
 
-    Row by row this is the scalar method: start points on the circle of
+    Column by column this is the scalar method: start points on the circle of
     radius 1 + max |c_i / c_e| with phase 0.4, Gauss-Seidel sweeps over the
-    roots in a fixed order, and a row stops after the first sweep in which
-    every root met its residual bound.  Returns the (m, e) roots and the mask
-    of rows that had not stopped after ABERTH_MAX_ITER sweeps.
+    roots in a fixed order, and a column stops after the first sweep in which
+    every root met its residual bound.  Root k of every column is row k of
+    contiguous (e, m) arrays.  Returns the (m, e) roots and the mask of
+    columns that had not stopped after ABERTH_MAX_ITER sweeps.
     """
     import numpy as np
-    m, e = coeffs.shape[0], coeffs.shape[1] - 1
-    mr, mi = _div(coeffs.real, coeffs.imag, coeffs.real[:, -1:], coeffs.imag[:, -1:])
+    e, m = coeffs.shape[0] - 1, coeffs.shape[1]
+    mr, mi = _div(coeffs.real, coeffs.imag, coeffs.real[-1], coeffs.imag[-1])
     am = np.hypot(mr, mi)
-    radius = am[:, 0]
+    radius = am[0]
     for k in range(1, e):
-        radius = np.where(am[:, k] > radius, am[:, k], radius)
+        radius = np.where(am[k] > radius, am[k], radius)
     radius = 1.0 + radius
-    zr, zi = np.empty((m, e)), np.empty((m, e))
+    zr, zi = np.empty((e, m)), np.empty((e, m))
     for k in range(e):
         s = cmath.exp(2j * math.pi * (k / e) + 0.4j)
-        zr[:, k] = radius * s.real - 0.0 * s.imag
-        zi[:, k] = radius * s.imag + 0.0 * s.real
-    steps = np.arange(1.0, e + 1.0)
-    dr, di = _mul(mr[:, 1:], mi[:, 1:], steps, 0.0)
+        zr[k] = radius * s.real - 0.0 * s.imag
+        zi[k] = radius * s.imag + 0.0 * s.real
+    steps = np.arange(1.0, e + 1.0)[:, None]
+    dr, di = _mul(mr[1:], mi[1:], steps, 0.0)
 
-    roots_r, roots_i = np.empty((m, e)), np.empty((m, e))
+    roots_r, roots_i = np.empty((e, m)), np.empty((e, m))
     live = np.arange(m)
     for _ in range(ABERTH_MAX_ITER):
         pending = np.zeros(live.size, dtype=bool)
         for j in range(e):
-            z_r, z_i = zr[:, j].copy(), zi[:, j].copy()
+            z_r, z_i = zr[j], zi[j]  # read before row j is overwritten below
             pr, pi = _horner(mr, mi, z_r, z_i)
             az = np.hypot(z_r, z_i)
-            pending |= _above_bound(am, np.where(az > 1.0, az, 1.0), np.hypot(pr, pi))
+            pending |= _above_bound(am.T, np.where(az > 1.0, az, 1.0), np.hypot(pr, pi))
             qr, qi = _horner(dr, di, z_r, z_i)
             flat = (qr == 0) & (qi == 0)
             nr, ni = _div(pr, pi, qr, qi)
@@ -241,8 +243,8 @@ def _aberth(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             for k in range(e):
                 if k == j:
                     continue
-                xr = z_r - zr[:, k]
-                xi = z_i - zi[:, k]
+                xr = z_r - zr[k]
+                xi = z_i - zi[k]
                 same = (xr == 0) & (xi == 0)
                 xr = np.where(same, 1e-14 * (1 + az), xr)
                 xi = np.where(same, 0.0, xi)
@@ -254,31 +256,40 @@ def _aberth(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             stuck = (den_r == 0) & (den_i == 0)
             ur, ui = _div(nr, ni, np.where(stuck, 1e-14, den_r), np.where(stuck, 0.0, den_i))
             nudge_r, nudge_i = _mul(z_r, z_i, 1 + 1e-8, 0.0)
-            zr[:, j] = np.where(flat, nudge_r + 1e-8, z_r - ur)
-            zi[:, j] = np.where(flat, nudge_i + 0.0, z_i - ui)
+            zr[j] = np.where(flat, nudge_r + 1e-8, z_r - ur)
+            zi[j] = np.where(flat, nudge_i + 0.0, z_i - ui)
             pending |= flat
-        done = ~pending
-        roots_r[live[done]] = zr[done]
-        roots_i[live[done]] = zi[done]
-        if done.all():
-            return _join(roots_r, roots_i), np.zeros(m, dtype=bool)
-        live, zr, zi = live[pending], zr[pending], zi[pending]
-        mr, mi, am, dr, di = mr[pending], mi[pending], am[pending], dr[pending], di[pending]
+        if pending.all():
+            continue
+        done, keep = np.flatnonzero(~pending), np.flatnonzero(pending)
+        roots_r[:, live[done]] = zr[:, done]
+        roots_i[:, live[done]] = zi[:, done]
+        if keep.size == 0:
+            return _join(roots_r, roots_i).T, np.zeros(m, dtype=bool)
+        live = live[keep]
+        zr, zi, mr, mi, am, dr, di = (a.take(keep, axis=1) for a in (zr, zi, mr, mi, am, dr, di))
     failed = np.zeros(m, dtype=bool)
     failed[live] = True
-    return _join(roots_r, roots_i), failed
+    return _join(roots_r, roots_i).T, failed
 
 
-def _quadratic(c0: np.ndarray, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-    """Both roots of each row c0 + c1 z + c2 z^2 of complex columns, by the stable closed form."""
+def _quadratic(c: np.ndarray) -> np.ndarray:
+    """The (m, 2) roots of the columns c[0] + c[1] z + c[2] z^2 of a contiguous (3, m) complex array, in place
+    by the stable closed form; add and multiply, which can pick a NaN's sign by stride, see contiguous arrays."""
     import numpy as np
-    p, q = c1 / c2, c0 / c2
-    s = np.sqrt(p * p / 4 - q)
-    s = np.where(p.real * s.real + p.imag * s.imag < 0, -s, s)
-    r1 = -(p / 2 + s)
-    zero = r1 == 0  # then p = q = 0 and both roots are 0
-    r2 = np.where(zero, 0j, q / np.where(zero, 1, r1))
-    return np.stack([r1, r2], axis=1)
+    p, q = c[1] / c[2], c[0] / c[2]
+    s = p * p
+    s /= 4
+    s -= q
+    np.sqrt(s, out=s)
+    np.negative(s, out=s, where=p.real * s.real + p.imag * s.imag < 0)
+    r1 = p / 2
+    np.negative(np.add(r1, s, out=r1), out=r1)
+    roots = np.empty((c.shape[1], 2), dtype=complex)
+    roots[:, 0] = r1
+    np.divide(q, r1, out=roots[:, 1])
+    roots[r1 == 0, 1] = 0  # then p = q = 0 and both roots are 0
+    return roots
 
 
 def aberth_roots(coeffs: list[complex]) -> list[complex]:
@@ -295,21 +306,20 @@ def aberth_roots(coeffs: list[complex]) -> list[complex]:
     if e == 1:
         return [-coeffs[0] / coeffs[1]]
     with np.errstate(all="ignore"):
-        roots, failed = _aberth(np.array([coeffs], dtype=complex))
+        roots, failed = _aberth(np.array(coeffs, dtype=complex)[:, None])
     if failed[0]:
         raise RootFindingFailed(0, sum(abs(c / coeffs[-1]) for c in coeffs))
     return roots[0].tolist()
 
 
-def _solve(cr: np.ndarray, ci: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """The (m, e) roots of the rows sum_k (cr[k] + i ci[k]) z^k, from (e + 1, m) float
-    arrays, and the mask of rows where Aberth iteration failed (None for e < 3)."""
-    if len(cr) == 2:
-        return _join(*_div(-cr[0], -ci[0], cr[1], ci[1]))[:, None], None
-    c = _join(cr, ci)
-    if len(cr) == 3:
-        return _quadratic(*c), None
-    return _aberth(c.T)
+def _solve(c: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The (m, e) roots of the columns sum_k c[k] z^k of a contiguous (e + 1, m)
+    complex array, and the mask of columns where Aberth iteration failed (None for e < 3)."""
+    if len(c) == 2:
+        return _join(*_div(-c[0].real, -c[0].imag, c[1].real, c[1].imag))[:, None], None
+    if len(c) == 3:
+        return _quadratic(c), None
+    return _aberth(c)
 
 
 def _preimages(num: np.ndarray, den: np.ndarray, ws: np.ndarray, level: int) -> np.ndarray:
@@ -317,25 +327,30 @@ def _preimages(num: np.ndarray, den: np.ndarray, ws: np.ndarray, level: int) -> 
     the order of ws, map by map; preimages at infinity are padded in where
     leading coefficients vanish.  Map g is column g of the (d + 1, G) arrays num
     and den, and its targets are row g of the (G, m) array ws.  Coefficient k
-    of the rows num - w den is row k of contiguous (d + 1, G m) float arrays.
-    A level where every row keeps degree d is solved straight from them;
+    of the rows num - w den is row k of a contiguous (d + 1, G m) complex array.
+    A level where every row keeps degree d is solved straight from it;
     otherwise rows are gathered by effective degree."""
     import numpy as np
     d = num.shape[0] - 1
-    wr, wi = ws.real, ws.imag
-    br, bi = den.real[:, :, None], den.imag[:, :, None]
-    pr, pi = _mul(wr, wi, br, bi)
-    cr, ci = num.real[:, :, None] - pr, num.imag[:, :, None] - pi
-    at_inf = np.isinf(wr) | np.isinf(wi)
-    if at_inf.any():
-        cr, ci = np.where(at_inf, br, cr), np.where(at_inf, bi, ci)
-    cr, ci, ws = cr.reshape(d + 1, -1), ci.reshape(d + 1, -1), ws.ravel()
-    size = np.hypot(cr, ci)
-    top = size[0]
-    for k in range(1, d + 1):
-        top = np.where(size[k] > top, size[k], top)
-    if d and not (size[d] <= _LEADING_CUTOFF * top).any():  # a constant map has no roots
-        roots, failed = _solve(cr, ci)
+    pr, pi = _mul(ws.real, ws.imag, den.real[:, :, None], den.imag[:, :, None])
+    c = np.empty(pr.shape, dtype=complex)
+    np.subtract(num.real[:, :, None], pr, out=c.real)
+    np.subtract(num.imag[:, :, None], pi, out=c.imag)
+    np.copyto(c, den[:, :, None], where=np.isinf(ws))
+    c, ws = c.reshape(d + 1, -1), ws.ravel()
+    # |c_d| > 1e-12 max |c_k|, far from the cutoff, where no square is NaN or
+    # inf and none that matters is subnormal; other levels take the hypot test
+    sq = c.real * c.real + c.imag * c.imag
+    top = sq.max(axis=0)
+    straight = d and ((sq[d] > 1e-24 * top) & (top > 1e-250)).all()
+    if not straight:
+        size = np.hypot(c.real, c.imag)
+        top = size[0]
+        for k in range(1, d + 1):
+            top = np.where(size[k] > top, size[k], top)
+        straight = d and not (size[d] <= _LEADING_CUTOFF * top).any()  # a constant map has no roots
+    if straight:
+        roots, failed = _solve(c)
         if failed is not None and failed.any():
             raise RootFindingFailed(level, complex(ws[np.argmax(failed)]))
         return roots.ravel()
@@ -349,7 +364,7 @@ def _preimages(num: np.ndarray, den: np.ndarray, ws: np.ndarray, level: int) -> 
         rows = np.flatnonzero(eff == e)
         if rows.size == 0:
             continue
-        roots, bad = _solve(cr[: e + 1, rows], ci[: e + 1, rows])
+        roots, bad = _solve(c[: e + 1, rows])
         if bad is not None:
             failed[rows[bad]] = True
         out[rows, :e] = roots
@@ -400,18 +415,18 @@ def _sample_with_reanchor(gmaps: list[ComplexMap], n: int, k: int = 0) -> np.nda
 def _ball_masks(points: np.ndarray, targets: list[complex], eps: float) -> np.ndarray:
     """masks[k, i] is chordal(points[i], targets[k]) <= eps, exactly.
 
-    The chordal value is replayed on arrays: |z| as the hypot of the parts,
-    then sqrt(1 + |z|^2), with the cases at infinity.  CPython squares with
-    libm pow, which can differ from a product in the last bit, so values
-    within a relative 1e-12 of eps, and finite points or targets too large
-    to square, are decided by chordal itself.
+    The chordal value is replayed on arrays: |z| by numpy's complex abs,
+    then sqrt(1 + |z|^2), with the cases at infinity.  numpy's abs can differ
+    from CPython's libm hypot, and CPython squares with libm pow, which can
+    differ from a product, each by a few ulps; so values within a relative
+    1e-12 of eps, and finite points or targets too large to square, are
+    decided by chordal itself.
     """
     import numpy as np
-    pr, pi = points.real, points.imag
-    p_inf = np.isinf(pr) | np.isinf(pi)
+    p_inf = np.isinf(points)
     masks = np.empty((len(targets), points.size), dtype=bool)
     with np.errstate(all="ignore"):
-        ap = np.hypot(pr, pi)
+        ap = np.abs(points)
         sp = np.sqrt(1.0 + ap * ap)
         huge = np.isinf(sp) & ~p_inf
         for k, tg in enumerate(targets):
@@ -423,7 +438,7 @@ def _ball_masks(points: np.ndarray, targets: list[complex], eps: float) -> np.nd
                 except OverflowError:  # a target too large to square
                     masks[k] = [chordal(p, tg) <= eps for p in points.tolist()]
                     continue
-                dist = np.where(p_inf, 1.0 / st, np.hypot(pr - tg.real, pi - tg.imag) / (sp * st))
+                dist = np.where(p_inf, 1.0 / st, np.abs(points - tg) / (sp * st))
             masks[k] = dist <= eps
             for i in np.flatnonzero((np.abs(dist - eps) <= 1e-12 * eps) | huge):
                 masks[k, i] = chordal(complex(points[i]), tg) <= eps

@@ -1,3 +1,5 @@
+import cmath
+import math
 import random
 import re
 import sys
@@ -13,11 +15,13 @@ from nadyn import (
     ParseError,
     PowerTooLarge,
     QPoly,
+    RootFindingFailed,
     TypeIIPoint,
     parse_map,
     parse_point,
 )
 from nadyn import lifts
+from nadyn.degeneration import ABERTH_MAX_ITER, INF_C, _LEADING_CUTOFF, _above_bound, _div, _join, _mul
 from nadyn.equidist import _class_poly, _mass_on
 from nadyn.lifts import neg, t_power, z_degree
 from nadyn.parsing import MAX_LITERAL_DIGITS, MAX_MAP_DEGREE, MAX_POWER_BITS, MAX_POWER_TERMS, _capped, _inverse
@@ -393,3 +397,141 @@ class _ReferenceParser:
 def reference_parse(text: str, allow_z: bool) -> tuple:
     """The parsed value (level, num, den) as the recursive-descent parser gave it."""
     return _ReferenceParser(text, allow_z).parse()
+
+
+# -- the pullback level solver as it stood before the coefficients of a level
+# were built in one complex buffer and tested by squared moduli, and before
+# Aberth iteration held its roots as contiguous rows; kept as the oracle of
+# the differential test.  Every root must match it bit for bit.
+
+
+def _ref_horner(cr, ci, zr, zi):
+    import numpy as np
+    accr, acci = np.zeros_like(zr), np.zeros_like(zr)
+    for k in range(cr.shape[1] - 1, -1, -1):
+        pr, pi = _mul(accr, acci, zr, zi)
+        accr = pr + cr[:, k]
+        acci = pi + ci[:, k]
+    return accr, acci
+
+
+def _ref_aberth(coeffs):
+    import numpy as np
+    m, e = coeffs.shape[0], coeffs.shape[1] - 1
+    mr, mi = _div(coeffs.real, coeffs.imag, coeffs.real[:, -1:], coeffs.imag[:, -1:])
+    am = np.hypot(mr, mi)
+    radius = am[:, 0]
+    for k in range(1, e):
+        radius = np.where(am[:, k] > radius, am[:, k], radius)
+    radius = 1.0 + radius
+    zr, zi = np.empty((m, e)), np.empty((m, e))
+    for k in range(e):
+        s = cmath.exp(2j * math.pi * (k / e) + 0.4j)
+        zr[:, k] = radius * s.real - 0.0 * s.imag
+        zi[:, k] = radius * s.imag + 0.0 * s.real
+    steps = np.arange(1.0, e + 1.0)
+    dr, di = _mul(mr[:, 1:], mi[:, 1:], steps, 0.0)
+
+    roots_r, roots_i = np.empty((m, e)), np.empty((m, e))
+    live = np.arange(m)
+    for _ in range(ABERTH_MAX_ITER):
+        pending = np.zeros(live.size, dtype=bool)
+        for j in range(e):
+            z_r, z_i = zr[:, j].copy(), zi[:, j].copy()
+            pr, pi = _ref_horner(mr, mi, z_r, z_i)
+            az = np.hypot(z_r, z_i)
+            pending |= _above_bound(am, np.where(az > 1.0, az, 1.0), np.hypot(pr, pi))
+            qr, qi = _ref_horner(dr, di, z_r, z_i)
+            flat = (qr == 0) & (qi == 0)
+            nr, ni = _div(pr, pi, qr, qi)
+            rr, ri = np.zeros_like(z_r), np.zeros_like(z_r)
+            for k in range(e):
+                if k == j:
+                    continue
+                xr = z_r - zr[:, k]
+                xi = z_i - zi[:, k]
+                same = (xr == 0) & (xi == 0)
+                xr = np.where(same, 1e-14 * (1 + az), xr)
+                xi = np.where(same, 0.0, xi)
+                ur, ui = _div(1.0, 0.0, xr, xi)
+                rr = rr + ur
+                ri = ri + ui
+            pr, pi = _mul(nr, ni, rr, ri)
+            den_r, den_i = 1.0 - pr, 0.0 - pi
+            stuck = (den_r == 0) & (den_i == 0)
+            ur, ui = _div(nr, ni, np.where(stuck, 1e-14, den_r), np.where(stuck, 0.0, den_i))
+            nudge_r, nudge_i = _mul(z_r, z_i, 1 + 1e-8, 0.0)
+            zr[:, j] = np.where(flat, nudge_r + 1e-8, z_r - ur)
+            zi[:, j] = np.where(flat, nudge_i + 0.0, z_i - ui)
+            pending |= flat
+        done = ~pending
+        roots_r[live[done]] = zr[done]
+        roots_i[live[done]] = zi[done]
+        if done.all():
+            return _join(roots_r, roots_i), np.zeros(m, dtype=bool)
+        live, zr, zi = live[pending], zr[pending], zi[pending]
+        mr, mi, am, dr, di = mr[pending], mi[pending], am[pending], dr[pending], di[pending]
+    failed = np.zeros(m, dtype=bool)
+    failed[live] = True
+    return _join(roots_r, roots_i), failed
+
+
+def _ref_quadratic(c0, c1, c2):
+    import numpy as np
+    p, q = c1 / c2, c0 / c2
+    s = np.sqrt(p * p / 4 - q)
+    s = np.where(p.real * s.real + p.imag * s.imag < 0, -s, s)
+    r1 = -(p / 2 + s)
+    zero = r1 == 0  # then p = q = 0 and both roots are 0
+    r2 = np.where(zero, 0j, q / np.where(zero, 1, r1))
+    return np.stack([r1, r2], axis=1)
+
+
+def _ref_solve(cr, ci):
+    if len(cr) == 2:
+        return _join(*_div(-cr[0], -ci[0], cr[1], ci[1]))[:, None], None
+    c = _join(cr, ci)
+    if len(cr) == 3:
+        return _ref_quadratic(*c), None
+    return _ref_aberth(c.T)
+
+
+def reference_preimages(num, den, ws, level):
+    """The preimages of one pullback level, as _preimages computed them with
+    the hypot cutoff test on every level."""
+    import numpy as np
+    d = num.shape[0] - 1
+    wr, wi = ws.real, ws.imag
+    br, bi = den.real[:, :, None], den.imag[:, :, None]
+    pr, pi = _mul(wr, wi, br, bi)
+    cr, ci = num.real[:, :, None] - pr, num.imag[:, :, None] - pi
+    at_inf = np.isinf(wr) | np.isinf(wi)
+    if at_inf.any():
+        cr, ci = np.where(at_inf, br, cr), np.where(at_inf, bi, ci)
+    cr, ci, ws = cr.reshape(d + 1, -1), ci.reshape(d + 1, -1), ws.ravel()
+    size = np.hypot(cr, ci)
+    top = size[0]
+    for k in range(1, d + 1):
+        top = np.where(size[k] > top, size[k], top)
+    if d and not (size[d] <= _LEADING_CUTOFF * top).any():  # a constant map has no roots
+        roots, failed = _ref_solve(cr, ci)
+        if failed is not None and failed.any():
+            raise RootFindingFailed(level, complex(ws[np.argmax(failed)]))
+        return roots.ravel()
+    # effective degree: the highest coefficient above the cutoff
+    eff = np.zeros(ws.size, dtype=int)
+    for k in range(1, d + 1):
+        eff = np.where(size[k] <= _LEADING_CUTOFF * top, eff, k)
+    failed = top == 0.0
+    out = np.full((ws.size, d), INF_C)
+    for e in range(1, d + 1):
+        rows = np.flatnonzero(eff == e)
+        if rows.size == 0:
+            continue
+        roots, bad = _ref_solve(cr[: e + 1, rows], ci[: e + 1, rows])
+        if bad is not None:
+            failed[rows[bad]] = True
+        out[rows, :e] = roots
+    if failed.any():
+        raise RootFindingFailed(level, complex(ws[np.argmax(failed)]))
+    return out.ravel()

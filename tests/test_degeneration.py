@@ -40,7 +40,7 @@ from nadyn.degeneration import (
     aberth_roots,
     auto_hypothesis,
 )
-from conftest import clear_caches, count_calls, descent_points, rand_map
+from conftest import clear_caches, count_calls, descent_points, rand_map, reference_preimages
 
 Z2 = parse_map("z^2")
 TZ2 = parse_map("t*z^2")
@@ -487,6 +487,133 @@ def test_pullback_samples_are_bit_stable():
     assert digests == _SAMPLE_DIGESTS
 
 
+def _assert_level_matches_reference(num, den, ws, level=7):
+    # bit for bit, or the same RootFindingFailed (level, target)
+    with np.errstate(all="ignore"):
+        try:
+            expected = reference_preimages(num, den, ws, level)
+        except RootFindingFailed as exc:
+            with pytest.raises(RootFindingFailed) as err:
+                _preimages(num, den, ws, level)
+            assert err.value.level == exc.level
+            assert np.complex128(err.value.target).tobytes() == np.complex128(exc.target).tobytes()
+            return
+        got = _preimages(num, den, ws, level)
+    assert got.tobytes() == expected.tobytes()
+
+
+def _random_level(rng, d, maps, targets, scale=1.0):
+    def gauss(*shape):
+        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 10.0 ** rng.uniform(-2, 2, shape)
+
+    return gauss(d + 1, maps) * scale, gauss(d + 1, maps) * scale, gauss(maps, targets)
+
+
+def _near(x, ulps):
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.inf if ulps > 0 else 0.0)
+    return x
+
+
+def test_preimages_match_the_hypot_reference_on_random_levels():
+    # every batch length from 1 to 40, and 4096, for the tails of numpy's
+    # vector loops; Aberth iteration (d >= 3) runs real ufuncs only
+    rng = np.random.default_rng(87)
+    for d in (1, 2, 3, 4):
+        for size in list(range(1, 41)) + [4096] if d <= 2 else (1, 2, 5, 8, 17, 33):
+            maps = 2 if size % 2 == 0 and rng.random() < 0.5 else 1
+            _assert_level_matches_reference(*_random_level(rng, d, maps, size // maps))
+
+
+def test_preimages_match_the_hypot_reference_at_the_cutoffs():
+    # den = z^d and num_d = 0, so row w is num_0 + ... + num_(d-1) z^(d-1) - w z^d
+    # with |c_0| = top and |c_d| = |w| exactly: leading ratios of 1e-13 and
+    # 1e-12 (where the squared test hands over to hypot) plus or minus a few ulps
+    rng = np.random.default_rng(88)
+    for d in (1, 2, 3, 4):
+        for top in (1.0, 3.0e7, 2.0**-300) if d <= 2 else (1.0,):
+            num = np.zeros((d + 1, 1), dtype=complex)
+            num[0] = top
+            num[1:d] = rng.uniform(-0.5, 0.5, (d - 1, 1)) * top
+            den = np.zeros((d + 1, 1), dtype=complex)
+            den[d] = 1.0
+            edges = [_near(ratio * top, k) for ratio in (1e-13, 1e-12) for k in range(-3, 4)]
+            ws = np.array([[w * unit for w in edges for unit in (1, -1, 1j)]])
+            _assert_level_matches_reference(num, den, ws)
+            # one row on an edge among regular rows
+            for w in edges if d <= 2 else ():
+                mixed = np.full((1, 9), 0.5 * top + 0j)
+                mixed[0, rng.integers(9)] = w
+                _assert_level_matches_reference(num, den, mixed)
+
+
+def test_preimages_match_the_hypot_reference_past_the_float_range():
+    rng = np.random.default_rng(89)
+    huge = 2.0**512  # the square of anything larger overflows
+    scales = [_near(huge, k) for k in (-2, 0, 2)] + [2.0**511, 1e154, 1e-154, 1e-160, 1e-250, 1e-300, 5e-324]
+    for d in (1, 2, 3):
+        for scale in scales:
+            for size in (1, 7, 33) if d <= 2 else (7,):
+                _assert_level_matches_reference(*_random_level(rng, d, 1, size, scale))
+        # targets near 2^512 with coefficients near 1
+        num, den, ws = _random_level(rng, d, 1, 16)
+        _assert_level_matches_reference(num, den, ws / np.abs(ws) * huge)
+
+
+def test_preimages_match_the_hypot_reference_on_signed_zeros():
+    # small exact parts give zero and signed-zero parts all through the closed
+    # form (p * p / 4 is no product by 0.25 there), and rows c_0 = c_1 = 0
+    # whose two quadratic roots are 0
+    rng = np.random.default_rng(93)
+    parts = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -2.0])
+
+    def exact(*shape):
+        values = np.empty(shape, dtype=complex)
+        values.real, values.imag = rng.choice(parts, shape), rng.choice(parts, shape)
+        return values
+
+    for d in (1, 2, 3):
+        for _ in range(40 if d <= 2 else 8):
+            _assert_level_matches_reference(exact(d + 1, 2), exact(d + 1, 2), exact(2, 8))
+    # at w = 2 the row is z^2: num and den agree on the two low terms
+    num, den = np.array([[2.0], [2.0], [1.0]], dtype=complex), np.array([[1.0], [1.0], [0.0]], dtype=complex)
+    _assert_level_matches_reference(num, den, np.array([[2.0, -0.0, 2.0 + 0j, 1j]]))
+    with np.errstate(all="ignore"):
+        assert _preimages(num, den, np.array([[2.0 + 0j]]), 1).tolist() == [0j, 0j]
+
+def test_preimages_match_the_hypot_reference_on_inf_and_nan():
+    rng = np.random.default_rng(90)
+    # numpy's add and multiply can give a NaN of either sign when both
+    # operands are NaN, depending on stride and position, so NaNs of both
+    # signs go in, several to a batch
+    specials = [math.inf, -math.inf, math.nan, -math.nan, complex(math.inf, math.nan), complex(1.0, -math.inf)]
+    specials += [complex(-math.nan, math.nan), complex(math.nan, -math.inf)]
+    for d in (1, 2, 3):
+        for special in specials:
+            for where in ("num", "den", "ws"):
+                num, den, ws = _random_level(rng, d, 2, 5)
+                target = {"num": num, "den": den, "ws": ws}[where]
+                target.flat[rng.integers(target.size, size=3)] = special
+                _assert_level_matches_reference(num, den, ws)
+        # targets at infinity: their rows are the denominator
+        num, den, ws = _random_level(rng, d, 2, 6)
+        ws[0, 1], ws[1, 4] = INF_C, complex(math.nan, math.inf)
+        _assert_level_matches_reference(num, den, ws)
+        den[d] = 0.0  # ... which then loses its leading coefficient
+        _assert_level_matches_reference(num, den, ws)
+
+
+def test_regular_levels_and_ball_masks_never_call_hypot(monkeypatch):
+    # libm hypot is left to levels where a leading coefficient is near the
+    # cutoff or a square leaves the float range; none of these levels is one
+    calls = []
+    hypot = np.hypot
+    monkeypatch.setattr(np, "hypot", lambda *args, **kwargs: calls.append(args) or hypot(*args, **kwargs))
+    points = pullback_sample(specialize(TZ21T, 1e-3), SAMPLE_ANCHOR, 12)
+    _ball_masks(points, [INF_C, 0j, -2 + 0j], 0.1)
+    assert len(points) == 2**12 and not calls
+
+
 def test_pullback_all_zero_row_fails_with_level_and_target():
     # num = 2 den, so the preimage row of w = 2 vanishes identically
     g = ComplexMap((2 + 0j, 0j, 2 + 0j), (1 + 0j, 0j, 1 + 0j))
@@ -670,11 +797,33 @@ def test_ball_masks_equal_chordal():
                 r = math.nextafter(r, 0.0)
             points.append(cmath.rect(r, 2 * math.pi * rng.random()))
             points.append(complex(r, 0.0) * (1j ** k))
+    # moduli a few ulps from 2^512, where |z|^2 overflows, and subnormal ones
+    for k in range(-4, 5):
+        r = _near(2.0**512, k)
+        points += [complex(r, 0.0), complex(0.0, -r), cmath.rect(r, 2 * math.pi * rng.random())]
+        points += [complex(5e-324 * (k + 5), 0.0), complex(-3e-310, 1e-310 * k), cmath.rect(2e-308, k)]
     targets = [INF_C, 0j, 1 + 1j, complex(-3.5, 0.25)]
-    for eps in (0.1, 0.05, 0.3):
+    for eps in (0.1, 0.05, 0.3, chordal(complex(2.0**512, 0.0), INF_C)):
         masks = _ball_masks(np.array(points), targets, eps)
         for k, tg in enumerate(targets):
             assert masks[k].tolist() == [chordal(p, tg) <= eps for p in points]
+
+
+def test_complex_abs_is_within_four_ulps_of_hypot():
+    # _ball_masks takes |z| from numpy's complex abs, not libm hypot; its
+    # relative 1e-12 band sends every close call to chordal, which rests on
+    # this bound, over the whole exponent range, subnormals and overflow included
+    rng = np.random.default_rng(92)
+    size = 200_000
+    exp_re = rng.integers(-1080, 1025, size)
+    exp_im = np.where(rng.random(size) < 0.5, exp_re + rng.integers(-60, 61, size), rng.integers(-1080, 1025, size))
+    with np.errstate(all="ignore"):
+        re = np.ldexp(rng.uniform(-2.0, 2.0, size), exp_re)
+        im = np.ldexp(rng.uniform(-2.0, 2.0, size), exp_im)
+        re[:1000], im[1000:2000] = 0.0, 0.0
+        absolute, hypot = np.abs(re + 1j * im), np.hypot(re, im)
+    assert np.array_equal(np.isinf(absolute), np.isinf(hypot))
+    assert np.abs(absolute.view(np.int64) - hypot.view(np.int64)).max() <= 4
 
 
 def test_ball_masks_exact_on_the_edge():
