@@ -9,10 +9,9 @@ valuation comparisons of centres.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import OutOfRange, SamePoint
+from .errors import OutOfRange, Record, SamePoint
 from .redux import RationalMapK, chart_lift
 from .respoly import FiniteClass, InfinityClass, INFINITY
 from .scalars import KScalar, K_ZERO
@@ -28,12 +27,10 @@ class ClassicalInfinity:
 CLASSICAL_INF = ClassicalInfinity()
 
 
-@dataclass(frozen=True)
-class TypeIIPoint:
+class TypeIIPoint(Record):
     """The disk D(center, r^exponent); the Gauss point is (0, 0)."""
 
-    center: KScalar
-    exponent: Fraction
+    __slots__ = ("center", "exponent")
 
     def __init__(self, center: KScalar, exponent):
         exponent = Fraction(exponent)

@@ -25,13 +25,12 @@ Gauss point.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import floor, lcm
 
 from .berkspace import GAUSS, TypeIIPoint, direction_toward, path_point, rho, step_into
-from .errors import BreakpointUnresolved, DegreeTooLow, IrrationalDirection
+from .errors import BreakpointUnresolved, DegreeTooLow, IrrationalDirection, Record
 from .polys import QPoly, simplest_in
 from .respoly import (
     FactorClass,
@@ -66,22 +65,12 @@ class Verdict(enum.Enum):
     STABLE = "stable"
 
 
-@dataclass(frozen=True)
-class SlopeReport:
-    cls: object
-    dep: int
-    fixed: bool
-    rhs: Fraction
+class SlopeReport(Record):
+    __slots__ = ("cls", "dep", "fixed", "rhs")
 
 
-@dataclass(frozen=True)
-class MinLocusResult:
-    minimizer: TypeIIPoint
-    min_hyp_res: Fraction
-    unique: bool
-    verdict: Verdict
-    trail: tuple[tuple[TypeIIPoint, object, Fraction], ...]
-    zero_slope_classes: tuple[object, ...]
+class MinLocusResult(Record):
+    __slots__ = ("minimizer", "min_hyp_res", "unique", "verdict", "trail", "zero_slope_classes")
 
 
 def ord_res_for_chart(phi: RationalMapK, m: RationalMapK) -> Fraction:

@@ -6,16 +6,16 @@ the sampled atom masses are compared with the non-archimedean prediction.
 Distances on the complex projective line are chordal with diameter 1, so the
 ball of radius 0.1 around infinity is {|z| > sqrt(99)}.
 
-Sampling is level-batched: the d^(k-1) targets of level k of every t in a
-batch are solved as one numpy batch on the contiguous rows of one complex
-coefficient buffer (gathered by degree only where a leading coefficient
-vanishes; squared moduli clear a level far from that cutoff, hypot decides
-near it), linear rows directly, quadratic rows by the stable closed form,
-higher degrees by Aberth iteration across all rows; each root is bit-identical
+Sampling is level-batched: the d^(k-1) targets of level k of every t in a batch
+are solved as one numpy batch on the contiguous rows of one complex coefficient
+buffer (gathered by degree only where a leading coefficient vanishes; squared
+moduli clear a level far from that cutoff, hypot decides near it), linear rows
+directly, quadratic rows by the stable closed form, higher degrees by Aberth
+iteration across all rows; each root is bit-identical, up to a NaN's sign bit,
 to the one found for that t alone.  A report samples its t-values in order, in
 batches of at most SAMPLE_CAP points.  Ball hits are counted with array masks;
-chordal is total on finite floats.  A report needs n >= 1 levels and eps > 0;
-a sample past SAMPLE_CAP points raises SampleCapExceeded.  Each function that
+chordal is total on finite floats.  A report needs n >= 1 levels and eps > 0; a
+sample past SAMPLE_CAP points raises SampleCapExceeded.  Each function that
 uses numpy imports it itself, so the exact solver never loads numpy.
 """
 
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .berkspace import GAUSS
@@ -31,6 +30,7 @@ from .errors import (
     CoefficientPole,
     IllConditioned,
     NadynError,
+    Record,
     RootFindingFailed,
     SampleCapExceeded,
     TotallyInvariantPoint,
@@ -68,22 +68,16 @@ def chordal(z: complex, w: complex) -> float:
         return gap / (math.sqrt(1.0 + abs(a) ** 2) * math.sqrt(1.0 + abs(b) ** 2))
 
 
-@dataclass(frozen=True)
-class ComplexMap:
-    num: tuple[complex, ...]
-    den: tuple[complex, ...]
+class ComplexMap(Record):
+    __slots__ = ("num", "den")
 
     @property
     def degree(self) -> int:
         return len(self.num) - 1
 
 
-@dataclass(frozen=True)
-class DegenerationReport:
-    t_values: tuple[complex, ...]
-    predicted: tuple[tuple[object, Fraction], ...]
-    sampled: tuple[dict, ...]  # one {"t", "rows"} dict per t, a row per atom
-    max_discrepancy: float
+class DegenerationReport(Record):
+    __slots__ = ("t_values", "predicted", "sampled", "max_discrepancy")  # sampled: a {"t", "rows"} dict per t
 
 
 def specialize(phi: RationalMapK, t0: complex) -> ComplexMap:

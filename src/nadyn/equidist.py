@@ -9,11 +9,10 @@ the potential-good-reduction case, where it is a Dirac mass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .berkspace import TypeIIPoint, direction_toward
-from .errors import TotallyInvariantPoint
+from .errors import Record, TotallyInvariantPoint
 from .polys import QPoly, coprime_basis
 from .respoly import FactorClass, FiniteClass, InfinityClass, class_degree, sorted_classes
 from .redux import (
@@ -27,21 +26,15 @@ from .redux import (
 from .crucial import min_locus
 
 
-@dataclass(frozen=True)
-class DirectionMeasure:
+class DirectionMeasure(Record):
     """Atomic measure on the direction space, plus a mass at the point itself."""
 
-    atoms: tuple[tuple[object, Fraction], ...]
-    point_mass: Fraction = Fraction(0)
+    __slots__ = ("atoms", "point_mass")
+    _defaults = (Fraction(0),)
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
-    levels: tuple[int, ...]
-    measures: tuple[DirectionMeasure, ...]
-    tv_steps: tuple[Fraction, ...]
-    predicted: DirectionMeasure | None
-    match: bool | None  # None when no prediction is available
+class ConvergenceReport(Record):
+    __slots__ = ("levels", "measures", "tv_steps", "predicted", "match")  # match is None without a prediction
 
 
 def totally_invariant(phi: RationalMapK, point: TypeIIPoint) -> bool:

@@ -1,4 +1,43 @@
-"""Exception taxonomy shared by all nadyn modules."""
+"""Exception taxonomy and the record base shared by all nadyn modules."""
+
+
+class Record:
+    """Base of the frozen records: a record's fields are its __slots__ ("__dict__"
+    aside, for cached properties), and _defaults fills the last ones.  Unless a
+    class defines its own, __init__, __eq__ (true only within the class) and
+    __hash__ (of the field tuple) are compiled once per class.  Records print
+    as Name(field=value, ...), refuse assignment, and copy and pickle via __init__."""
+
+    __slots__ = ()
+    _defaults: tuple = ()
+
+    def __init_subclass__(cls):
+        fields = cls._fields = tuple(f for f in cls.__slots__ if f != "__dict__")
+        required = len(fields) - len(cls._defaults)
+        params = [f if i < required else f"{f}=_d[{i - required}]" for i, f in enumerate(fields)]
+        own, other = ("(" + "".join(f"{x}.{f}, " for f in fields) + ")" for x in ("self", "other"))
+        scope = {"_d": cls._defaults, **{f"_set_{f}": vars(cls)[f].__set__ for f in fields}}
+        body = "; ".join(f"_set_{f}(self, {f})" for f in fields) or "pass"
+        exec(
+            f"def __init__(self, {', '.join(params)}): {body}\n"
+            f"def __eq__(self, other): return {own} == {other} if other.__class__ is self.__class__ else NotImplemented\n"
+            f"def __hash__(self): return hash({own})",
+            scope,
+        )
+        for name in ("__init__", "__eq__", "__hash__"):
+            if name not in vars(cls):
+                setattr(cls, name, scope[name])
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
 
 
 class NadynError(Exception):

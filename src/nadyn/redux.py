@@ -22,13 +22,12 @@ t^s; it is cached per (lift, point), so each point is reduced once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .errors import AmbiguousClass, DegenerateMap, DegreeTooLow, IterationCapExceeded
+from .errors import AmbiguousClass, DegenerateMap, DegreeTooLow, IterationCapExceeded, Record
 from .lifts import Lift, _at_level, _shift_out, compose_lifts, taylor_shift
 from .polys import QPoly, qdiv
 from .respoly import (
@@ -52,8 +51,7 @@ _CHECK_P = 2**61 - 1
 _CHECK_U = 1009
 
 
-@dataclass(frozen=True, eq=False)
-class RationalMapK:
+class RationalMapK(Record):
     """phi(z) = sum(num[i] z^i) / sum(den[i] z^i), genuinely of this degree.
 
     The one stored form is the lift (_shift_out output).  num and den are the
@@ -61,7 +59,7 @@ class RationalMapK:
     hashing compare views, so they are projective.
     """
 
-    lift: Lift
+    __slots__ = ("lift", "__dict__")
 
     @property
     def degree(self) -> int:
@@ -389,8 +387,7 @@ def conjugate(m: RationalMapK, phi: RationalMapK) -> RationalMapK:
     return RationalMapK(conjugate_lift(m.lift, phi.lift))
 
 
-@dataclass(frozen=True)
-class IntrinsicReduction:
+class IntrinsicReduction(Record):
     """Intrinsic reduction of a map at a type II point: the reduction of the
     lift of its chart conjugate.
 
@@ -400,13 +397,7 @@ class IntrinsicReduction:
     decomposition of h, is built on first use.
     """
 
-    reduced_num: HomogeneousForm
-    reduced_den: HomogeneousForm
-    h: HomogeneousForm
-    tilde_num: QPoly
-    tilde_den: QPoly
-    tilde_degree: int
-    image_class: object  # FiniteClass/InfinityClass when the reduction is constant
+    __slots__ = ("reduced_num", "reduced_den", "h", "tilde_num", "tilde_den", "tilde_degree", "image_class", "__dict__")
 
     @property
     def fixes_point(self) -> bool:

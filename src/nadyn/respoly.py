@@ -11,10 +11,9 @@ the plain split in class_sort_key order, as reports print it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import AmbiguousClass, BothFormsZero
+from .errors import AmbiguousClass, BothFormsZero, Record
 from .polys import QPoly, rational_roots, squarefree_parts
 
 
@@ -85,19 +84,19 @@ class HomogeneousForm:
 # -- direction classes -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FiniteClass:
-    """Direction indexed by a rational residue value."""
+class FiniteClass(Record):
+    """Direction indexed by a rational residue value (a Fraction)."""
 
-    value: Fraction
+    __slots__ = ("value",)
 
     def __repr__(self):
         return f"FiniteClass({self.value})"
 
 
-@dataclass(frozen=True)
-class InfinityClass:
+class InfinityClass(Record):
     """The direction indexed by infinity in the residue projective line."""
+
+    __slots__ = ()
 
     def __repr__(self):
         return "InfinityClass()"
@@ -106,17 +105,17 @@ class InfinityClass:
 INFINITY = InfinityClass()
 
 
-@dataclass(frozen=True)
-class FactorClass:
-    """Galois-stable packet of directions: roots of a monic squarefree poly."""
+class FactorClass(Record):
+    """Galois-stable packet of directions: roots of a monic squarefree QPoly."""
 
-    poly: QPoly
+    __slots__ = ("poly",)
 
-    def __post_init__(self):
-        if self.poly.degree < 2:
+    def __init__(self, poly: QPoly):
+        if poly.degree < 2:
             raise ValueError("factor classes need degree >= 2")
-        if self.poly.leading != 1:
+        if poly.leading != 1:
             raise ValueError("factor classes must be monic")
+        object.__setattr__(self, "poly", poly)
 
     def __repr__(self):
         return f"FactorClass({self.poly.to_str('z')})"
@@ -134,12 +133,10 @@ def class_sort_key(cls):
 # -- depth divisors -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DepthDivisor:
+class DepthDivisor(Record):
     """Root multiplicities of H: squarefree parts plus the infinity count."""
 
-    parts: tuple[tuple[QPoly, int], ...]
-    inf_mult: int
+    __slots__ = ("parts", "inf_mult")
 
     @property
     def total_degree(self) -> int:

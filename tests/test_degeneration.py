@@ -701,6 +701,28 @@ def test_batched_maps_sample_bitwise_as_each_map_alone():
                     assert row.tobytes() == pullback_sample(g, z0, n).tobytes()
 
 
+def test_batched_maps_sample_as_each_map_alone_up_to_the_sign_of_nan():
+    # parts at the ends of the float range give inf and NaN roots; numpy picks
+    # a NaN's sign bit by stride and vector position, so only that may differ
+    rng = random.Random(89)
+    parts = (1e308, -1e308, 1e200, 1.0, 0.0, 1e-308, 3e-300)
+
+    def part_map():
+        return ComplexMap(*(tuple(complex(rng.choice(parts), rng.choice(parts)) for _ in range(3)) for _ in "nd"))
+
+    with_nan = 0
+    for _ in range(600):
+        pair = [part_map(), part_map()]
+        for z0 in (SAMPLE_ANCHOR, INF_C):
+            for row, g in zip(_pullback(pair, z0, 3), pair):
+                alone = pullback_sample(g, z0, 3).view(np.float64)
+                row = row.view(np.float64)
+                nan = np.isnan(row) & np.isnan(alone)
+                assert ((row.view(np.uint64) == alone.view(np.uint64)) | nan).all()
+                with_nan += bool(nan.any())
+    assert with_nan > 100
+
+
 def test_a_failing_map_is_redone_alone_and_moves_no_other_sample():
     rng = random.Random(88)
     others = [ComplexMap(_random_coeffs(rng, 3), _random_coeffs(rng, 3)) for _ in range(2)]

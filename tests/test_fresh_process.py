@@ -1,9 +1,10 @@
-"""What a fresh interpreter loads: numpy only for the float sampler.
+"""What a fresh interpreter loads: numpy only for the float sampler, and
+never ``dataclasses`` or the source tools it imports.
 
 Only ``degcheck`` uses numpy, and ``nadyn.degeneration`` imports it inside
 the functions that need it, so a fresh process that answers an exact query
 never loads it.  Each test runs in a subprocess, because this one has
-imported numpy long ago.  The second test pins what the benchmark reads of
+imported numpy long ago.  The third test pins what the benchmark reads of
 the package: its cache sweep and its tracer's table of wrapped functions.
 The last runs the ``python -m nadyn.cli`` entry point against in-process
 ``main``.
@@ -67,6 +68,31 @@ def test_exact_verbs_run_without_numpy_and_degcheck_loads_it():
     assert seen["degeneration_loaded"] is True
     assert seen["degcheck"] == 0
     assert seen["numpy_after_degcheck"] is True
+
+
+# importing dataclasses loads the other four, about 10 ms of a fresh start
+_HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+_LOADED_BY = """
+import contextlib, io, json, runpy, sys
+code = None
+if sys.argv[1:]:  # run as python -m nadyn.cli runs
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            runpy.run_module("nadyn.cli", run_name="__main__", alter_sys=True)
+        except SystemExit as done:
+            code = done.code
+else:
+    import nadyn
+print(json.dumps({"code": code, "heavy": sorted(set(sys.modules) & set(%r))}))
+""" % (_HEAVY,)
+
+
+@pytest.mark.parametrize(
+    "argv, code", [([], None), (["minlocus", "--map", "(t*z^2+1)/t"], 0)], ids=["import", "minlocus"]
+)
+def test_fresh_start_up_loads_no_dataclasses_or_source_tools(argv, code):
+    assert _run(_LOADED_BY, *argv) == {"code": code, "heavy": []}
 
 
 _BENCH_CONTRACT = """
