@@ -46,7 +46,7 @@ GAUSS = TypeIIPoint(K_ZERO, Fraction(0))
 
 def chart(point: TypeIIPoint) -> RationalMapK:
     """Canonical chart w -> t^s*w + a, the degree-1 map sending the Gauss point to the point."""
-    return RationalMapK(chart_lift(point))
+    return RationalMapK(chart_lift(point.center, point.exponent))
 
 
 def _join_exponent(p1: TypeIIPoint, p2: TypeIIPoint) -> Fraction:

@@ -13,13 +13,13 @@ an affine term minus 2d times a min of affine pieces (Rumely, "The minimal
 resultant locus", 2015).  hypRes reads the ray alone; only ordRes itself
 takes the valuation of the Sylvester determinant at the Gauss point, by
 u-adic elimination, never the exact determinant.  Descent along the minimum
-locus steps exactly to the first breakpoint of that min.  Slopes
-along directions come from two independent routes: the reduction-theoretic
-formula (depth and fixedness of the direction) and the closed form itself,
-whose one-sided derivative along a rational class is read off the active
-piece of least slope on the ray at the class's centre.  A third, fully
-geometric evaluation integrates pullback masses along the segment from the
-Gauss point.
+locus steps exactly to the first breakpoint of that min.  Slopes along
+directions come from two independent routes: the reduction-theoretic formula
+(depth and fixedness of the direction) and the closed form itself, whose
+one-sided derivative along a rational class is read off the active piece of
+least slope on the ray at the class's centre.  A third, fully geometric
+evaluation integrates pullback masses along the path from the Gauss point:
+phi is composed with charts once per segment, and each probe is a rescaling.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import floor, lcm
 
-from .berkspace import GAUSS, TypeIIPoint, direction_toward, path_point, rho, step_into
+from .berkspace import GAUSS, TypeIIPoint, rho, step_into
 from .errors import BreakpointUnresolved, DegreeTooLow, IrrationalDirection, Record
 from .polys import QPoly, simplest_in
 from .respoly import (
@@ -45,7 +45,6 @@ from .redux import (
     Lift,
     RationalMapK,
     _fixes_class,
-    _inverse_lift,
     chart_lift,
     compose_lifts,
     conjugate_lift,
@@ -54,9 +53,11 @@ from .redux import (
     ray,
     reduce_lift,
 )
+from .lifts import rescaled
 from .scalars import KScalar
 
 _MAX_DESCENT_STEPS = 1000
+_ZERO = FiniteClass(Fraction(0))
 
 
 class Verdict(enum.Enum):
@@ -207,14 +208,10 @@ def _denominator_bound(phi: RationalMapK, point: TypeIIPoint) -> int:
     return lcm(*range(1, 4 * d + 1)) * level
 
 
-def _gauss_mass(phi: RationalMapK, probe: TypeIIPoint, cls) -> int:
-    """Mass of (phi^* delta_gauss) on the component of the class at the probe.
-
-    Pullback is contravariant and the chart N of the probe carries components
-    to components, so this mass equals the depth of phi . N at the Gauss
-    point in the same class.
-    """
-    return depth_at(reduce_lift(compose_lifts(phi.lift, chart_lift(probe))).depths, cls)
+def _probe_mass(lift: Lift, sigma: Fraction, cls) -> int:
+    """Depth in the class of the lift's map after w -> t^sigma w: the mass of
+    phi^* delta_gauss on that class's component at the probe (by contravariance)."""
+    return depth_at(reduce_lift(rescaled(lift, sigma, 0)).depths, cls)
 
 
 def _alone(cut: Fraction, lo: Fraction, hi: Fraction, dmax: int) -> bool:
@@ -269,30 +266,53 @@ def _step_integral(value, total: Fraction, v_lo, v_hi, dmax: int) -> Fraction:
     return integral
 
 
+def _path_probes(phi: RationalMapK, point: TypeIIPoint, total: Fraction):
+    """hyp_res_direct's step functions of tau on [gauss, point], of length
+    total: the mass beyond the probe, whether it lies before the wedge; and
+    phi_m, phi after the point's chart.  The path rises to the join xi_{0,m}
+    and falls to xi_{c,s}.  A probe on the rise is xi_{0,-tau}, chart
+    t^(-tau) w, the point in its class infinity; one on the fall is
+    xi_{c,sigma}, chart c + t^sigma w, a translate of the canonical chart
+    that puts the point in class 0.  Each probe rescales one composite per
+    segment: phi or phi(c + w) on the right for the mass, and phi_m or
+    phi_m - c on the left for the wedge (by t^(-sigma)).
+    """
+    c, s = point.center, point.exponent
+    up = (total - s) / 2  # the rise, -m
+    phi_c = phi.lift if c.is_zero else compose_lifts(phi.lift, chart_lift(c, 0))
+    phi_m = rescaled(phi_c, s, 0)
+    psi = phi_m if c.is_zero else compose_lifts(chart_lift(-c, 0), phi_m)
+
+    def probe(tau: Fraction, rise: Lift, fall: Lift) -> tuple:
+        return (rise, -tau, INFINITY) if tau < up else (fall, tau + s - total, _ZERO)
+
+    def mass(tau: Fraction) -> int:
+        return _probe_mass(*probe(tau, phi.lift, phi_c))
+
+    def before_wedge(tau: Fraction) -> int:
+        lift, sigma, cls = probe(tau, phi_m, psi)
+        return int(reduce_lift(rescaled(lift, 0, sigma)).image_class == cls)
+
+    return mass, before_wedge, phi_m
+
+
 def hyp_res_direct(phi: RationalMapK, point: TypeIIPoint) -> Fraction:
     """Evaluate hypRes geometrically: distance, wedge, and path-mass terms.
 
     Both terms integrate step functions along [gauss, point]: the pullback
     mass beyond the probe, and the indicator that the probe lies before the
-    wedge of the image of the point with the point.  Independent of the
-    Sylvester route: only reductions of right and left composites of phi
-    with charts enter.
+    wedge of the image of the point with the point.  Each probe rescales one
+    composite of phi with charts per segment of the path (_path_probes), so
+    the route is independent of the Sylvester one: it never reads the ray.
     """
     if point == GAUSS:
         return Fraction(0)
     d = phi.degree
     total = rho(GAUSS, point)
     dmax = _denominator_bound(phi, point)
-    toward_gauss = direction_toward(point, GAUSS)
-
-    def mass(tau: Fraction) -> int:
-        probe = path_point(GAUSS, point, tau)
-        return _gauss_mass(phi, probe, direction_toward(probe, point))
-
-    # left limit at the far end: total mass minus the mass toward the Gauss
-    # point, both read as _gauss_mass reads them, off phi . (chart of the
-    # endpoint); the wedge probes reuse that composite
-    phi_m = compose_lifts(phi.lift, chart_lift(point))
+    mass, before_wedge, phi_m = _path_probes(phi, point, total)
+    # left limit at the far end: d less the mass toward gauss, in class 0 iff the path only rises
+    toward_gauss = _ZERO if total == -point.exponent else INFINITY
     v_hi = d - depth_at(reduce_lift(phi_m).depths, toward_gauss)
     integral = _step_integral(mass, total, mass(Fraction(0)), v_hi, dmax)
 
@@ -300,14 +320,6 @@ def hyp_res_direct(phi: RationalMapK, point: TypeIIPoint) -> Fraction:
     if info.fixes_point or info.image_class != toward_gauss:
         wedge = total  # the wedge is the point itself
     else:
-        # the image point is never constructed: the direction at a probe
-        # toward it is the constant value of the reduction of phi composed
-        # with the chart of the point (phi_m) and the inverse chart of the probe
-        def before_wedge(tau: Fraction) -> int:
-            probe = path_point(GAUSS, point, tau)
-            red = reduce_lift(compose_lifts(_inverse_lift(chart_lift(probe)), phi_m))
-            return int(not red.fixes_point and red.image_class == direction_toward(probe, point))
-
         wedge = _step_integral(before_wedge, total, before_wedge(Fraction(0)), 0, dmax)
     return total / 2 + (total - wedge - integral) / (d - 1)
 

@@ -1,8 +1,8 @@
 """Lift arithmetic: polynomials in z with coefficients in Z[u], t = u^level.
 
 Every product of lifts runs here: the parser's sums, products and powers,
-composition (so conjugation, iteration and the probes of crucial), the
-Taylor shift of redux.ray, level changes and _shift_out.  A polynomial in z
+composition (so conjugation and iteration), the Taylor shift of redux.ray,
+rescalings by powers of t, level changes and _shift_out.  A polynomial in z
 is a list of dicts, one per power of z, from powers of u to ints, so u stays
 sparse (a chart at s = 10^70 puts u^(10^70) into a lift); a finished Lift's
 entries are QPolys, built once for a parsed map (parsed_lift) and rebuilt by
@@ -124,6 +124,17 @@ def compose_lifts(outer: Lift, inner: Lift) -> Lift:
     outer, inner = _common_level(outer, inner)
     parts = _substitute([_dicts(outer.num), _dicts(outer.den)], _dicts(inner.num), _dicts(inner.den))
     return _shift_out(outer.level, *([QPoly._build(x) for x in part] for part in parts))
+
+
+def rescaled(lift: Lift, right: Fraction, left: Fraction) -> Lift:
+    """Lift of w -> t^(-left) F(t^right w), F the lift's map."""
+    level = lcm(lift.level, right.denominator, left.denominator)
+    lift = _at_level(lift, level)
+    r, l = right.numerator * level // right.denominator, left.numerator * level // left.denominator
+    base = min(0, (len(lift.num) - 1) * r) + min(0, -l)  # keeps every exponent nonnegative
+    num = [p.shifted(j * r - l - base) for j, p in enumerate(lift.num)]
+    den = [q.shifted(j * r - base) for j, q in enumerate(lift.den)]
+    return _shift_out(level, num, den)
 
 
 def taylor_shift(lift: Lift, a: KScalar) -> tuple[Lift, int]:

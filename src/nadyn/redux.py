@@ -28,7 +28,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import AmbiguousClass, DegenerateMap, DegreeTooLow, IterationCapExceeded, Record
-from .lifts import Lift, _at_level, _shift_out, compose_lifts, taylor_shift
+from .lifts import Lift, _at_level, _shift_out, compose_lifts, rescaled, taylor_shift
 from .polys import QPoly, qdiv
 from .respoly import (
     DepthDivisor,
@@ -256,15 +256,14 @@ def _lift(num: tuple[KScalar, ...], den: tuple[KScalar, ...]) -> Lift:
     return _shift_out(level, polys[len(den) :], polys[: len(den)])
 
 
-def chart_lift(point: TypeIIPoint) -> Lift:
-    """Lift of the canonical chart w -> t^s*w + a, built from (t^s, a).
+def chart_lift(a: KScalar, s: Fraction) -> Lift:
+    """Lift of the chart w -> t^s*w + a (a point's canonical chart at its centre and exponent).
 
     The centre a is a Laurent polynomial u^(-k) * A(u), so clearing needs
     only a power of u.
     """
-    a = point.center
-    level = lcm(a.level, point.exponent.denominator)
-    e = int(point.exponent * level)
+    level = lcm(a.level, s.denominator)
+    e = int(s * level)
     a_num, a_den = a.at_level(level)
     k = a_den.degree  # a_den is the monic monomial u^k
     m = max(k, -e)
@@ -323,17 +322,10 @@ def ray(lift: Lift, center: KScalar) -> Ray:
 
 def chart_conjugate_lift(lift: Lift, point: TypeIIPoint) -> Lift:
     """Lift of the conjugate of the map by the canonical chart of the point:
-    the ray at the point's centre with entry j of num scaled by t^(js) and
-    entry j of den by t^((j+1)s)."""
+    the ray at the point's centre, R, rescaled to w -> t^(-s) R(t^s w)."""
     if point.exponent == 0 and point.center.is_zero:
         return lift  # the chart of the Gauss point is the identity
-    r = ray(lift, point.center).lift
-    r = _at_level(r, lcm(r.level, point.exponent.denominator))
-    e = int(point.exponent * r.level)
-    base = min(0, len(r.num) * e)  # keeps every exponent nonnegative
-    num = [p.shifted(j * e - base) for j, p in enumerate(r.num)]
-    den = [q.shifted((j + 1) * e - base) for j, q in enumerate(r.den)]
-    return _shift_out(r.level, num, den)
+    return rescaled(ray(lift, point.center).lift, point.exponent, point.exponent)
 
 
 def _normalised(lift: Lift):

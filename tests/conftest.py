@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from nadyn import (
+    GAUSS,
     DegenerateMap,
     DegreeTooHigh,
     KScalar,
@@ -17,8 +18,10 @@ from nadyn import (
     QPoly,
     RootFindingFailed,
     TypeIIPoint,
+    direction_toward,
     parse_map,
     parse_point,
+    path_point,
 )
 from nadyn import lifts
 from nadyn.degeneration import ABERTH_MAX_ITER, INF_C, _LEADING_CUTOFF, _above_bound, _div, _join, _mul
@@ -26,8 +29,8 @@ from nadyn.equidist import _class_poly, _mass_on
 from nadyn.lifts import neg, t_power, z_degree
 from nadyn.parsing import MAX_LITERAL_DIGITS, MAX_MAP_DEGREE, MAX_POWER_BITS, MAX_POWER_TERMS, _capped, _inverse
 from nadyn.polys import coprime_basis
-from nadyn.redux import make_map
-from nadyn.respoly import InfinityClass
+from nadyn.redux import _inverse_lift, chart_lift, compose_lifts, make_map, reduce_lift
+from nadyn.respoly import InfinityClass, depth_at
 
 CORPUS_SOURCES = ["z^2", "t*z^2", "(t*z^2+1)/t", "(z^2-t)/z", "z^2+t"]
 POINT_SOURCES = ["gauss", "a=0;s=1/2", "a=0;s=-1/2", "a=0;s=1", "a=0;s=-1", "a=1;s=1"]
@@ -174,6 +177,35 @@ def clear_caches() -> None:
 def descent_points(locus) -> set:
     """The points a descent reduces at: the start of every step and the minimizer."""
     return {locus.minimizer, *(point for point, _, _ in locus.trail)}
+
+
+# -- hyp_res_direct's probes as it built them before it composed phi with
+# charts once per segment of the path: each probe composes phi with the
+# probe's own canonical chart, kept as the oracle of the differential test.
+
+
+def _reference_probe(point: TypeIIPoint, tau: Fraction):
+    """The probe at distance tau on [gauss, point], its canonical chart and
+    the class of the point there."""
+    probe = path_point(GAUSS, point, tau)
+    return chart_lift(probe.center, probe.exponent), direction_toward(probe, point)
+
+
+def reference_probe_mass(phi, point: TypeIIPoint, tau: Fraction) -> int:
+    """Mass of phi^* delta_gauss on the component of the probe toward the
+    point: the depth of phi . N at the Gauss point, N the probe's chart."""
+    chart, cls = _reference_probe(point, tau)
+    return depth_at(reduce_lift(compose_lifts(phi.lift, chart)).depths, cls)
+
+
+def reference_before_wedge(phi, point: TypeIIPoint, tau: Fraction) -> int:
+    """Whether the probe lies before the wedge of phi(point) with the point:
+    the reduction of N^(-1) . phi . M, M the point's chart, is constant at
+    the class of the point."""
+    chart, cls = _reference_probe(point, tau)
+    phi_m = compose_lifts(phi.lift, chart_lift(point.center, point.exponent))
+    red = reduce_lift(compose_lifts(_inverse_lift(chart), phi_m))
+    return int(not red.fixes_point and red.image_class == cls)
 
 
 def reference_tv_distance(m1, m2) -> Fraction:

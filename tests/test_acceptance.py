@@ -115,17 +115,16 @@ def test_criterion_4_dual_hyp_res():
     for phi in CORPUS.values():
         for point in POINTS.values():
             assert hyp_res_direct(phi, point) == hyp_res(phi, point)
-    # the flagship path integral: mass 2 on (0, 1/2) and 0 on (1/2, 1)
-    from nadyn.crucial import _gauss_mass
-    from nadyn.berkspace import direction_toward, path_point
+    # the flagship path integral: mass 2 on (0, 1/2) and 0 on (1/2, 1); the
+    # path only rises, so the probe at tau is xi_{0,-tau} and the point lies
+    # in its class infinity
+    from nadyn.crucial import _probe_mass
 
     phi = CORPUS["t*z^2"]
     target = parse_point("a=0;s=-1")
     assert hyp_res_direct(phi, target) == Fraction(-1, 2)
     for tau, expected in [(Fraction(1, 4), 2), (Fraction(3, 4), 0)]:
-        probe = path_point(GAUSS, target, tau)
-        cls = direction_toward(probe, target)
-        assert _gauss_mass(phi, probe, cls) == expected
+        assert _probe_mass(phi.lift, -tau, INFINITY) == expected
     _report("4 (dual hypRes evaluation, exact agreement)")
 
 

@@ -40,11 +40,29 @@ from nadyn import (
     step_into,
 )
 from nadyn.cli import main
-from nadyn.crucial import _ray_slope, _rhs_value, _slope_table, _step_integral, class_slope_data
+from nadyn.berkspace import TypeIIPoint, rho
+from nadyn.crucial import (
+    _denominator_bound,
+    _path_probes,
+    _ray_slope,
+    _rhs_value,
+    _slope_table,
+    _step_integral,
+    class_slope_data,
+)
 from nadyn.redux import _fixes_class, make_map
 from nadyn.respoly import class_degree, depth_at
 from nadyn.scalars import KScalar
-from conftest import clear_caches, count_calls, rand_laurent_point, rand_map, rand_point, rand_unit_mobius
+from conftest import (
+    clear_caches,
+    count_calls,
+    rand_laurent_point,
+    rand_map,
+    rand_point,
+    rand_unit_mobius,
+    reference_before_wedge,
+    reference_probe_mass,
+)
 
 Z2 = parse_map("z^2")
 TZ2 = parse_map("t*z^2")
@@ -549,3 +567,105 @@ def test_minimal_locus_is_the_semistable_locus(seed):
         assert (value == locus.min_hyp_res) == (verdict is not Verdict.UNSTABLE)
         if verdict is Verdict.STABLE:
             assert locus.unique and locus.minimizer == point
+
+
+# hyp_res_direct composes phi with charts once per segment of [gauss, point]
+# and reads every probe off a rescaling; the per-probe composites it replaced
+# are the oracle.  rand_point gives paths that only rise (s < 0) or only
+# fall (s > 0, ord c >= 0), and with rand_laurent_point (levels 1-3) paths
+# that rise to the join and fall (ord c < 0).
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_segment_probes_match_the_per_probe_composites(seed):
+    rng = random.Random(seed)
+    phi = rand_map(rng, degree=rng.choice([2, 3]))
+    point = rand_point(rng) if rng.random() < 0.5 else rand_laurent_point(rng)
+    if point == GAUSS:
+        return
+    total = rho(GAUSS, point)
+    up = -min(0, point.exponent, point.center.ord())  # the join is at distance up
+    mass, before_wedge, _ = _path_probes(phi, point, total)
+    for tau in {Fraction(0), up, total * Fraction(rng.randint(1, 99), 100)} - {total}:
+        assert mass(tau) == reference_probe_mass(phi, point, tau), tau
+        assert before_wedge(tau) == reference_before_wedge(phi, point, tau), tau
+
+
+def test_hyp_res_direct_reads_the_ray_only_through_the_reduction_at_the_point(monkeypatch):
+    # the two hypRes routes stay independent: no probe reads the ray or its
+    # Taylor shift; only intrinsic_data at the point itself does
+    phi = parse_map("1/t + (z - 1/t)^2/t^3")
+    point = parse_point("a=1/t;s=2")
+    rays = count_calls(monkeypatch, "ray", nadyn.redux, nadyn.crucial)
+    shifts = count_calls(monkeypatch, "taylor_shift", nadyn.redux)
+    clear_caches()
+    assert hyp_res_direct(phi, point) == -3
+    assert rays == {"nadyn.redux": 1} and shifts == {"nadyn.redux": 1}
+
+
+def test_segment_probes_follow_an_image_above_the_point():
+    # phi moves xi_{1/t,2} up its own branch to xi_{1/t,1}, past the join
+    # xi_{0,-1}: the image lies in the class infinity of every probe on the
+    # rise, but in class 0 after the translation by -1/t
+    phi = parse_map("1/t + (z - 1/t)^2/t^3")
+    point = parse_point("a=1/t;s=2")
+    _, before_wedge, _ = _path_probes(phi, point, rho(GAUSS, point))
+    assert [before_wedge(tau) for tau in (0, Fraction(1, 2), 1, 3, Fraction(7, 2))] == [1, 1, 1, 0, 0]
+    assert hyp_res_direct(phi, point) == hyp_res(phi, point) == -3
+
+
+def _zero_slope_classes(phi, point) -> list:
+    d = phi.degree
+    return [cls for cls, dep, fixed in class_slope_data(intrinsic_data(phi, point)) if _rhs_value(d, dep, fixed) == 0]
+
+
+def _walk_minimal_segment(phi, start, cls, minimum) -> TypeIIPoint:
+    """Follow the minimal segment from start into the class, kink by kink,
+    checking every kink and midpoint on the way; return the far end."""
+    point = start
+    while True:
+        slope, kinks = _ray_slope(phi, point, cls)
+        assert slope == 0 and kinks
+        step = min(kinks)
+        for h in (step / 2, step):
+            inside = step_into(point, cls, h)
+            assert hyp_res(phi, inside) == minimum == hyp_res_direct(phi, inside)
+            assert semistability(phi, inside) is not Verdict.UNSTABLE
+        back = direction_toward(inside, point)
+        point = inside
+        ahead = [c for c in _zero_slope_classes(phi, point) if c != back]
+        if not ahead:
+            return point
+        (cls,) = ahead  # a segment does not branch
+        assert not isinstance(cls, FactorClass)
+
+
+def test_minimal_segments_are_semistable_to_their_ends():
+    # Rumely's minimal locus is a point or a segment; a random map of degree
+    # 3 has a segment about one time in three, and of degree 2 or 4 none in
+    # hundreds (at degree 5, 1/dmax would pass the hard level cap).  Walk it
+    # from the minimizer along each zero-slope class, then step 1/dmax off
+    # each end along every class without zero slope there
+    rng = random.Random(13)
+    segments = 0
+    while segments < 120:
+        phi = rand_map(rng, degree=3)
+        locus = min_locus(phi)
+        if not locus.zero_slope_classes:
+            continue
+        segments += 1
+        assert len(locus.zero_slope_classes) <= 2
+        assert not any(isinstance(cls, FactorClass) for cls in locus.zero_slope_classes)
+        ends = [_walk_minimal_segment(phi, locus.minimizer, cls, locus.min_hyp_res) for cls in locus.zero_slope_classes]
+        if len(ends) == 1:
+            ends.append(locus.minimizer)
+        assert ends[0] != ends[1]
+        for end in ends:
+            dmax = _denominator_bound(phi, end)
+            flat = _zero_slope_classes(phi, end)
+            assert len(flat) == 1
+            for cls in {INFINITY, FiniteClass(Fraction(0)), FiniteClass(Fraction(1))} - set(flat):
+                past = step_into(end, cls, Fraction(1, dmax))
+                assert hyp_res(phi, past) > locus.min_hyp_res
+                assert semistability(phi, past) is Verdict.UNSTABLE

@@ -13,7 +13,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nadyn import KScalar, TypeIIPoint, parse_map
+from nadyn import KScalar, parse_map
 from nadyn import lifts
 from nadyn.lifts import Lift, _at_level, _common_level, frozen, parsed_lift
 from nadyn.polys import (
@@ -493,7 +493,7 @@ def test_compose_stays_sparse_on_huge_exponents():
     # a chart at s = 10^70 puts u^(10^70) into the lift; a dense route in u
     # could not hold it, and the composite must cost what its terms cost
     lift = parse_map("(t*z^2+1)/t").lift
-    chart = chart_lift(TypeIIPoint(KScalar.t_power(-1), Fraction(10**70)))
+    chart = chart_lift(KScalar.t_power(-1), Fraction(10**70))
     composed = compose_lifts(lift, chart)
     assert max(p.degree for p in composed.num + composed.den) >= 10**70
     assert _best_ms(lambda: compose_lifts(lift, chart)) < 10

@@ -352,7 +352,7 @@ def test_chart_lift_is_the_lift_of_the_chart():
     rng = random.Random(57)
     points = [GAUSS, TypeIIPoint(KScalar.t_power(-1), 0), TypeIIPoint(KScalar.t_power(-3), Fraction(-5, 2))]
     for point in points + [rand_point(rng) for _ in range(40)]:
-        assert chart_lift(point) == chart_by_scalars(point).lift == chart(point).lift
+        assert chart_lift(point.center, point.exponent) == chart_by_scalars(point).lift == chart(point).lift
         m = chart(point)
         assert m.degree == 1
         assert (m.num, m.den) == ((point.center, KScalar.t_power(point.exponent)), (KScalar.one(), KScalar.zero()))
