@@ -17,9 +17,10 @@ gives int // int when the division is exact, else a Fraction (qdiv).
 
 gcd, exact_div and squarefree_parts work on primitive integer polynomials:
 Fraction coefficients are cleared first, and a quotient or a monic gcd
-takes its Fractions back only at the end.  Their results are those of
-Euclid over Q, term for term.  One long division serves divmod and
-exact_div.
+takes its Fractions back only at the end.  A monic integer divisor needs no
+clearing, and Yun's operands stay primitive term tuples from start to end.
+Their results are those of Euclid over Q, term for term.  One long division
+serves divmod and exact_div.
 """
 
 from __future__ import annotations
@@ -283,9 +284,11 @@ class QPoly:
         if not self.terms:
             return self
         # self = (ga/da) A and other = (gb/db) B with A, B primitive integer:
-        # the quotient is A/B, integral by Gauss's lemma, times ga db/(da gb)
-        a, ga, da = _primitive(self.terms)
-        b, gb, db = _primitive(other.terms)
+        # the quotient is A/B, integral by Gauss's lemma, times ga db/(da gb).
+        # A monic integer divisor divides directly: its quotient is in normal form
+        monic = other.terms[-1][1] == 1 and all(c.__class__ is int for _, c in other.terms)
+        a, ga, da = (self.terms, 1, 1) if monic else _primitive(self.terms)
+        b, gb, db = (other.terms, 1, 1) if monic else _primitive(other.terms)
         q, r = _long_division(a, b)
         if any(r.values()):
             raise ValueError("division is not exact")
@@ -365,6 +368,8 @@ def _long_division(a: tuple, b: tuple) -> tuple:
     Leading exponents come from a max-heap; each is pushed and popped once.
     An exact coefficient quotient stays an int, so integer operands with an
     integral quotient (Gauss's lemma) build no Fraction."""
+    if b == ((0, 1),):
+        return a, {}
     *lower, (bdeg, blead) = b
     r = dict(a)
     heap = [-e for e in r]
@@ -441,25 +446,26 @@ def squarefree_parts(p: QPoly) -> list[tuple[QPoly, int]]:
     """Yun decomposition of p: monic S_i with p = lc * prod S_i^i.
 
     Only parts of positive degree are returned; valid in characteristic 0.
-    Yun runs on primitive integer polynomials: its gcds are primitive, and
-    by Gauss's lemma its exact quotients stay integral.
+    Yun runs on the term tuples of primitive integer polynomials: its gcds
+    are primitive, so by Gauss's lemma every quotient is an integer
+    polynomial, primitive again, and each part is made monic once.
     """
     if p.is_zero:
         raise ValueError("squarefree decomposition of zero")
     if p.degree < 1:
         return []
-    p = QPoly._of_terms(_primitive(p.terms)[0])
+    p = _primitive(p.terms)[0]
     out = []
-    g = QPoly._of_terms(_primitive_gcd(p.terms, p.derivative().terms))
-    w = p.exact_div(g)
+    g = _primitive_gcd(p, tuple((e - 1, c * e) for e, c in p if e))
+    w = _long_division(p, g)[0]
     i = 1
-    while w.degree > 0:
-        y = QPoly._of_terms(_primitive_gcd(w.terms, g.terms))
-        s = w.exact_div(y)
-        if s.degree > 0:
-            out.append((s.monic(), i))
+    while w[-1][0] > 0:
+        y = _primitive_gcd(w, g)
+        s = _long_division(w, y)[0]
+        if s[-1][0] > 0:
+            out.append((QPoly._of_terms(s).monic(), i))
         w = y
-        g = g.exact_div(y)
+        g = _long_division(g, y)[0]
         i += 1
     return out
 
@@ -580,27 +586,30 @@ def _sturm_roots(q: QPoly) -> list:
     return roots
 
 
-def rational_roots(p: QPoly) -> list:
-    """All rational zeros of p (without multiplicity), ascending.
-
-    Exact for coefficients of any size: zero, the zero of a linear part, or
-    the Sturm search of _sturm_roots on the squarefree integer part.
-    """
-    if p.is_zero:
-        raise ValueError("rational roots of the zero polynomial")
+def _squarefree_roots(p: QPoly) -> list:
+    """The rational zeros of a nonzero squarefree p, ascending: zero, the
+    zero of a linear part, or the Sturm search of _sturm_roots."""
     roots = []
     if p.val > 0:
         roots.append(0)
         p = p.shifted(-p.val)
-    if p.degree > 0:
-        g = p.gcd(p.derivative())
-        if g.degree > 0:
-            p = p.exact_div(g)
     if p.degree == 1:
         roots.append(qdiv(-p.coeff(0), p.leading))
     elif p.degree > 1:
         roots += _sturm_roots(primitive_parts([p])[0])
     return sorted(roots)
+
+
+def rational_roots(p: QPoly) -> list:
+    """All rational zeros of p (without multiplicity), ascending, exact for
+    coefficients of any size: those of the squarefree part of p."""
+    if p.is_zero:
+        raise ValueError("rational roots of the zero polynomial")
+    if p.degree > 0:
+        g = p.gcd(p.derivative())
+        if g.degree > 0:
+            p = p.exact_div(g)
+    return _squarefree_roots(p)
 
 
 def simplest_in(lo: Fraction, hi: Fraction, incl_lo: bool = True, incl_hi: bool = True) -> Fraction:

@@ -409,28 +409,35 @@ def reduce_lift(lift: Lift) -> IntrinsicReduction:
 
     The residues are those of the pivot-normalised minimal lift: coefficient
     i reduces to P_i(0) over the lowest coefficient of the pivot P, the first
-    nonzero entry of den + num.
+    nonzero entry of den + num.  H is the same for any scaling of the pair,
+    so H and the quotients by it come from the integers P_i(0), and the
+    pairs are divided by that low coefficient once, at the end.
     """
     d = len(lift.num) - 1
     pivot = next(p for p in lift.den + lift.num if p)
     low = pivot.terms[0][1]
-    hat_num = HomogeneousForm.from_coeffs(d, [qdiv(p.coeff(0), low) for p in lift.num])
-    hat_den = HomogeneousForm.from_coeffs(d, [qdiv(p.coeff(0), low) for p in lift.den])
-    h = homogeneous_gcd(hat_num, hat_den)
-    qn = hat_num.exact_div(h)
-    qd = hat_den.exact_div(h)
+    int_num, int_den = (
+        HomogeneousForm(d, QPoly._of_terms(tuple((i, c) for i, p in enumerate(part) if (c := p.coeff(0)))))
+        for part in (lift.num, lift.den)
+    )
+
+    def over(p: QPoly) -> QPoly:  # p divided by low
+        return p if low == 1 else QPoly._of_terms(tuple((e, qdiv(c, low)) for e, c in p.terms))
+
+    h = homogeneous_gcd(int_num, int_den)
+    qn = int_num.exact_div(h).dehom
+    qd = int_den.exact_div(h).dehom
     tilde_degree = d - h.degree
     image_class = None
     if tilde_degree == 0:
-        cn = qn.dehom.coeff(0)
-        cd = qd.dehom.coeff(0)
+        cn, cd = qn.coeff(0), qd.coeff(0)
         image_class = FiniteClass(qdiv(cn, cd)) if cd else INFINITY
     return IntrinsicReduction(
-        reduced_num=hat_num,
-        reduced_den=hat_den,
+        reduced_num=HomogeneousForm(d, over(int_num.dehom)),
+        reduced_den=HomogeneousForm(d, over(int_den.dehom)),
         h=h,
-        tilde_num=qn.dehom,
-        tilde_den=qd.dehom,
+        tilde_num=over(qn),
+        tilde_den=over(qd),
         tilde_degree=tilde_degree,
         image_class=image_class,
     )

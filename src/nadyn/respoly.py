@@ -6,7 +6,9 @@ handled through GCD splitting, so no factorisation into irreducibles is ever
 needed: squarefree over Q stays squarefree over the algebraic closure.  One
 splitter, divisor_classes, cuts a depth divisor into direction classes,
 optionally along the zero set of a second polynomial; sorted_classes lists
-the plain split in class_sort_key order, as reports print it.
+the plain split in class_sort_key order, as reports print it.  A squarefree
+piece gives its rational roots directly, and synthetic division leaves the
+factor class.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import AmbiguousClass, BothFormsZero, Record
-from .polys import QPoly, rational_roots, squarefree_parts
+from .polys import QPoly, _squarefree_roots, squarefree_parts
 
 
 class HomogeneousForm:
@@ -194,14 +196,17 @@ def depth_at(divisor: DepthDivisor, cls) -> int:
 
 def split_classes(poly: QPoly) -> list:
     """Classes of a squarefree polynomial: one finite class per rational root,
-    then one factor class for what is left (all linear factors are rational)."""
-    out = []
-    rem = poly
-    for r in rational_roots(poly):
-        out.append(FiniteClass(r))
-        rem = rem.exact_div(QPoly.from_coeffs([-r, 1]))
-    if rem.degree >= 2:
-        out.append(FactorClass(rem.monic()))
+    then one factor class for what is left (all linear factors are rational):
+    the cofactor of the roots by synthetic division, made monic once."""
+    roots = _squarefree_roots(poly)
+    out = [FiniteClass(r) for r in roots]
+    if poly.degree - len(roots) >= 2:
+        rem = poly.coeff_list()
+        for r in roots:
+            for k in range(len(rem) - 2, -1, -1):
+                rem[k] += r * rem[k + 1]
+            del rem[0]  # the remainder, zero
+        out.append(FactorClass(QPoly.from_coeffs(rem).monic()))
     return out
 
 
@@ -220,8 +225,8 @@ def divisor_classes(divisor: DepthDivisor, refine: QPoly) -> list[tuple[object, 
     """
     out = [(INFINITY, divisor.inf_mult)] if divisor.inf_mult else []
     for s, i in divisor.parts:
-        g = s.gcd(refine)
-        for piece in (g, s.exact_div(g)):
+        g = s.gcd(refine) if refine else s
+        for piece in (g, s.exact_div(g)) if refine else (g,):
             if piece.degree > 0:
                 out += [(cls, i) for cls in split_classes(piece)]
     return out

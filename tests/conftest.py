@@ -28,9 +28,17 @@ from nadyn.degeneration import ABERTH_MAX_ITER, INF_C, _LEADING_CUTOFF, _above_b
 from nadyn.equidist import _class_poly, _mass_on
 from nadyn.lifts import neg, t_power, z_degree
 from nadyn.parsing import MAX_LITERAL_DIGITS, MAX_MAP_DEGREE, MAX_POWER_BITS, MAX_POWER_TERMS, _capped, _inverse
-from nadyn.polys import coprime_basis
-from nadyn.redux import _inverse_lift, chart_lift, compose_lifts, make_map, reduce_lift
-from nadyn.respoly import InfinityClass, depth_at
+from nadyn.polys import coprime_basis, qdiv, rational_roots
+from nadyn.redux import IntrinsicReduction, _inverse_lift, chart_lift, compose_lifts, make_map, reduce_lift
+from nadyn.respoly import (
+    INFINITY,
+    FactorClass,
+    FiniteClass,
+    HomogeneousForm,
+    InfinityClass,
+    depth_at,
+    homogeneous_gcd,
+)
 
 CORPUS_SOURCES = ["z^2", "t*z^2", "(t*z^2+1)/t", "(z^2-t)/z", "z^2+t"]
 POINT_SOURCES = ["gauss", "a=0;s=1/2", "a=0;s=-1/2", "a=0;s=1", "a=0;s=-1", "a=1;s=1"]
@@ -224,6 +232,81 @@ def reference_tv_distance(m1, m2) -> Fraction:
     for q in coprime_basis([p for _, _, p in atoms1 + atoms2]):
         spread += abs(_mass_on(atoms1, q) - _mass_on(atoms2, q))
     return spread / 2
+
+
+# -- reduce_lift, split_classes and divisor_classes as they stood before the residue side ran
+# on integers: the residues P_i(0) divided by the pivot's low coefficient
+# first, every quotient through QPoly.exact_div, and the classes of a piece
+# from rational_roots, each root divided out in turn, the plain split
+# included.  Kept as the oracles of the differential test.
+
+
+def reference_reduce_lift(lift) -> IntrinsicReduction:
+    d = len(lift.num) - 1
+    pivot = next(p for p in lift.den + lift.num if p)
+    low = pivot.terms[0][1]
+    hat_num = HomogeneousForm.from_coeffs(d, [qdiv(p.coeff(0), low) for p in lift.num])
+    hat_den = HomogeneousForm.from_coeffs(d, [qdiv(p.coeff(0), low) for p in lift.den])
+    h = homogeneous_gcd(hat_num, hat_den)
+    qn = hat_num.exact_div(h)
+    qd = hat_den.exact_div(h)
+    tilde_degree = d - h.degree
+    image_class = None
+    if tilde_degree == 0:
+        cn = qn.dehom.coeff(0)
+        cd = qd.dehom.coeff(0)
+        image_class = FiniteClass(qdiv(cn, cd)) if cd else INFINITY
+    return IntrinsicReduction(
+        reduced_num=hat_num,
+        reduced_den=hat_den,
+        h=h,
+        tilde_num=qn.dehom,
+        tilde_den=qd.dehom,
+        tilde_degree=tilde_degree,
+        image_class=image_class,
+    )
+
+
+def reference_split_classes(poly: QPoly) -> list:
+    out = []
+    rem = poly
+    for r in rational_roots(poly):
+        out.append(FiniteClass(r))
+        rem = rem.exact_div(QPoly.from_coeffs([-r, 1]))
+    if rem.degree >= 2:
+        out.append(FactorClass(rem.monic()))
+    return out
+
+
+def reference_divisor_classes(divisor, refine: QPoly) -> list:
+    out = [(INFINITY, divisor.inf_mult)] if divisor.inf_mult else []
+    for s, i in divisor.parts:
+        g = s.gcd(refine)
+        for piece in (g, s.exact_div(g)):
+            if piece.degree > 0:
+                out += [(cls, i) for cls in reference_split_classes(piece)]
+    return out
+
+
+def typed(value):
+    """A value with the type of every rational in it, so that int 3 and
+    Fraction 3 differ: QPolys, forms, direction classes, ints and None."""
+    if isinstance(value, QPoly):
+        return tuple((e, type(c), c) for e, c in value.terms)
+    if isinstance(value, HomogeneousForm):
+        return value.degree, typed(value.dehom)
+    if isinstance(value, FiniteClass):
+        return FiniteClass, type(value.value), value.value
+    if isinstance(value, FactorClass):
+        return FactorClass, typed(value.poly)
+    if value is None or isinstance(value, (int, InfinityClass)):
+        return type(value), value
+    raise TypeError(f"no typed view of {value!r}")
+
+
+def typed_reduction(info: IntrinsicReduction) -> dict:
+    """Every field of the record, typed."""
+    return {name: typed(getattr(info, name)) for name in IntrinsicReduction.__slots__ if name != "__dict__"}
 
 
 # -- the recursive-descent parser that nadyn.parsing replaced with its flat

@@ -181,12 +181,11 @@ def _typed(p: QPoly) -> tuple:
 
 
 _big = st.integers(-(2**80), 2**80)
-_kernel_coeffs = st.one_of(
-    st.integers(-6, 6),
-    _big,
-    st.fractions(max_denominator=12),
-    st.builds(Fraction, _big, st.integers(1, 2**70)),
-)
+# the values of st.fractions(max_denominator=12), drawn as an int pair: its
+# flatmap over the denominator made the draws most of these tests' time
+_small_den = st.builds(Fraction, st.integers(), st.integers(1, 12))
+_big_den = st.builds(Fraction, _big, st.integers(1, 2**70))
+_kernel_coeffs = st.one_of(st.integers(-6, 6), _big, _small_den, _big_den)
 _kernel_polys = st.one_of(
     st.just(QPoly.zero()),
     _kernel_coeffs.map(lambda c: QPoly.monomial(0, c)),  # constants, zero included
@@ -225,19 +224,36 @@ _divisors = st.lists(
 ).map(QPoly)
 
 
+def _monic_pair(n: int, lower: list) -> tuple:
+    """x^n plus the lower terms as drawn (ints and Fractions), and x^n plus
+    their numerators: every example gets a monic integer divisor."""
+    numerators = [(e, Fraction(c).numerator) for e, c in lower]
+    return tuple(QPoly([(n, 1)] + [(e % n, c) for e, c in terms]) for terms in (lower, numerators))
+
+
+_monic_divisors = st.builds(
+    _monic_pair,
+    st.integers(1, 6),
+    st.lists(st.tuples(st.integers(0, 5), _kernel_coeffs.filter(bool)), min_size=1, max_size=3),
+)
+
+
 @settings(max_examples=200, deadline=None)
-@given(_kernel_polys, _divisors, _kernel_polys)
-def test_exact_div_is_the_divmod_quotient_or_refuses(a, b, r):
-    # divmod and the general path of exact_div share one long division; a
-    # multiple of b must come back as the divmod quotient, anything with a
-    # remainder must be refused, whatever the coefficients' denominators
-    for x in (a * b, a * b + r, a):
-        q, rest = divmod(x, b)
-        if rest:
-            with pytest.raises(ValueError, match="^division is not exact$"):
-                x.exact_div(b)
-        else:
-            assert _typed(x.exact_div(b)) == _typed(q)
+@given(_kernel_polys, _divisors, _kernel_polys, _monic_divisors)
+def test_exact_div_is_the_divmod_quotient_or_refuses(a, b, r, monic):
+    # divmod and both paths of exact_div share one long division; a multiple
+    # of the divisor must come back as the divmod quotient, anything with a
+    # remainder must be refused, whatever the coefficients' denominators.
+    # A monic divisor with integer coefficients takes the direct path, one
+    # with Fraction coefficients the path through primitive integer parts
+    for d in (b, *monic):
+        for x in (a * d, a * d + r, a):
+            q, rest = divmod(x, d)
+            if rest:
+                with pytest.raises(ValueError, match="^division is not exact$"):
+                    x.exact_div(d)
+            else:
+                assert _typed(x.exact_div(d)) == _typed(q)
 
 
 def test_gcd_of_huge_coefficients_and_negative_leads():

@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nadyn.polys
 import nadyn.redux
 from nadyn import (
     DegenerateMap,
+    FactorClass,
     FiniteClass,
     GAUSS,
     INFINITY,
@@ -34,6 +36,8 @@ from nadyn.polys import QPoly
 from nadyn.lifts import Lift
 from nadyn.redux import (
     RationalMapK,
+    chart_conjugate_lift,
+    compose_lifts,
     _shift_out,
     _sylvester_det,
     _sylvester_val,
@@ -43,16 +47,23 @@ from nadyn.redux import (
     reduce_lift,
     sylvester_resultant,
 )
+from nadyn.respoly import divisor_classes, split_classes
 from conftest import (
     CORPUS_SOURCES,
     chart_by_scalars,
     clear_caches,
+    count_calls,
     minimal_lift,
     mobius,
     rand_laurent_point,
     rand_map,
     rand_point,
     rand_unit_mobius,
+    reference_divisor_classes,
+    reference_reduce_lift,
+    reference_split_classes,
+    typed,
+    typed_reduction,
 )
 
 Z2 = parse_map("z^2")
@@ -177,6 +188,92 @@ def test_depths_are_built_on_first_use_and_kept():
     assert [(s.to_str("z"), i) for s, i in red.depths.parts] == [("z", 1)]
     # the cached divisor is no field: records of equal fields stay equal
     assert red == reduce_lift(Z2TZ.lift) == reduction_at(Z2TZ, GAUSS)
+
+
+def _assert_reduces_as_the_reference(lift):
+    info = reduce_lift(lift)
+    assert typed_reduction(info) == typed_reduction(reference_reduce_lift(lift))
+    fixed = info.tilde_num - QPoly.x() * info.tilde_den
+    for refine in (QPoly.zero(), fixed):
+        got = divisor_classes(info.depths, refine)
+        want = reference_divisor_classes(info.depths, refine)
+        assert [(typed(cls), i) for cls, i in got] == [(typed(cls), i) for cls, i in want]
+    for s, _ in info.depths.parts:
+        assert [typed(c) for c in split_classes(s)] == [typed(c) for c in reference_split_classes(s)]
+    return info
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_reduction_matches_the_rational_route(seed):
+    # every field, type for type, of random lifts, their chart conjugates and
+    # their composites; level 3 only in degree 2, where it stays small
+    rng = random.Random(seed)
+    degree = rng.choice([2, 3, 4])
+    phi = rand_map(rng, degree)
+    point = rand_point(rng) if rng.random() < 0.5 else rand_laurent_point(rng)
+    base = chart_conjugate_lift(phi.lift, point)
+    level = base
+    for lift in (phi.lift, base):
+        _assert_reduces_as_the_reference(lift)
+    for _ in range(2 if degree == 2 else 1):
+        level = compose_lifts(base, level)
+        _assert_reduces_as_the_reference(level)
+
+
+def _low(lift) -> int:
+    """The lowest coefficient of the pivot, the first nonzero entry of den + num."""
+    return next(p for p in lift.den + lift.num if p).terms[0][1]
+
+
+_Z = QPoly.x()
+
+
+@pytest.mark.parametrize("text, feature", [
+    ("t*z^2/(z^2+1)", lambda lift, info: not info.reduced_num.dehom and info.image_class == FiniteClass(0)),
+    ("(z^2+1)/t", lambda lift, info: not info.reduced_den.dehom and info.image_class == INFINITY),
+    ("(z^2+1+t)/(2*z^2+2+t*z)", lambda lift, info: _low(lift) == 2 and info.image_class == FiniteClass(Fraction(1, 2))),
+    ("(z^2+5)/(3+z)", lambda lift, info: _low(lift) == 3 and info.totally_invariant),
+    ("((2*z+1)*(z+1))/((2*z+1)*(z-1)+t)", lambda lift, info: info.h.dehom == _Z + QPoly.monomial(0, Fraction(1, 2))),
+    (
+        "((3*z+2)^2*(2*z-1)*(z+1))/((3*z+2)^2*(2*z-1)*z+t)",
+        lambda lift, info: info.h.dehom == (_Z + QPoly.monomial(0, Fraction(2, 3))) ** 2 * (_Z - QPoly.monomial(0, Fraction(1, 2))),
+    ),
+    (  # a Fraction root beside a factor class: deflation makes Fraction(2)
+        "((2*z-1)*(z^2+2)*(z+1))/((2*z-1)*(z^2+2)*z+t)",
+        lambda lift, info: [c for s, _ in info.depths.parts for c in split_classes(s)]
+        == [FiniteClass(Fraction(1, 2)), FactorClass(QPoly.from_coeffs([2, 0, 1]))],
+    ),
+])
+def test_crafted_reductions_match_the_rational_route(text, feature):
+    # zero residues, constant reductions at a finite and at the infinite
+    # class, pivots whose low coefficient is not a unit, and GCD forms with
+    # Fraction coefficients and Fraction roots; then the same at level 2 and
+    # at a chart
+    lift = parse_map(text).lift
+    assert feature(lift, _assert_reduces_as_the_reference(lift))
+    _assert_reduces_as_the_reference(compose_lifts(lift, lift))
+    _assert_reduces_as_the_reference(chart_conjugate_lift(lift, parse_point("a=1;s=-1/2")))
+
+
+def test_the_residue_side_stays_on_integer_residues(monkeypatch):
+    # the reduction, the Yun split of H and the plain class split of a
+    # level-2 lift from the iterates workload: H = (z + 3/7)(z + 2)^2 has
+    # Fraction coefficients, so only homogeneous_gcd, the division by H and
+    # Yun's gcds may clear denominators; no operand is made primitive twice
+    phi = parse_map("(-9*z^2 - 21*z + (-6 + 3*t))/(-6*z^2 - 15*z + (-6 + 3*t))")
+    base = chart_conjugate_lift(phi.lift, GAUSS)
+    lift = compose_lifts(base, base)
+    calls = count_calls(monkeypatch, "_primitive", nadyn.polys)
+    info = reduce_lift(lift)
+    after_reduction = calls["nadyn.polys"]
+    parts = info.depths.parts
+    after_yun = calls["nadyn.polys"]
+    classes = divisor_classes(info.depths, QPoly.zero())
+    assert [(s.to_str("z"), i) for s, i in parts] == [("z + 3/7", 1), ("z + 2", 2)]
+    assert classes == [(FiniteClass(Fraction(-3, 7)), 1), (FiniteClass(-2), 2)]
+    counts = (after_reduction, after_yun - after_reduction, calls["nadyn.polys"] - after_yun)
+    assert all(n <= bound for n, bound in zip(counts, (7, 6, 0))), counts
 
 
 def test_intrinsic_data_examples():
