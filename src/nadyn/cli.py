@@ -6,7 +6,8 @@ Exit codes: 0 success, 1 usage or syntax errors, 2 domain errors.
 main parses each input once, the map before the verb's point, and hands
 both to the verb's handler; with both malformed, the map's error shows.
 One argparse parser, built at import, serves every main call in a process:
-parse_args keeps no state, and help is sized when it is printed.
+parse_args keeps no state, and help is sized when it is printed.  A query
+that names a verb first is parsed once, by that verb's sub-parser.
 """
 
 from __future__ import annotations
@@ -309,11 +310,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _PARSER = build_parser()
+_VERB_PARSERS = next(a for a in _PARSER._actions if a.dest == "verb").choices
+
+
+def _parse(argv) -> argparse.Namespace:
+    """_PARSER.parse_args(argv), a verb's flags parsed once, by its sub-parser."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not argv or argv[0] not in _VERB_PARSERS:  # none, -h, or an unknown verb
+        return _PARSER.parse_args(argv)
+    args, extras = _VERB_PARSERS[argv[0]].parse_known_args(argv[1:], argparse.Namespace(verb=argv[0]))
+    if extras:
+        _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(argv)  # None reads sys.argv[1:]
+        args = _parse(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     fn, point = _VERBS[args.verb][:2]

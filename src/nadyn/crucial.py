@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from functools import lru_cache
 from math import floor, lcm
 
 from .berkspace import GAUSS, TypeIIPoint, rho, step_into
@@ -82,8 +81,9 @@ def ord_res_for_chart(phi: RationalMapK, m: RationalMapK) -> Fraction:
 def _rise(phi: RationalMapK, point: TypeIIPoint) -> Fraction:
     """ordRes(point) - ordRes(Gauss): 0 at Gauss, as stored lifts have minimal valuation 0."""
     d, s = phi.degree, point.exponent
-    low = min(alpha + m * s for alpha, m in ray(phi.lift, point.center).pieces)
-    return (d * d + d) * s - 2 * d * low
+    r, q = ray(phi.lift, point.center), s.denominator
+    x = s.numerator * r.lift.level  # s, and every alpha + m*s, times level * q
+    return Fraction((d * d + d) * x - 2 * d * min(v * q + m * x for v, m in r.pieces), r.lift.level * q)
 
 
 def ord_res(phi: RationalMapK, point: TypeIIPoint) -> Fraction:
@@ -145,11 +145,11 @@ def _ray_slope(phi: RationalMapK, point: TypeIIPoint, cls) -> tuple[Fraction, li
         center, sign = point.center, -1
     else:
         center, sign = point.center + KScalar.from_rational(cls.value) * KScalar.t_power(s), 1
-    pieces = [(alpha, sign * m) for alpha, m in ray(phi.lift, center).pieces]
-    x = sign * s
-    low = min(alpha + m * x for alpha, m in pieces)
-    alpha0, m0 = min(((alpha, m) for alpha, m in pieces if alpha + m * x == low), key=lambda p: p[1])
-    kinks = [(alpha - alpha0) / (m0 - m) - x for alpha, m in pieces if m < m0]
+    r, q = ray(phi.lift, center), s.denominator
+    x = sign * s.numerator * r.lift.level  # x = +-s, and every alpha + m*x, times level * q
+    pieces = [(v * q, sign * m) for v, m in r.pieces]
+    a0, m0 = min(pieces, key=lambda p: (p[0] + p[1] * x, p[1]))  # the active piece of least slope
+    kinks = [Fraction(a - a0 - (m0 - m) * x, r.lift.level * q * (m0 - m)) for a, m in pieces if m < m0]
     return Fraction(sign * (d + 1) - 2 * m0, 2 * (d - 1)), kinks
 
 
@@ -211,7 +211,7 @@ def _denominator_bound(phi: RationalMapK, point: TypeIIPoint) -> int:
 def _probe_mass(lift: Lift, sigma: Fraction, cls) -> int:
     """Depth in the class of the lift's map after w -> t^sigma w: the mass of
     phi^* delta_gauss on that class's component at the probe (by contravariance)."""
-    return depth_at(reduce_lift(rescaled(lift, sigma, 0)).depths, cls)
+    return depth_at(reduce_lift(lift, sigma).depths, cls)
 
 
 def _alone(cut: Fraction, lo: Fraction, hi: Fraction, dmax: int) -> bool:
@@ -291,7 +291,7 @@ def _path_probes(phi: RationalMapK, point: TypeIIPoint, total: Fraction):
 
     def before_wedge(tau: Fraction) -> int:
         lift, sigma, cls = probe(tau, phi_m, psi)
-        return int(reduce_lift(rescaled(lift, 0, sigma)).image_class == cls)
+        return int(reduce_lift(lift, 0, sigma).image_class == cls)
 
     return mass, before_wedge, phi_m
 
@@ -334,15 +334,9 @@ def min_locus(phi: RationalMapK, start: TypeIIPoint = GAUSS) -> MinLocusResult:
     step to the next kink is the exact first breakpoint of the closed form
     of ordRes on the ray along that direction.  The descending class is
     always rational: a factor class of degree k >= 2 and per-root depth dep
-    has k*dep <= deg H, which a negative slope rules out.  The descent is
-    cached per (lift, start).
+    has k*dep <= deg H, which a negative slope rules out.  Nothing caches
+    the descent; the reductions and rays it reads are cached.
     """
-    return _descent(phi.lift, start)
-
-
-@lru_cache(maxsize=512)
-def _descent(lift: Lift, start: TypeIIPoint) -> MinLocusResult:
-    phi = RationalMapK(lift)
     d = phi.degree
     point = start
     trail = []

@@ -15,9 +15,9 @@ Composition, conjugation, reduction and ordRes are projective invariants,
 so they run on lifts, and charts are lifted straight from (t^s, a).  The
 pivot-normalised KScalar vectors num/den are a view derived on demand, for
 printing, specialisation and projective equality.  The intrinsic reduction
-at a type II point (IntrinsicReduction) reduces the lift of the chart
-conjugate, read off the cached ray at the centre by scaling with powers of
-t^s; it is cached per (lift, point), so each point is reduced once.
+at a type II point (IntrinsicReduction) is read off the cached ray at the
+centre by scaling (reduce_lift shifts the ray's lowest terms by powers of
+t^s; no conjugate lift is built), and cached per (lift, point).
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .errors import AmbiguousClass, DegenerateMap, DegreeTooLow, IterationCapExceeded, Record
+from .errors import AmbiguousClass, DegenerateMap, DegreeTooLow, IterationCapExceeded, LevelCapExceeded, Record
 from .lifts import Lift, _at_level, _shift_out, compose_lifts, rescaled, taylor_shift
-from .polys import QPoly, qdiv
+from .polys import QPoly, _long_division, _primitive, qdiv
 from .respoly import (
     DepthDivisor,
     FactorClass,
@@ -40,7 +40,7 @@ from .respoly import (
     homogeneous_gcd,
     squarefree_decomposition,
 )
-from .scalars import KScalar
+from .scalars import HARD_LEVEL_CAP, KScalar
 # nadyn.berkspace imports this module, so its TypeIIPoint is named in annotations only
 
 ITERATION_CAP = 4096
@@ -291,14 +291,14 @@ class Ray(NamedTuple):
     in Z[u], T_j the j-th Taylor coefficient.  Up to the common factor
     B^(d+1), the chart conjugate at xi_{a,s} has numerator coefficients
     t^(js) lift.num[j] and denominator coefficients t^((j+1)s) lift.den[j].
-    pieces lists (alpha, m), one per slope m, with alpha the least ord in
-    t-units of T_j(P - aQ)(a) for j = m and of T_j(Q)(a) for j = m - 1, so
-    that the least ord of a coefficient of the chart conjugate is
-    min(alpha + m*s) over the pieces.
+    pieces lists integer pairs (v, m), one per slope m, with alpha =
+    v / lift.level the least ord in t-units of T_j(P - aQ)(a) for j = m and
+    of T_j(Q)(a) for j = m - 1, so that the least ord of a coefficient of
+    the chart conjugate is min(alpha + m*s) over the pieces.
     """
 
     lift: Lift
-    pieces: tuple[tuple[Fraction, int], ...]
+    pieces: tuple[tuple[int, int], ...]
 
 
 @lru_cache(maxsize=512)
@@ -309,15 +309,12 @@ def ray(lift: Lift, center: KScalar) -> Ray:
     lift, k = _at_level(lift, level), 0
     if not center.is_zero:
         lift, k = taylor_shift(lift, center)
-    d, num, den = len(lift.num) - 1, lift.num, lift.den
-    low: dict[int, int] = {}
-    for j in range(d + 1):
-        for p, m in ((num[j], j), (den[j], j + 1)):
-            if p and (m not in low or p.val < low[m]):
-                low[m] = p.val
-    offset = k * (d + 1)
-    pieces = tuple((Fraction(v - offset, level), m) for m, v in sorted(low.items()))
-    return Ray(lift, pieces)
+    low: dict[int, int] = {}  # slope m -> least val of num[m] and den[m - 1]
+    for m, p in [*enumerate(lift.num), *enumerate(lift.den, 1)]:
+        if p and (m not in low or p.val < low[m]):
+            low[m] = p.val
+    offset = k * len(lift.num)
+    return Ray(lift, tuple((v - offset, m) for m, v in sorted(low.items())))
 
 
 def chart_conjugate_lift(lift: Lift, point: TypeIIPoint) -> Lift:
@@ -404,40 +401,44 @@ class IntrinsicReduction(Record):
         return squarefree_decomposition(self.h)
 
 
-def reduce_lift(lift: Lift) -> IntrinsicReduction:
-    """Reduced pair, GCD form H, and the reduced map num/H over den/H.
+def reduce_lift(lift: Lift, right=0, left=0) -> IntrinsicReduction:
+    """Reduced pair, GCD form H, and the reduced map num/H over den/H of
+    w -> t^(-left) F(t^right w), F the lift's map, read off the lift itself.
 
-    The residues are those of the pivot-normalised minimal lift: coefficient
-    i reduces to P_i(0) over the lowest coefficient of the pivot P, the first
-    nonzero entry of den + num.  H is the same for any scaling of the pair,
-    so H and the quotients by it come from the integers P_i(0), and the
-    pairs are divided by that low coefficient once, at the end.
+    Rescaling shifts all terms of entry j by one amount, j*right less left
+    on the numerator, so in integer exponents over lcm(level, denominators)
+    the residues are the lowest terms of the entries of least shifted ord.
+    H is the same for any scaling of the pair: it and the quotients by its
+    primitive integer multiple come from those integers, each coefficient
+    scaled once over the pivot's lowest (the first nonzero of den + num).
     """
-    d = len(lift.num) - 1
-    pivot = next(p for p in lift.den + lift.num if p)
-    low = pivot.terms[0][1]
-    int_num, int_den = (
-        HomogeneousForm(d, QPoly._of_terms(tuple((i, c) for i, p in enumerate(part) if (c := p.coeff(0)))))
-        for part in (lift.num, lift.den)
-    )
+    level = lcm(lift.level, right.denominator, left.denominator)
+    if level != lift.level and level > HARD_LEVEL_CAP:
+        raise LevelCapExceeded(f"internal level {level} exceeds hard cap")
+    m = level // lift.level
+    r, l = (level // x.denominator * x.numerator for x in (right, left))
+    lows = [[(j, p.terms[0][0] * m + j * r - shift, p.terms[0][1]) for j, p in enumerate(part) if p]
+            for part, shift in ((lift.num, l), (lift.den, 0))]
+    v, d = min(e for part in lows for _, e, _ in part), len(lift.num) - 1
+    int_num, int_den = (HomogeneousForm(d, QPoly._of_terms(tuple((j, c) for j, e, c in part if e == v))) for part in lows)
+    low = next(p for p in lift.den + lift.num if p).terms[0][1]
 
-    def over(p: QPoly) -> QPoly:  # p divided by low
-        return p if low == 1 else QPoly._of_terms(tuple((e, qdiv(c, low)) for e, c in p.terms))
+    def over(terms: tuple, k=1) -> QPoly:  # the terms times k/low
+        return QPoly._of_terms(terms if k == low else tuple((e, qdiv(c * k, low)) for e, c in terms))
 
     h = homogeneous_gcd(int_num, int_den)
-    qn = int_num.exact_div(h).dehom
-    qd = int_den.exact_div(h).dehom
+    prim = _primitive(h.dehom.terms)[0]  # the integer multiple of H of content 1, lc(prim) > 0
+    qn, qd = (over(_long_division(f.dehom.terms, prim)[0], prim[-1][1]) for f in (int_num, int_den))
     tilde_degree = d - h.degree
     image_class = None
-    if tilde_degree == 0:
-        cn, cd = qn.coeff(0), qd.coeff(0)
-        image_class = FiniteClass(qdiv(cn, cd)) if cd else INFINITY
+    if tilde_degree == 0:  # qn and qd are constants
+        image_class = FiniteClass(qdiv(qn.coeff(0), qd.coeff(0))) if qd else INFINITY
     return IntrinsicReduction(
-        reduced_num=HomogeneousForm(d, over(int_num.dehom)),
-        reduced_den=HomogeneousForm(d, over(int_den.dehom)),
+        reduced_num=HomogeneousForm(d, over(int_num.dehom.terms)),
+        reduced_den=HomogeneousForm(d, over(int_den.dehom.terms)),
         h=h,
-        tilde_num=over(qn),
-        tilde_den=over(qd),
+        tilde_num=qn,
+        tilde_den=qd,
         tilde_degree=tilde_degree,
         image_class=image_class,
     )
@@ -445,7 +446,8 @@ def reduce_lift(lift: Lift) -> IntrinsicReduction:
 
 @lru_cache(maxsize=512)
 def _reduction(lift: Lift, point: TypeIIPoint) -> IntrinsicReduction:
-    return reduce_lift(chart_conjugate_lift(lift, point))
+    s = point.exponent  # the chart conjugate, read off the ray at the centre
+    return reduce_lift(ray(lift, point.center).lift if s or not point.center.is_zero else lift, s, s)
 
 
 def reduction_at(phi: RationalMapK, point: TypeIIPoint) -> IntrinsicReduction:

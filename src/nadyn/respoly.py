@@ -60,15 +60,6 @@ class HomogeneousForm:
     def monic(self) -> "HomogeneousForm":
         return HomogeneousForm(self.degree, self.dehom.monic())
 
-    def exact_div(self, other: "HomogeneousForm") -> "HomogeneousForm":
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero form")
-        if self.is_zero:
-            return HomogeneousForm(self.degree - other.degree, QPoly.zero())
-        if self.inf_mult < other.inf_mult:
-            raise ValueError("quotient is not a form")
-        return HomogeneousForm(self.degree - other.degree, self.dehom.exact_div(other.dehom))
-
     def __eq__(self, other):
         return (
             isinstance(other, HomogeneousForm)

@@ -29,7 +29,7 @@ from nadyn.equidist import _class_poly, _mass_on
 from nadyn.lifts import neg, t_power, z_degree
 from nadyn.parsing import MAX_LITERAL_DIGITS, MAX_MAP_DEGREE, MAX_POWER_BITS, MAX_POWER_TERMS, _capped, _inverse
 from nadyn.polys import coprime_basis, qdiv, rational_roots
-from nadyn.redux import IntrinsicReduction, _inverse_lift, chart_lift, compose_lifts, make_map, reduce_lift
+from nadyn.redux import IntrinsicReduction, _inverse_lift, chart_lift, compose_lifts, make_map, ray, reduce_lift
 from nadyn.respoly import (
     INFINITY,
     FactorClass,
@@ -248,20 +248,20 @@ def reference_reduce_lift(lift) -> IntrinsicReduction:
     hat_num = HomogeneousForm.from_coeffs(d, [qdiv(p.coeff(0), low) for p in lift.num])
     hat_den = HomogeneousForm.from_coeffs(d, [qdiv(p.coeff(0), low) for p in lift.den])
     h = homogeneous_gcd(hat_num, hat_den)
-    qn = hat_num.exact_div(h)
-    qd = hat_den.exact_div(h)
+    qn = hat_num.dehom.exact_div(h.dehom)
+    qd = hat_den.dehom.exact_div(h.dehom)
     tilde_degree = d - h.degree
     image_class = None
     if tilde_degree == 0:
-        cn = qn.dehom.coeff(0)
-        cd = qd.dehom.coeff(0)
+        cn = qn.coeff(0)
+        cd = qd.coeff(0)
         image_class = FiniteClass(qdiv(cn, cd)) if cd else INFINITY
     return IntrinsicReduction(
         reduced_num=hat_num,
         reduced_den=hat_den,
         h=h,
-        tilde_num=qn.dehom,
-        tilde_den=qd.dehom,
+        tilde_num=qn,
+        tilde_den=qd,
         tilde_degree=tilde_degree,
         image_class=image_class,
     )
@@ -286,6 +286,70 @@ def reference_divisor_classes(divisor, refine: QPoly) -> list:
             if piece.degree > 0:
                 out += [(cls, i) for cls in reference_split_classes(piece)]
     return out
+
+
+# -- reduce_lift, _rise and _ray_slope as they stood before the reduction read
+# a rescaling off the lift's lowest terms and the ray's pieces became
+# integers: the rescaled lift built whole by lifts.rescaled and its residues
+# P_i(0), each quotient by H through QPoly.exact_div, and the closed form on
+# Fraction pieces.  Kept as the oracles of the differential tests.
+
+
+def rescaled_reference_reduce_lift(lift, right=0, left=0) -> IntrinsicReduction:
+    lift = lifts.rescaled(lift, Fraction(right), Fraction(left))
+    d = len(lift.num) - 1
+    low = next(p for p in lift.den + lift.num if p).terms[0][1]
+    int_num, int_den = (
+        HomogeneousForm(d, QPoly._of_terms(tuple((i, c) for i, p in enumerate(part) if (c := p.coeff(0)))))
+        for part in (lift.num, lift.den)
+    )
+
+    def over(p: QPoly) -> QPoly:
+        return p if low == 1 else QPoly._of_terms(tuple((e, qdiv(c, low)) for e, c in p.terms))
+
+    h = homogeneous_gcd(int_num, int_den)
+    qn = int_num.dehom.exact_div(h.dehom)
+    qd = int_den.dehom.exact_div(h.dehom)
+    tilde_degree = d - h.degree
+    image_class = None
+    if tilde_degree == 0:
+        cn, cd = qn.coeff(0), qd.coeff(0)
+        image_class = FiniteClass(qdiv(cn, cd)) if cd else INFINITY
+    return IntrinsicReduction(
+        reduced_num=HomogeneousForm(d, over(int_num.dehom)),
+        reduced_den=HomogeneousForm(d, over(int_den.dehom)),
+        h=h,
+        tilde_num=over(qn),
+        tilde_den=over(qd),
+        tilde_degree=tilde_degree,
+        image_class=image_class,
+    )
+
+
+def _fraction_pieces(lift, center) -> list:
+    """The ray's pieces (alpha, m) with alpha in t-units, a Fraction."""
+    r = ray(lift, center)
+    return [(Fraction(v, r.lift.level), m) for v, m in r.pieces]
+
+
+def reference_rise(phi, point: TypeIIPoint) -> Fraction:
+    d, s = phi.degree, point.exponent
+    low = min(alpha + m * s for alpha, m in _fraction_pieces(phi.lift, point.center))
+    return (d * d + d) * s - 2 * d * low
+
+
+def reference_ray_slope(phi, point: TypeIIPoint, cls) -> tuple:
+    d, s = phi.degree, point.exponent
+    if isinstance(cls, InfinityClass):
+        center, sign = point.center, -1
+    else:
+        center, sign = point.center + KScalar.from_rational(cls.value) * KScalar.t_power(s), 1
+    pieces = [(alpha, sign * m) for alpha, m in _fraction_pieces(phi.lift, center)]
+    x = sign * s
+    low = min(alpha + m * x for alpha, m in pieces)
+    alpha0, m0 = min(((alpha, m) for alpha, m in pieces if alpha + m * x == low), key=lambda p: p[1])
+    kinks = [(alpha - alpha0) / (m0 - m) - x for alpha, m in pieces if m < m0]
+    return Fraction(sign * (d + 1) - 2 * m0, 2 * (d - 1)), kinks
 
 
 def typed(value):

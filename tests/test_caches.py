@@ -1,8 +1,9 @@
 """The program's caches: which exist, and that a cached answer is a fresh one.
 
-Reductions at a point are cached per (lift, point) and descents per
-(lift, start), beside the Taylor-shifted rays.  ordRes at the Gauss point
-is not cached: only ordRes itself takes that determinant, once per call.
+Reductions at a point are cached per (lift, point), beside the
+Taylor-shifted rays; a descent is not cached, only what it reads.  ordRes
+at the Gauss point is not cached: only ordRes itself takes that
+determinant, once per call.
 The benchmark and tests/test_workload_digests.py clear every cache before
 each query by collecting the ``cache_clear`` callables of ``nadyn.*``
 modules, so a cache that escapes that sweep would make a query depend on
@@ -16,13 +17,12 @@ from hypothesis import given, settings, strategies as st
 
 import nadyn.cli  # noqa: F401  (loads every module the benchmark loads)
 from nadyn import DegreeTooLow, GAUSS, intrinsic_data, min_locus, parse_map, parse_point, reduction_at
-from nadyn.crucial import _descent
 from nadyn.redux import _reduction, chart_conjugate_lift, ray, reduce_lift
 from conftest import clear_caches, rand_laurent_point, rand_map, swept_caches
 
 
 def test_the_sweep_finds_exactly_the_known_caches():
-    assert swept_caches() == {ray, _reduction, _descent}
+    assert swept_caches() == {ray, _reduction}
 
 
 @settings(max_examples=40, deadline=None)
@@ -53,7 +53,7 @@ def test_min_locus_is_the_same_after_cache_clear(seed):
     phi = rand_map(rng, degree=rng.choice([2, 3]))
     start = rand_laurent_point(rng)
     first = min_locus(phi, start)
-    assert min_locus(phi, start) is first
+    assert min_locus(phi, start) == first
     clear_caches()
     again = min_locus(phi, start)
     assert again == first and again is not first

@@ -46,6 +46,7 @@ from nadyn.crucial import (
     _path_probes,
     _ray_slope,
     _rhs_value,
+    _rise,
     _slope_table,
     _step_integral,
     class_slope_data,
@@ -62,6 +63,8 @@ from conftest import (
     rand_unit_mobius,
     reference_before_wedge,
     reference_probe_mass,
+    reference_ray_slope,
+    reference_rise,
 )
 
 Z2 = parse_map("z^2")
@@ -602,6 +605,41 @@ def test_hyp_res_direct_reads_the_ray_only_through_the_reduction_at_the_point(mo
     clear_caches()
     assert hyp_res_direct(phi, point) == -3
     assert rays == {"nadyn.redux": 1} and shifts == {"nadyn.redux": 1}
+
+
+def test_reductions_and_path_probes_build_no_rescaled_lift(monkeypatch):
+    # the reduction at a point and every probe read their rescaling off a
+    # lift's lowest terms; only phi_m, built once per path, is a rescaled lift
+    phi = parse_map("1/t + (z - 1/t)^2/t^3")
+    point = parse_point("a=1/t;s=2")
+    mass, before_wedge, _ = _path_probes(phi, point, rho(GAUSS, point))
+    calls = count_calls(monkeypatch, "rescaled", nadyn.redux, nadyn.crucial)
+    clear_caches()
+    intrinsic_data(phi, point)
+    for tau in (0, Fraction(1, 2), 1, 3, Fraction(7, 2)):
+        assert mass(tau) == reference_probe_mass(phi, point, tau)
+        assert before_wedge(tau) == reference_before_wedge(phi, point, tau)
+    assert calls == {}
+
+
+# the closed form of ordRes on a ray runs on integer pieces over the ray's
+# level; the Fraction route it replaced is the oracle, value and type
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_closed_form_on_integer_pieces_matches_the_fraction_route(seed):
+    rng = random.Random(seed)
+    phi = rand_map(rng, rng.randint(2, 5))
+    point = rand_point(rng) if rng.random() < 0.5 else rand_laurent_point(rng)
+    rise, want = _rise(phi, point), reference_rise(phi, point)
+    assert (rise, type(rise)) == (want, type(want))
+    value = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    for cls in (INFINITY, FiniteClass(Fraction(0)), FiniteClass(value)):
+        slope, kinks = _ray_slope(phi, point, cls)
+        want_slope, want_kinks = reference_ray_slope(phi, point, cls)
+        assert (slope, kinks) == (want_slope, want_kinks)
+        assert all(type(k) is Fraction for k in [slope, *kinks])
 
 
 def test_segment_probes_follow_an_image_above_the_point():

@@ -271,14 +271,17 @@ def test_degeneration_report_reduces_each_point_once(monkeypatch):
     # measure, whose reduction at the Gauss point is a cache hit and which
     # descends no second time
     loci = count_calls(monkeypatch, "min_locus", nadyn.equidist)
+    steps_taken = count_calls(monkeypatch, "_ray_slope", nadyn.crucial)
     for phi, expected_loci in ((TZ2, 1), (TZ21T, 1)):
         clear_caches()
         loci.clear()
+        steps_taken.clear()
         degeneration_report(phi, [1e-3], 3)
         reductions = nadyn.redux._reduction.cache_info().misses
-        descents = nadyn.crucial._descent.cache_info().misses
-        assert reductions == len({GAUSS} | descent_points(min_locus(phi)))
-        assert descents == 1
+        steps = sum(steps_taken.values())
+        locus = min_locus(phi)
+        assert reductions == len({GAUSS} | descent_points(locus))
+        assert steps == len(locus.trail)  # one descent: one closed-form slope per step
         assert loci == {"nadyn.equidist": expected_loci}
     assert degeneration_report(TZ21T, [1e-3], 1).predicted == auto_hypothesis(TZ21T).atoms
 

@@ -207,15 +207,18 @@ def test_depth_sequence_reduces_each_point_once(monkeypatch):
     cases = [(TZ2, GAUSS, 3), (TZ21T, HALF_DOWN, 2), (TZ21T, GAUSS, 2), (Z2TZ, GAUSS, 1)]
     loci = count_calls(monkeypatch, "min_locus", nadyn.equidist)
     levels = count_calls(monkeypatch, "reduce_lift", nadyn.equidist)
+    steps_taken = count_calls(monkeypatch, "_ray_slope", nadyn.crucial)
     for phi, point, n_max in cases:
         clear_caches()
         loci.clear()
         levels.clear()
+        steps_taken.clear()
         depth_sequence(phi, point, n_max)
         reductions = nadyn.redux._reduction.cache_info().misses
-        descents = nadyn.crucial._descent.cache_info().misses
-        assert reductions == len({point} | descent_points(min_locus(phi)))
-        assert descents == 1
+        steps = sum(steps_taken.values())
+        locus = min_locus(phi)
+        assert reductions == len({point} | descent_points(locus))
+        assert steps == len(locus.trail)  # one descent: one closed-form slope per step
         assert loci == {"nadyn.equidist": 1}
         assert levels["nadyn.equidist"] == n_max - 1
 

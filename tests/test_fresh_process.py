@@ -101,13 +101,12 @@ sys.path.insert(0, sys.argv[1])
 import run, tracer
 
 _, caches = run.load_cli()
-from nadyn.crucial import _descent
 from nadyn.redux import _reduction, ray
 
 wanted = {f"{module}.{path}" for module, paths in tracer.LAYERS.values() for path in paths}
 found = {key for key, *_ in tracer.layer_functions()}
 print(json.dumps({
-    "caches_are_known": set(caches) == {ray, _reduction, _descent},
+    "caches_are_known": set(caches) == {ray, _reduction},
     "numpy": "numpy" in sys.modules,
     "unresolved": sorted(wanted - found),
 }))

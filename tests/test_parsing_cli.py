@@ -30,6 +30,7 @@ from nadyn import (
     parse_scalar,
     point_str,
 )
+import nadyn.cli
 from nadyn.cli import build_parser, main
 from nadyn.lifts import frozen
 from nadyn.parsing import MAX_LITERAL_DIGITS, MAX_MAP_DEGREE, _Parser, _mul, _power, parse_rational
@@ -500,6 +501,92 @@ def test_cli_reuses_one_parser_across_calls(capsys, monkeypatch):
     assert run_cli(capsys, "ordres", "--map", "t*z^2") == (0, '{"ord_res": "2/1"}\n', "")
     assert run_cli(capsys, "reduce")[0] == 1
     assert built == []
+
+
+# main parses a query that names a verb first with that verb's sub-parser
+# alone; the full parser, built fresh, is the oracle: the same Namespace,
+# or the same exit code, stdout and stderr
+
+
+_VERB_FLAGS = {
+    "reduce": ["--point", "a=0;s=1"],
+    "depths": ["--point", "a=1;s=1/2"],
+    "intrinsic": ["--point", "gauss"],
+    "ordres": ["--point", "a=t;s=2"],
+    "hypres": ["--point", "a=0;s=1", "--direct"],
+    "slope": ["--point", "gauss", "--direction", "inf"],
+    "minlocus": ["--start", "a=0;s=-1"],
+    "semistable": ["--point", "a=0;s=1"],
+    "equidist": ["--point", "gauss", "--nmax", "2"],
+    "degcheck": ["--t", "1e-3", "--n", "4", "--eps", "0.2", "--hypothesis", "auto"],
+}
+
+
+def _flag_forms(verb: str) -> dict:
+    """The verb's query with every flag and its value as separate words,
+    joined by "=", and with each flag cut to its shortest unambiguous prefix."""
+    words = ["--map", "t*z^2", *_VERB_FLAGS[verb], "--pretty"]
+    options = list(nadyn.cli._VERB_PARSERS[verb]._option_string_actions)
+
+    def shortest(flag):
+        return next(flag[:n] for n in range(3, len(flag) + 1) if [o for o in options if o.startswith(flag[:n])] == [flag])
+
+    joined, i = [], 0
+    while i < len(words):
+        valued = i + 1 < len(words) and not words[i + 1].startswith("--")
+        joined.append(f"{words[i]}={words[i + 1]}" if valued else words[i])
+        i += 2 if valued else 1
+    return {
+        "split": [verb, *words],
+        "equals": [verb, *joined],
+        "abbreviated": [verb, *(shortest(w) if w.startswith("--") else w for w in words)],
+    }
+
+
+def _parsed(parse, argv, capsys):
+    try:
+        return parse(argv)
+    except SystemExit as exc:
+        return exc.code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("verb", _VERBS)
+@pytest.mark.parametrize("form", ["split", "equals", "abbreviated"])
+def test_cli_parses_a_query_as_the_full_parser_does(verb, form, capsys):
+    argv = _flag_forms(verb)[form]
+    if form == "abbreviated":
+        assert argv[1] != "--map" and argv[-1] != "--pretty"
+    args = nadyn.cli._parse(argv)
+    assert args == build_parser().parse_args(argv) and args.verb == verb
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        ["bogus", "--map", "z^2"],
+        ["reduce", "--map", "z^2", "extra", "--pretty", "more"],
+        ["reduce", "--map", "z^2", "--p", "gauss"],  # ambiguous: --point or --pretty
+        ["reduce", "--map", "z^2", "-h"],
+        ["slope", "--map", "z^2", "--direction"],
+        ["degcheck", "--map", "z^2", "--t", "1e-3", "--n", "0"],
+        ["hypres", "--", "--map", "z^2"],
+    ],
+)
+def test_cli_parse_errors_and_help_are_the_full_parsers(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _parsed(nadyn.cli._parse, argv, capsys) == _parsed(build_parser().parse_args, argv, capsys)
+
+
+def test_cli_parses_a_well_formed_query_with_the_verb_parser_alone(capsys, monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("the top-level parser parsed a well-formed query")
+
+    monkeypatch.setattr(nadyn.cli._PARSER, "parse_known_args", refused)
+    clear_caches()
+    assert run_cli(capsys, "ordres", "--map", "t*z^2") == (0, '{"ord_res": "2/1"}\n', "")
+    assert run_cli(capsys, "hypres", "--ma=t*z^2", "--po", "a=0;s=1")[0] == 0
 
 
 _BIG_CONSTANT_MAP = "((z-10000000000001)*(z-1))/(t*z^2+z-10000000000001)"
