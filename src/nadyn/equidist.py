@@ -68,7 +68,7 @@ def level_measures(phi: RationalMapK, point: TypeIIPoint, n_max: int) -> list[Di
     for n in range(2, n_max + 1):
         check_iteration_cap(d, n)  # the first level past the cap, before any work
     measures = [_measure_from_intrinsic(info, d, 1)]
-    base = current = chart_conjugate_lift(phi.lift, point)
+    base = current = chart_conjugate_lift(phi.lift, point) if n_max > 1 else None  # only levels 2.. read it
     for n in range(2, n_max + 1):
         current = compose_lifts(base, current)
         measures.append(_measure_from_intrinsic(reduce_lift(current), d, n))

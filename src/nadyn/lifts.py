@@ -1,12 +1,12 @@
 """Lift arithmetic: polynomials in z with coefficients in Z[u], t = u^level.
 
-Every product of lifts runs here: the parser's sums, products and powers,
-composition (so conjugation and iteration), the Taylor shift of redux.ray,
-rescalings by powers of t, level changes and _shift_out.  A polynomial in z
-is a list of dicts, one per power of z, from powers of u to ints, so u stays
-sparse (a chart at s = 10^70 puts u^(10^70) into a lift); a finished Lift's
-entries are QPolys, built once for a parsed map (parsed_lift) and rebuilt by
-_shift_out when it divides out u^k or a content.
+Every product of lifts runs here: the parser's sums, its products and powers
+past monomials, composition (so conjugation and iteration), the Taylor shift
+of redux.ray, rescalings by powers of t, level changes and _shift_out.  A
+polynomial in z is a list of dicts, one per power of z, from powers of u to
+ints, so u stays sparse (a chart at s = 10^70 puts u^(10^70) into a lift);
+a finished Lift's entries are QPolys, built once for a parsed map
+(parsed_lift) and rebuilt by _shift_out when it divides out u^k or a content.
 """
 
 from __future__ import annotations
@@ -185,16 +185,6 @@ def z_degree(value: tuple) -> int:
     return max(len(value[1]), len(value[2])) - 1
 
 
-def monomial(value: tuple) -> tuple | None:
-    """(c, e, i, g, f) when the value is c*u^e*z^i / (g*u^f), else None."""
-    _, num, den = value
-    top, bottom = num[-1], den[0]
-    if len(top) == 1 == len(bottom) == len(den) and (len(num) == 1 or not any(num[:-1])):
-        (e,), (f,) = top, bottom
-        return top[e], e, len(num) - 1, bottom[f], f
-    return None
-
-
 def add(a: tuple, b: tuple) -> tuple:
     level, an, ad, bn, bd = _common(a, b)
     if ad == bd:  # the numerators merge per power of z
@@ -211,20 +201,12 @@ def neg(a: tuple) -> tuple:
 
 
 def mul(a: tuple, b: tuple) -> tuple:
-    x = a[0] == b[0] and monomial(a)
-    y = x and monomial(b)
-    if y:  # two monomials at one level: the product term by term
-        num = [{} for _ in range(x[2] + y[2])] + [{x[1] + y[1]: x[0] * y[0]}]
-        return a[0], num, [{x[4] + y[4]: x[3] * y[3]}]
     level, an, ad, bn, bd = _common(a, b)
     return level, _trim(_mul(an, bn)), _trim(_mul(ad, bd))
 
 
 def power(base: tuple, n: int) -> tuple:
-    """base^n: a monomial term by term, anything else by repeated squaring."""
-    m = n and monomial(base)
-    if m:
-        return base[0], [{} for _ in range(m[2] * n)] + [{m[1] * n: m[0] ** n}], [{m[4] * n: m[3] ** n}]
+    """base^n by repeated squaring."""
     result = (1, [{0: 1}], [{0: 1}])
     while n:
         if n & 1:
@@ -233,12 +215,6 @@ def power(base: tuple, n: int) -> tuple:
         if n:
             base = mul(base, base)
     return result
-
-
-def t_power(q: Fraction) -> tuple:
-    """The scalar t^q."""
-    e = q.numerator
-    return q.denominator, [{max(e, 0): 1}], [{max(-e, 0): 1}]
 
 
 def parsed_lift(value: tuple) -> Lift:

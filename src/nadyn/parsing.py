@@ -6,12 +6,12 @@ scalar coefficients.  Printing and parsing round-trip: parse(print(x)) == x.
 
 A flat evaluator, one frame per precedence level (expr, term, and a factor
 that reads signs, an atom and its exponent), parses an expression straight
-into a lift over Z[u], t = u^N, with the int-form sums and products of
-nadyn.lifts, which multiply and raise monomials directly.  parse_map builds
-the stored lift in one pass at its smallest level, checks that level against
-NADYN_LEVEL_CAP and leaves validation to redux.map_from_lift.  Division by
-zero, including a negative power of zero, and a zero denominator in an
-exponent are ParseErrors with a position.  A degree in z above
+into a lift over Z[u], t = u^N: monomials as integer tuples, anything a sum
+meets in the int form of nadyn.lifts.  parse_map builds the stored lift in
+one pass at its smallest level, checks that level against NADYN_LEVEL_CAP
+and leaves validation to redux.map_from_lift.  Division by zero, including
+a negative power of zero, and a zero denominator in an exponent are
+ParseErrors with a position.  A degree in z above
 MAX_MAP_DEGREE is a DegreeTooHigh as soon as a product or sum reaches it,
 before the Sylvester check, whose cost grows as the cube of the degree; an
 integer power is computed once it is known to stay under the size caps.
@@ -28,7 +28,7 @@ from .errors import DegenerateMap, DegreeTooHigh, LevelCapExceeded, OutputTooLar
 from .polys import QPoly, num_str, power_str, qdiv, sum_str
 from .respoly import FactorClass, FiniteClass, InfinityClass, INFINITY
 from . import lifts
-from .lifts import frozen, neg as _neg, parsed_lift, t_power as _t_power, z_degree
+from .lifts import frozen, neg as _neg, parsed_lift, z_degree
 from .redux import RationalMapK, map_from_lift
 from .scalars import KScalar, K_ONE, level_cap
 
@@ -77,46 +77,67 @@ def _tokenize(text: str):
     return tokens
 
 
-# A parsed value is a tuple (level, num, den) in the int form of nadyn.lifts;
-# its arithmetic is that of lifts.py, with the caps checked here.
+# A parsed value is (level, num, den) in the int form and arithmetic of
+# nadyn.lifts, or a monomial c*u^e*z^i / (g*u^f), t = u^level, carried as the
+# int tuple (level, c, e, i, g, f); c = 0 is zero over g*u^f, with e = i = 0.
+
+
+def _value(x: tuple) -> tuple:
+    """The (level, num, den) form of a parsed value."""
+    return x if len(x) == 3 else (x[0], [{}] * x[3] + [{x[2]: x[1]} if x[1] else {}], [{x[5]: x[4]}])
+
+
+def _monomial(value: tuple) -> tuple | None:
+    """The tuple (level, c, e, i, g, f) of a value c*u^e*z^i / (g*u^f), else None."""
+    level, num, den = value
+    if len(den) == 1 == len(den[0]) == len(num[-1]) and not any(num[:-1]):
+        ((e, c),), ((f, g),) = num[-1].items(), den[0].items()
+        return level, c, e, len(num) - 1, g, f
 
 
 def _capped(value: tuple) -> tuple:
-    degree = z_degree(value)
+    degree = value[3] if len(value) == 6 else z_degree(value)
     if degree > MAX_MAP_DEGREE:
         raise DegreeTooHigh(f"expression reaches degree {degree} in z, cap is {MAX_MAP_DEGREE}")
     return value
 
 
 def _mul(a: tuple, b: tuple) -> tuple:
-    return _capped(lifts.mul(a, b))
+    if len(a) == 6 == len(b):  # two monomials: the product term by term
+        level = lcm(a[0], b[0])
+        ma, mb = level // a[0], level // b[0]
+        c, den = a[1] * b[1], (a[4] * b[4], a[5] * ma + b[5] * mb)
+        return _capped((level, c, a[2] * ma + b[2] * mb, a[3] + b[3], *den) if c else (level, 0, 0, 0, *den))
+    return _capped(lifts.mul(_value(a), _value(b)))
 
 
 def _inverse(value: tuple, pos: int) -> tuple:
-    level, num, den = value
-    if not num[0] and len(num) == 1:
+    if not value[1] if len(value) == 6 else not value[1][0] and len(value[1]) == 1:  # c = 0, or num = [{}]
         raise ParseError("division by zero", pos)
+    if len(value) == 6 and not value[3]:  # a monomial in t alone: (level, g, f, 0, c, e)
+        return value[0], *value[4:], 0, *value[1:3]
+    level, num, den = _value(value)
     return level, den, num
 
 
 def _power(base: tuple, n: int) -> tuple:
     """base^n, once the caps are checked before any product."""
-    degree = z_degree(base)
+    mono = len(base) == 6
+    degree = base[3] if mono else z_degree(base)
     if degree and n * degree > MAX_MAP_DEGREE:
         # the degree that n successive products would reach first
         first = (MAX_MAP_DEGREE // degree + 1) * degree
         raise DegreeTooHigh(f"expression reaches degree {first} in z, cap is {MAX_MAP_DEGREE}")
-    mono = lifts.monomial(base)
-    if mono:  # the numbers the scans below give, read off c*u^e*z^i / (g*u^f)
-        span, bits = 0, max(mono[0].bit_length(), mono[3].bit_length())
+    if mono:  # c*u^e*z^i / (g*u^f) spans one power of u
+        span, bits = 0, max(base[1].bit_length(), base[4].bit_length())
     else:  # num and den are raised separately: each one's span in u counts
         span = max(max(es) - min(es) if es else 0 for es in ([e for x in p for e in x] for p in base[1:]))
         bits = max(abs(c).bit_length() for part in base[1:] for x in part for c in x.values())
     if n * span * (n * degree + 1) > MAX_POWER_TERMS or n * bits > MAX_POWER_BITS:
-        raise PowerTooLarge(
-            f"power ^{n} exceeds the caps of {MAX_POWER_TERMS} terms"
-            f" and {MAX_POWER_BITS} coefficient bits"
-        )
+        raise PowerTooLarge(f"power ^{n} exceeds the caps of {MAX_POWER_TERMS} terms and {MAX_POWER_BITS} coefficient bits")
+    if mono:
+        level, c, e, i, g, f = base
+        return (level, c**n, e * n, i * n, g**n, f * n) if n else (1, 1, 0, 0, 1, 0)
     return lifts.power(base, n)
 
 
@@ -141,7 +162,7 @@ class _Parser:
         kind, _, pos = self.tokens[self.i]
         if kind != "end":
             raise ParseError("trailing input", pos)
-        return value
+        return _value(value)
 
     def expr(self) -> tuple:
         tokens = self.tokens
@@ -152,7 +173,7 @@ class _Parser:
                 return value
             self.i += 1
             rhs = self.term()
-            value = _capped(lifts.add(value, rhs if op == "+" else _neg(rhs)))
+            value = _capped(lifts.add(_value(value), _value(rhs) if op == "+" else _neg(_value(rhs))))
 
     def term(self) -> tuple:
         tokens = self.tokens
@@ -177,13 +198,13 @@ class _Parser:
             kind, value, pos = tokens[self.i]
         self.i += 1
         if kind == "int":
-            base = 1, [{0: value} if value else {}], [{0: 1}]
+            base = 1, value, 0, 0, 1, 0
         elif kind == "name" and value == "t":
-            base = 1, [{1: 1}], [{0: 1}]
+            base = 1, 1, 1, 0, 1, 0
         elif kind == "name" and value == "z":
             if not self.allow_z:
                 raise ParseError("the variable z is not allowed here", pos)
-            base = 1, [{}, {0: 1}], [{0: 1}]
+            base = 1, 1, 0, 1, 1, 0
         elif kind == "name":
             raise ParseError(f"unknown name {value!r}", pos)
         elif kind == "op" and value == "(":
@@ -202,13 +223,14 @@ class _Parser:
                 base = _power(base, n)
             else:
                 # fractional exponents only on exact powers of t: c*u^a / (c*u^b)
-                if z_degree(base):
+                m = base if len(base) == 6 else _monomial(base)
+                if m[3] if m else z_degree(base):
                     raise ParseError("fractional exponent on a non-scalar base", pos)
-                m = lifts.monomial(base)
-                if not m or m[0] != m[3]:
+                if not m or m[1] != m[4]:
                     raise ParseError("fractional exponent needs a bare power of t", pos)
-                base = _t_power(Fraction(m[1] - m[4], base[0]) * exponent)
-        return _neg(base) if negate else base
+                q = Fraction(m[2] - m[5], m[0]) * exponent
+                base = q.denominator, 1, max(q.numerator, 0), 0, 1, max(-q.numerator, 0)
+        return base if not negate else (base[0], -base[1], *base[2:]) if len(base) == 6 else _neg(base)
 
     def _sign(self) -> int:
         kind, value, _ = self.tokens[self.i]

@@ -45,8 +45,8 @@ from .scalars import HARD_LEVEL_CAP, KScalar
 
 ITERATION_CAP = 4096
 
-# map_from_lift evaluates the Sylvester matrix at u = _CHECK_U modulo the
-# prime _CHECK_P before it takes the exact determinant.
+# map_from_lift decides the resultant at u = _CHECK_U modulo the prime
+# _CHECK_P before it takes the exact determinant.
 _CHECK_P = 2**61 - 1
 _CHECK_U = 1009
 
@@ -215,25 +215,27 @@ def make_map(num, den) -> RationalMapK:
 def _resultant_certified(lift: Lift) -> bool:
     """Whether the Sylvester determinant of a lift over Z[u] (_shift_out
     output, so every coefficient is an int) is nonzero at u = _CHECK_U
-    modulo the prime _CHECK_P, which proves it nonzero over Z[u]."""
-    values = [
-        sum(c * pow(_CHECK_U, e, _CHECK_P) for e, c in p.terms) % _CHECK_P
-        for p in lift.den + lift.num
-    ]
-    d = len(lift.den) - 1
-    rows = _sylvester_rows(values[: d + 1], values[d + 1 :], 0)
-    n = len(rows)
-    for k in range(n):
-        swap = next((r for r in range(k, n) if rows[r][k]), None)
-        if swap is None:
-            return False
-        rows[k], rows[swap] = rows[swap], rows[k]
-        inv = pow(rows[k][k], -1, _CHECK_P)
-        for i in range(k + 1, n):
-            f = rows[i][k] * inv % _CHECK_P
-            if f:
-                rows[i] = [(x - f * y) % _CHECK_P for x, y in zip(rows[i], rows[k])]
-    return True
+    modulo the prime _CHECK_P, which proves it nonzero over Z[u].  That value
+    is the resultant of the pair's reductions over F_p, which vanishes exactly
+    when both leading coefficients do or the two polynomials have a
+    nonconstant gcd, so Euclid decides it (G. E. Collins, J. ACM 18, 1971)."""
+    polys = lift.den + lift.num
+    powers = {e: pow(_CHECK_U, e, _CHECK_P) for e in {e for p in polys for e, _ in p.terms}}
+    values = [sum([c * powers[e] for e, c in p.terms]) % _CHECK_P for p in reversed(polys)]
+    g, f = values[: len(lift.num)], values[len(lift.num) :]  # highest coefficient first
+    f, g = (f, g) if f[0] else (g, f)
+    if not f[0]:  # both leading coefficients vanish: a common root at infinity
+        return False
+    while True:  # f has a nonzero head; f <- g[0]^k f - q g, the remainder up to a unit
+        while g and not g[0]:
+            del g[0]
+        if not g:
+            return len(f) == 1
+        lead, n = g[0], len(g)
+        for i in range(len(f) - n + 1):
+            for j in range(i + 1, len(f)):
+                f[j] = (lead * f[j] - f[i] * g[j - i]) % _CHECK_P if j - i < n else lead * f[j] % _CHECK_P
+        f, g = g, f[len(f) - n + 1 :]
 
 
 def map_from_lift(lift: Lift) -> RationalMapK:

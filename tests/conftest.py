@@ -26,10 +26,21 @@ from nadyn import (
 from nadyn import lifts
 from nadyn.degeneration import ABERTH_MAX_ITER, INF_C, _LEADING_CUTOFF, _above_bound, _div, _join, _mul
 from nadyn.equidist import _class_poly, _mass_on
-from nadyn.lifts import neg, t_power, z_degree
+from nadyn.lifts import neg, z_degree
 from nadyn.parsing import MAX_LITERAL_DIGITS, MAX_MAP_DEGREE, MAX_POWER_BITS, MAX_POWER_TERMS, _capped, _inverse
 from nadyn.polys import coprime_basis, qdiv, rational_roots
-from nadyn.redux import IntrinsicReduction, _inverse_lift, chart_lift, compose_lifts, make_map, ray, reduce_lift
+from nadyn.redux import (
+    _CHECK_P,
+    _CHECK_U,
+    IntrinsicReduction,
+    _inverse_lift,
+    _sylvester_rows,
+    chart_lift,
+    compose_lifts,
+    make_map,
+    ray,
+    reduce_lift,
+)
 from nadyn.respoly import (
     INFINITY,
     FactorClass,
@@ -403,6 +414,11 @@ def _ref_tokenize(text: str):
     return tokens
 
 
+def _ref_t_power(q: Fraction) -> tuple:
+    e = q.numerator
+    return q.denominator, [{max(e, 0): 1}], [{max(-e, 0): 1}]
+
+
 def _ref_add(a: tuple, b: tuple) -> tuple:
     level, an, ad, bn, bd = lifts._common(a, b)
     if ad == bd:
@@ -518,7 +534,7 @@ class _ReferenceParser:
         if len(num) != 1 or list(num.values()) != list(den.values()):
             raise ParseError("fractional exponent needs a bare power of t", pos)
         (a,), (b,) = num, den
-        return t_power(Fraction(a - b, level) * exponent)
+        return _ref_t_power(Fraction(a - b, level) * exponent)
 
     def _sign(self) -> int:
         kind, value, _ = self.peek()
@@ -576,6 +592,33 @@ class _ReferenceParser:
 def reference_parse(text: str, allow_z: bool) -> tuple:
     """The parsed value (level, num, den) as the recursive-descent parser gave it."""
     return _ReferenceParser(text, allow_z).parse()
+
+
+# -- the validity certificate as it stood before the resultant at the check
+# point was decided by a Euclidean gcd over F_p: Gaussian elimination of the
+# 2d x 2d Sylvester matrix modulo _CHECK_P, one pow per term and one inverse
+# per pivot.  Kept as the oracle of the differential test.
+
+
+def reference_resultant_certified(lift) -> bool:
+    values = [
+        sum(c * pow(_CHECK_U, e, _CHECK_P) for e, c in p.terms) % _CHECK_P
+        for p in lift.den + lift.num
+    ]
+    d = len(lift.den) - 1
+    rows = _sylvester_rows(values[: d + 1], values[d + 1 :], 0)
+    n = len(rows)
+    for k in range(n):
+        swap = next((r for r in range(k, n) if rows[r][k]), None)
+        if swap is None:
+            return False
+        rows[k], rows[swap] = rows[swap], rows[k]
+        inv = pow(rows[k][k], -1, _CHECK_P)
+        for i in range(k + 1, n):
+            f = rows[i][k] * inv % _CHECK_P
+            if f:
+                rows[i] = [(x - f * y) % _CHECK_P for x, y in zip(rows[i], rows[k])]
+    return True
 
 
 # -- the pullback level solver as it stood before the coefficients of a level

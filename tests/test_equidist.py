@@ -223,6 +223,20 @@ def test_depth_sequence_reduces_each_point_once(monkeypatch):
         assert levels["nadyn.equidist"] == n_max - 1
 
 
+def test_one_level_rescales_nothing(monkeypatch):
+    # the chart conjugate is read from level 2 on; at n_max = 1 no lift of it
+    # is built, so no rescaling runs at a point off the Gauss point
+    phi = parse_map("(z^2+t)/(1+t*z)+1/t")
+    rescalings = count_calls(monkeypatch, "rescaled", nadyn.redux, nadyn.crucial)
+    for text in ["a=1;s=1", "a=0;s=1/2", "a=t;s=-1"]:
+        clear_caches()
+        rescalings.clear()
+        report = depth_sequence(phi, parse_point(text), 1)
+        assert report.levels == (1,) and not rescalings
+        depth_sequence(phi, parse_point(text), 2)
+        assert rescalings == {"nadyn.redux": 1}  # level 2 reads one chart conjugate
+
+
 def test_depth_sequence_checks_total_invariance_before_the_cap(monkeypatch):
     loci = count_calls(monkeypatch, "min_locus", nadyn.equidist)
     with pytest.raises(TotallyInvariantPoint):

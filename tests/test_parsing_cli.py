@@ -3,13 +3,14 @@ import contextlib
 import io
 import json
 import math
+import random
 import re
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, note, settings, strategies as st
 
 from nadyn import (
     DegenerateMap,
@@ -654,47 +655,57 @@ def test_power_by_squaring_equals_repeated_products():
         assert _power(base, n) == product, text
 
 
-_DIFF_ATOMS = st.sampled_from(["0", "1", "2", "3", "12", "t", "z"])
+# The differential inputs are built from one integer seed: drawing each token
+# through a composite strategy cost about ten times the parses it fed.
+_DIFF_ATOMS = ["0", "1", "2", "3", "12", "t", "z"]
 # bases that are a bare power of t, so a fractional exponent applies
-_DIFF_T_POWERS = st.sampled_from(["t", "(t)", "(2*t)/2", "(1/t)", "(t^2)", "(3*t^3/3)"])
+_DIFF_T_POWERS = ["t", "(t)", "(2*t)/2", "(1/t)", "(t^2)", "(3*t^3/3)"]
+# monomial factors: products, quotients and powers of an int, t and z
+_DIFF_MONOMIALS = ["0", "2", "12", "t", "z", "(2*t)", "(t*z)", "(1/t)", "(z^2)", "(z/t)", "t^(1/2)", "(3*t^(2/3))"]
+_DIFF_KINDS = ["atom", "sign", "binary", "paren", "power", "root", "monomial", "monomial", "monomial"]
 
 
-@st.composite
-def _grammar_expression(draw, depth=0):
+def _grammar_expression(rng: random.Random, depth=0) -> str:
     """An expression of the documented grammar, parentheses nested up to depth 4."""
-    kinds = ["atom", "sign", "binary", "paren", "power", "root"] if depth < 4 else ["atom"]
-    kind = draw(st.sampled_from(kinds))
+    kind = rng.choice(_DIFF_KINDS if depth < 4 else ["atom"])
     if kind == "atom":
-        return draw(_DIFF_ATOMS)
+        return rng.choice(_DIFF_ATOMS)
     if kind == "sign":
-        return draw(st.sampled_from(["-", "+", "- "])) + draw(_grammar_expression(depth + 1))
+        return rng.choice(["-", "+", "- "]) + _grammar_expression(rng, depth + 1)
     if kind == "binary":
-        op = draw(st.sampled_from(["+", " - ", "*", "/", " * "]))
-        return f"{draw(_grammar_expression(depth + 1))}{op}{draw(_grammar_expression(depth + 1))}"
+        op = rng.choice(["+", " - ", "*", "/", " * "])
+        return f"{_grammar_expression(rng, depth + 1)}{op}{_grammar_expression(rng, depth + 1)}"
     if kind == "paren":
-        return f"({draw(_grammar_expression(depth + 1))})"
+        return f"({_grammar_expression(rng, depth + 1)})"
     if kind == "power":
-        base = draw(st.one_of(_DIFF_ATOMS, _grammar_expression(depth + 1).map(lambda e: f"({e})")))
-        return f"{base}^{draw(st.integers(-3, 4))}"
-    p, q = draw(st.integers(-4, 4)), draw(st.sampled_from([1, 2, 3, 4, 1, 2, 3, 0]))
-    return f"{draw(_DIFF_T_POWERS)}^({p}/{q})"
+        base = rng.choice(_DIFF_ATOMS) if rng.random() < 0.5 else f"({_grammar_expression(rng, depth + 1)})"
+        return f"{base}^{rng.randint(-3, 4)}"
+    if kind == "root":
+        return f"{rng.choice(_DIFF_T_POWERS)}^({rng.randint(-4, 4)}/{rng.choice([1, 2, 3, 4, 1, 2, 3, 0])})"
+    # a run of monomial factors, some raised to powers at or past the caps
+    text = ""
+    for k in range(rng.randint(1, 4)):
+        factor = rng.choice(_DIFF_MONOMIALS)
+        if rng.random() < 0.5:
+            factor += f"^{rng.choice([-3, -1, 0, 1, 2, 3, 5, 16, 17, 33, 200, 201])}"
+        text += (rng.choice("**/") if k else "") + factor
+    return text
 
 
-@st.composite
-def _differential_input(draw):
+def _differential_input(rng: random.Random) -> str:
     """A grammar expression, sometimes broken: a dropped token, a stray
     character, a division by zero or a power past the degree or size caps."""
-    text = draw(_grammar_expression())
-    broken = draw(st.sampled_from(["none", "none", "drop", "stray", "zero", "degree", "power"]))
+    text = _grammar_expression(rng)
+    broken = rng.choice(["none", "none", "drop", "stray", "zero", "degree", "power"])
     if broken == "drop":
         tokens = re.findall(r"\d+|[A-Za-z_]+|\S", text)
-        i = draw(st.integers(0, len(tokens) - 1))
+        i = rng.randint(0, len(tokens) - 1)
         text = " ".join(tokens[:i] + tokens[i + 1 :])
     elif broken == "stray":
-        i = draw(st.integers(0, len(text)))
-        text = text[:i] + draw(st.sampled_from(["$", "#", ".", "é", "!"])) + text[i:]
+        i = rng.randint(0, len(text))
+        text = text[:i] + rng.choice(["$", "#", ".", "é", "!"]) + text[i:]
     elif broken == "zero":
-        text = draw(st.sampled_from([f"{text}/0", f"({text})/(t-t)", f"{text}*0^-1"]))
+        text = rng.choice([f"{text}/0", f"({text})/(t-t)", f"{text}*0^-1"])
     elif broken == "degree":
         text = f"{text} + z^40"
     elif broken == "power":
@@ -703,21 +714,56 @@ def _differential_input(draw):
 
 
 def _parse_outcome(parse, text: str, allow_z: bool):
-    """(level, frozen value) of a parse, or the type and message of its error."""
+    """(level, frozen value) of a parse, or the type, message and position of its error."""
     try:
         value = parse(text, allow_z)
     except (ParseError, DegreeTooHigh, PowerTooLarge) as exc:
-        return type(exc), str(exc)
+        return type(exc), str(exc), getattr(exc, "position", None)
     return value[0], frozen(value)
 
 
+def _flat_parse(text: str, allow_z: bool) -> tuple:
+    return _Parser(text, allow_z).parse()
+
+
 @settings(max_examples=400, deadline=None)
-@given(text=_differential_input(), allow_z=st.booleans())
-def test_flat_evaluator_matches_the_recursive_descent_parser(text, allow_z):
+@given(seed=st.integers(0, 2**32 - 1), allow_z=st.booleans())
+def test_flat_evaluator_matches_the_recursive_descent_parser(seed, allow_z):
     # the replaced parser, on the generic product route, is the oracle: the same
     # value, or the same error with the same message and position
+    text = _differential_input(random.Random(seed))
+    note(text)
     expected = _parse_outcome(reference_parse, text, allow_z)
-    assert _parse_outcome(lambda t, z: _Parser(t, z).parse(), text, allow_z) == expected
+    assert _parse_outcome(_flat_parse, text, allow_z) == expected
+
+
+_DEGREE_CAP = f"cap is {MAX_MAP_DEGREE}"
+_POWER_CAPS = "exceeds the caps of 80 terms and 400 coefficient bits"
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        # a zero product has degree 0, whatever degree its factors had
+        ("0*z^3 + z^2", (1, frozen((1, [{}, {}, {0: 1}], [{0: 1}])))),
+        ("0*z^3", (1, frozen((1, [{}], [{0: 1}])))),
+        ("0*z^20*z^20", (1, frozen((1, [{}], [{0: 1}])))),
+        ("z^40", (DegreeTooHigh, f"expression reaches degree 33 in z, {_DEGREE_CAP}", None)),
+        ("z*z^39", (DegreeTooHigh, f"expression reaches degree 33 in z, {_DEGREE_CAP}", None)),
+        ("(z^2)^17", (DegreeTooHigh, f"expression reaches degree 34 in z, {_DEGREE_CAP}", None)),
+        ("z^16*z^17", (DegreeTooHigh, f"expression reaches degree 33 in z, {_DEGREE_CAP}", None)),
+        ("2^401", (PowerTooLarge, f"power ^401 {_POWER_CAPS}", None)),
+        ("(2*t)^201", (PowerTooLarge, f"power ^201 {_POWER_CAPS}", None)),
+        ("0^-1", (ParseError, "division by zero (at position 1)", 1)),
+        ("z/0", (ParseError, "division by zero (at position 1)", 1)),
+        ("t^(1/2)*z^2", (2, frozen((2, [{}, {}, {1: 1}], [{0: 1}])))),
+        ("(1/t)^-3", (1, frozen((1, [{3: 1}], [{0: 1}])))),
+        # the zero of 0*t/t^2 keeps its denominator, as the generic route does
+        ("0*t/t^2", (1, frozen((1, [{}], [{2: 1}])))),
+    ],
+)
+def test_monomial_tuples_keep_the_values_caps_and_errors(text, expected):
+    assert _parse_outcome(_flat_parse, text, True) == _parse_outcome(reference_parse, text, True) == expected
 
 
 def test_power_caps():

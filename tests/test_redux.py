@@ -36,7 +36,10 @@ from nadyn import (
 from nadyn.polys import QPoly
 from nadyn.lifts import Lift
 from nadyn.redux import (
+    _CHECK_P,
+    _CHECK_U,
     RationalMapK,
+    _resultant_certified,
     chart_conjugate_lift,
     compose_lifts,
     _shift_out,
@@ -63,6 +66,7 @@ from conftest import (
     rand_unit_mobius,
     reference_divisor_classes,
     reference_reduce_lift,
+    reference_resultant_certified,
     reference_split_classes,
     rescaled_reference_reduce_lift,
     typed,
@@ -619,3 +623,95 @@ def test_validation_falls_back_to_the_exact_determinant(monkeypatch):
     for text in ["(z^2+1)/(z^2+1)", "z^2/z", "(z^2-t)/(z-t^(1/2))", "(t*z^3+z)/(t*z^2+1)"]:
         with pytest.raises(DegenerateMap):
             parse_map(text)
+
+
+# -- the validity certificate: Euclid over F_p against the modular elimination
+
+_ZERO, _ONE = QPoly.zero(), QPoly.one()
+_AT_CHECK = QPoly.x() - QPoly.from_coeffs([_CHECK_U])  # u - _CHECK_U vanishes at the check point only
+
+
+def _zmul(p: tuple, q: tuple) -> tuple:
+    """The coefficients in z of the product of two polynomials in z over Z[u]."""
+    out = [_ZERO] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] = out[i + j] + a * b
+    return tuple(out)
+
+
+def _rand_upoly(rng: random.Random) -> QPoly:
+    return QPoly.from_coeffs([rng.randint(-3, 3) for _ in range(rng.randint(1, 3))])
+
+
+def _assert_certificates_agree(lift) -> bool:
+    certified = _resultant_certified(lift)
+    assert certified == reference_resultant_certified(lift)
+    if certified:  # a nonzero value at the check point proves the resultant nonzero
+        assert not _sylvester_det(lift.den, lift.num).is_zero
+    return certified
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_euclid_certificate_decides_as_the_modular_elimination(seed):
+    rng = random.Random(seed)
+    lift = rand_map(rng, degree=rng.randint(1, 8)).lift
+    # the variants that can certify are built on a lift of degree 1-4, whose
+    # exact determinant stays cheap (25-70 ms at degree 8, under 1 ms here)
+    low = rand_map(rng, degree=rng.randint(1, 4)).lift
+    level, num, den, d = low.level, low.num, low.den, len(low.num) - 1
+    shared = (_rand_upoly(rng), *(_rand_upoly(rng) for _ in range(rng.randint(0, 1))), _ONE)
+    root, P = QPoly.from_coeffs([rng.randint(-3, 3)]), QPoly.from_coeffs([_CHECK_P])
+    cases = [
+        lift,
+        Lift(lift.level, _zmul(lift.num, shared), _zmul(lift.den, shared)),
+        # z - root divides num everywhere and den at the check point only
+        Lift(lift.level, _zmul(lift.num, (-root, _ONE)), _zmul(lift.den, (_AT_CHECK - root, _ONE))),
+        # the leading coefficients vanish modulo p: both, or one of them
+        Lift(level, (*num[:-1], _AT_CHECK), (*den[:-1], P)),
+        Lift(level, (*num[:-1], _AT_CHECK), den),
+        Lift(level, num, (*den[:-1], P)),
+        Lift(level, (_ZERO,) * (d + 1), den),
+        Lift(level, (_rand_upoly(rng), *(_ZERO,) * d), den),
+    ]
+    decided = [_assert_certificates_agree(case) for case in cases]
+    assert not any(decided[1:3])  # a factor shared over Z[u] or at the check point
+
+
+@pytest.mark.parametrize(
+    "num, den, certified, zero",
+    [
+        # z^2 + 1 over z + 2
+        ((_ONE, _ZERO, _ONE), (QPoly.from_coeffs([2]), _ONE, _ZERO), True, False),
+        # 1 + z over 2 + 3z as forms of degree 2: a common root at infinity
+        ((_ONE, _ONE, _ZERO), (QPoly.from_coeffs([2]), QPoly.from_coeffs([3]), _ZERO), False, True),
+        # both leading coefficients are multiples of u - _CHECK_U: at infinity at the check point only
+        ((_ONE, _ZERO, _AT_CHECK), (QPoly.from_coeffs([2]), _ONE, _AT_CHECK.scale(3)), False, False),
+        # z^2 - 1 over z - 1: the common root z = 1
+        ((-_ONE, _ZERO, _ONE), (-_ONE, _ONE, _ZERO), False, True),
+        # z^2 - 1 over z - 1 - (u - _CHECK_U): z = 1 is common at the check point only
+        ((-_ONE, _ZERO, _ONE), (-_ONE - _AT_CHECK, _ONE, _ZERO), False, False),
+    ],
+)
+def test_certificate_on_crafted_common_roots(num, den, certified, zero):
+    lift = Lift(1, num, den)
+    assert _assert_certificates_agree(lift) == certified
+    assert _sylvester_det(den, num).is_zero == zero
+
+
+def test_certificate_takes_one_pow_per_distinct_exponent(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(nadyn.redux, "pow", counted, raising=False)
+    phi = parse_map("(z^2+t)/(1+t*z)+1/t")
+    for lift in [TZ21T.lift, iterate(phi, 2).lift, chart_conjugate_lift(phi.lift, parse_point("a=1;s=1"))]:
+        calls.clear()
+        assert _resultant_certified(lift)
+        exponents = {e for p in lift.den + lift.num for e, _ in p.terms}
+        assert sorted(calls) == sorted((_CHECK_U, e, _CHECK_P) for e in exponents)
+        assert len(exponents) < sum(len(p.terms) for p in lift.den + lift.num)  # exponents repeat
