@@ -5,7 +5,6 @@ specialisations."""
 from .errors import (
     AmbiguousClass,
     BothFormsZero,
-    BreakpointUnresolved,
     CoefficientPole,
     DegenerateMap,
     DegreeTooHigh,

@@ -19,17 +19,18 @@ directions come from two independent routes: the reduction-theoretic formula
 one-sided derivative along a rational class is read off the active piece of
 least slope on the ray at the class's centre.  A third, fully geometric
 evaluation integrates pullback masses along the path from the Gauss point:
-phi is composed with charts once per segment, and each probe is a rescaling.
+phi is composed with charts once per segment, each probe is a rescaling,
+and the integrands are constant between the slopes of the Newton polygon of
+those composites' lowest exponents, so each interval takes one probe.
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from math import floor, lcm
 
 from .berkspace import GAUSS, TypeIIPoint, rho, step_into
-from .errors import BreakpointUnresolved, DegreeTooLow, IrrationalDirection, Record
+from .errors import DegreeTooLow, IrrationalDirection, Record
 from .polys import QPoly, simplest_in
 from .respoly import (
     FactorClass,
@@ -197,15 +198,7 @@ def semistability(phi: RationalMapK, point: TypeIIPoint) -> Verdict:
     return _verdict(class_slope_data(intrinsic_data(phi, point)), phi.degree)
 
 
-# -- breakpoint machinery --------------------------------------------------------
-
-
-def _denominator_bound(phi: RationalMapK, point: TypeIIPoint) -> int:
-    """Bound on breakpoint denominators: ord-equalities of finitely many
-    coefficient monomials with integer slope spread at most 4d."""
-    d = phi.degree
-    level = lcm(point.center.level, point.exponent.denominator, phi.lift.level)
-    return lcm(*range(1, 4 * d + 1)) * level
+# -- the path-mass route ---------------------------------------------------------
 
 
 def _probe_mass(lift: Lift, sigma: Fraction, cls) -> int:
@@ -214,68 +207,41 @@ def _probe_mass(lift: Lift, sigma: Fraction, cls) -> int:
     return depth_at(reduce_lift(lift, sigma).depths, cls)
 
 
-def _alone(cut: Fraction, lo: Fraction, hi: Fraction, dmax: int) -> bool:
-    """Whether cut is the only rational of denominator <= dmax in (lo, hi]."""
-    if simplest_in(lo, cut, False, False).denominator <= dmax:
-        return False
-    return cut == hi or simplest_in(cut, hi, False, True).denominator > dmax
+def _newton_cuts(lift: Lift) -> list[Fraction]:
+    """The sigmas at which reduce_lift(lift, sigma) can change.  It reads the
+    lowest terms of the entries of least shifted ord v_j + j*sigma, v_j the
+    lowest u-exponent of num_j and den_j, so those entries change only where
+    two of them tie at the minimum: at the negated slopes of the lower convex
+    hull of the points (j, v_j), at most d of them."""
+    hull: list[tuple[int, int]] = []
+    for j, pair in enumerate(zip(lift.num, lift.den)):
+        if any(pair):
+            v = min(p.val for p in pair if p)
+            while len(hull) > 1 and ((hull[-1][1] - hull[-2][1]) * (j - hull[-1][0])
+                                     >= (v - hull[-1][1]) * (hull[-1][0] - hull[-2][0])):
+                hull.pop()  # the last vertex lies on or above the chord to (j, v)
+            hull.append((j, v))
+    return [Fraction(v - w, (k - j) * lift.level) for (j, v), (k, w) in zip(hull, hull[1:])]
 
 
-def _step_integral(value, total: Fraction, v_lo, v_hi, dmax: int) -> Fraction:
-    """Integral over [0, total] of a non-increasing, right-continuous step
-    function with breakpoints on (1/dmax)Z (see _denominator_bound), given
-    its value v_lo at 0 and its left limit v_hi at total.
-
-    A jump lies in (lo, hi].  An interval with no lattice point is not
-    isolated; one whose only rational of denominator <= dmax is a lattice
-    point has the jump there, certified by one probe unless it is hi.  Any
-    other interval splits at the simplest rational of its middle half (small
-    levels), and a jump left of a split is first sought by one probe at the
-    lattice point below it.  A split keeps at most 3/4 of an interval, and
-    one shorter than 1/dmax^2 holds at most one rational of denominator <=
-    dmax, so the splits nest at most log_{4/3}(total * dmax^2) + 1 deep:
-    thousands far from the Gauss point, hence the explicit stack.
-    """
-    integral = Fraction(0)
-    stack = [(Fraction(0), total, v_lo, v_hi)]
-    while stack:
-        lo, hi, a, b = stack.pop()
-        if a == b:
-            integral += a * (hi - lo)
-            continue
-        n = floor(hi * dmax)  # n/dmax is the last lattice point in (lo, hi]
-        if n <= lo * dmax:
-            raise BreakpointUnresolved(f"breakpoint not isolated at denominator bound {dmax}")
-        cut = Fraction(n, dmax)
-        if n - 1 <= lo * dmax and _alone(cut, lo, hi, dmax):
-            if cut != hi and value(cut) != b:
-                raise BreakpointUnresolved(f"snapped breakpoint {cut} failed certification")
-            integral += a * (cut - lo) + b * (hi - cut)
-            continue
-        quarter = (hi - lo) / 4
-        mid = simplest_in(lo + quarter, hi - quarter)
-        vm = value(mid)
-        stack.append((mid, hi, vm, b))
-        below = mid - Fraction(1, dmax)
-        if a != vm and dmax % mid.denominator == 0 and below > lo:
-            vb = value(below)  # no lattice point lies in (below, mid)
-            integral += vb * (mid - below)
-            stack.append((lo, below, a, vb))
-        else:
-            stack.append((lo, mid, a, vm))
-    return integral
+def _wedge_cut(lift: Lift) -> list[Fraction]:
+    """The sigma at which reduce_lift(lift, 0, sigma) can change: the shift
+    on the left lowers every numerator entry alike, so only where the least
+    of them ties with the least denominator entry."""
+    return [Fraction(min(p.val for p in lift.num if p) - min(q.val for q in lift.den if q), lift.level)]
 
 
 def _path_probes(phi: RationalMapK, point: TypeIIPoint, total: Fraction):
     """hyp_res_direct's step functions of tau on [gauss, point], of length
     total: the mass beyond the probe, whether it lies before the wedge; and
-    phi_m, phi after the point's chart.  The path rises to the join xi_{0,m}
-    and falls to xi_{c,s}.  A probe on the rise is xi_{0,-tau}, chart
-    t^(-tau) w, the point in its class infinity; one on the fall is
+    the breaks of each, between which it is constant.  The path rises to the
+    join xi_{0,m} and falls to xi_{c,s}.  A probe on the rise is xi_{0,-tau},
+    chart t^(-tau) w, the point in its class infinity; one on the fall is
     xi_{c,sigma}, chart c + t^sigma w, a translate of the canonical chart
     that puts the point in class 0.  Each probe rescales one composite per
     segment: phi or phi(c + w) on the right for the mass, and phi_m or
-    phi_m - c on the left for the wedge (by t^(-sigma)).
+    phi_m - c on the left for the wedge (by t^(-sigma)).  The breaks are 0,
+    the join and total, and the cuts of those composites mapped to tau.
     """
     c, s = point.center, point.exponent
     up = (total - s) / 2  # the rise, -m
@@ -293,7 +259,17 @@ def _path_probes(phi: RationalMapK, point: TypeIIPoint, total: Fraction):
         lift, sigma, cls = probe(tau, phi_m, psi)
         return int(reduce_lift(lift, 0, sigma).image_class == cls)
 
-    return mass, before_wedge, phi_m
+    def breaks(cuts, rise: Lift, fall: Lift) -> list[Fraction]:
+        taus = {-x for x in cuts(rise) if 0 < -x < up} | {x - s + total for x in cuts(fall) if -up < x < s}
+        return sorted(taus | {Fraction(0), up, total})
+
+    return mass, before_wedge, (breaks(_newton_cuts, phi.lift, phi_c), breaks(_wedge_cut, phi_m, psi))
+
+
+def _integral(value, breaks: list[Fraction]) -> Fraction:
+    """Integral of a step function constant between consecutive breaks: one
+    probe per interval, at the simplest rational of its middle half."""
+    return sum((hi - lo) * value(simplest_in((3 * lo + hi) / 4, (lo + 3 * hi) / 4)) for lo, hi in zip(breaks, breaks[1:]))
 
 
 def hyp_res_direct(phi: RationalMapK, point: TypeIIPoint) -> Fraction:
@@ -302,26 +278,24 @@ def hyp_res_direct(phi: RationalMapK, point: TypeIIPoint) -> Fraction:
     Both terms integrate step functions along [gauss, point]: the pullback
     mass beyond the probe, and the indicator that the probe lies before the
     wedge of the image of the point with the point.  Each probe rescales one
-    composite of phi with charts per segment of the path (_path_probes), so
-    the route is independent of the Sylvester one: it never reads the ray.
+    composite of phi with charts per segment of the path, and each function
+    is constant between cuts read off those composites' lowest exponents
+    (_path_probes), so the route is independent of the Sylvester one: it
+    never reads the ray.
     """
     if point == GAUSS:
         return Fraction(0)
-    d = phi.degree
     total = rho(GAUSS, point)
-    dmax = _denominator_bound(phi, point)
-    mass, before_wedge, phi_m = _path_probes(phi, point, total)
-    # left limit at the far end: d less the mass toward gauss, in class 0 iff the path only rises
-    toward_gauss = _ZERO if total == -point.exponent else INFINITY
-    v_hi = d - depth_at(reduce_lift(phi_m).depths, toward_gauss)
-    integral = _step_integral(mass, total, mass(Fraction(0)), v_hi, dmax)
+    mass, before_wedge, (mass_breaks, wedge_breaks) = _path_probes(phi, point, total)
+    integral = _integral(mass, mass_breaks)
 
     info = intrinsic_data(phi, point)
+    toward_gauss = _ZERO if total == -point.exponent else INFINITY  # class 0 iff the path only rises
     if info.fixes_point or info.image_class != toward_gauss:
         wedge = total  # the wedge is the point itself
     else:
-        wedge = _step_integral(before_wedge, total, before_wedge(Fraction(0)), 0, dmax)
-    return total / 2 + (total - wedge - integral) / (d - 1)
+        wedge = _integral(before_wedge, wedge_breaks)
+    return total / 2 + (total - wedge - integral) / (phi.degree - 1)
 
 
 # -- the minimum locus -----------------------------------------------------------

@@ -98,10 +98,6 @@ class IrrationalDirection(NadynError):
     """Measured slopes are only defined along rational direction classes."""
 
 
-class BreakpointUnresolved(NadynError):
-    """A piecewise breakpoint could not be snapped to a bounded rational."""
-
-
 class TotallyInvariantPoint(NadynError):
     """The point is totally invariant, so no nontrivial sequence exists."""
 

