@@ -42,6 +42,8 @@ from nadyn import (
 from nadyn.cli import main
 from nadyn.berkspace import TypeIIPoint, rho
 from nadyn.crucial import (
+    _integral,
+    _newton_cuts,
     _path_probes,
     _ray_slope,
     _rhs_value,
@@ -50,7 +52,8 @@ from nadyn.crucial import (
     class_slope_data,
 )
 from nadyn.polys import simplest_in
-from nadyn.redux import _fixes_class, make_map
+from nadyn.lifts import compose_lifts
+from nadyn.redux import _fixes_class, chart_lift, make_map
 from nadyn.respoly import class_degree, depth_at
 from nadyn.scalars import KScalar
 from conftest import (
@@ -497,6 +500,46 @@ def test_path_step_functions_are_constant_between_breaks(seed, shape):
             for k in (1, rng.randint(2, 98), 99):  # near each end, and anywhere
                 tau = lo + (hi - lo) * Fraction(k, 100)
                 assert reference(phi, point, tau) == want, (lo, hi, tau)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_newton_cuts_are_the_ties_at_the_minimum(seed):
+    # the cuts are exactly the sigmas at which two or more entries share the
+    # least shifted ord v_j/level + j*sigma, each once, in decreasing order
+    rng = random.Random(seed)
+    phi = rand_map(rng, degree=rng.randint(2, 8))
+    point = rand_point(rng) if rng.random() < 0.5 else rand_laurent_point(rng)
+    lift = compose_lifts(phi.lift, chart_lift(point.center, point.exponent)) if rng.random() < 0.5 else phi.lift
+    vals = {j: min(p.val for p in pair if p) for j, pair in enumerate(zip(lift.num, lift.den)) if any(pair)}
+    ties = set()
+    for j in vals:
+        for k in vals:
+            if j < k:
+                sigma = Fraction(vals[j] - vals[k], (k - j) * lift.level)
+                least = min(v + i * sigma * lift.level for i, v in vals.items())
+                if vals[j] + j * sigma * lift.level == least:
+                    ties.add(sigma)
+    cuts = _newton_cuts(lift)
+    assert cuts == sorted(ties, reverse=True)
+
+
+def test_integral_probes_each_interval_once_inside_its_middle_half():
+    steps = [(Fraction(0), 3), (Fraction(1, 3), 2), (Fraction(5, 4), 0), (Fraction(2), 1)]
+    breaks = [Fraction(0), Fraction(1, 3), Fraction(1), Fraction(5, 4), Fraction(2), Fraction(7, 3)]
+    probes = []
+
+    def value(tau):
+        probes.append(tau)
+        return [v for x, v in steps if x <= tau][-1]
+
+    assert _integral(value, breaks) == 3 * Fraction(1, 3) + 2 * Fraction(11, 12) + 1 * Fraction(1, 3)
+    assert len(probes) == len(breaks) - 1
+    for tau, lo, hi in zip(probes, breaks, breaks[1:]):
+        assert (3 * lo + hi) / 4 <= tau <= (lo + 3 * hi) / 4
+    assert probes[:2] == [Fraction(1, 4), Fraction(1, 2)]  # the simplest rationals there
+    # a single interval of length zero adds nothing
+    assert _integral(value, [Fraction(1)]) == 0
 
 
 def test_hyp_res_direct_probes_each_interval_once(monkeypatch):

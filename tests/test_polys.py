@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, strategies as st
+
 from nadyn.polys import (
     QPoly,
     coprime_basis,
@@ -82,6 +85,28 @@ def test_simplest_in_is_minimal_denominator():
         for q in range(1, best.denominator):
             lo_n = -(-a.numerator * q // a.denominator)  # ceil(a*q)
             assert lo_n > b * q, (a, b, best, q)
+
+
+_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=40)
+
+
+@given(lo=_fractions, width=st.fractions(min_value=0, max_value=3, max_denominator=40))
+def test_simplest_in_agrees_with_a_search_by_denominator(lo, width):
+    # the least denominator, and among those the numerator nearest 0
+    hi = lo + width
+    for q in range(1, 41):
+        inside = range(-(-lo.numerator * q // lo.denominator), hi.numerator * q // hi.denominator + 1)
+        if inside:
+            want = Fraction(min(inside, key=abs), q)
+            break
+    assert simplest_in(lo, hi) == want
+
+
+def test_simplest_in_of_a_point_and_of_an_empty_interval():
+    assert simplest_in(Fraction(-7, 3), Fraction(-7, 3)) == Fraction(-7, 3)
+    assert simplest_in(Fraction(0), Fraction(0)) == 0
+    with pytest.raises(ValueError, match="empty"):
+        simplest_in(Fraction(1, 2), Fraction(1, 3))
 
 
 def test_sparse_sum_printer():
